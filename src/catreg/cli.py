@@ -11,12 +11,13 @@ payload. Exit codes: 0 success, 1 validation failure, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
 from .data import dataset_to_json, load_dataset, save_dataset
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, json_object
 from .evaluate import METHODS, MRE_SCALES, MethodConfigs, crossval
 from .ingest import GearingTable, ingest_dataset, load_gearing, load_schema
 from .pipeline import compare_baseline, load_model, predict, run_pipeline, save_model
@@ -125,28 +126,14 @@ def _load_configs(path: str | None, seed: int) -> MethodConfigs:
     raw = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValidationError("configuration file must hold a JSON object")
-        unknown = set(raw) - set(_CONFIG_SECTIONS)
-        if unknown:
-            raise ValidationError(f"unknown configuration sections: {sorted(unknown)}")
+            raw = json_object(json.load(fh), _CONFIG_SECTIONS, "configuration file")
         for section, keys in _CONFIG_SECTIONS.items():
-            entries = raw.get(section, {})
-            if not isinstance(entries, dict):
-                raise ValidationError(f"configuration section '{section}' must be an object")
-            extra = set(entries) - keys
-            if extra:
-                raise ValidationError(
-                    f"configuration section '{section}' has unknown keys: {sorted(extra)}"
-                )
-    catreg_cfg = CatregConfig(seed=seed, **raw.get("catreg", {}))
-    stepwise_cfg = StepwiseConfig(**raw.get("stepwise", {}))
+            json_object(raw.get(section, {}), keys, f"configuration section '{section}'")
     return MethodConfigs(
-        catreg=catreg_cfg,
-        stepwise=stepwise_cfg,
-        max_rounds=raw.get("pipeline", {}).get("max_rounds", 10),
-        mre_scale=raw.get("evaluation", {}).get("mre_scale", "count"),
+        catreg=CatregConfig(seed=seed, **raw.get("catreg", {})),
+        stepwise=StepwiseConfig(**raw.get("stepwise", {})),
+        **raw.get("pipeline", {}),
+        **raw.get("evaluation", {}),
     )
 
 
@@ -365,12 +352,7 @@ def main(argv=None) -> int:
             configs = _load_configs(args.config, args.seed)
             scale = getattr(args, "mre_scale", None)
             if scale is not None:
-                configs = MethodConfigs(
-                    catreg=configs.catreg,
-                    stepwise=configs.stepwise,
-                    max_rounds=configs.max_rounds,
-                    mre_scale=scale,
-                )
+                configs = dataclasses.replace(configs, mre_scale=scale)
         if args.command == "ingest":
             _cmd_ingest(args)
         elif args.command == "fit":

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, json_object
 
 NOMINAL = "nominal"
 ORDINAL = "ordinal"
@@ -311,11 +311,7 @@ def dataset_to_json(dataset: Dataset) -> dict:
 
 def dataset_from_json(obj) -> Dataset:
     """Parse the canonical JSON form back into a Dataset. Rejects unknown fields."""
-    if not isinstance(obj, dict):
-        raise ValidationError("dataset document must be a JSON object")
-    unknown = set(obj) - {"schema_version", "variables", "rows"}
-    if unknown:
-        raise ValidationError(f"dataset document has unknown fields: {sorted(unknown)}")
+    json_object(obj, {"schema_version", "variables", "rows"}, "dataset document")
     if obj.get("schema_version") != DATASET_SCHEMA_VERSION:
         raise ValidationError(
             f"unsupported dataset schema version {obj.get('schema_version')!r}; "
@@ -323,11 +319,7 @@ def dataset_from_json(obj) -> Dataset:
         )
     variables = []
     for entry in obj.get("variables", []):
-        if not isinstance(entry, dict):
-            raise ValidationError("each variable entry must be an object")
-        extra = set(entry) - {"name", "level", "categories", "role"}
-        if extra:
-            raise ValidationError(f"variable entry has unknown fields: {sorted(extra)}")
+        json_object(entry, {"name", "level", "categories", "role"}, "variable entry")
         variables.append(
             Variable(
                 name=entry.get("name"),
@@ -338,11 +330,7 @@ def dataset_from_json(obj) -> Dataset:
         )
     rows = []
     for entry in obj.get("rows", []):
-        if not isinstance(entry, dict):
-            raise ValidationError("each row entry must be an object")
-        extra = set(entry) - {"id", "values"}
-        if extra:
-            raise ValidationError(f"row entry has unknown fields: {sorted(extra)}")
+        json_object(entry, {"id", "values"}, "row entry")
         rows.append(Observation(tuple(entry.get("values", ())), row_id=entry.get("id")))
     return Dataset(tuple(variables), tuple(rows))
 

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and input checks shared across the package."""
+
+from numbers import Integral, Real
 
 
 class CatregError(Exception):
@@ -15,3 +17,20 @@ class UnseenCategoryError(ValidationError):
 
 class NumericalError(CatregError):
     """Numerical failure: rank deficiency, degenerate systems, non-convergence."""
+
+
+def json_object(obj, allowed, what: str) -> dict:
+    """Return obj after checking that it is a JSON object with keys in `allowed`."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    unknown = obj.keys() - allowed
+    if unknown:
+        raise ValidationError(f"{what} has unknown fields: {sorted(unknown)}")
+    return obj
+
+
+def require_number(name: str, value, integer: bool = False) -> None:
+    """Reject anything but a real number (an integer when asked); bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
+        kind = "an integer" if integer else "a number"
+        raise ValidationError(f"{name} must be {kind}, got {value!r}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, population_standardize
-from .errors import UnseenCategoryError, ValidationError
+from .errors import NumericalError, UnseenCategoryError, ValidationError, require_number
 from .scaling import CatregConfig
 from .stats import ols_fit
 from .stepwise import StepwiseConfig
@@ -57,6 +57,17 @@ def mre(actual: float, predicted: float) -> float:
     return abs(actual - predicted) / actual
 
 
+def back_transform(ln_value: float) -> float:
+    """exp of a log-scale value; a result that is not finite is a NumericalError."""
+    try:
+        count = math.exp(ln_value)
+    except OverflowError:
+        count = math.inf
+    if not math.isfinite(count):
+        raise NumericalError(f"log-scale value {ln_value} has no finite count")
+    return count
+
+
 def mmre(records) -> float:
     """Mean MRE over evaluation records (non-empty)."""
     records = list(records)
@@ -80,6 +91,7 @@ class MethodConfigs:
     mre_scale: str = COUNT_SCALE
 
     def __post_init__(self):
+        require_number("max_rounds", self.max_rounds, integer=True)
         if self.mre_scale not in MRE_SCALES:
             raise ValidationError(f"mre_scale must be one of {MRE_SCALES}")
         if self.max_rounds < 1:
@@ -227,7 +239,7 @@ class MethodEvaluation:
 def _dummy_fitter(train: Dataset, full: Dataset, configs: MethodConfigs):
     dep = full.dependent.name
     design = dummy_design(train)
-    fit = ols_fit(design.matrix, train.column(dep), intercept=True, names=design.names)
+    fit = ols_fit(design.matrix, train.column(dep), names=design.names)
 
     def predict_row(i: int):
         values = {name: full.value(i, name) for name in design.variables}
@@ -300,9 +312,8 @@ def crossval(
                 excluded += 1
                 continue
             if configs.mre_scale == COUNT_SCALE:
-                records.append(
-                    EvaluationRecord(dataset.row_id(i), math.exp(y[i]), math.exp(estimate))
-                )
+                actual, predicted = back_transform(y[i]), back_transform(estimate)
+                records.append(EvaluationRecord(dataset.row_id(i), actual, predicted))
             else:
                 records.append(EvaluationRecord(dataset.row_id(i), float(y[i]), estimate))
         if not records:

@@ -35,7 +35,7 @@ from .data import (
     Observation,
     Variable,
 )
-from .errors import ValidationError
+from .errors import ValidationError, json_object
 
 # choice-set sizes of the fixed 22-item questionnaire
 _QUESTION_CHOICE_COUNTS = {
@@ -107,12 +107,7 @@ class QuestionnaireSchema:
     @classmethod
     def from_json(cls, obj) -> "QuestionnaireSchema":
         """Parse {"levels": {"Q7": "nominal", ...}}; unlisted items stay ordinal."""
-        if not isinstance(obj, dict):
-            raise ValidationError("schema document must be a JSON object")
-        unknown = set(obj) - {"levels"}
-        if unknown:
-            raise ValidationError(f"schema document has unknown fields: {sorted(unknown)}")
-        levels = obj.get("levels", {})
+        levels = json_object(obj, {"levels"}, "schema document").get("levels", {})
         if not isinstance(levels, dict):
             raise ValidationError("schema 'levels' must be an object")
         bad = set(levels) - set(_QUESTION_CHOICE_COUNTS)

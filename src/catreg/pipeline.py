@@ -25,12 +25,13 @@ import math
 from dataclasses import dataclass
 
 from .data import NUMERIC, Dataset, column_as_quantified
-from .errors import UnseenCategoryError, ValidationError
+from .errors import UnseenCategoryError, ValidationError, json_object, require_number
 from .evaluate import (
     BASELINE,
     CONTENDER,
     EvaluationReport,
     MethodConfigs,
+    back_transform,
     crossval,
 )
 from .scaling import CatregConfig, CatregFit, catreg_fit
@@ -63,6 +64,10 @@ class PipelineResult:
     empty_model: bool
     model: "SerializedModel | None"
     final_catreg: CatregFit | None
+
+
+def _finite_number(raw) -> bool:
+    return not isinstance(raw, bool) and isinstance(raw, (int, float)) and math.isfinite(raw)
 
 
 def _split_ln_name(name: str) -> tuple[str, str]:
@@ -167,23 +172,20 @@ class SerializedModel:
             if v.is_categorical:
                 total += coef * self._quantify(v, raw)
             else:
-                if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+                if not _finite_number(raw):
                     raise ValidationError(
-                        f"variable '{v.name}' expects a numeric value, got {raw!r}"
+                        f"variable '{v.name}' expects a finite number, got {raw!r}"
                     )
                 total += coef * float(raw)
         return float(total)
 
     def _quantify(self, variable: ModelVariable, raw) -> float:
-        if isinstance(raw, bool):
-            raise ValidationError(
-                f"variable '{variable.name}' expects a category label or number"
-            )
-        if isinstance(raw, (int, float)):
+        if _finite_number(raw):
             return float(raw)
         if not isinstance(raw, str):
             raise ValidationError(
-                f"variable '{variable.name}' expects a category label or number, got {raw!r}"
+                f"variable '{variable.name}' expects a category label or finite number, "
+                f"got {raw!r}"
             )
         qmap = self.quantifications.get(variable.name)
         if qmap is None:
@@ -223,12 +225,8 @@ class SerializedModel:
 
     @classmethod
     def from_dict(cls, obj) -> "SerializedModel":
-        if not isinstance(obj, dict):
-            raise ValidationError("model document must be a JSON object")
-        allowed = {"schema_version", "variables", "quantifications", "coefficients", "intercept"}
-        unknown = set(obj) - allowed
-        if unknown:
-            raise ValidationError(f"model document has unknown fields: {sorted(unknown)}")
+        fields = {"schema_version", "variables", "quantifications", "coefficients", "intercept"}
+        json_object(obj, fields, "model document")
         if obj.get("schema_version") != MODEL_SCHEMA_VERSION:
             raise ValidationError(
                 f"unsupported model schema version {obj.get('schema_version')!r}; "
@@ -236,17 +234,9 @@ class SerializedModel:
             )
         variables = []
         for entry in obj.get("variables", []):
-            if not isinstance(entry, dict):
-                raise ValidationError("each variable entry must be an object")
-            level = entry.get("level")
-            if level == NUMERIC:
-                extra = set(entry) - {"name", "level", "input_field", "transform"}
-            else:
-                extra = set(entry) - {"name", "level", "categories"}
-            if extra:
-                raise ValidationError(
-                    f"variable entry has unknown fields: {sorted(extra)}"
-                )
+            level = entry.get("level") if isinstance(entry, dict) else None
+            fields = {"input_field", "transform"} if level == NUMERIC else {"categories"}
+            json_object(entry, {"name", "level", *fields}, "variable entry")
             if level == NUMERIC:
                 variables.append(
                     ModelVariable(
@@ -307,6 +297,7 @@ def run_pipeline(
     (order-insensitive). A round selecting nothing halts the loop with
     empty_model=True and no model.
     """
+    require_number("max_rounds", max_rounds, integer=True)
     if max_rounds < 1:
         raise ValidationError("max_rounds must be >= 1")
     ccfg = catreg_config or CatregConfig()
@@ -428,8 +419,8 @@ def predict(model: SerializedModel, inputs) -> dict:
             values[v.name] = inputs[v.name]
             continue
         raw = inputs[v.input_field]
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise ValidationError(f"input '{v.input_field}' must be a number")
+        if not _finite_number(raw):
+            raise ValidationError(f"input '{v.input_field}' must be a finite number")
         if v.transform == LN_TRANSFORM:
             if not (raw > 0):
                 raise ValidationError(
@@ -439,7 +430,7 @@ def predict(model: SerializedModel, inputs) -> dict:
         else:
             values[v.name] = float(raw)
     ln_estimate = model.linear_estimate(values)
-    return {"ln_estimate": ln_estimate, "defect_estimate": math.exp(ln_estimate)}
+    return {"ln_estimate": ln_estimate, "defect_estimate": back_transform(ln_estimate)}
 
 
 def compare_baseline(

@@ -38,7 +38,7 @@ from .data import (
     QuantificationMap,
     population_standardize,
 )
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require_number
 from .stats import OlsFit, adjusted_r2, ols_fit
 
 # mean square below this is treated as a collapsed (degenerate) quantification
@@ -63,6 +63,9 @@ class CatregConfig:
     random_restarts: int = 0
 
     def __post_init__(self):
+        require_number("epsilon", self.epsilon)
+        require_number("max_iterations", self.max_iterations, integer=True)
+        require_number("random_restarts", self.random_restarts, integer=True)
         if not (self.epsilon > 0):
             raise ValidationError("epsilon must be positive")
         if self.max_iterations < 1:
@@ -327,7 +330,7 @@ def catreg_fit(dataset: Dataset, predictors=None, config: CatregConfig | None = 
                 "every predictor's quantification collapsed; nothing to fit"
             )
         design = np.column_stack([columns[j] for j in active])
-        out.ols = ols_fit(design, z, intercept=True, names=[states[j].name for j in active])
+        out.ols = ols_fit(design, z, names=[states[j].name for j in active])
         out.quants = quants
         out.columns = columns
         out.beta = beta

@@ -1,9 +1,22 @@
-"""Least squares with t-based inference.
+"""Least squares with t-based inference, and the stepwise entry scan.
 
-The linear solve goes through a QR decomposition (never explicit normal
-equations); rank is screened with a singular-value ratio test. Two-sided
-p-values come from the Student-t distribution evaluated through a hand-rolled
-regularized incomplete beta function, kept dependency-free on purpose:
+`ols_fit` factorizes [1, X] once with a thin SVD U diag(s) V'. The singular
+values give the rank screen (a smallest/largest ratio of at most 1e-10 is
+rank-deficient), the coefficients are V (U'y / s) and diag((X'X)^-1) is the
+row sums of (V / s)^2.
+
+`entry_scan` scores every candidate c to enter next to an included set S from
+one QR factorization [1, S] = Q R: one matrix product residualizes all
+candidates against Q, and c's coefficient is b = e_c.e_y / e_c.e_c. All
+candidates share df = n - |S| - 2, so p is monotone in |t|; p-values are taken
+from the largest |t| down until one exceeds the best, and among exactly equal
+p (p underflowing to 0 included) the first declared candidate wins. The rank
+screen is `ols_fit`'s test on [1, S, c], whose singular values are those of
+the triangle [[R, Q'c], [0, |e_c|]]; one batched SVD covers all triangles.
+
+Two-sided p-values come from the Student-t distribution evaluated through a
+hand-rolled regularized incomplete beta function, kept dependency-free on
+purpose:
 
     p = I_{df/(df+t^2)}(df/2, 1/2)
 
@@ -132,9 +145,27 @@ def pearson_r(x, y) -> float:
     return float((xc @ yc) / math.sqrt(sxx * syy))
 
 
+# shared by ols_fit and entry_scan: stepwise diagnostics quote ols_fit's words
+_NONFINITE = "design and response must be finite"
+_RANK_DEFICIENT = "design matrix is rank-deficient (singular value ratio below 1e-10)"
+_FLAT_RESPONSE = "response has zero variance"
+_TOO_FEW_ROWS = "too few rows for inference: n={} must exceed {} fitted parameters"
+
+
+def _rank_deficient(singular: np.ndarray):
+    # singular values in descending order along the last axis
+    return (singular[..., 0] == 0.0) | (singular[..., -1] <= singular[..., 0] * _RANK_TOL)
+
+
+def _tstat(coef: np.ndarray, se: np.ndarray) -> np.ndarray:
+    # zero residual variance degenerates the statistic to 0 (coef 0) or +-inf
+    out = np.where(coef == 0.0, 0.0, np.copysign(np.inf, coef))
+    return np.divide(coef, se, out=out, where=se > 0.0)
+
+
 @dataclass(frozen=True)
 class OlsFit:
-    """Ordinary least squares fit with per-coefficient inference.
+    """Ordinary least squares fit (with intercept) and per-coefficient inference.
 
     Arrays are aligned with `names` (predictors only; the intercept is kept
     separate). Standardized coefficients use population standard deviations:
@@ -148,42 +179,17 @@ class OlsFit:
     stderr: np.ndarray
     tstat: np.ndarray
     pvalue: np.ndarray
-    intercept_stderr: float
-    intercept_tstat: float
-    intercept_pvalue: float
     r2: float
     adj_r2: float
     n: int
     p: int
-    has_intercept: bool
-
-    def predict(self, design) -> np.ndarray:
-        X = np.asarray(design, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
-        if X.shape[1] != self.p:
-            raise ValidationError(
-                f"design has {X.shape[1]} columns, fit expects {self.p}"
-            )
-        return X @ self.coef + self.intercept
 
 
-def _t_and_p(coef: float, se: float, df: int) -> tuple[float, float]:
-    if se == 0.0:
-        # zero residual variance: the statistic degenerates
-        if coef == 0.0:
-            return 0.0, 1.0
-        return math.copysign(math.inf, coef), 0.0
-    t = coef / se
-    return t, t_pvalue(t, df)
+def ols_fit(design, response, names=None) -> OlsFit:
+    """Least squares of `response` on an intercept and the columns of `design`.
 
-
-def ols_fit(design, response, intercept: bool = True, names=None) -> OlsFit:
-    """Least squares of `response` on the columns of `design`.
-
-    Solves through QR after a rank screen (smallest/largest singular value
-    ratio below 1e-10 raises NumericalError). Requires n > p + 1 with an
-    intercept so that at least one residual degree of freedom remains.
+    A rank-deficient design raises NumericalError. Requires n > p + 1 so that
+    at least one residual degree of freedom remains.
     """
     X0 = np.asarray(design, dtype=float)
     if X0.ndim == 1:
@@ -194,15 +200,12 @@ def ols_fit(design, response, intercept: bool = True, names=None) -> OlsFit:
     if y.ndim != 1 or y.size != X0.shape[0]:
         raise ValidationError("response length must match the design row count")
     if not np.all(np.isfinite(X0)) or not np.all(np.isfinite(y)):
-        raise ValidationError("design and response must be finite")
+        raise ValidationError(_NONFINITE)
     n, p = X0.shape
     if p < 1:
         raise ValidationError("design needs at least one column")
-    ncols = p + 1 if intercept else p
-    if n <= ncols:
-        raise ValidationError(
-            f"too few rows for inference: n={n} must exceed {ncols} fitted parameters"
-        )
+    if n <= p + 1:
+        raise ValidationError(_TOO_FEW_ROWS.format(n, p + 1))
     if names is None:
         names = tuple(f"x{j + 1}" for j in range(p))
     else:
@@ -210,68 +213,89 @@ def ols_fit(design, response, intercept: bool = True, names=None) -> OlsFit:
         if len(names) != p:
             raise ValidationError("names must match the number of design columns")
 
-    X = np.column_stack([np.ones(n), X0]) if intercept else X0
-    singular = np.linalg.svd(X, compute_uv=False)
-    if singular[0] == 0.0 or singular[-1] <= singular[0] * _RANK_TOL:
-        raise NumericalError(
-            "design matrix is rank-deficient (singular value ratio below 1e-10)"
-        )
-    Q, R = np.linalg.qr(X)
-    b_full = np.linalg.solve(R, Q.T @ y)
-    fitted = X @ b_full
-    resid = y - fitted
+    X = np.column_stack([np.ones(n), X0])
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    if _rank_deficient(s):
+        raise NumericalError(_RANK_DEFICIENT)
+    b_full = Vt.T @ ((U.T @ y) / s)
+    resid = y - X @ b_full
     sse = float(resid @ resid)
-    if intercept:
-        sst = float(((y - y.mean()) ** 2).sum())
-    else:
-        sst = float((y**2).sum())
-    if sst <= 0.0:
-        raise ValidationError("response has zero variance")
+    sst = float(((y - y.mean()) ** 2).sum())
+    # the mean of a constant response can round, leaving sst just above 0
+    if sst <= 0.0 or np.ptp(y) == 0.0:
+        raise ValidationError(_FLAT_RESPONSE)
     r2 = min(1.0, max(0.0, 1.0 - sse / sst))
-    adj = adjusted_r2(r2, n, p) if n > p + 1 else math.nan
 
-    df_resid = n - X.shape[1]
-    sigma2 = sse / df_resid
-    Rinv = np.linalg.inv(R)
-    xtx_inv_diag = np.einsum("ij,ij->i", Rinv, Rinv)
-    se_full = np.sqrt(np.maximum(sigma2 * xtx_inv_diag, 0.0))
-
-    tstats = np.empty(X.shape[1])
-    pvals = np.empty(X.shape[1])
-    for j in range(X.shape[1]):
-        tstats[j], pvals[j] = _t_and_p(float(b_full[j]), float(se_full[j]), df_resid)
-
+    df_resid = n - p - 1
+    xtx_inv_diag = ((Vt[:, 1:] / s[:, None]) ** 2).sum(axis=0)
+    coef = b_full[1:]
+    se = np.sqrt(np.maximum(sse / df_resid * xtx_inv_diag, 0.0))
+    tstat = _tstat(coef, se)
     sd_y = float(np.std(y))
-    sd_x = np.std(X0, axis=0)
-    if intercept:
-        coef = b_full[1:]
-        se = se_full[1:]
-        t_pred = tstats[1:]
-        p_pred = pvals[1:]
-        b0 = float(b_full[0])
-        se0, t0, p0 = float(se_full[0]), float(tstats[0]), float(pvals[0])
-    else:
-        coef = b_full
-        se = se_full
-        t_pred = tstats
-        p_pred = pvals
-        b0, se0, t0, p0 = 0.0, math.nan, math.nan, math.nan
-    std_coef = coef * sd_x / sd_y if sd_y > 0 else np.zeros_like(coef)
-
     return OlsFit(
         names=names,
-        coef=np.array(coef, dtype=float),
-        intercept=b0,
-        std_coef=np.array(std_coef, dtype=float),
-        stderr=np.array(se, dtype=float),
-        tstat=np.array(t_pred, dtype=float),
-        pvalue=np.array(p_pred, dtype=float),
-        intercept_stderr=se0,
-        intercept_tstat=t0,
-        intercept_pvalue=p0,
+        coef=coef,
+        intercept=float(b_full[0]),
+        std_coef=coef * np.std(X0, axis=0) / sd_y if sd_y > 0 else np.zeros_like(coef),
+        stderr=se,
+        tstat=tstat,
+        pvalue=np.array([t_pvalue(float(t), df_resid) for t in tstat]),
         r2=r2,
-        adj_r2=adj,
+        adj_r2=adjusted_r2(r2, n, p),
         n=n,
         p=p,
-        has_intercept=intercept,
     )
+
+
+def entry_scan(included, candidates, response) -> tuple[int | None, float, list[str | None]]:
+    """The candidate that enters next to `included` with the smallest p-value.
+
+    included and candidates are sequences of 1-d columns; candidates must not
+    be empty, and [1, included] must have full rank. Returns (winner, p,
+    reasons): the winner's index and p-value (None and NaN when no candidate
+    can be scored) and, per candidate, None or the message `ols_fit` raises for
+    [included, candidate], in its order of checks.
+    """
+    y = np.asarray(response, dtype=float)
+    n = y.size
+    C = np.asarray(np.column_stack(candidates), dtype=float)
+    base = np.column_stack([np.ones(n), *included])
+    finite = np.isfinite(C).all(axis=0) & np.isfinite(y).all() & np.isfinite(base).all()
+    reasons: list[str | None] = [None if ok else _NONFINITE for ok in finite]
+    k = base.shape[1]
+    live = np.flatnonzero(finite)
+    if n <= k + 1 or live.size == 0:
+        return None, math.nan, [why or _TOO_FEW_ROWS.format(n, k + 1) for why in reasons]
+
+    Q, R = np.linalg.qr(base)
+    C = C[:, live]
+    P = Q.T @ C
+    C -= Q @ P
+    ecc = np.einsum("ij,ij->j", C, C)
+    triangles = np.zeros((live.size, k + 1, k + 1))
+    triangles[:, :k, :k] = R
+    triangles[:, :k, k] = P.T
+    triangles[:, k, k] = np.sqrt(ecc)
+    deficient = _rank_deficient(np.linalg.svd(triangles, compute_uv=False))
+    flat = np.ptp(y) == 0.0 or float(((y - y.mean()) ** 2).sum()) <= 0.0
+    for j, bad in zip(live, deficient):
+        reasons[j] = _RANK_DEFICIENT if bad else (_FLAT_RESPONSE if flat else None)
+    if flat or deficient.all():
+        return None, math.nan, reasons
+
+    scored = live[~deficient]
+    C, ecc = C[:, ~deficient], ecc[~deficient]
+    e_y = y - Q @ (Q.T @ y)
+    b = (e_y @ C) / ecc
+    C *= -b
+    C += e_y[:, None]  # each candidate's residual e_y - b e_c
+    df = n - k - 1
+    t = _tstat(b, np.sqrt(np.maximum(np.einsum("ij,ij->j", C, C) / df / ecc, 0.0)))
+    best, best_p = None, math.inf
+    for j in np.argsort(-np.abs(t), kind="stable"):
+        p = t_pvalue(float(t[j]), df)
+        if p > best_p:
+            break
+        if p < best_p or scored[j] < best:
+            best, best_p = int(scored[j]), p
+    return best, best_p, reasons

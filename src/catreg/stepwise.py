@@ -1,18 +1,23 @@
-"""Stepwise linear regression gated by coefficient p-values.
+"""Stepwise linear regression gated by coefficient p-values (Efroymson 1960).
 
-Each step first tries to enter the best not-yet-included candidate: every
-candidate is fitted alongside the current set, and the one with the smallest
-coefficient p-value enters if that p-value is below alpha_enter (ties broken
-by declared column order). The step then removes, one at a time, the included
-variable with the largest p-value while it exceeds alpha_remove. Steps repeat
-until a full step changes nothing or max_steps is hit. alpha_enter must not
-exceed alpha_remove, which rules out enter/remove cycling.
+Each step first tries to enter the best not-yet-included candidate: the one
+whose coefficient p-value, fitted alongside the current set, is smallest
+enters if that p-value is below alpha_enter. One scan (`stats.entry_scan`)
+scores all candidates from a single QR factorization of the included set and
+evaluates p-values only from the largest |t| down to the first one that is
+larger; among exactly equal p-values, p underflowing to 0 included, the first
+declared candidate wins. The step then removes, one at a time, the included
+variable with the largest p-value while it exceeds alpha_remove (ties again
+to the first declared). Steps repeat until a full step changes nothing or
+max_steps is hit. alpha_enter must not exceed alpha_remove, which rules out
+enter/remove cycling.
 
-Candidates whose augmented fit is impossible (rank-deficient design, or too
-few rows) are skipped for that step and noted in the diagnostics. The trace
-records every entry and removal with its triggering p-value; the reported
-final fit is recomputed from scratch on the selected columns so it can be
-audited independently.
+Candidates that cannot be fitted next to the included set (a non-finite cell,
+too few rows, a rank-deficient design by the singular value ratio test of
+`ols_fit`, or a response without variance) are skipped for that step and
+noted in the diagnostics, in declared order, with `ols_fit`'s message. The
+trace records every entry and removal with its triggering p-value; the reported
+fit is the last removal-phase fit, made from scratch on the selected columns.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
-from .stats import OlsFit, ols_fit
+from .errors import NumericalError, ValidationError, require_number
+from .stats import OlsFit, entry_scan, ols_fit
 
 ENTERED = "entered"
 REMOVED = "removed"
@@ -41,6 +46,10 @@ class StepwiseConfig:
     max_steps: int | None = None
 
     def __post_init__(self):
+        require_number("alpha_enter", self.alpha_enter)
+        require_number("alpha_remove", self.alpha_remove)
+        if self.max_steps is not None:
+            require_number("max_steps", self.max_steps, integer=True)
         if not (0.0 < self.alpha_enter < 1.0) or not (0.0 < self.alpha_remove < 1.0):
             raise ValidationError("alpha thresholds must lie strictly between 0 and 1")
         if self.alpha_enter > self.alpha_remove:
@@ -75,15 +84,6 @@ class StepwiseTrace:
     diagnostics: tuple[str, ...]
 
 
-def _fit_or_none(columns, names, y, diagnostics, step, context):
-    try:
-        design = np.column_stack([columns[name] for name in names])
-        return ols_fit(design, y, intercept=True, names=names)
-    except (NumericalError, ValidationError) as exc:
-        diagnostics.append(f"step {step}: {context} skipped ({exc})")
-        return None
-
-
 def stepwise_fit(columns, response, config: StepwiseConfig | None = None) -> StepwiseTrace:
     """Run p-value-gated stepwise selection over named columns.
 
@@ -98,78 +98,60 @@ def stepwise_fit(columns, response, config: StepwiseConfig | None = None) -> Ste
     y = np.asarray(response, dtype=float)
     if y.ndim != 1:
         raise ValidationError("response must be a 1-d array")
-    cols: dict[str, np.ndarray] = {}
-    for name in names:
-        arr = np.asarray(columns[name], dtype=float)
+    cols = {name: np.asarray(columns[name], dtype=float) for name in names}
+    for name, arr in cols.items():
         if arr.ndim != 1 or arr.size != y.size:
-            raise ValidationError(
-                f"column '{name}' must be 1-d and match the response length"
-            )
-        cols[name] = arr
+            raise ValidationError(f"column '{name}' must be 1-d and match the response length")
     max_steps = cfg.max_steps if cfg.max_steps is not None else 2 * len(names)
 
     included: list[str] = []
+    fit: OlsFit | None = None
     events: list[StepwiseEvent] = []
     diagnostics: list[str] = []
 
     for step in range(1, max_steps + 1):
         changed = False
 
-        # entry phase: best candidate by smallest coefficient p-value,
-        # declared order breaking ties
-        best_name = None
-        best_p = None
-        for name in names:
-            if name in included:
-                continue
-            fit = _fit_or_none(
-                cols, included + [name], y, diagnostics, step, f"candidate '{name}'"
+        # entry phase: the candidate with the smallest p-value next to the
+        # included set, first declared among equal p-values
+        pending = [name for name in names if name not in included]
+        if pending:
+            best, best_p, reasons = entry_scan(
+                [cols[name] for name in included], [cols[name] for name in pending], y
             )
-            if fit is None:
-                continue
-            p = float(fit.pvalue[-1])
-            if best_p is None or p < best_p:
-                best_p = p
-                best_name = name
-        if best_name is not None and best_p < cfg.alpha_enter:
-            included.append(best_name)
-            events.append(StepwiseEvent(step, best_name, ENTERED, best_p))
-            changed = True
+            diagnostics.extend(
+                f"step {step}: candidate '{name}' skipped ({why})"
+                for name, why in zip(pending, reasons)
+                if why is not None
+            )
+            if best is not None and best_p < cfg.alpha_enter:
+                included.append(pending[best])
+                events.append(StepwiseEvent(step, pending[best], ENTERED, best_p))
+                changed = True
 
         # removal phase: repeatedly drop the worst offender above alpha_remove
         while included:
-            fit = _fit_or_none(cols, included, y, diagnostics, step, "included set")
-            if fit is None:
-                # the included set itself became unfittable; undo nothing,
-                # surface the problem instead of silently continuing
+            try:
+                design = np.column_stack([cols[name] for name in included])
+                fit = ols_fit(design, y, names=included)
+            except (NumericalError, ValidationError) as exc:
                 raise NumericalError(
                     f"step {step}: the included set {included} cannot be fitted"
-                )
-            worst_idx = None
-            worst_p = None
-            # scan in declared column order so p-value ties resolve deterministically
-            for idx in sorted(range(len(included)), key=lambda i: names.index(included[i])):
-                p = float(fit.pvalue[idx])
-                if worst_p is None or p > worst_p:
-                    worst_p = p
-                    worst_idx = idx
-            if worst_p is not None and worst_p > cfg.alpha_remove:
-                name = included.pop(worst_idx)
-                events.append(StepwiseEvent(step, name, REMOVED, worst_p))
-                changed = True
-            else:
+                ) from exc
+            order = sorted(range(len(included)), key=lambda i: names.index(included[i]))
+            worst = max(order, key=lambda i: fit.pvalue[i])  # first declared among ties
+            worst_p = float(fit.pvalue[worst])
+            if worst_p <= cfg.alpha_remove:
                 break
+            events.append(StepwiseEvent(step, included.pop(worst), REMOVED, worst_p))
+            changed = True
 
         if not changed:
             break
 
-    final_fit = None
-    if included:
-        design = np.column_stack([cols[name] for name in included])
-        final_fit = ols_fit(design, y, intercept=True, names=included)
     return StepwiseTrace(
         events=tuple(events),
         selected=tuple(included),
-        fit=final_fit,
+        fit=fit if included else None,
         diagnostics=tuple(diagnostics),
     )

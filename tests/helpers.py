@@ -1,10 +1,15 @@
-"""Shared dataset builders for the test suite. Everything is seeded."""
+"""Shared dataset builders and test-only oracles. Everything is seeded."""
 
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 
-from catreg import Dataset, Observation, Variable
+from catreg import Dataset, NumericalError, Observation, ValidationError, Variable
+from catreg.stats import adjusted_r2, t_pvalue
+from catreg.stepwise import ENTERED, REMOVED, StepwiseConfig, StepwiseEvent, StepwiseTrace
 
 LETTERS = "ABCDEFGHIJ"
 
@@ -142,3 +147,121 @@ def assert_trace_monotone(fit, tol: float = 1e-12) -> None:
     trace = fit.r2_trace
     for a, b in zip(trace, trace[1:]):
         assert b - a >= -tol, f"R^2 trace decreased: {a} -> {b}"
+
+
+# --- oracles ---------------------------------------------------------------
+# The straightforward implementations that the library replaced: a least
+# squares fit by SVD rank screen + QR solve + inv(R), and a stepwise entry
+# scan that refits every candidate from scratch. Kept only to check the faster
+# code against.
+
+
+def oracle_ols_fit(design, response, names=None):
+    """Intercept model fit by SVD rank screen, QR solve and inv(R)."""
+    X0 = np.asarray(design, dtype=float)
+    if X0.ndim == 1:
+        X0 = X0.reshape(-1, 1)
+    y = np.asarray(response, dtype=float)
+    if not np.all(np.isfinite(X0)) or not np.all(np.isfinite(y)):
+        raise ValidationError("design and response must be finite")
+    n, p = X0.shape
+    if n <= p + 1:
+        raise ValidationError(
+            f"too few rows for inference: n={n} must exceed {p + 1} fitted parameters"
+        )
+    X = np.column_stack([np.ones(n), X0])
+    singular = np.linalg.svd(X, compute_uv=False)
+    if singular[0] == 0.0 or singular[-1] <= singular[0] * 1e-10:
+        raise NumericalError(
+            "design matrix is rank-deficient (singular value ratio below 1e-10)"
+        )
+    Q, R = np.linalg.qr(X)
+    b = np.linalg.solve(R, Q.T @ y)
+    resid = y - X @ b
+    sse = float(resid @ resid)
+    sst = float(((y - y.mean()) ** 2).sum())
+    if sst <= 0.0 or np.ptp(y) == 0.0:
+        raise ValidationError("response has zero variance")
+    r2 = min(1.0, max(0.0, 1.0 - sse / sst))
+    df = n - p - 1
+    Rinv = np.linalg.inv(R)
+    se = np.sqrt(np.maximum(sse / df * np.einsum("ij,ij->i", Rinv, Rinv), 0.0))
+    tstat = np.empty(p + 1)
+    pvalue = np.empty(p + 1)
+    for j in range(p + 1):
+        if se[j] == 0.0:
+            tstat[j] = 0.0 if b[j] == 0.0 else math.copysign(math.inf, b[j])
+            pvalue[j] = 1.0 if b[j] == 0.0 else 0.0
+        else:
+            tstat[j] = b[j] / se[j]
+            pvalue[j] = t_pvalue(tstat[j], df)
+    return SimpleNamespace(
+        names=tuple(names) if names is not None else tuple(f"x{j + 1}" for j in range(p)),
+        coef=b[1:],
+        intercept=float(b[0]),
+        stderr=se[1:],
+        tstat=tstat[1:],
+        pvalue=pvalue[1:],
+        r2=r2,
+        adj_r2=adjusted_r2(r2, n, p),
+    )
+
+
+def _oracle_fit_or_none(cols, names, y, diagnostics, step, context):
+    try:
+        return oracle_ols_fit(np.column_stack([cols[name] for name in names]), y, names)
+    except (NumericalError, ValidationError) as exc:
+        diagnostics.append(f"step {step}: {context} skipped ({exc})")
+        return None
+
+
+def oracle_stepwise_fit(columns, response, config=None) -> StepwiseTrace:
+    """Stepwise selection that refits every entry candidate with oracle_ols_fit."""
+    cfg = config or StepwiseConfig()
+    names = list(columns)
+    y = np.asarray(response, dtype=float)
+    cols = {name: np.asarray(columns[name], dtype=float) for name in names}
+    max_steps = cfg.max_steps if cfg.max_steps is not None else 2 * len(names)
+    included: list[str] = []
+    events: list[StepwiseEvent] = []
+    diagnostics: list[str] = []
+    for step in range(1, max_steps + 1):
+        changed = False
+        best_name, best_p = None, None
+        for name in names:
+            if name in included:
+                continue
+            fit = _oracle_fit_or_none(
+                cols, included + [name], y, diagnostics, step, f"candidate '{name}'"
+            )
+            if fit is None:
+                continue
+            p = float(fit.pvalue[-1])
+            if best_p is None or p < best_p:
+                best_name, best_p = name, p
+        if best_name is not None and best_p < cfg.alpha_enter:
+            included.append(best_name)
+            events.append(StepwiseEvent(step, best_name, ENTERED, best_p))
+            changed = True
+        while included:
+            fit = _oracle_fit_or_none(cols, included, y, diagnostics, step, "included set")
+            if fit is None:
+                raise NumericalError(
+                    f"step {step}: the included set {included} cannot be fitted"
+                )
+            worst_idx, worst_p = None, None
+            for idx in sorted(range(len(included)), key=lambda i: names.index(included[i])):
+                p = float(fit.pvalue[idx])
+                if worst_p is None or p > worst_p:
+                    worst_idx, worst_p = idx, p
+            if worst_p > cfg.alpha_remove:
+                events.append(StepwiseEvent(step, included.pop(worst_idx), REMOVED, worst_p))
+                changed = True
+            else:
+                break
+        if not changed:
+            break
+    final = oracle_ols_fit(
+        np.column_stack([cols[name] for name in included]), y, included
+    ) if included else None
+    return StepwiseTrace(tuple(events), tuple(included), final, tuple(diagnostics))

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: payloads, files, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +34,13 @@ def work(tmp_path_factory):
     )
     (root / "gearing.json").write_text(json.dumps({"factors": {"L": 53.0}}))
     return root
+
+
+REFERENCE_MODEL = str(Path(__file__).resolve().parent.parent / "data" / "reference_model.json")
+REFERENCE_INPUTS = {
+    "FP": 100, "Duration": 10, "Q2": 0.1, "Q3": 0.1, "Q9": 0.1,
+    "Q10": 0.1, "Q11": 0.1, "Q17": 0.1, "Q18": 0.1,
+}
 
 
 def _run(capsys, argv):
@@ -289,3 +297,35 @@ class TestExitCodes:
             ["fit", "--data", str(work / "planted.json"), "--config", str(cfg)],
         )
         assert rc == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"pipeline": {"max_rounds": "3"}},
+            {"catreg": {"epsilon": "x"}},
+            {"catreg": {"max_iterations": 1.5}},
+        ],
+    )
+    def test_mistyped_config_value_is_a_validation_error(self, work, capsys, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        rc, _, err = _run(
+            capsys,
+            ["pipeline", "--data", str(work / "planted.json"), "--config", str(cfg)],
+        )
+        assert rc == EXIT_VALIDATION
+        assert err.startswith("validation error:")
+
+    def test_predict_with_infinite_input_is_a_validation_error(self, capsys):
+        inputs = json.dumps(REFERENCE_INPUTS).replace('"FP": 100', '"FP": 1e309')
+        rc, out, err = _run(capsys, ["predict", "--model", REFERENCE_MODEL, "--inputs", inputs])
+        assert rc == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("validation error:")
+
+    def test_predict_overflowing_estimate_is_a_numerical_error(self, capsys):
+        inputs = json.dumps(dict(REFERENCE_INPUTS, Q2=1e6))
+        rc, out, err = _run(capsys, ["predict", "--model", REFERENCE_MODEL, "--inputs", inputs])
+        assert rc == EXIT_NUMERICAL
+        assert out == ""
+        assert err.startswith("numerical error:")

@@ -10,6 +10,7 @@ from catreg import (
     EvaluationRecord,
     EvaluationReport,
     MethodConfigs,
+    NumericalError,
     Observation,
     StepwiseConfig,
     ValidationError,
@@ -20,7 +21,7 @@ from catreg import (
     mmre,
     mre,
 )
-from catreg.evaluate import BASELINE, CONTENDER, LOG_SCALE
+from catreg.evaluate import BASELINE, CONTENDER, LOG_SCALE, back_transform
 
 
 class TestMre:
@@ -36,6 +37,16 @@ class TestMre:
             mre(0.0, 1.0)
         with pytest.raises(ValidationError):
             mre(-3.0, 1.0)
+
+
+class TestBackTransform:
+    def test_exp_of_a_log_value(self):
+        assert back_transform(math.log(40.0)) == pytest.approx(40.0)
+
+    def test_overflow_and_nan_are_numerical_errors(self):
+        for value in (1e6, math.inf, math.nan):
+            with pytest.raises(NumericalError):
+                back_transform(value)
 
 
 class TestMmre:

@@ -18,6 +18,7 @@ from catreg import (
     reg_inc_beta,
     t_pvalue,
 )
+from helpers import oracle_ols_fit
 
 
 class TestRegIncBeta:
@@ -143,7 +144,7 @@ class TestOlsFit:
             X = rng.normal(size=(n, p))
             y = rng.normal(size=n)
             fit = ols_fit(X, y)
-            resid = y - fit.predict(X)
+            resid = y - fit.intercept - X @ fit.coef
             # orthogonal to every column and to the intercept
             assert abs(float(resid.sum())) < 1e-8
             for j in range(p):
@@ -154,7 +155,7 @@ class TestOlsFit:
         X = rng.normal(size=(30, 3))
         y = rng.normal(size=30)
         fit = ols_fit(X, y)
-        refit = ols_fit(X, fit.predict(X))
+        refit = ols_fit(X, fit.intercept + X @ fit.coef)
         assert refit.r2 == pytest.approx(1.0, abs=1e-10)
 
     def test_single_standardized_predictor_std_coef_is_pearson(self):
@@ -184,3 +185,35 @@ class TestOlsFit:
         for j in range(2):
             expected = fit.coef[j] * float(np.std(X[:, j])) / sd_y
             assert fit.std_coef[j] == pytest.approx(expected, abs=1e-12)
+
+    def test_constant_response_rejected_even_when_its_mean_rounds(self):
+        # the mean of fourteen 1.7s is not exactly 1.7, so the sum of squared
+        # deviations is a little above 0 while the response has no variance
+        y = np.full(14, 1.7)
+        assert float(((y - y.mean()) ** 2).sum()) > 0.0
+        with pytest.raises(ValidationError, match="zero variance"):
+            ols_fit(np.arange(14.0), y)
+
+    @given(
+        st.integers(min_value=3, max_value=400),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_single_svd_matches_qr_oracle(self, n, p, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
+        y = X @ rng.normal(size=p) + rng.normal(size=n)
+        try:
+            old = oracle_ols_fit(X, y)
+        except ValidationError:
+            with pytest.raises(ValidationError):
+                ols_fit(X, y)
+            return
+        new = ols_fit(X, y)
+        assert new.coef == pytest.approx(old.coef, rel=1e-9, abs=1e-12)
+        assert new.intercept == pytest.approx(old.intercept, rel=1e-9, abs=1e-12)
+        assert new.stderr == pytest.approx(old.stderr, rel=1e-9)
+        assert new.pvalue == pytest.approx(old.pvalue, rel=1e-9, abs=1e-300)
+        assert new.r2 == pytest.approx(old.r2, rel=1e-9, abs=1e-12)
+        assert new.adj_r2 == pytest.approx(old.adj_r2, rel=1e-9, abs=1e-12)

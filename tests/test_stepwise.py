@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catreg import (
     NumericalError,
@@ -11,6 +13,7 @@ from catreg import (
     stepwise_fit,
 )
 from catreg.stepwise import ENTERED, REMOVED
+from helpers import oracle_ols_fit, oracle_stepwise_fit
 
 
 def _planted(seed: int = 0, n: int = 50):
@@ -164,6 +167,17 @@ class TestDegenerateCandidates:
         with pytest.raises(ValidationError):
             stepwise_fit({}, np.arange(5.0), StepwiseConfig())
 
+    def test_underflowing_pvalues_tie_to_the_first_declared(self):
+        # both candidates reach p = 0 exactly; "b" has the larger |t| but "a"
+        # is declared first and enters first, as when every candidate was refit
+        rng = np.random.default_rng(8)
+        a, z, noise = rng.normal(size=(3, 2000))
+        b = a + 0.5 * z
+        y = a + 2.0 * b + 0.01 * noise
+        trace = stepwise_fit({"a": a, "b": b}, y, StepwiseConfig())
+        assert [(e.variable, e.pvalue) for e in trace.events] == [("a", 0.0), ("b", 0.0)]
+        assert trace.events == oracle_stepwise_fit({"a": a, "b": b}, y).events
+
     def test_max_steps_caps_work(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(90, 4))
@@ -171,3 +185,80 @@ class TestDegenerateCandidates:
         cols = {f"x{j + 1}": X[:, j] for j in range(4)}
         trace = stepwise_fit(cols, y, StepwiseConfig(max_steps=1))
         assert len(trace.selected) == 1
+
+
+TWISTS = ("proxy", "duplicate", "scaled", "collinear", "constant", "nonfinite", "flat_response")
+
+
+@st.composite
+def designs(draw):
+    """Random selection problems, some with a degenerate candidate or response."""
+    n = draw(st.one_of(st.integers(8, 16), st.integers(8, 300)))
+    m = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, m))
+    beta = rng.normal(size=m) * (rng.random(m) < 0.5)
+    y = X @ beta + draw(st.sampled_from((0.05, 0.5, 2.0))) * rng.normal(size=n)
+    twists = draw(st.lists(st.sampled_from(TWISTS), max_size=2, unique=True))
+    for twist in sorted(twists, key=TWISTS.index):
+        j, i, k = rng.choice(m, size=3, replace=m < 3)
+        if twist == "proxy":  # enters early, then is removed once i and k are in
+            X[:, j] = (X[:, i] + X[:, k]) / np.sqrt(2.0) + 0.3 * rng.normal(size=n)
+            y = X[:, i] + X[:, k] + 0.8 * rng.normal(size=n)
+        elif twist == "duplicate":
+            X[:, j] = X[:, i]
+        elif twist == "scaled":
+            X[:, j] = -2.0 * X[:, i]
+        elif twist == "collinear":
+            X[:, j] = 0.7 * X[:, i] - 1.3 * X[:, k] + 2.0
+        elif twist == "constant":
+            X[:, j] = 3.0
+        elif twist == "nonfinite":
+            X[rng.integers(0, n), j] = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+        else:
+            y = np.full(n, 1.7)
+    alpha_enter = draw(st.sampled_from((0.05, 0.2)))
+    cfg = StepwiseConfig(alpha_enter=alpha_enter, alpha_remove=max(0.1, alpha_enter))
+    return {f"v{j + 1}": X[:, j].copy() for j in range(m)}, y, cfg
+
+
+def _oracle_pvalue(cols, y, included, name):
+    # the p-value the oracle gives `name` with `included` fitted alongside it
+    names = included + [name] if name not in included else included
+    fit = oracle_ols_fit(np.column_stack([cols[v] for v in names]), y)
+    return float(fit.pvalue[names.index(name)])
+
+
+class TestAgainstOracle:
+    """The one-factorization entry scan and the SVD fit make the same choices
+    as refitting every candidate with SVD + QR + inv(R)."""
+
+    @given(designs())
+    @settings(max_examples=300, deadline=None)
+    def test_same_selection_events_and_diagnostics(self, problem):
+        cols, y, cfg = problem
+        new = stepwise_fit(cols, y, cfg)
+        old = oracle_stepwise_fit(cols, y, cfg)
+        included: list[str] = []
+        for a, b in zip(new.events, old.events):
+            if (a.step, a.variable, a.action) != (b.step, b.variable, b.action):
+                # two candidates whose p-values agree in exact arithmetic (a
+                # column and a combination that differs from it only by
+                # included columns) are ordered by rounding; nothing else may
+                # make the paths part
+                assert (a.step, a.action) == (b.step, b.action)
+                pa = _oracle_pvalue(cols, y, included, a.variable)
+                pb = _oracle_pvalue(cols, y, included, b.variable)
+                assert pa == pytest.approx(pb, rel=1e-9)
+                return
+            assert a.pvalue == pytest.approx(b.pvalue, rel=1e-9)
+            if a.action == ENTERED:
+                included.append(a.variable)
+            else:
+                included.remove(a.variable)
+        assert len(new.events) == len(old.events)
+        assert new.selected == old.selected
+        assert new.diagnostics == old.diagnostics
+        if old.fit is not None:
+            assert new.fit.coef == pytest.approx(old.fit.coef, rel=1e-7, abs=1e-9)
+            assert new.fit.pvalue == pytest.approx(old.fit.pvalue, rel=1e-9)

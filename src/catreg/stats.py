@@ -251,7 +251,7 @@ def entry_scan(included, candidates, response) -> tuple[int | None, float, list[
     """The candidate that enters next to `included` with the smallest p-value.
 
     included and candidates are sequences of 1-d columns; candidates must not
-    be empty, and [1, included] must have full rank. Returns (winner, p,
+    be empty, and [1, included] must be finite with full rank. Returns (winner, p,
     reasons): the winner's index and p-value (None and NaN when no candidate
     can be scored) and, per candidate, None or the message `ols_fit` raises for
     [included, candidate], in its order of checks.
@@ -260,7 +260,7 @@ def entry_scan(included, candidates, response) -> tuple[int | None, float, list[
     n = y.size
     C = np.asarray(np.column_stack(candidates), dtype=float)
     base = np.column_stack([np.ones(n), *included])
-    finite = np.isfinite(C).all(axis=0) & np.isfinite(y).all() & np.isfinite(base).all()
+    finite = np.isfinite(C).all(axis=0) & np.isfinite(y).all()
     reasons: list[str | None] = [None if ok else _NONFINITE for ok in finite]
     k = base.shape[1]
     live = np.flatnonzero(finite)

@@ -98,10 +98,14 @@ def stepwise_fit(columns, response, config: StepwiseConfig | None = None) -> Ste
     y = np.asarray(response, dtype=float)
     if y.ndim != 1:
         raise ValidationError("response must be a 1-d array")
-    cols = {name: np.asarray(columns[name], dtype=float) for name in names}
-    for name, arr in cols.items():
+    cols: dict[str, np.ndarray] = {}
+    for name in names:
+        arr = np.asarray(columns[name], dtype=float)
         if arr.ndim != 1 or arr.size != y.size:
-            raise ValidationError(f"column '{name}' must be 1-d and match the response length")
+            raise ValidationError(
+                f"column '{name}' must be 1-d and match the response length"
+            )
+        cols[name] = arr
     max_steps = cfg.max_steps if cfg.max_steps is not None else 2 * len(names)
 
     included: list[str] = []

@@ -17,9 +17,9 @@ import math
 import sys
 
 from .data import dataset_to_json, load_dataset, save_dataset
-from .errors import NumericalError, ValidationError, json_object
+from .errors import NumericalError, ValidationError, json_object, parse_json
 from .evaluate import METHODS, MRE_SCALES, MethodConfigs, crossval
-from .ingest import GearingTable, ingest_dataset, load_gearing, load_schema
+from .ingest import backfire, ingest_dataset, load_gearing, load_schema
 from .pipeline import compare_baseline, load_model, predict, run_pipeline, save_model
 from .scaling import CatregConfig, catreg_fit
 from .stepwise import StepwiseConfig
@@ -103,15 +103,15 @@ def _check_seed(seed: int) -> int:
 
 
 def _load_json_arg(text: str):
-    """Accept either inline JSON (starts with '{') or a path to a JSON file."""
+    """Accept either inline JSON (starts with '{' or '[') or a path to a JSON file."""
     stripped = text.strip()
-    if stripped.startswith("{"):
+    if stripped.startswith(("{", "[")):
         try:
-            return json.loads(stripped)
+            return parse_json(stripped)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"invalid inline JSON: {exc}") from None
     with open(text, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return parse_json(fh.read())
 
 
 _CONFIG_SECTIONS = {
@@ -126,7 +126,7 @@ def _load_configs(path: str | None, seed: int) -> MethodConfigs:
     raw = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json_object(json.load(fh), _CONFIG_SECTIONS, "configuration file")
+            raw = json_object(parse_json(fh.read()), _CONFIG_SECTIONS, "configuration file")
         for section, keys in _CONFIG_SECTIONS.items():
             json_object(raw.get(section, {}), keys, f"configuration section '{section}'")
     return MethodConfigs(
@@ -246,7 +246,7 @@ def _crossval_table(evaluation) -> str:
     return "\n".join(lines)
 
 
-def _cmd_ingest(args) -> None:
+def _cmd_ingest(args, _configs=None) -> None:
     gearing = load_gearing(args.gearing)
     schema = load_schema(args.schema) if args.schema else None
     dataset, removals = ingest_dataset(
@@ -308,7 +308,7 @@ def _cmd_pipeline(args, configs: MethodConfigs) -> None:
     _emit(payload, args)
 
 
-def _cmd_predict(args) -> None:
+def _cmd_predict(args, _configs=None) -> None:
     model = load_model(args.model)
     inputs = _load_json_arg(args.inputs)
     if not isinstance(inputs, dict):
@@ -332,15 +332,19 @@ def _cmd_compare(args, configs: MethodConfigs) -> None:
     _emit(payload, args, report.as_table())
 
 
-def _cmd_backfire(args) -> None:
+def _cmd_backfire(args, _configs=None) -> None:
     gearing = load_gearing(args.gearing)
     sloc = _load_json_arg(args.sloc)
     if not isinstance(sloc, dict):
         raise ValidationError("--sloc must hold a JSON object of language -> lines")
-    from .ingest import backfire
-
     payload = {"seed": args.seed, "function_points": backfire(sloc, gearing)}
     _emit(payload, args)
+
+
+_COMMANDS = {
+    "ingest": _cmd_ingest, "fit": _cmd_fit, "pipeline": _cmd_pipeline, "predict": _cmd_predict,
+    "crossval": _cmd_crossval, "compare": _cmd_compare, "backfire": _cmd_backfire,
+}
 
 
 def main(argv=None) -> int:
@@ -348,27 +352,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_seed(args.seed)
+        configs = None
         if args.command in ("fit", "pipeline", "crossval", "compare"):
             configs = _load_configs(args.config, args.seed)
             scale = getattr(args, "mre_scale", None)
             if scale is not None:
                 configs = dataclasses.replace(configs, mre_scale=scale)
-        if args.command == "ingest":
-            _cmd_ingest(args)
-        elif args.command == "fit":
-            _cmd_fit(args, configs)
-        elif args.command == "pipeline":
-            _cmd_pipeline(args, configs)
-        elif args.command == "predict":
-            _cmd_predict(args)
-        elif args.command == "crossval":
-            _cmd_crossval(args, configs)
-        elif args.command == "compare":
-            _cmd_compare(args, configs)
-        elif args.command == "backfire":
-            _cmd_backfire(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise _UsageError(f"unknown command {args.command!r}")
+        _COMMANDS[args.command](args, configs)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -378,8 +368,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except json.JSONDecodeError as exc:
-        print(f"i/o error: invalid JSON ({exc})", file=sys.stderr)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        print(f"i/o error: malformed input ({exc})", file=sys.stderr)
         return EXIT_IO
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

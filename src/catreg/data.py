@@ -2,15 +2,23 @@
 
 A Variable carries a measurement level (nominal, ordinal or numeric) and, for
 categorical levels, its declared category order. A Dataset is an immutable
-table of Observations over those variables, validated on construction so that
+table over those variables, validated once on construction so that
 downstream code can assume a clean rectangle: no missing cells, every
-categorical cell a declared category, every numeric cell finite.
+categorical cell a declared category, every numeric cell finite, every row
+id unique (a row without an id is known by its position).
+
+A Dataset is stored by column: categorical columns as integer codes into the
+declared categories, numeric columns as float64 (so an integer cell is
+written back as 3.0). Cells are checked column by column; if a check fails,
+a row-major rescan names the first bad cell. `subset` is fancy indexing with
+no second validation. Observation is only the row form for building a
+Dataset and for its JSON form.
 
 A QuantificationMap records the numeric values assigned to categories together
 with the affine standardization applied to numeric columns, so that any column
 can be reproduced as a plain real vector via `column_as_quantified`.
 
-All public types are frozen dataclasses; instances are safe to share between
+Instances of every public type are immutable and safe to share between
 threads. Arrays returned by accessors are freshly allocated.
 """
 
@@ -18,11 +26,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, json_object
+from .errors import ValidationError, finite_number, json_list, json_object, parse_json
 
 NOMINAL = "nominal"
 ORDINAL = "ordinal"
@@ -34,11 +44,6 @@ DEPENDENT = "dependent"
 ROLES = (PREDICTOR, DEPENDENT)
 
 DATASET_SCHEMA_VERSION = "1"
-
-
-def _is_real(value) -> bool:
-    # bool is an int subclass; it is not a valid numeric cell
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -72,15 +77,12 @@ class Variable:
                 raise ValidationError(
                     f"categorical variable '{self.name}' needs at least two declared categories"
                 )
-            if len(set(self.categories)) != len(self.categories):
+            if not all(isinstance(cat, str) and cat for cat in self.categories):
                 raise ValidationError(
-                    f"variable '{self.name}' declares duplicate categories"
+                    f"variable '{self.name}': categories must be non-empty strings"
                 )
-            for cat in self.categories:
-                if not isinstance(cat, str) or not cat:
-                    raise ValidationError(
-                        f"variable '{self.name}': categories must be non-empty strings"
-                    )
+            if len(set(self.categories)) != len(self.categories):
+                raise ValidationError(f"variable '{self.name}' declares duplicate categories")
 
     @property
     def is_categorical(self) -> bool:
@@ -100,106 +102,113 @@ class Observation:
             raise ValidationError("row_id must be a string when present")
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """An immutable, validated table of observations over declared variables."""
+    """An immutable, validated table over declared variables, stored by column."""
 
-    variables: tuple[Variable, ...]
-    rows: tuple[Observation, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "rows", tuple(self.rows))
-        names = [v.name for v in self.variables]
+    def __init__(self, variables, rows):
+        variables = tuple(variables)
+        names = [v.name for v in variables]
         if not names:
             raise ValidationError("dataset declares no variables")
         if len(set(names)) != len(names):
             raise ValidationError("variable names must be unique")
-        dependents = [v for v in self.variables if v.role == DEPENDENT]
+        dependents = [v for v in variables if v.role == DEPENDENT]
         if len(dependents) != 1:
             raise ValidationError(
                 f"dataset must declare exactly one dependent variable, found {len(dependents)}"
             )
         if dependents[0].level != NUMERIC:
             raise ValidationError("the dependent variable must be numeric")
-        if len(self.rows) < 2:
+        rows = tuple(rows)
+        if len(rows) < 2:
             raise ValidationError("dataset needs at least two rows")
-        width = len(self.variables)
-        for i, row in enumerate(self.rows):
-            if len(row.values) != width:
-                raise ValidationError(
-                    f"row {self._rid(row, i)}: expected {width} values, got {len(row.values)}"
-                )
-            for var, cell in zip(self.variables, row.values):
-                if var.is_categorical:
-                    if not isinstance(cell, str):
-                        raise ValidationError(
-                            f"row {self._rid(row, i)}, variable '{var.name}': expected a category label"
-                        )
-                    if cell not in var.categories:
-                        raise ValidationError(
-                            f"row {self._rid(row, i)}, variable '{var.name}': "
-                            f"'{cell}' is not a declared category"
-                        )
-                else:
-                    if not _is_real(cell) or not math.isfinite(cell):
-                        raise ValidationError(
-                            f"row {self._rid(row, i)}, variable '{var.name}': "
-                            f"numeric cell must be a finite number, got {cell!r}"
-                        )
+        try:
+            columns = _columns_of(variables, rows)
+        except (ValueError, KeyError, TypeError, OverflowError):
+            _raise_first_error(variables, rows)
+            raise
+        ids = tuple(row.row_id if row.row_id is not None else str(i) for i, row in enumerate(rows))
+        repeated = [rid for rid, count in Counter(ids).items() if count > 1]
+        if repeated:
+            raise ValidationError(f"row ids must be unique; '{repeated[0]}' occurs more than once")
+        self._init(variables, ids, columns)
 
-    @staticmethod
-    def _rid(row: Observation, index: int) -> str:
-        return row.row_id if row.row_id is not None else str(index)
+    def _init(self, variables, ids, columns) -> "Dataset":
+        for col in columns:
+            col.flags.writeable = False
+        self.variables, self._ids, self._columns = variables, ids, columns
+        self._index = {v.name: j for j, v in enumerate(variables)}
+        return self
+
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (
+            self.variables == other.variables
+            and self._ids == other._ids
+            and all(map(np.array_equal, self._columns, other._columns))
+        )
+
+    @property
+    def rows(self) -> tuple[Observation, ...]:
+        """The table as Observations, rebuilt on each access (the adapter form)."""
+        return tuple(map(Observation, self._row_values(), self._ids))
+
+    def _row_values(self) -> list:
+        """The cells row by row: labels for categorical, floats for numeric variables."""
+        return np.column_stack([self._cells(j) for j in range(len(self.variables))]).tolist()
+
+    def _cells(self, j: int) -> np.ndarray:
+        categories = self.variables[j].categories
+        if categories:
+            return np.array(categories, dtype=object)[self._columns[j]]
+        return self._columns[j].astype(object)
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self._ids)
 
     @property
     def dependent(self) -> Variable:
-        for v in self.variables:
-            if v.role == DEPENDENT:
-                return v
-        raise AssertionError("unreachable: validated on construction")
+        return next(v for v in self.variables if v.role == DEPENDENT)
 
     @property
     def predictors(self) -> tuple[Variable, ...]:
         return tuple(v for v in self.variables if v.role == PREDICTOR)
 
     def variable(self, name: str) -> Variable:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise ValidationError(f"unknown variable '{name}'")
+        return self.variables[self.index(name)]
 
-    def index(self, name: str) -> int:
-        for i, v in enumerate(self.variables):
-            if v.name == name:
-                return i
-        raise ValidationError(f"unknown variable '{name}'")
+    def index(self, name: str, categorical: bool | None = None) -> int:
+        """Position of a variable; errors if unknown or not of the asked kind."""
+        if name not in self._index:
+            raise ValidationError(f"unknown variable '{name}'")
+        j = self._index[name]
+        if categorical is not None and self.variables[j].is_categorical != categorical:
+            use = "use labels() or codes()" if categorical is False else "use column()"
+            kind = "categorical" if self.variables[j].is_categorical else "numeric"
+            raise ValidationError(f"variable '{name}' is {kind}; {use}")
+        return j
 
     def row_id(self, i: int) -> str:
-        return self._rid(self.rows[i], i)
+        return self._ids[i]
 
     def value(self, i: int, name: str):
-        return self.rows[i].values[self.index(name)]
+        j = self.index(name)
+        cell, categories = self._columns[j][i], self.variables[j].categories
+        return categories[cell] if categories else float(cell)
 
     def column(self, name: str) -> np.ndarray:
         """Numeric column as a float array. Errors on categorical variables."""
-        j = self.index(name)
-        if self.variables[j].is_categorical:
-            raise ValidationError(
-                f"variable '{name}' is categorical; use labels() or codes()"
-            )
-        return np.array([row.values[j] for row in self.rows], dtype=float)
+        return self._columns[self.index(name, categorical=False)].copy()
 
     def labels(self, name: str) -> tuple[str, ...]:
         """Categorical column as its raw labels."""
-        j = self.index(name)
-        if not self.variables[j].is_categorical:
-            raise ValidationError(f"variable '{name}' is numeric; use column()")
-        return tuple(row.values[j] for row in self.rows)
+        return tuple(self._cells(self.index(name, categorical=True)).tolist())
+
+    def category_codes(self, name: str) -> np.ndarray:
+        """Categorical column as integer codes into the declared categories."""
+        return self._columns[self.index(name, categorical=True)].copy()
 
     def codes(self, name: str) -> tuple[np.ndarray, tuple[str, ...]]:
         """Categorical column as integer codes over the observed categories.
@@ -207,21 +216,62 @@ class Dataset:
         Observed categories keep the declared order; codes index into that
         tuple. Unobserved declared categories do not appear.
         """
-        var = self.variable(name)
-        labels = self.labels(name)
-        present = set(labels)
-        observed = tuple(c for c in var.categories if c in present)
-        lookup = {c: k for k, c in enumerate(observed)}
-        codes = np.array([lookup[lbl] for lbl in labels], dtype=int)
-        return codes, observed
+        declared = self.category_codes(name)
+        cats = self.variable(name).categories
+        present = np.bincount(declared, minlength=len(cats)) > 0
+        observed = tuple(c for c, p in zip(cats, present) if p)
+        return (np.cumsum(present) - 1)[declared], observed
 
     def subset(self, indices) -> "Dataset":
-        """New dataset with the same variables over the selected rows."""
-        rows = []
-        for i in indices:
-            row = self.rows[i]
-            rows.append(Observation(row.values, row_id=self._rid(row, i)))
-        return Dataset(self.variables, tuple(rows))
+        """New dataset with the same variables over the selected rows, each at most once."""
+        idx = np.array([operator.index(i) for i in indices], dtype=np.intp)
+        ids = tuple(self._ids[i] for i in idx.tolist())
+        if len(set(ids)) != len(ids):
+            raise ValidationError("subset indices must not repeat")
+        if len(ids) < 2:
+            raise ValidationError("dataset needs at least two rows")
+        columns = [col[idx] for col in self._columns]
+        return object.__new__(Dataset)._init(self.variables, ids, columns)
+
+
+def _columns_of(variables, rows) -> list:
+    """Validated column arrays; raises (without naming the cell) if any cell is bad."""
+    width = len(variables)
+    if any(len(row.values) != width for row in rows):
+        raise ValueError("ragged rows")
+    columns = []
+    for var, cells in zip(variables, zip(*(row.values for row in rows))):
+        if var.is_categorical:
+            lookup = {c: k for k, c in enumerate(var.categories)}
+            columns.append(np.fromiter(map(lookup.__getitem__, cells), np.intp, len(cells)))
+            continue
+        if not (set(map(type, cells)) <= {float, int} or all(map(finite_number, cells))):
+            raise ValueError("not a number")
+        col = np.array(cells, dtype=float)
+        if not np.isfinite(col).all():
+            raise ValueError("not finite")
+        columns.append(col)
+    return columns
+
+
+def _raise_first_error(variables, rows) -> None:
+    """Scan row-major and raise the validation error of the first bad cell."""
+    width = len(variables)
+    for i, row in enumerate(rows):
+        rid = row.row_id if row.row_id is not None else str(i)
+        if len(row.values) != width:
+            raise ValidationError(f"row {rid}: expected {width} values, got {len(row.values)}")
+        for var, cell in zip(variables, row.values):
+            where = f"row {rid}, variable '{var.name}'"
+            if var.is_categorical:
+                if not isinstance(cell, str):
+                    raise ValidationError(f"{where}: expected a category label")
+                if cell not in var.categories:
+                    raise ValidationError(f"{where}: '{cell}' is not a declared category")
+            elif not finite_number(cell):
+                raise ValidationError(
+                    f"{where}: numeric cell must be a finite number, got {cell!r}"
+                )
 
 
 def population_standardize(values) -> tuple[np.ndarray, float, float]:
@@ -270,14 +320,14 @@ def column_as_quantified(
             raise ValidationError(
                 f"no quantification recorded for categorical variable '{variable}'"
             )
-        out = np.empty(dataset.n, dtype=float)
-        for i, label in enumerate(dataset.labels(variable)):
-            if label not in mapping:
-                raise ValidationError(
-                    f"category '{label}' of variable '{variable}' has no quantification"
-                )
-            out[i] = mapping[label]
-        return out
+        codes = dataset.category_codes(variable)
+        known = np.array([c in mapping for c in var.categories])
+        if not known[codes].all():
+            label = var.categories[codes[np.argmin(known[codes])]]
+            raise ValidationError(
+                f"category '{label}' of variable '{variable}' has no quantification"
+            )
+        return np.array([mapping.get(c, 0.0) for c in var.categories], dtype=float)[codes]
     entry = quantifications.numeric.get(variable)
     if entry is None:
         raise ValidationError(
@@ -294,17 +344,12 @@ def dataset_to_json(dataset: Dataset) -> dict:
     return {
         "schema_version": DATASET_SCHEMA_VERSION,
         "variables": [
-            {
-                "name": v.name,
-                "level": v.level,
-                "categories": list(v.categories),
-                "role": v.role,
-            }
+            {"name": v.name, "level": v.level, "categories": list(v.categories), "role": v.role}
             for v in dataset.variables
         ],
         "rows": [
-            {"id": dataset.row_id(i), "values": list(row.values)}
-            for i, row in enumerate(dataset.rows)
+            {"id": rid, "values": values}
+            for rid, values in zip(dataset._ids, dataset._row_values())
         ],
     }
 
@@ -318,20 +363,16 @@ def dataset_from_json(obj) -> Dataset:
             f"expected {DATASET_SCHEMA_VERSION!r}"
         )
     variables = []
-    for entry in obj.get("variables", []):
+    for entry in json_list(obj.get("variables", []), "variables"):
         json_object(entry, {"name", "level", "categories", "role"}, "variable entry")
-        variables.append(
-            Variable(
-                name=entry.get("name"),
-                level=entry.get("level"),
-                categories=tuple(entry.get("categories", ())),
-                role=entry.get("role", PREDICTOR),
-            )
-        )
+        categories = tuple(json_list(entry.get("categories", []), "categories"))
+        role = entry.get("role", PREDICTOR)
+        variables.append(Variable(entry.get("name"), entry.get("level"), categories, role))
     rows = []
-    for entry in obj.get("rows", []):
+    for entry in json_list(obj.get("rows", []), "rows"):
         json_object(entry, {"id", "values"}, "row entry")
-        rows.append(Observation(tuple(entry.get("values", ())), row_id=entry.get("id")))
+        values = tuple(json_list(entry.get("values", []), "row values"))
+        rows.append(Observation(values, row_id=entry.get("id")))
     return Dataset(tuple(variables), tuple(rows))
 
 
@@ -343,4 +384,4 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 def load_dataset(path) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
-        return dataset_from_json(json.load(fh))
+        return dataset_from_json(parse_json(fh.read()))

@@ -1,5 +1,7 @@
 """Exception hierarchy and input checks shared across the package."""
 
+import json
+import math
 from numbers import Integral, Real
 
 
@@ -29,8 +31,35 @@ def json_object(obj, allowed, what: str) -> dict:
     return obj
 
 
+def json_list(obj, what: str) -> list:
+    """Return obj after checking that it is a JSON list."""
+    if not isinstance(obj, list):
+        raise ValidationError(f"{what} must be a JSON list")
+    return obj
+
+
 def require_number(name: str, value, integer: bool = False) -> None:
     """Reject anything but a real number (an integer when asked); bool is neither."""
     if isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
         kind = "an integer" if integer else "a number"
         raise ValidationError(f"{name} must be {kind}, got {value!r}")
+
+
+def finite_number(value) -> bool:
+    """True for an int or float (not bool) with a finite float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def parse_json(text: str):
+    """json.loads that reports every parse failure as json.JSONDecodeError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except (ValueError, RecursionError) as exc:  # digit limit on ints; deep nesting
+        raise json.JSONDecodeError(str(exc), text, 0) from None

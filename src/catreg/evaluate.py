@@ -13,19 +13,26 @@ test rows showing a category unseen in their training part are excluded from
 scoring and counted per fold.
 
 The baseline method dummy-codes categorical predictors (c-1 indicators against
-the first declared category) and fits plain least squares; the contender runs
+the first observed category) and fits plain least squares; the contender runs
 the full quantify-then-select pipeline per training fold.
+
+Each fold's test rows are predicted at once: the rows are encoded from their
+declared category codes into one design matrix (dummy indicators for the
+baseline, the model's quantification tables for the contender) and predicted
+with one matrix product. A row whose category the training part never showed
+is masked out of scoring. Scoring itself (back-transform and MRE) runs per
+row, through the checked scalar functions below.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import Dataset, population_standardize
-from .errors import NumericalError, UnseenCategoryError, ValidationError, require_number
+from .errors import NumericalError, ValidationError, require_number
 from .scaling import CatregConfig
 from .stats import ols_fit
 from .stepwise import StepwiseConfig
@@ -124,8 +131,7 @@ def fold_plan(n: int, k: int, seed: int) -> FoldPlan:
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     assignment = np.empty(n, dtype=int)
-    for pos, row in enumerate(perm):
-        assignment[row] = pos % k
+    assignment[perm] = np.arange(n) % k
     return FoldPlan(k=k, seed=seed, assignment=tuple(int(a) for a in assignment))
 
 
@@ -140,20 +146,26 @@ class DummyDesign:
     categorical_levels: dict
     numeric_scaling: dict
 
-    def row_vector(self, values) -> np.ndarray | None:
-        """Encode one row ({variable -> raw value}); None if a category is unseen."""
-        parts: list[float] = []
-        for var in self.variables:
-            if var in self.categorical_levels:
-                observed = self.categorical_levels[var]
-                label = values[var]
-                if label not in observed:
-                    return None
-                parts.extend(1.0 if label == cat else 0.0 for cat in observed[1:])
+    def encode(self, dataset: Dataset, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Dummy-code the given rows of dataset with this design's levels and scalings.
+
+        Returns the matrix and a mask that is False on rows showing a category
+        the design never observed; their matrix rows carry no meaning.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        seen = np.ones(rows.size, dtype=bool)
+        parts = []
+        for name in self.variables:
+            if name in self.categorical_levels:
+                declared = dataset.variable(name).categories
+                observed = [declared.index(c) for c in self.categorical_levels[name]]
+                codes = dataset.category_codes(name)[rows]
+                seen &= np.isin(codes, observed)
+                parts.extend(codes == k for k in observed[1:])
             else:
-                mean, scale = self.numeric_scaling[var]
-                parts.append((float(values[var]) - mean) / scale)
-        return np.array(parts, dtype=float)
+                mean, scale = self.numeric_scaling[name]
+                parts.append((dataset.column(name)[rows] - mean) / scale)
+        return np.column_stack(parts).astype(float), seen
 
 
 def dummy_design(dataset: Dataset, predictors=None) -> DummyDesign:
@@ -162,33 +174,23 @@ def dummy_design(dataset: Dataset, predictors=None) -> DummyDesign:
     if not names:
         raise ValidationError("dummy_design needs at least one predictor")
     col_names: list[str] = []
-    col_arrays: list[np.ndarray] = []
     categorical_levels: dict = {}
     numeric_scaling: dict = {}
     for name in names:
-        var = dataset.variable(name)
-        if var.is_categorical:
-            codes, observed = dataset.codes(name)
+        if dataset.variable(name).is_categorical:
+            _, observed = dataset.codes(name)
             if len(observed) < 2:
                 raise ValidationError(
                     f"categorical predictor '{name}' has a single observed category"
                 )
             categorical_levels[name] = observed
-            for k, cat in enumerate(observed[1:], start=1):
-                col_names.append(f"{name}={cat}")
-                col_arrays.append((codes == k).astype(float))
+            col_names.extend(f"{name}={cat}" for cat in observed[1:])
         else:
-            x, mean, scale = population_standardize(dataset.column(name))
+            _, mean, scale = population_standardize(dataset.column(name))
             numeric_scaling[name] = (mean, scale)
             col_names.append(name)
-            col_arrays.append(x)
-    return DummyDesign(
-        variables=tuple(names),
-        names=tuple(col_names),
-        matrix=np.column_stack(col_arrays),
-        categorical_levels=categorical_levels,
-        numeric_scaling=numeric_scaling,
-    )
+    design = DummyDesign(tuple(names), tuple(col_names), None, categorical_levels, numeric_scaling)
+    return replace(design, matrix=design.encode(dataset, np.arange(dataset.n))[0])
 
 
 @dataclass(frozen=True)
@@ -237,25 +239,20 @@ class MethodEvaluation:
 
 
 def _dummy_fitter(train: Dataset, full: Dataset, configs: MethodConfigs):
-    dep = full.dependent.name
     design = dummy_design(train)
-    fit = ols_fit(design.matrix, train.column(dep), names=design.names)
+    fit = ols_fit(design.matrix, train.column(full.dependent.name), names=design.names)
 
-    def predict_row(i: int):
-        values = {name: full.value(i, name) for name in design.variables}
-        vec = design.row_vector(values)
-        if vec is None:
-            return None
-        return fit.intercept + float(vec @ fit.coef)
+    def predict(rows):
+        matrix, seen = design.encode(full, rows)
+        return fit.intercept + matrix @ fit.coef, seen
 
-    return predict_row, ""
+    return predict, ""
 
 
 def _contender_fitter(train: Dataset, full: Dataset, configs: MethodConfigs):
     # imported here: pipeline depends on this module for reporting types
     from .pipeline import run_pipeline
 
-    dep = full.dependent.name
     result = run_pipeline(
         train,
         catreg_config=configs.catreg,
@@ -263,18 +260,25 @@ def _contender_fitter(train: Dataset, full: Dataset, configs: MethodConfigs):
         max_rounds=configs.max_rounds,
     )
     if result.model is None:
-        fallback = float(train.column(dep).mean())
-        return (lambda i: fallback), "empty selection; intercept-only fallback"
+        fallback = float(train.column(full.dependent.name).mean())
+        predict = lambda rows: (np.full(len(rows), fallback), np.ones(len(rows), dtype=bool))
+        return predict, "empty selection; intercept-only fallback"
     model = result.model
+    coef = np.array([model.coefficients[mv.name] for mv in model.variables])
 
-    def predict_row(i: int):
-        values = {mv.name: full.value(i, mv.name) for mv in model.variables}
-        try:
-            return model.linear_estimate(values)
-        except UnseenCategoryError:
-            return None
+    def column(mv, rows):
+        if not mv.is_categorical:
+            return full.column(mv.name)[rows]
+        # a category without a quantification was unseen in training: NaN
+        qmap = model.quantifications[mv.name]
+        table = [qmap.get(c, np.nan) for c in full.variable(mv.name).categories]
+        return np.array(table, dtype=float)[full.category_codes(mv.name)[rows]]
 
-    return predict_row, ""
+    def predict(rows):
+        matrix = np.column_stack([column(mv, rows) for mv in model.variables])
+        return model.intercept + matrix @ coef, ~np.isnan(matrix).any(axis=1)
+
+    return predict, ""
 
 
 _FITTERS = {BASELINE: _dummy_fitter, CONTENDER: _contender_fitter}
@@ -297,25 +301,21 @@ def crossval(
     if method not in METHODS:
         raise ValidationError(f"method must be one of {METHODS}, got {method!r}")
     plan = fold_plan(dataset.n, k, seed)
-    dep = dataset.dependent.name
-    y = dataset.column(dep)
+    y = dataset.column(dataset.dependent.name).tolist()
     outcomes: list[FoldOutcome] = []
     for fold in range(k):
         train_idx, test_idx = plan.fold_indices(fold)
-        train = dataset.subset(train_idx)
-        predict_row, note = _FITTERS[method](train, dataset, configs)
+        predict, note = _FITTERS[method](dataset.subset(train_idx), dataset, configs)
+        estimates, seen = predict(test_idx)
+        scored = np.asarray(test_idx)[seen].tolist()
+        excluded = len(test_idx) - len(scored)
         records: list[EvaluationRecord] = []
-        excluded = 0
-        for i in test_idx:
-            estimate = predict_row(i)
-            if estimate is None:
-                excluded += 1
-                continue
+        for i, estimate in zip(scored, estimates[seen].tolist()):
             if configs.mre_scale == COUNT_SCALE:
                 actual, predicted = back_transform(y[i]), back_transform(estimate)
                 records.append(EvaluationRecord(dataset.row_id(i), actual, predicted))
             else:
-                records.append(EvaluationRecord(dataset.row_id(i), float(y[i]), estimate))
+                records.append(EvaluationRecord(dataset.row_id(i), y[i], estimate))
         if not records:
             raise ValidationError(
                 f"fold {fold + 1}: every test row was excluded; nothing to score"

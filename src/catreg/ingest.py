@@ -20,7 +20,6 @@ surviving cells are carried through unchanged.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -35,7 +34,7 @@ from .data import (
     Observation,
     Variable,
 )
-from .errors import ValidationError, json_object
+from .errors import ValidationError, finite_number, json_object, parse_json
 
 # choice-set sizes of the fixed 22-item questionnaire
 _QUESTION_CHOICE_COUNTS = {
@@ -123,16 +122,10 @@ class QuestionnaireSchema:
         )
         return cls(items)
 
-    def item(self, qid: str) -> SchemaItem:
-        for it in self.items:
-            if it.qid == qid:
-                return it
-        raise ValidationError(f"unknown questionnaire item '{qid}'")
-
 
 def load_schema(path) -> QuestionnaireSchema:
     with open(path, "r", encoding="utf-8") as fh:
-        return QuestionnaireSchema.from_json(json.load(fh))
+        return QuestionnaireSchema.from_json(parse_json(fh.read()))
 
 
 @dataclass(frozen=True)
@@ -153,7 +146,7 @@ class GearingTable:
                 raise ValidationError("gearing languages must be non-empty strings")
             if isinstance(ratio, bool) or not isinstance(ratio, (int, float)):
                 raise ValidationError(f"gearing factor for '{lang}' must be a number")
-            if not (ratio > 0) or not math.isfinite(ratio):
+            if not finite_number(ratio) or not ratio > 0:
                 raise ValidationError(f"gearing factor for '{lang}' must be positive")
 
     def factor(self, language: str) -> float:
@@ -178,7 +171,7 @@ class GearingTable:
 
 def load_gearing(path) -> GearingTable:
     with open(path, "r", encoding="utf-8") as fh:
-        return GearingTable.from_json(json.load(fh))
+        return GearingTable.from_json(parse_json(fh.read()))
 
 
 @dataclass
@@ -302,7 +295,9 @@ def backfire(sloc_by_language, gearing: GearingTable) -> float:
     for language, lines in sloc_by_language.items():
         if isinstance(lines, bool) or not isinstance(lines, (int, float)):
             raise ValidationError(f"sloc for '{language}' must be a number")
-        if lines < 0 or not math.isfinite(lines):
+        if not finite_number(lines):
+            raise ValidationError(f"sloc for '{language}' must be finite")
+        if lines < 0:
             raise ValidationError(f"sloc for '{language}' must be >= 0")
         total += lines / gearing.factor(language)
     if total <= 0.0:

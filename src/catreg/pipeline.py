@@ -25,7 +25,8 @@ import math
 from dataclasses import dataclass
 
 from .data import NUMERIC, Dataset, column_as_quantified
-from .errors import UnseenCategoryError, ValidationError, json_object, require_number
+from .errors import UnseenCategoryError, ValidationError, finite_number, json_list, json_object
+from .errors import parse_json, require_number
 from .evaluate import (
     BASELINE,
     CONTENDER,
@@ -64,10 +65,6 @@ class PipelineResult:
     empty_model: bool
     model: "SerializedModel | None"
     final_catreg: CatregFit | None
-
-
-def _finite_number(raw) -> bool:
-    return not isinstance(raw, bool) and isinstance(raw, (int, float)) and math.isfinite(raw)
 
 
 def _split_ln_name(name: str) -> tuple[str, str]:
@@ -144,17 +141,14 @@ class SerializedModel:
                         f"variable '{v.name}': transform must be '{LN_TRANSFORM}' or "
                         f"'{IDENTITY_TRANSFORM}'"
                     )
-                if not v.input_field:
+                if not isinstance(v.input_field, str) or not v.input_field:
                     raise ValidationError(
                         f"numeric variable '{v.name}' needs an input_field"
                     )
 
     def input_keys(self) -> tuple[str, ...]:
         """The exact keys a prediction input mapping must carry."""
-        keys = []
-        for v in self.variables:
-            keys.append(v.name if v.is_categorical else v.input_field)
-        return tuple(keys)
+        return tuple(v.name if v.is_categorical else v.input_field for v in self.variables)
 
     def linear_estimate(self, values) -> float:
         """Log-scale estimate from already-transformed values keyed by variable name.
@@ -172,7 +166,7 @@ class SerializedModel:
             if v.is_categorical:
                 total += coef * self._quantify(v, raw)
             else:
-                if not _finite_number(raw):
+                if not finite_number(raw):
                     raise ValidationError(
                         f"variable '{v.name}' expects a finite number, got {raw!r}"
                     )
@@ -180,7 +174,7 @@ class SerializedModel:
         return float(total)
 
     def _quantify(self, variable: ModelVariable, raw) -> float:
-        if _finite_number(raw):
+        if finite_number(raw):
             return float(raw)
         if not isinstance(raw, str):
             raise ValidationError(
@@ -233,36 +227,29 @@ class SerializedModel:
                 f"expected {MODEL_SCHEMA_VERSION!r}"
             )
         variables = []
-        for entry in obj.get("variables", []):
+        for entry in json_list(obj.get("variables", []), "model variables"):
             level = entry.get("level") if isinstance(entry, dict) else None
             fields = {"input_field", "transform"} if level == NUMERIC else {"categories"}
             json_object(entry, {"name", "level", *fields}, "variable entry")
             if level == NUMERIC:
-                variables.append(
-                    ModelVariable(
-                        name=entry.get("name"),
-                        level=level,
-                        input_field=entry.get("input_field", ""),
-                        transform=entry.get("transform", ""),
-                    )
-                )
+                extra = {key: entry.get(key, "") for key in fields}
             else:
-                variables.append(
-                    ModelVariable(
-                        name=entry.get("name"),
-                        level=level,
-                        categories=tuple(entry.get("categories", ())),
-                    )
-                )
+                extra = {"categories": tuple(json_list(entry.get("categories", []), "categories"))}
+            variables.append(ModelVariable(name=entry.get("name"), level=level, **extra))
         quantifications = obj.get("quantifications", {})
         if not isinstance(quantifications, dict):
             raise ValidationError("quantifications must be an object")
         coefficients = obj.get("coefficients", {})
         if not isinstance(coefficients, dict):
             raise ValidationError("coefficients must be an object")
-        intercept = obj.get("intercept")
-        if isinstance(intercept, bool) or not isinstance(intercept, (int, float)):
-            raise ValidationError("intercept must be a number")
+        for name, qmap in quantifications.items():
+            if qmap is not None and not (
+                isinstance(qmap, dict) and all(map(finite_number, qmap.values()))
+            ):
+                raise ValidationError(f"quantifications of '{name}' must be finite numbers")
+        for name, value in [*coefficients.items(), ("intercept", obj.get("intercept"))]:
+            if not finite_number(value):
+                raise ValidationError(f"model value '{name}' must be a finite number")
         return cls(
             variables=tuple(variables),
             quantifications={
@@ -270,7 +257,7 @@ class SerializedModel:
                 for name, qmap in quantifications.items()
             },
             coefficients={name: float(v) for name, v in coefficients.items()},
-            intercept=float(intercept),
+            intercept=float(obj["intercept"]),
         )
 
 
@@ -282,7 +269,7 @@ def save_model(model: SerializedModel, path) -> None:
 
 def load_model(path) -> SerializedModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return SerializedModel.from_dict(json.load(fh))
+        return SerializedModel.from_dict(parse_json(fh.read()))
 
 
 def run_pipeline(
@@ -369,24 +356,11 @@ def _build_model(dataset: Dataset, cfit: CatregFit, trace: StepwiseTrace) -> Ser
         coefficients[name] = float(fit.coef[idx])
         if var.is_categorical:
             qmap = cfit.quantifications.categorical[name]
-            variables.append(
-                ModelVariable(
-                    name=name,
-                    level=var.level,
-                    categories=tuple(qmap.keys()),
-                )
-            )
+            variables.append(ModelVariable(name, var.level, categories=tuple(qmap)))
             quantifications[name] = dict(qmap)
         else:
             field, transform = _split_ln_name(name)
-            variables.append(
-                ModelVariable(
-                    name=name,
-                    level=NUMERIC,
-                    input_field=field,
-                    transform=transform,
-                )
-            )
+            variables.append(ModelVariable(name, NUMERIC, input_field=field, transform=transform))
     return SerializedModel(
         variables=tuple(variables),
         quantifications=quantifications,
@@ -419,7 +393,7 @@ def predict(model: SerializedModel, inputs) -> dict:
             values[v.name] = inputs[v.name]
             continue
         raw = inputs[v.input_field]
-        if not _finite_number(raw):
+        if not finite_number(raw):
             raise ValidationError(f"input '{v.input_field}' must be a finite number")
         if v.transform == LN_TRANSFORM:
             if not (raw > 0):

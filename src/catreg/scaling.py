@@ -25,7 +25,9 @@ R^2 are read off a final joint least-squares pass over the quantified columns.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -150,25 +152,9 @@ class CatregFit:
     n: int
 
 
-class _NumState:
-    __slots__ = ("name", "x", "mean", "scale")
-
-    def __init__(self, name, x, mean, scale):
-        self.name = name
-        self.x = x
-        self.mean = mean
-        self.scale = scale
-
-
-class _CatState:
-    __slots__ = ("name", "ordinal", "codes", "cats", "counts")
-
-    def __init__(self, name, ordinal, codes, cats, counts):
-        self.name = name
-        self.ordinal = ordinal
-        self.codes = codes
-        self.cats = cats
-        self.counts = counts
+# per-predictor inputs of the ALS loop
+_NumState = namedtuple("_NumState", "name x mean scale")
+_CatState = namedtuple("_CatState", "name ordinal codes cats counts")
 
 
 def _standardize_category_values(w: np.ndarray, counts: np.ndarray, n: int):
@@ -192,19 +178,6 @@ def _orient_nominal(v: np.ndarray) -> np.ndarray:
         if val != 0.0:
             return -v if val > 0 else v
     return v
-
-
-class _AlsRun:
-    __slots__ = (
-        "quants",
-        "columns",
-        "beta",
-        "trace",
-        "iterations",
-        "converged",
-        "degenerate",
-        "ols",
-    )
 
 
 def catreg_fit(dataset: Dataset, predictors=None, config: CatregConfig | None = None) -> CatregFit:
@@ -257,7 +230,7 @@ def catreg_fit(dataset: Dataset, predictors=None, config: CatregConfig | None = 
         assert v is not None  # >= 2 observed categories with positive counts
         return v
 
-    def run(init_for) -> _AlsRun:
+    def run(init_for) -> SimpleNamespace:
         quants: list = []
         columns: list = []
         for st in states:
@@ -323,22 +296,17 @@ def catreg_fit(dataset: Dataset, predictors=None, config: CatregConfig | None = 
                 converged = True
                 break
 
-        out = _AlsRun()
         active = [j for j in range(len(states)) if not degenerate[j]]
         if not active:
             raise NumericalError(
                 "every predictor's quantification collapsed; nothing to fit"
             )
         design = np.column_stack([columns[j] for j in active])
-        out.ols = ols_fit(design, z, names=[states[j].name for j in active])
-        out.quants = quants
-        out.columns = columns
-        out.beta = beta
-        out.trace = trace
-        out.iterations = iterations
-        out.converged = converged
-        out.degenerate = degenerate
-        return out
+        ols = ols_fit(design, z, names=[states[j].name for j in active])
+        return SimpleNamespace(
+            ols=ols, quants=quants, trace=trace, iterations=iterations,
+            converged=converged, degenerate=degenerate,
+        )
 
     best = run(default_init)
     if cfg.random_restarts > 0:

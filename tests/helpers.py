@@ -3,11 +3,25 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from catreg import Dataset, NumericalError, Observation, ValidationError, Variable
+from catreg import (
+    DEPENDENT,
+    NUMERIC,
+    PREDICTOR,
+    Dataset,
+    NumericalError,
+    Observation,
+    UnseenCategoryError,
+    ValidationError,
+    Variable,
+    dummy_design,
+    ols_fit,
+    run_pipeline,
+)
 from catreg.stats import adjusted_r2, t_pvalue
 from catreg.stepwise import ENTERED, REMOVED, StepwiseConfig, StepwiseEvent, StepwiseTrace
 
@@ -265,3 +279,180 @@ def oracle_stepwise_fit(columns, response, config=None) -> StepwiseTrace:
         np.column_stack([cols[name] for name in included]), y, included
     ) if included else None
     return StepwiseTrace(tuple(events), tuple(included), final, tuple(diagnostics))
+
+
+# The row-tuple Dataset and the per-row fold prediction that the columnar
+# Dataset and the batch fold predictors replaced.
+
+
+@dataclass(frozen=True)
+class OracleDataset:
+    """The row-tuple table that catreg.Dataset replaced: cells kept as given,
+    validated row by row, re-validated by subset."""
+
+    variables: tuple[Variable, ...]
+    rows: tuple[Observation, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "variables", tuple(self.variables))
+        object.__setattr__(self, "rows", tuple(self.rows))
+        names = [v.name for v in self.variables]
+        if not names:
+            raise ValidationError("dataset declares no variables")
+        if len(set(names)) != len(names):
+            raise ValidationError("variable names must be unique")
+        dependents = [v for v in self.variables if v.role == DEPENDENT]
+        if len(dependents) != 1:
+            raise ValidationError(
+                f"dataset must declare exactly one dependent variable, found {len(dependents)}"
+            )
+        if dependents[0].level != NUMERIC:
+            raise ValidationError("the dependent variable must be numeric")
+        if len(self.rows) < 2:
+            raise ValidationError("dataset needs at least two rows")
+        width = len(self.variables)
+        for i, row in enumerate(self.rows):
+            if len(row.values) != width:
+                raise ValidationError(
+                    f"row {self._rid(row, i)}: expected {width} values, got {len(row.values)}"
+                )
+            for var, cell in zip(self.variables, row.values):
+                if var.is_categorical:
+                    if not isinstance(cell, str):
+                        raise ValidationError(
+                            f"row {self._rid(row, i)}, variable '{var.name}': expected a category label"
+                        )
+                    if cell not in var.categories:
+                        raise ValidationError(
+                            f"row {self._rid(row, i)}, variable '{var.name}': "
+                            f"'{cell}' is not a declared category"
+                        )
+                else:
+                    if isinstance(cell, bool) or not isinstance(cell, (int, float)) or not math.isfinite(cell):
+                        raise ValidationError(
+                            f"row {self._rid(row, i)}, variable '{var.name}': "
+                            f"numeric cell must be a finite number, got {cell!r}"
+                        )
+
+    @staticmethod
+    def _rid(row: Observation, index: int) -> str:
+        return row.row_id if row.row_id is not None else str(index)
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    @property
+    def dependent(self) -> Variable:
+        for v in self.variables:
+            if v.role == DEPENDENT:
+                return v
+        raise AssertionError("unreachable: validated on construction")
+
+    @property
+    def predictors(self) -> tuple[Variable, ...]:
+        return tuple(v for v in self.variables if v.role == PREDICTOR)
+
+    def variable(self, name: str) -> Variable:
+        for v in self.variables:
+            if v.name == name:
+                return v
+        raise ValidationError(f"unknown variable '{name}'")
+
+    def index(self, name: str) -> int:
+        for i, v in enumerate(self.variables):
+            if v.name == name:
+                return i
+        raise ValidationError(f"unknown variable '{name}'")
+
+    def row_id(self, i: int) -> str:
+        return self._rid(self.rows[i], i)
+
+    def value(self, i: int, name: str):
+        return self.rows[i].values[self.index(name)]
+
+    def column(self, name: str) -> np.ndarray:
+        """Numeric column as a float array. Errors on categorical variables."""
+        j = self.index(name)
+        if self.variables[j].is_categorical:
+            raise ValidationError(
+                f"variable '{name}' is categorical; use labels() or codes()"
+            )
+        return np.array([row.values[j] for row in self.rows], dtype=float)
+
+    def labels(self, name: str) -> tuple[str, ...]:
+        """Categorical column as its raw labels."""
+        j = self.index(name)
+        if not self.variables[j].is_categorical:
+            raise ValidationError(f"variable '{name}' is numeric; use column()")
+        return tuple(row.values[j] for row in self.rows)
+
+    def codes(self, name: str) -> tuple[np.ndarray, tuple[str, ...]]:
+        """Categorical column as integer codes over the observed categories.
+
+        Observed categories keep the declared order; codes index into that
+        tuple. Unobserved declared categories do not appear.
+        """
+        var = self.variable(name)
+        labels = self.labels(name)
+        present = set(labels)
+        observed = tuple(c for c in var.categories if c in present)
+        lookup = {c: k for k, c in enumerate(observed)}
+        codes = np.array([lookup[lbl] for lbl in labels], dtype=int)
+        return codes, observed
+
+    def subset(self, indices) -> "OracleDataset":
+        """New dataset with the same variables over the selected rows."""
+        rows = []
+        for i in indices:
+            row = self.rows[i]
+            rows.append(Observation(row.values, row_id=self._rid(row, i)))
+        return OracleDataset(self.variables, tuple(rows))
+
+
+
+def _oracle_row_vector(design, values):
+    """One dummy-coded row ({variable -> raw value}); None if a category is unseen."""
+    parts: list[float] = []
+    for var in design.variables:
+        if var in design.categorical_levels:
+            observed = design.categorical_levels[var]
+            label = values[var]
+            if label not in observed:
+                return None
+            parts.extend(1.0 if label == cat else 0.0 for cat in observed[1:])
+        else:
+            mean, scale = design.numeric_scaling[var]
+            parts.append((float(values[var]) - mean) / scale)
+    return np.array(parts, dtype=float)
+
+
+def oracle_fold_predictions(method: str, train: Dataset, full: Dataset, rows, configs):
+    """Per-row estimates for full's rows after fitting on train; None marks an excluded row."""
+    if method == "dummy-ols":
+        design = dummy_design(train)
+        fit = ols_fit(design.matrix, train.column(full.dependent.name), names=design.names)
+        out = []
+        for i in rows:
+            vec = _oracle_row_vector(design, {name: full.value(i, name) for name in design.variables})
+            out.append(None if vec is None else fit.intercept + float(vec @ fit.coef))
+        return out
+    result = run_pipeline(
+        train,
+        catreg_config=configs.catreg,
+        stepwise_config=configs.stepwise,
+        max_rounds=configs.max_rounds,
+    )
+    if result.model is None:
+        return [float(train.column(full.dependent.name).mean())] * len(rows)
+    out = []
+    for i in rows:
+        try:
+            out.append(
+                result.model.linear_estimate(
+                    {mv.name: full.value(i, mv.name) for mv in result.model.variables}
+                )
+            )
+        except UnseenCategoryError:
+            out.append(None)
+    return out

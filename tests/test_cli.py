@@ -329,3 +329,46 @@ class TestExitCodes:
         assert rc == EXIT_NUMERICAL
         assert out == ""
         assert err.startswith("numerical error:")
+
+    def test_bracketed_inline_json_is_a_validation_error(self, work, capsys):
+        for argv in (
+            ["predict", "--model", REFERENCE_MODEL, "--inputs", "[1]"],
+            ["backfire", "--sloc", "[1]", "--gearing", str(work / "gearing.json")],
+        ):
+            rc, out, err = _run(capsys, argv)
+            assert rc == EXIT_VALIDATION, argv
+            assert out == "" and err.startswith("validation error:")
+
+    def test_infinite_sloc_is_not_finite(self, work, capsys):
+        rc, _, err = _run(
+            capsys,
+            ["backfire", "--sloc", '{"L": 1e309}', "--gearing", str(work / "gearing.json")],
+        )
+        assert rc == EXIT_VALIDATION
+        assert "sloc for 'L' must be finite" in err
+
+    def test_huge_integer_cell_is_a_validation_error(self, work, capsys, tmp_path):
+        doc = json.loads((work / "small.json").read_text())
+        doc["rows"][0]["values"][-1] = "HUGE"
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc).replace('"HUGE"', str(10**400)))  # a 401-digit literal
+        rc, _, err = _run(capsys, ["fit", "--data", str(path)])
+        assert rc == EXIT_VALIDATION
+        assert "numeric cell must be a finite number" in err
+
+    def test_repeated_sample_ids_are_a_validation_error(self, work, capsys, tmp_path):
+        rc, out, _ = _run(
+            capsys,
+            ["ingest", "--responses", "data/responses.sample.csv",
+             "--gearing", "data/gearing.sample.json"],
+        )
+        assert rc == EXIT_OK
+        doc = json.loads(out)["dataset"]
+        assert len({row["id"] for row in doc["rows"]}) == 197
+        doc["rows"] = doc["rows"] * 2
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(doc))
+        rc, _, err = _run(capsys, ["crossval", "--data", str(path), "--k", "6",
+                                   "--method", "dummy-ols"])
+        assert rc == EXIT_VALIDATION
+        assert "row ids must be unique" in err

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catreg import (
     Dataset,
@@ -17,7 +19,7 @@ from catreg import (
     population_standardize,
 )
 
-from helpers import mixed_dataset
+from helpers import OracleDataset, mixed_dataset
 
 
 def small_dataset():
@@ -199,3 +201,121 @@ class TestDatasetJson:
         doc["schema_version"] = "2"
         with pytest.raises(ValidationError, match="schema version"):
             dataset_from_json(doc)
+
+
+# --- the columnar Dataset against the row-tuple oracle -----------------------
+
+# cells that break a rectangle: non-finite, wrong type, undeclared, unhashable
+HOSTILE_CELLS = (None, True, float("nan"), float("inf"), -float("inf"), "A", "Z", 3, [1], {})
+
+
+@st.composite
+def tables(draw):
+    """Variables plus rows: mostly valid cells, sometimes a hostile cell or a short row."""
+    n_pred = draw(st.integers(1, 3))
+    variables = []
+    for j in range(n_pred):
+        if draw(st.booleans()):
+            cats = ("A", "B", "C", "D")[: draw(st.integers(2, 4))]
+            variables.append(Variable(f"v{j}", draw(st.sampled_from(("nominal", "ordinal"))), cats))
+        else:
+            variables.append(Variable(f"v{j}", "numeric"))
+    variables.insert(draw(st.integers(0, n_pred)), Variable("y", "numeric", role="dependent"))
+    hostile = draw(st.booleans())
+    rows = []
+    for i in range(draw(st.integers(2, 12))):
+        values = []
+        for var in variables:
+            if hostile and draw(st.integers(0, 9)) == 0:
+                values.append(draw(st.sampled_from(HOSTILE_CELLS)))
+            elif var.is_categorical:
+                values.append(draw(st.sampled_from(var.categories)))
+            else:
+                values.append(draw(st.one_of(st.integers(-5, 5), st.floats(-1e3, 1e3))))
+        if hostile and draw(st.integers(0, 19)) == 0:
+            values = values[:-1]
+        rows.append(Observation(tuple(values), row_id=draw(st.sampled_from((None, f"r{i}")))))
+    return tuple(variables), tuple(rows)
+
+
+def assert_same_table(ds, oracle):
+    assert ds.n == oracle.n
+    assert [ds.row_id(i) for i in range(ds.n)] == [oracle.row_id(i) for i in range(oracle.n)]
+    for var in ds.variables:
+        if var.is_categorical:
+            assert ds.labels(var.name) == oracle.labels(var.name)
+            codes, observed = ds.codes(var.name)
+            want_codes, want_observed = oracle.codes(var.name)
+            assert observed == want_observed
+            np.testing.assert_array_equal(codes, want_codes)
+        else:
+            np.testing.assert_array_equal(ds.column(var.name), oracle.column(var.name))
+        for i in range(ds.n):
+            assert ds.value(i, var.name) == oracle.value(i, var.name)
+
+
+class TestAgainstRowOracle:
+    @given(tables(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_accessors_and_first_error(self, table, data):
+        variables, rows = table
+        try:
+            oracle = OracleDataset(variables, rows)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
+                Dataset(variables, rows)
+            assert str(got.value) == str(exc)
+            return
+        ds = Dataset(variables, rows)
+        assert_same_table(ds, oracle)
+        indices = data.draw(st.permutations(range(ds.n)))[: data.draw(st.integers(2, ds.n))]
+        assert_same_table(ds.subset(indices), oracle.subset(indices))
+        assert ds == Dataset(variables, oracle.rows)
+        assert ds == dataset_from_json(json.loads(json.dumps(dataset_to_json(ds))))
+        changed = list(oracle.rows)
+        values = list(changed[0].values)
+        j = data.draw(st.integers(0, len(variables) - 1))
+        var = variables[j]
+        values[j] = (
+            next(c for c in var.categories if c != values[j]) if var.is_categorical
+            else values[j] + 1.0
+        )
+        changed[0] = Observation(tuple(values), changed[0].row_id)
+        assert ds != Dataset(variables, changed)
+
+
+class TestColumnarDataset:
+    def test_duplicate_row_ids_rejected(self):
+        variables = (Variable("x", "numeric"), Variable("y", "numeric", role="dependent"))
+        with pytest.raises(ValidationError, match="'r1' occurs more than once"):
+            Dataset(variables, (Observation((1.0, 2.0), "r1"), Observation((2.0, 1.0), "r1")))
+        # a missing id defaults to the row position, which can collide too
+        with pytest.raises(ValidationError, match="'1' occurs more than once"):
+            Dataset(variables, (Observation((1.0, 2.0), "1"), Observation((2.0, 1.0))))
+
+    def test_subset_rejects_repeated_rows(self):
+        ds = small_dataset()
+        with pytest.raises(ValidationError, match="must not repeat"):
+            ds.subset([0, 1, 1])
+        with pytest.raises(ValidationError, match="must not repeat"):
+            ds.subset([3, -1])
+
+    def test_huge_integer_cell_is_not_finite(self):
+        variables = (Variable("x", "numeric"), Variable("y", "numeric", role="dependent"))
+        rows = (Observation((1.0, 2.0)), Observation((10**400, 1.0)))
+        with pytest.raises(ValidationError, match="numeric cell must be a finite number"):
+            Dataset(variables, rows)
+
+    def test_integer_cells_are_stored_and_written_as_floats(self):
+        variables = (Variable("x", "numeric"), Variable("y", "numeric", role="dependent"))
+        ds = Dataset(variables, (Observation((3, 1)), Observation((4.5, 2))))
+        doc = json.loads(json.dumps(dataset_to_json(ds)))
+        assert doc["rows"][0]["values"] == [3.0, 1.0]
+        assert all(isinstance(v, float) for row in doc["rows"] for v in row["values"])
+        assert dataset_from_json(doc) == ds
+
+    def test_accessor_arrays_are_copies(self):
+        ds = small_dataset()
+        ds.column("size")[0] = 99.0
+        ds.category_codes("q")[0] = 2
+        assert ds.value(0, "size") == 1.0 and ds.value(0, "q") == "A"

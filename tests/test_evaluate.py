@@ -21,7 +21,9 @@ from catreg import (
     mmre,
     mre,
 )
-from catreg.evaluate import BASELINE, CONTENDER, LOG_SCALE, back_transform
+from catreg.evaluate import _FITTERS, BASELINE, CONTENDER, LOG_SCALE, back_transform
+
+from helpers import oracle_fold_predictions
 
 
 class TestMre:
@@ -171,15 +173,54 @@ class TestDummyDesign:
         with pytest.raises(ValidationError):
             dummy_design(Dataset(variables, rows))
 
-    def test_row_vector_maps_and_rejects_unseen(self):
+    def test_fold_encoder_maps_and_rejects_unseen(self):
         ds = _categorical_dataset()
+        b_row, c_row = ds.labels("g").index("B"), ds.labels("g").index("C")
         design = dummy_design(ds)
-        vec = design.row_vector({"g": "B", "x": 0.0})
-        assert vec is not None
-        gb = design.names.index("g=B")
-        gc = design.names.index("g=C")
-        assert vec[gb] == 1.0 and vec[gc] == 0.0
-        assert design.row_vector({"g": "Z", "x": 0.0}) is None
+        matrix, seen = design.encode(ds, [b_row])
+        assert matrix[0, design.names.index("g=B")] == 1.0
+        assert matrix[0, design.names.index("g=C")] == 0.0
+        assert seen.tolist() == [True]
+        without_c = dummy_design(ds.subset([i for i in range(ds.n) if ds.value(i, "g") != "C"]))
+        _, seen = without_c.encode(ds, [b_row, c_row])
+        assert seen.tolist() == [True, False]
+
+
+def _rare_levels_dataset(seed: int, n: int = 60):
+    # R occurs once and S twice, so some test folds hold a level that their
+    # training part lacks; g carries most of the signal, so the contender keeps it
+    rng = np.random.default_rng(seed)
+    levels = np.array(["A", "B", "C"])[rng.integers(0, 3, n)]
+    levels[:3] = ["R", "S", "S"]
+    effect = {"A": 0.0, "B": 1.5, "C": 3.0, "R": 2.0, "S": 4.0}
+    x = rng.normal(size=n)
+    y = np.array([effect[g] for g in levels]) + 0.8 * x + rng.normal(scale=0.3, size=n)
+    variables = (
+        Variable("g", "nominal", ("A", "B", "C", "R", "S")),
+        Variable("x", "numeric"),
+        Variable("y", "numeric", role="dependent"),
+    )
+    rows = tuple(Observation((levels[i], float(x[i]), float(y[i]))) for i in range(n))
+    return Dataset(variables, rows)
+
+
+@pytest.mark.parametrize("method", [BASELINE, CONTENDER])
+@pytest.mark.parametrize("seed", range(3))
+def test_fold_predictions_match_the_per_row_oracle(method, seed):
+    ds = _rare_levels_dataset(seed)
+    configs = MethodConfigs()
+    plan = fold_plan(ds.n, 5, seed)
+    excluded = 0
+    for fold in range(plan.k):
+        train_idx, test_idx = plan.fold_indices(fold)
+        train = ds.subset(train_idx)
+        predict, _ = _FITTERS[method](train, ds, configs)
+        estimates, seen = predict(test_idx)
+        want = oracle_fold_predictions(method, train, ds, test_idx, configs)
+        assert seen.tolist() == [w is not None for w in want]
+        np.testing.assert_allclose(estimates[seen], [w for w in want if w is not None], rtol=1e-12)
+        excluded += len(want) - int(seen.sum())
+    assert excluded > 0
 
 
 def _numeric_crossval_dataset(n: int = 30, seed: int = 0, noise: float = 0.3):

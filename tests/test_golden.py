@@ -1,7 +1,9 @@
 """Golden pins on the shipped sample corpus.
 
 These values were recorded from the implementation before the stepwise entry
-scan was rewritten; any refactor of the numerical core must keep them.
+scan was rewritten (the pipeline coefficients and event p-values before the
+least-squares problems were compressed to one triangular factor); any refactor
+of the numerical core must keep them.
 """
 
 from pathlib import Path
@@ -14,6 +16,46 @@ from catreg.cli import EXIT_OK, main
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 SELECTED = ("Q18", "Q10", "Q3", "Q9", "Ln(FP)", "Ln(Duration)", "Q13", "Q8", "Q4")
+
+COEFFICIENTS = {
+    "Q18": 0.3164228975180206,
+    "Q10": 0.36164145088028615,
+    "Q3": -0.27129328705416417,
+    "Q9": 0.23280123354944834,
+    "Ln(FP)": 0.649830802190295,
+    "Ln(Duration)": 0.2720781605622102,
+    "Q13": 0.10317273488853258,
+    "Q8": 0.06761277331580862,
+    "Q4": -0.057474472380900365,
+}
+INTERCEPT = -1.5631510804322053
+
+# every stepwise event of each pipeline round: (step, variable, p-value); all
+# are entries, one per step
+ROUND_EVENTS = [
+    [
+        (1, "Q18", 1.5512063940380097e-11),
+        (2, "Q10", 5.731652130654629e-13),
+        (3, "Q3", 7.550152314817793e-12),
+        (4, "Q9", 8.61802728548567e-09),
+        (5, "Ln(FP)", 9.065617050511527e-11),
+        (6, "Ln(Duration)", 8.080818149973961e-11),
+        (7, "Q13", 0.00046926342974712177),
+        (8, "Q8", 0.01969671460445304),
+        (9, "Q4", 0.04873654205431404),
+    ],
+    [
+        (1, "Q18", 2.2711299570199344e-11),
+        (2, "Q10", 5.347717929027016e-13),
+        (3, "Q3", 8.485082593175989e-12),
+        (4, "Q9", 7.389081843965432e-09),
+        (5, "Ln(FP)", 7.28273633047262e-11),
+        (6, "Ln(Duration)", 2.9723461396701556e-11),
+        (7, "Q13", 0.0006331829804661988),
+        (8, "Q8", 0.020768708496657393),
+        (9, "Q4", 0.04134968036453795),
+    ],
+]
 
 FOLD_MMRES = {
     "dummy-ols": [
@@ -60,18 +102,35 @@ def sample():
     )
 
 
+@pytest.fixture(scope="module")
+def pipeline(sample):
+    return run_pipeline(sample[0])
+
+
 def test_ingest_keeps_197_and_removes_3(sample):
     dataset, removals = sample
     assert dataset.n == 197
     assert sorted(removals) == ["141", "31", "78"]
 
 
-def test_pipeline_selection(sample):
-    result = run_pipeline(sample[0])
-    assert result.rounds[-1].selected == SELECTED
-    assert len(result.rounds) == 2
-    assert result.converged
-    assert set(result.model.coefficients) == set(SELECTED)
+def test_pipeline_selection(pipeline):
+    assert pipeline.rounds[-1].selected == SELECTED
+    assert len(pipeline.rounds) == 2
+    assert pipeline.converged
+    assert set(pipeline.model.coefficients) == set(SELECTED)
+
+
+def test_pipeline_coefficients_and_event_pvalues(pipeline):
+    assert pipeline.model.coefficients == pytest.approx(COEFFICIENTS, rel=1e-9)
+    assert pipeline.model.intercept == pytest.approx(INTERCEPT, rel=1e-9)
+    assert len(pipeline.rounds) == len(ROUND_EVENTS)
+    for record, expected in zip(pipeline.rounds, ROUND_EVENTS):
+        events = record.trace.events
+        assert [e.action for e in events] == ["entered"] * len(expected)
+        assert [(e.step, e.variable) for e in events] == [(s, v) for s, v, _ in expected]
+        assert [e.pvalue for e in events] == pytest.approx(
+            [p for _, _, p in expected], rel=1e-9
+        )
 
 
 def test_compare_k6(sample):

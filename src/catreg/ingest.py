@@ -34,7 +34,7 @@ from .data import (
     Observation,
     Variable,
 )
-from .errors import ValidationError, finite_number, json_object, parse_json
+from .errors import NumericalError, ValidationError, finite_number, json_object, parse_json
 
 # choice-set sizes of the fixed 22-item questionnaire
 _QUESTION_CHOICE_COUNTS = {
@@ -289,7 +289,7 @@ def backfire(sloc_by_language, gearing: GearingTable) -> float:
     """Function points from source lines: sum of sloc / gearing over languages.
 
     Additive over languages by construction. Errors on an unknown language or
-    a zero total.
+    a zero total; a total past the float range is a NumericalError.
     """
     total = 0.0
     for language, lines in sloc_by_language.items():
@@ -302,6 +302,8 @@ def backfire(sloc_by_language, gearing: GearingTable) -> float:
         total += lines / gearing.factor(language)
     if total <= 0.0:
         raise ValidationError("total source line count is zero; cannot backfire")
+    if not math.isfinite(total):
+        raise NumericalError("function point total overflows the float range")
     return total
 
 
@@ -314,6 +316,8 @@ def apply_backfire(table: RawTable, gearing: GearingTable) -> RawTable:
             row.fields["FP"] = backfire(row.sloc, gearing)
         except ValidationError:
             row.flags.append("zero total sloc")
+        except NumericalError as exc:
+            raise NumericalError(f"row {row.row_id}: {exc}") from None
     return table
 
 

@@ -1,9 +1,18 @@
 """Least squares with t-based inference, and the stepwise entry scan.
 
-`ols_fit` factorizes [1, X] once with a thin SVD U diag(s) V'. The singular
-values give the rank screen (a smallest/largest ratio of at most 1e-10 is
-rank-deficient), the coefficients are V (U'y / s) and diag((X'X)^-1) is the
-row sums of (V / s)^2.
+Every least-squares problem here is factorized once, and what follows works on
+the small factor instead of the n data rows (Golub & Van Loan, Matrix
+Computations, 5.3 and 6.5).
+
+`fit_rows` takes the rows of [1, X, y] and keeps only R of a Householder QR,
+never forming Q. The bottom-right entry of R squared is the residual sum of
+squares; the thin SVD U diag(s) V' of the leading (p+1)-column triangle gives
+the rank screen (a smallest/largest ratio of at most 1e-10 is rank-deficient),
+the coefficients V (U'r / s) from R's last column r, and diag((X'X)^-1) as the
+row sums of (V / s)^2. It accepts Q'[1, X, y] as well, for any orthonormal Q
+whose span holds those columns: its R agrees with the data's up to the signs
+of rows, so every fit is the same. `ols_fit` validates its input and calls it
+on the data.
 
 `entry_scan` scores every candidate c to enter next to an included set S from
 one QR factorization [1, S] = Q R: one matrix product residualizes all
@@ -13,15 +22,19 @@ from the largest |t| down until one exceeds the best, and among exactly equal
 p (p underflowing to 0 included) the first declared candidate wins. The rank
 screen is `ols_fit`'s test on [1, S, c], whose singular values are those of
 the triangle [[R, Q'c], [0, |e_c|]]; one batched SVD covers all triangles.
+Stepwise runs it on compressed rows; see `stepwise` for why those are formed
+with Q.
 
 Two-sided p-values come from the Student-t distribution evaluated through a
 hand-rolled regularized incomplete beta function, kept dependency-free on
 purpose:
 
-    p = I_{df/(df+t^2)}(df/2, 1/2)
+    p = I_x(df/2, 1/2),  x = df/(df+t^2),  1 - x = t^2/(df+t^2)
 
-The continued fraction follows the classical Lentz scheme and must shrink its
-correction term below 1e-12 within 300 iterations, else NumericalError.
+Both x and 1 - x are formed directly, so a p-value near 1 (tiny t, where x
+rounds to 1) keeps its digits. The continued fraction follows the classical
+Lentz scheme and must shrink its correction term below 1e-12 within 300
+iterations, else NumericalError.
 
 Everything here is a pure function over immutable inputs.
 """
@@ -82,29 +95,33 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     )
 
 
+def _inc_beta(a: float, b: float, x: float, xc: float) -> float:
+    # I_x(a, b) with xc = 1 - x from the caller: the log of whichever of x and
+    # xc lies near 1 is taken as log1p of the other, and the symmetric branch
+    # uses xc itself, so neither side cancels
+    if x == 0.0:
+        return 0.0
+    if xc == 0.0:
+        return 1.0
+    ln_x = math.log(x) if x < 0.5 else math.log1p(-xc)
+    ln_xc = math.log1p(-x) if x < 0.5 else math.log(xc)
+    front = math.exp(
+        a * ln_x + b * ln_xc + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    )
+    # use the expansion on the side where it converges fast, the symmetry
+    # I_x(a,b) = 1 - I_{1-x}(b,a) on the other
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_cf(a, b, x) / a
+    return 1.0 - front * _beta_cf(b, a, xc) / b
+
+
 def reg_inc_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b) for a, b > 0 and 0 <= x <= 1."""
     if not (a > 0 and b > 0):
         raise ValidationError("reg_inc_beta requires a > 0 and b > 0")
     if not (0.0 <= x <= 1.0):
         raise ValidationError("reg_inc_beta requires 0 <= x <= 1")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        a * math.log(x)
-        + b * math.log1p(-x)
-        + math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-    )
-    front = math.exp(ln_front)
-    # use the expansion on the side where it converges fast, the symmetry
-    # I_x(a,b) = 1 - I_{1-x}(b,a) on the other
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
+    return _inc_beta(a, b, x, 1.0 - x)
 
 
 def t_pvalue(t: float, df: float) -> float:
@@ -115,10 +132,12 @@ def t_pvalue(t: float, df: float) -> float:
         raise ValidationError("t statistic must not be NaN")
     if math.isinf(t):
         return 0.0
-    # t = 0 gives x = 1 and an exact p of 1.0; symmetry in t holds exactly
-    # because t enters only through t*t
-    x = df / (df + t * t)
-    return reg_inc_beta(0.5 * df, 0.5, x)
+    # t = 0 gives 1 - x = 0 and an exact p of 1.0; symmetry in t holds exactly
+    # because t enters only through t*t. 1 - x is formed directly: for small t
+    # x rounds to 1 and 1.0 - x would keep none of its digits. (A t*t that
+    # overflows gives x = 0 and p = 0 before the NaN 1 - x is read.)
+    t2 = t * t
+    return _inc_beta(0.5 * df, 0.5, df / (df + t2), t2 / (df + t2))
 
 
 def adjusted_r2(r2: float, n: int, p: int) -> float:
@@ -145,11 +164,11 @@ def pearson_r(x, y) -> float:
     return float((xc @ yc) / math.sqrt(sxx * syy))
 
 
-# shared by ols_fit and entry_scan: stepwise diagnostics quote ols_fit's words
-_NONFINITE = "design and response must be finite"
-_RANK_DEFICIENT = "design matrix is rank-deficient (singular value ratio below 1e-10)"
-_FLAT_RESPONSE = "response has zero variance"
-_TOO_FEW_ROWS = "too few rows for inference: n={} must exceed {} fitted parameters"
+# shared by ols_fit and stepwise, whose diagnostics quote ols_fit's words
+NONFINITE = "design and response must be finite"
+RANK_DEFICIENT = "design matrix is rank-deficient (singular value ratio below 1e-10)"
+FLAT_RESPONSE = "response has zero variance"
+TOO_FEW_ROWS = "too few rows for inference: n={} must exceed {} fitted parameters"
 
 
 def _rank_deficient(singular: np.ndarray):
@@ -161,6 +180,29 @@ def _tstat(coef: np.ndarray, se: np.ndarray) -> np.ndarray:
     # zero residual variance degenerates the statistic to 0 (coef 0) or +-inf
     out = np.where(coef == 0.0, 0.0, np.copysign(np.inf, coef))
     return np.divide(coef, se, out=out, where=se > 0.0)
+
+
+def fit_rows(rows, n: int):
+    """Least squares of the last column of `rows` on the others, from R alone.
+
+    rows is [1, X, y] over n finite rows, or Q'[1, X, y] for an orthonormal Q
+    whose span holds those columns: fewer rows with the same coefficients and
+    residual sum of squares. Both its row count and n must be at least its
+    column count. Returns (b, stderr, tstat, pvalue, sse): b starts with the
+    intercept, the others cover the columns of X. Raises NumericalError when
+    [1, X] fails the rank screen.
+    """
+    R = np.linalg.qr(rows, mode="r")
+    k = R.shape[1] - 1
+    U, s, Vt = np.linalg.svd(R[:k, :k])
+    if _rank_deficient(s):
+        raise NumericalError(RANK_DEFICIENT)
+    b = Vt.T @ ((U.T @ R[:k, k]) / s)
+    sse = float(R[k, k] ** 2)
+    df = n - k
+    se = np.sqrt(np.maximum(sse / df * ((Vt[:, 1:] / s[:, None]) ** 2).sum(axis=0), 0.0))
+    tstat = _tstat(b[1:], se)
+    return b, se, tstat, np.array([t_pvalue(float(t), df) for t in tstat]), sse
 
 
 @dataclass(frozen=True)
@@ -200,12 +242,12 @@ def ols_fit(design, response, names=None) -> OlsFit:
     if y.ndim != 1 or y.size != X0.shape[0]:
         raise ValidationError("response length must match the design row count")
     if not np.all(np.isfinite(X0)) or not np.all(np.isfinite(y)):
-        raise ValidationError(_NONFINITE)
+        raise ValidationError(NONFINITE)
     n, p = X0.shape
     if p < 1:
         raise ValidationError("design needs at least one column")
     if n <= p + 1:
-        raise ValidationError(_TOO_FEW_ROWS.format(n, p + 1))
+        raise ValidationError(TOO_FEW_ROWS.format(n, p + 1))
     if names is None:
         names = tuple(f"x{j + 1}" for j in range(p))
     else:
@@ -213,33 +255,26 @@ def ols_fit(design, response, names=None) -> OlsFit:
         if len(names) != p:
             raise ValidationError("names must match the number of design columns")
 
-    X = np.column_stack([np.ones(n), X0])
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    if _rank_deficient(s):
-        raise NumericalError(_RANK_DEFICIENT)
-    b_full = Vt.T @ ((U.T @ y) / s)
-    resid = y - X @ b_full
-    sse = float(resid @ resid)
+    rows = np.empty((n, p + 2), order="F")  # column-major, as LAPACK takes it
+    rows[:, 0] = 1.0
+    rows[:, 1:-1] = X0
+    rows[:, -1] = y
+    b, se, tstat, pvalue, sse = fit_rows(rows, n)
     sst = float(((y - y.mean()) ** 2).sum())
     # the mean of a constant response can round, leaving sst just above 0
     if sst <= 0.0 or np.ptp(y) == 0.0:
-        raise ValidationError(_FLAT_RESPONSE)
+        raise ValidationError(FLAT_RESPONSE)
     r2 = min(1.0, max(0.0, 1.0 - sse / sst))
-
-    df_resid = n - p - 1
-    xtx_inv_diag = ((Vt[:, 1:] / s[:, None]) ** 2).sum(axis=0)
-    coef = b_full[1:]
-    se = np.sqrt(np.maximum(sse / df_resid * xtx_inv_diag, 0.0))
-    tstat = _tstat(coef, se)
+    coef = b[1:]
     sd_y = float(np.std(y))
     return OlsFit(
         names=names,
         coef=coef,
-        intercept=float(b_full[0]),
+        intercept=float(b[0]),
         std_coef=coef * np.std(X0, axis=0) / sd_y if sd_y > 0 else np.zeros_like(coef),
         stderr=se,
         tstat=tstat,
-        pvalue=np.array([t_pvalue(float(t), df_resid) for t in tstat]),
+        pvalue=pvalue,
         r2=r2,
         adj_r2=adjusted_r2(r2, n, p),
         n=n,
@@ -247,44 +282,35 @@ def ols_fit(design, response, names=None) -> OlsFit:
     )
 
 
-def entry_scan(included, candidates, response) -> tuple[int | None, float, list[str | None]]:
-    """The candidate that enters next to `included` with the smallest p-value.
+def entry_scan(base, candidates, response, n: int) -> tuple[int | None, float, np.ndarray]:
+    """The candidate that enters next to `base` with the smallest p-value.
 
-    included and candidates are sequences of 1-d columns; candidates must not
-    be empty, and [1, included] must be finite with full rank. Returns (winner, p,
-    reasons): the winner's index and p-value (None and NaN when no candidate
-    can be scored) and, per candidate, None or the message `ols_fit` raises for
-    [included, candidate], in its order of checks.
+    base (its first column the intercept's), candidates and response are the
+    rows of a least-squares problem over n rows, as in `fit_rows`: the data
+    themselves or their rotation by Q'. All are finite, candidates has at least
+    one column, base has full rank and n exceeds base's column count plus one.
+    Returns (winner, p, deficient): the winner's index and p-value (None and
+    NaN when every candidate fails the rank screen) and, per candidate, whether
+    [base, candidate] fails `ols_fit`'s rank screen. The winner means nothing
+    when the response has no variance; the caller screens for that.
     """
     y = np.asarray(response, dtype=float)
-    n = y.size
-    C = np.asarray(np.column_stack(candidates), dtype=float)
-    base = np.column_stack([np.ones(n), *included])
-    finite = np.isfinite(C).all(axis=0) & np.isfinite(y).all()
-    reasons: list[str | None] = [None if ok else _NONFINITE for ok in finite]
-    k = base.shape[1]
-    live = np.flatnonzero(finite)
-    if n <= k + 1 or live.size == 0:
-        return None, math.nan, [why or _TOO_FEW_ROWS.format(n, k + 1) for why in reasons]
-
+    C = np.array(candidates, dtype=float)
     Q, R = np.linalg.qr(base)
-    C = C[:, live]
+    k = R.shape[0]
     P = Q.T @ C
     C -= Q @ P
     ecc = np.einsum("ij,ij->j", C, C)
-    triangles = np.zeros((live.size, k + 1, k + 1))
+    triangles = np.zeros((C.shape[1], k + 1, k + 1))
     triangles[:, :k, :k] = R
     triangles[:, :k, k] = P.T
     triangles[:, k, k] = np.sqrt(ecc)
     deficient = _rank_deficient(np.linalg.svd(triangles, compute_uv=False))
-    flat = np.ptp(y) == 0.0 or float(((y - y.mean()) ** 2).sum()) <= 0.0
-    for j, bad in zip(live, deficient):
-        reasons[j] = _RANK_DEFICIENT if bad else (_FLAT_RESPONSE if flat else None)
-    if flat or deficient.all():
-        return None, math.nan, reasons
+    if deficient.all():
+        return None, math.nan, deficient
 
-    scored = live[~deficient]
-    C, ecc = C[:, ~deficient], ecc[~deficient]
+    scored = np.flatnonzero(~deficient)
+    C, ecc = C[:, scored], ecc[scored]
     e_y = y - Q @ (Q.T @ y)
     b = (e_y @ C) / ecc
     C *= -b
@@ -298,4 +324,4 @@ def entry_scan(included, candidates, response) -> tuple[int | None, float, list[
             break
         if p < best_p or scored[j] < best:
             best, best_p = int(scored[j]), p
-    return best, best_p, reasons
+    return best, best_p, deficient

@@ -12,12 +12,25 @@ to the first declared). Steps repeat until a full step changes nothing or
 max_steps is hit. alpha_enter must not exceed alpha_remove, which rules out
 enter/remove cycling.
 
+Every fit of a run regresses y on 1 and some of the same columns, so the run
+factorizes once: Z = [1, finite candidates, y] = Q R, and all entry scans and
+removal-phase p-values work on Z' = Q'Z, which has at most (candidates + 2)
+rows and gives every such fit the same coefficients and residual sum of
+squares; degrees of freedom use the real n. Z' is formed as the product Q'Z,
+not taken as R: a product treats every column alike, and scaling a column by a
+power of two commutes exactly with it, so an exact copy or a +-2^k multiple of
+a column ties with it bit for bit, and the first declared enters. R does not
+keep such ties: QR sets the entries below each pivot to exact zeros, while a
+later copy of that column keeps rounding noise there. `ols_fit` has no ties to
+keep and takes R alone.
+
 Candidates that cannot be fitted next to the included set (a non-finite cell,
 too few rows, a rank-deficient design by the singular value ratio test of
 `ols_fit`, or a response without variance) are skipped for that step and
-noted in the diagnostics, in declared order, with `ols_fit`'s message. The
-trace records every entry and removal with its triggering p-value; the reported
-fit is the last removal-phase fit, made from scratch on the selected columns.
+noted in the diagnostics, in declared order, with `ols_fit`'s message;
+non-finite cells and the response are screened once per run. The trace
+records every entry and removal with its triggering p-value; the reported fit
+is one `ols_fit` on the data of the selected columns.
 """
 
 from __future__ import annotations
@@ -27,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError, require_number
-from .stats import OlsFit, entry_scan, ols_fit
+from .stats import FLAT_RESPONSE, NONFINITE, RANK_DEFICIENT, TOO_FEW_ROWS, OlsFit
+from .stats import entry_scan, fit_rows, ols_fit
 
 ENTERED = "entered"
 REMOVED = "removed"
@@ -107,9 +121,22 @@ def stepwise_fit(columns, response, config: StepwiseConfig | None = None) -> Ste
             )
         cols[name] = arr
     max_steps = cfg.max_steps if cfg.max_steps is not None else 2 * len(names)
+    n = y.size
+
+    # screened once: a candidate with a non-finite cell (every candidate, when
+    # the response has one) is skipped at every step, and a response without
+    # variance lets nothing enter
+    finite = []
+    if np.isfinite(y).all():
+        finite = [name for name in names if np.isfinite(cols[name]).all()]
+    flat = bool(finite) and (np.ptp(y) == 0.0 or float(((y - y.mean()) ** 2).sum()) <= 0.0)
+    at = {name: j + 1 for j, name in enumerate(finite)}  # column of Z
+    if finite:
+        # Z' = Q'[1, finite columns, y] as a product; see the module docstring
+        Z = np.array([np.ones(n), *(cols[name] for name in finite), y]).T  # column-major
+        Z = np.linalg.qr(Z)[0].T @ Z
 
     included: list[str] = []
-    fit: OlsFit | None = None
     events: list[StepwiseEvent] = []
     diagnostics: list[str] = []
 
@@ -119,32 +146,39 @@ def stepwise_fit(columns, response, config: StepwiseConfig | None = None) -> Ste
         # entry phase: the candidate with the smallest p-value next to the
         # included set, first declared among equal p-values
         pending = [name for name in names if name not in included]
-        if pending:
-            best, best_p, reasons = entry_scan(
-                [cols[name] for name in included], [cols[name] for name in pending], y
+        reasons = dict.fromkeys(pending, NONFINITE)
+        scored = [name for name in pending if name in at]
+        k = len(included) + 1
+        if scored and n <= k + 1:
+            reasons.update(dict.fromkeys(scored, TOO_FEW_ROWS.format(n, k + 1)))
+        elif scored:
+            best, best_p, deficient = entry_scan(
+                Z[:, [0, *(at[name] for name in included)]],
+                Z[:, [at[name] for name in scored]],
+                Z[:, -1],
+                n,
             )
-            diagnostics.extend(
-                f"step {step}: candidate '{name}' skipped ({why})"
-                for name, why in zip(pending, reasons)
-                if why is not None
-            )
-            if best is not None and best_p < cfg.alpha_enter:
-                included.append(pending[best])
-                events.append(StepwiseEvent(step, pending[best], ENTERED, best_p))
+            for name, bad in zip(scored, deficient):
+                reasons[name] = RANK_DEFICIENT if bad else (FLAT_RESPONSE if flat else None)
+            if not flat and best is not None and best_p < cfg.alpha_enter:
+                included.append(scored[best])
+                events.append(StepwiseEvent(step, scored[best], ENTERED, best_p))
                 changed = True
+        diagnostics.extend(
+            f"step {step}: candidate '{name}' skipped ({why})"
+            for name, why in reasons.items()
+            if why is not None
+        )
 
         # removal phase: repeatedly drop the worst offender above alpha_remove
         while included:
             try:
-                design = np.column_stack([cols[name] for name in included])
-                fit = ols_fit(design, y, names=included)
+                pvalue = fit_rows(Z[:, [0, *(at[name] for name in included), -1]], n)[3]
             except (NumericalError, ValidationError) as exc:
-                raise NumericalError(
-                    f"step {step}: the included set {included} cannot be fitted"
-                ) from exc
+                raise _unfittable(step, included) from exc
             order = sorted(range(len(included)), key=lambda i: names.index(included[i]))
-            worst = max(order, key=lambda i: fit.pvalue[i])  # first declared among ties
-            worst_p = float(fit.pvalue[worst])
+            worst = max(order, key=lambda i: pvalue[i])  # first declared among ties
+            worst_p = float(pvalue[worst])
             if worst_p <= cfg.alpha_remove:
                 break
             events.append(StepwiseEvent(step, included.pop(worst), REMOVED, worst_p))
@@ -153,9 +187,19 @@ def stepwise_fit(columns, response, config: StepwiseConfig | None = None) -> Ste
         if not changed:
             break
 
+    fit = None
+    if included:
+        try:
+            fit = ols_fit(np.column_stack([cols[name] for name in included]), y, names=included)
+        except (NumericalError, ValidationError) as exc:
+            raise _unfittable(step, included) from exc
     return StepwiseTrace(
         events=tuple(events),
         selected=tuple(included),
-        fit=fit if included else None,
+        fit=fit,
         diagnostics=tuple(diagnostics),
     )
+
+
+def _unfittable(step: int, included: list[str]) -> NumericalError:
+    return NumericalError(f"step {step}: the included set {included} cannot be fitted")

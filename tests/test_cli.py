@@ -347,6 +347,23 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert "sloc for 'L' must be finite" in err
 
+    def test_overflowing_function_points_is_a_numerical_error(self, capsys, tmp_path):
+        gearing = tmp_path / "gearing.json"
+        gearing.write_text(json.dumps({"factors": {"C": 1e-300, "Java": 50, "Python": 40}}))
+        lines = Path("data/responses.sample.csv").read_text().splitlines()
+        header, first = lines[0].split(","), lines[1].split(",")
+        first[header.index("sloc:C")] = "1e300"
+        responses = tmp_path / "responses.csv"
+        responses.write_text("\n".join([lines[0], ",".join(first), *lines[2:]]) + "\n")
+        for argv in (
+            ["backfire", "--sloc", '{"C": 1e300}', "--gearing", str(gearing)],
+            ["ingest", "--responses", str(responses), "--gearing", str(gearing)],
+        ):
+            rc, out, err = _run(capsys, argv)
+            assert rc == EXIT_NUMERICAL, argv
+            assert out == ""
+            assert err.startswith("numerical error:") and "overflows" in err
+
     def test_huge_integer_cell_is_a_validation_error(self, work, capsys, tmp_path):
         doc = json.loads((work / "small.json").read_text())
         doc["rows"][0]["values"][-1] = "HUGE"

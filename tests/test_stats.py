@@ -72,6 +72,14 @@ class TestTPvalue:
                 oracle = 2.0 * float(scipy.stats.t.sf(abs(t), df))
                 assert t_pvalue(t, df) == pytest.approx(oracle, abs=1e-12)
 
+    def test_near_one_against_scipy(self):
+        # a small t makes df/(df+t^2) round to 1; p must keep its digits below 1
+        for df in (30, 2e4, 1e7):
+            for t in (1e-8, 1e-7, 1e-6, 1.33e-6, 1e-5, 1e-4):
+                oracle = 2.0 * float(scipy.stats.t.sf(t, df))
+                assert t_pvalue(t, df) == pytest.approx(oracle, rel=1e-12), (df, t)
+                assert t_pvalue(t, df) < 1.0
+
     def test_df_validated(self):
         with pytest.raises(ValidationError):
             t_pvalue(1.0, 0)

@@ -125,9 +125,11 @@ class TestAuditability:
         assert trace.selected
         design = np.column_stack([cols[name] for name in trace.selected])
         scratch = ols_fit(design, y, names=list(trace.selected))
-        assert trace.fit.coef == pytest.approx(scratch.coef, abs=1e-10)
-        assert trace.fit.intercept == pytest.approx(scratch.intercept, abs=1e-10)
-        assert trace.fit.r2 == pytest.approx(scratch.r2, abs=1e-10)
+        # the reported fit is this same ols_fit, so it matches exactly
+        np.testing.assert_array_equal(trace.fit.coef, scratch.coef)
+        np.testing.assert_array_equal(trace.fit.pvalue, scratch.pvalue)
+        assert trace.fit.intercept == scratch.intercept
+        assert trace.fit.r2 == scratch.r2
 
     def test_determinism(self):
         cols, y = _planted(seed=9, n=80)
@@ -155,13 +157,22 @@ class TestAuditability:
 
 class TestDegenerateCandidates:
     def test_collinear_candidate_skipped_with_diagnostic(self):
+        # each pair ties exactly (a copy, or a power-of-two multiple, of x1):
+        # the first declared enters, the other is then rank-deficient next to it
         rng = np.random.default_rng(4)
         x1 = rng.normal(size=50)
         y = 2.0 * x1 + rng.normal(scale=0.3, size=50)
-        cols = {"x1": x1, "dup": 2.0 * x1}
-        trace = stepwise_fit(cols, y, StepwiseConfig())
-        assert trace.selected == ("x1",)
-        assert any("dup" in d for d in trace.diagnostics)
+        for cols in (
+            {"x1": x1, "dup": 2.0 * x1},
+            {"x1": x1, "dup": x1.copy()},
+            {"x1": x1, "dup": -2.0 * x1},
+            {"dup": 2.0 * x1, "x1": x1},
+        ):
+            first, second = cols
+            trace = stepwise_fit(cols, y, StepwiseConfig())
+            assert trace.selected == (first,), cols
+            assert any(f"'{second}' skipped (design matrix is rank-deficient" in d
+                       for d in trace.diagnostics)
 
     def test_no_candidates_rejected(self):
         with pytest.raises(ValidationError):

@@ -2,15 +2,23 @@
 
 These values were recorded from the implementation before the stepwise entry
 scan was rewritten (the pipeline coefficients and event p-values before the
-least-squares problems were compressed to one triangular factor); any refactor
-of the numerical core must keep them.
+least-squares problems were compressed to one triangular factor, the
+all-predictor `catreg_fit` before its ALS loop was simplified); any refactor of
+the numerical core must keep them.
 """
 
 from pathlib import Path
 
 import pytest
 
-from catreg import compare_baseline, ingest_dataset, load_gearing, run_pipeline, save_dataset
+from catreg import (
+    catreg_fit,
+    compare_baseline,
+    ingest_dataset,
+    load_gearing,
+    run_pipeline,
+    save_dataset,
+)
 from catreg.cli import EXIT_OK, main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -56,6 +64,48 @@ ROUND_EVENTS = [
         (9, "Q4", 0.04134968036453795),
     ],
 ]
+
+# catreg_fit on all 25 declared predictors (22 ordinal items, 3 numeric):
+# (coefficient, p-value) per predictor
+CATREG_R2 = 0.8015217398523555
+CATREG_ADJ_R2 = 0.7335497329524773
+CATREG_TRACE = (
+    0.7266335067647463,
+    0.7966810142844972,
+    0.8008487499602767,
+    0.8014040409143484,
+    0.8014986855083837,
+    0.8015166723049325,
+    0.8015207503841602,
+    0.8015216864110223,
+)
+CATREG_TERMS = {
+    "Q1": (0.07309554233608782, 0.04190818264824388),
+    "Q2": (0.019676591907403486, 0.5951742488126014),
+    "Q3": (-0.34709681153231015, 1.1870233163017116e-17),
+    "Q4": (-0.08144304895893212, 0.022932303186467034),
+    "Q5": (-0.017434725524898678, 0.6411302276468249),
+    "Q6": (-0.046316932710312966, 0.21264227317562323),
+    "Q7": (0.08433794684705767, 0.020329154775850233),
+    "Q8": (0.09074955341641988, 0.012984688359549508),
+    "Q9": (0.27496243270739207, 2.412904463746991e-12),
+    "Q10": (0.4353636011419575, 2.7315685851774624e-24),
+    "Q11": (0.03142354307823453, 0.3824243726928046),
+    "Q12": (-0.025661439535395243, 0.4699449510498912),
+    "Q13": (0.10628286807501429, 0.0034580264184323997),
+    "Q14": (0.015953536706807797, 0.6564610836247907),
+    "Q15": (0.02539460981265496, 0.4735535964259735),
+    "Q16": (-0.05942395675698267, 0.09986842673355922),
+    "Q17": (-0.024613912645618324, 0.5080520088238201),
+    "Q18": (0.394695111553927, 3.718472408587194e-21),
+    "Q19": (0.05873030692223677, 0.09674726631007691),
+    "Q20": (-0.06042690148582293, 0.10923850721050299),
+    "Q21": (-0.042341777263682726, 0.2457843447392597),
+    "Q22": (0.06847877157746123, 0.0592558599985125),
+    "Ln(FP)": (0.3071788435610193, 4.5583060463470136e-15),
+    "Ln(Developer)": (0.03435955037131278, 0.3645126271719239),
+    "Ln(Duration)": (0.24632174403743756, 9.971237667481942e-11),
+}
 
 FOLD_MMRES = {
     "dummy-ols": [
@@ -131,6 +181,20 @@ def test_pipeline_coefficients_and_event_pvalues(pipeline):
         assert [e.pvalue for e in events] == pytest.approx(
             [p for _, _, p in expected], rel=1e-9
         )
+
+
+def test_catreg_fit_all_predictors(sample):
+    fit = catreg_fit(sample[0])
+    assert fit.predictors == tuple(CATREG_TERMS)
+    assert fit.iterations == len(CATREG_TRACE)
+    assert fit.converged
+    assert fit.r2 == pytest.approx(CATREG_R2, rel=1e-12)
+    assert fit.adj_r2 == pytest.approx(CATREG_ADJ_R2, rel=1e-12)
+    assert fit.r2_trace == pytest.approx(CATREG_TRACE, rel=1e-12)
+    assert fit.coef == pytest.approx({k: c for k, (c, _) in CATREG_TERMS.items()}, rel=1e-12)
+    assert fit.pvalues == pytest.approx({k: p for k, (_, p) in CATREG_TERMS.items()}, rel=1e-12)
+    assert fit.degenerate == ()
+    assert fit.diagnostics == ()
 
 
 def test_compare_k6(sample):

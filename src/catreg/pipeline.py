@@ -64,7 +64,6 @@ class PipelineResult:
     converged: bool
     empty_model: bool
     model: "SerializedModel | None"
-    final_catreg: CatregFit | None
 
 
 def _split_ln_name(name: str) -> tuple[str, str]:
@@ -327,7 +326,6 @@ def run_pipeline(
                 converged=False,
                 empty_model=True,
                 model=None,
-                final_catreg=cfit,
             )
         if set(selected) == set(current):
             converged = True
@@ -342,7 +340,6 @@ def run_pipeline(
         converged=converged,
         empty_model=False,
         model=model,
-        final_catreg=cfit,
     )
 
 

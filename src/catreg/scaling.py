@@ -20,6 +20,13 @@ so the per-iteration R^2 trace is non-decreasing. Iteration stops when the R^2
 gain drops below `epsilon` or `max_iterations` is reached (the latter yields a
 fit flagged as non-converged, not an exception). Coefficients, p-values and
 R^2 are read off a final joint least-squares pass over the quantified columns.
+
+The loop keeps one record per predictor (a numeric one holds its standardized
+column; a categorical one its codes, labels, counts and level) and one
+category update, `_quantify`. The fitted values are summed afresh once per
+sweep, at its end, for R^2; that sum is also where the next sweep starts. The
+ALS calls the PAVA kernel without `pava`'s checks: its weights are category
+counts (each at least 1) and its values are finite category means.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .data import (
     population_standardize,
 )
 from .errors import NumericalError, ValidationError, require_number
-from .stats import OlsFit, adjusted_r2, ols_fit
+from .stats import adjusted_r2, ols_fit
 
 # mean square below this is treated as a collapsed (degenerate) quantification
 _DEGENERATE_MS = 1e-24
@@ -68,6 +75,10 @@ class CatregConfig:
         require_number("epsilon", self.epsilon)
         require_number("max_iterations", self.max_iterations, integer=True)
         require_number("random_restarts", self.random_restarts, integer=True)
+        if self.seed is not None:
+            require_number("seed", self.seed, integer=True)
+            if self.seed < 0:
+                raise ValidationError("seed must be >= 0")
         if not (self.epsilon > 0):
             raise ValidationError("epsilon must be positive")
         if self.max_iterations < 1:
@@ -95,33 +106,22 @@ def pava(values, weights=None, increasing: bool = True) -> np.ndarray:
             raise ValidationError("weights must be strictly positive and finite")
     if not np.all(np.isfinite(v)):
         raise ValidationError("values must be finite")
-    if not increasing:
-        return -_pava_increasing(-v, w)
-    return _pava_increasing(v, w)
+    return _pava_increasing(v, w) if increasing else -_pava_increasing(-v, w)
 
 
 def _pava_increasing(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # classic stack of blocks; merge while the last two violate the order
-    means: list[float] = []
-    wsum: list[float] = []
-    counts: list[int] = []
-    for y, wt in zip(v, w):
-        means.append(float(y))
-        wsum.append(float(wt))
-        counts.append(1)
-        while len(means) > 1 and means[-2] > means[-1]:
-            m2, w2, c2 = means.pop(), wsum.pop(), counts.pop()
-            m1, w1, c1 = means.pop(), wsum.pop(), counts.pop()
+    # classic stack of [mean, weight, count] blocks; merge while the last two
+    # violate the order
+    blocks: list[list] = []
+    for y, wt in zip(v.tolist(), w.tolist()):
+        blocks.append([y, wt, 1])
+        while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
+            m2, w2, c2 = blocks.pop()
+            m1, w1, c1 = blocks[-1]
             tot = w1 + w2
-            means.append((m1 * w1 + m2 * w2) / tot)
-            wsum.append(tot)
-            counts.append(c1 + c2)
-    out = np.empty_like(v)
-    pos = 0
-    for m, c in zip(means, counts):
-        out[pos : pos + c] = m
-        pos += c
-    return out
+            blocks[-1] = [(m1 * w1 + m2 * w2) / tot, tot, c1 + c2]
+    means, _, counts = zip(*blocks)
+    return np.repeat(means, counts)
 
 
 @dataclass(frozen=True)
@@ -148,21 +148,17 @@ class CatregFit:
     r2_trace: tuple[float, ...]
     degenerate: tuple[str, ...]
     diagnostics: tuple[str, ...]
-    ols: OlsFit
     n: int
 
 
-# per-predictor inputs of the ALS loop
-_NumState = namedtuple("_NumState", "name x mean scale")
-_CatState = namedtuple("_CatState", "name ordinal codes cats counts")
+# one record per predictor: a numeric one carries its standardized column x
+# (codes None); a categorical one its codes, observed labels, category counts
+# and whether it is ordinal
+_Predictor = namedtuple("_Predictor", "name x codes cats counts ordinal")
 
 
 def _standardize_category_values(w: np.ndarray, counts: np.ndarray, n: int):
-    """Standardize per-category values to weighted mean 0 / mean square 1.
-
-    Returns None when the values (weighted by category counts) carry no
-    variance, i.e. the quantification has collapsed.
-    """
+    """Per-category values at count-weighted mean 0 / mean square 1; None if they collapse."""
     mean = float((w * counts).sum() / n)
     centered = w - mean
     ms = float((counts * centered**2).sum() / n)
@@ -171,12 +167,24 @@ def _standardize_category_values(w: np.ndarray, counts: np.ndarray, n: int):
     return centered / math.sqrt(ms)
 
 
-def _orient_nominal(v: np.ndarray) -> np.ndarray:
-    # deterministic orientation: first observed category with a nonzero value
-    # must be negative (matches the category-index initialization)
-    for val in v:
-        if val != 0.0:
-            return -v if val > 0 else v
+def _quantify(means: np.ndarray, counts: np.ndarray, n: int, ordinal: bool):
+    """The standardized quantification fitted to the category means, or None
+    when it collapses.
+
+    An ordinal item takes the PAVA fit in whichever direction has the lower
+    weighted SSE, stored non-decreasing (the coefficient carries the sign). A
+    nominal item takes the means, oriented so that its first nonzero value is
+    negative, as in the category-index initialization.
+    """
+    w = means
+    if ordinal:
+        inc = _pava_increasing(means, counts)
+        neg = _pava_increasing(-means, counts)  # the non-increasing fit, negated
+        sse_inc = (counts * (means - inc) ** 2).sum()
+        w = inc if sse_inc <= (counts * (means + neg) ** 2).sum() else neg
+    v = _standardize_category_values(w, counts, n)
+    if v is not None and not ordinal and next((x for x in v if x != 0.0), 0.0) > 0:
+        return -v
     return v
 
 
@@ -189,17 +197,16 @@ def catreg_fit(dataset: Dataset, predictors=None, config: CatregConfig | None = 
     quantification parameters.
     """
     cfg = config or CatregConfig()
-    dep = dataset.dependent
     names = list(predictors) if predictors is not None else [v.name for v in dataset.predictors]
     if not names:
         raise ValidationError("catreg_fit needs at least one predictor")
     if len(set(names)) != len(names):
         raise ValidationError("duplicate predictor names")
     n = dataset.n
-    y = dataset.column(dep.name)
-    z, _, _ = population_standardize(y)
+    z, _, _ = population_standardize(dataset.column(dataset.dependent.name))
 
-    states: list = []
+    records: list[_Predictor] = []
+    numeric_map: dict = {}
     free_params = 0
     for name in names:
         var = dataset.variable(name)
@@ -207,7 +214,8 @@ def catreg_fit(dataset: Dataset, predictors=None, config: CatregConfig | None = 
             raise ValidationError(f"variable '{name}' is not a predictor")
         if var.level == NUMERIC:
             x, mean, scale = population_standardize(dataset.column(name))
-            states.append(_NumState(name, x, mean, scale))
+            numeric_map[name] = (mean, scale)
+            records.append(_Predictor(name, x, None, None, None, False))
             free_params += 1
         else:
             codes, cats = dataset.codes(name)
@@ -216,166 +224,115 @@ def catreg_fit(dataset: Dataset, predictors=None, config: CatregConfig | None = 
                     f"categorical predictor '{name}' needs at least two observed categories"
                 )
             counts = np.bincount(codes, minlength=len(cats)).astype(float)
-            states.append(_CatState(name, var.level == ORDINAL, codes, cats, counts))
+            records.append(_Predictor(name, None, codes, cats, counts, var.level == ORDINAL))
             free_params += len(cats) - 1
     if n <= free_params:
         raise ValidationError(
             f"n = {n} must exceed the {free_params} free quantification parameters"
         )
+    rng = np.random.default_rng(cfg.seed) if cfg.random_restarts else None
 
-    def default_init(st: _CatState) -> np.ndarray:
-        v = _standardize_category_values(
-            np.arange(len(st.cats), dtype=float), st.counts, n
-        )
-        assert v is not None  # >= 2 observed categories with positive counts
-        return v
+    def start(p: _Predictor, restart: bool) -> np.ndarray:
+        # standardized category indices (never collapsed: >= 2 categories with
+        # positive counts), or seeded random values on a restart
+        while True:
+            w = rng.normal(size=len(p.cats)) if restart else np.arange(len(p.cats), dtype=float)
+            v = _standardize_category_values(w, p.counts, n)
+            if v is not None:
+                return v
 
-    def run(init_for) -> SimpleNamespace:
-        quants: list = []
-        columns: list = []
-        for st in states:
-            if isinstance(st, _NumState):
-                quants.append(None)
-                columns.append(st.x)
-            else:
-                v = init_for(st)
-                quants.append(v)
-                columns.append(v[st.codes])
-        beta = np.zeros(len(states))
-        degenerate = [False] * len(states)
+    def run(restart: bool) -> SimpleNamespace:
+        quants = [None if p.codes is None else start(p, restart) for p in records]
+        columns = [p.x if v is None else v[p.codes] for p, v in zip(records, quants)]
+        beta = np.zeros(len(records))
+        degenerate = [False] * len(records)
         trace: list[float] = []
-        converged = False
-        iterations = 0
-        for _ in range(cfg.max_iterations):
-            iterations += 1
-            yhat = np.zeros(n)
-            for j in range(len(states)):
-                yhat += beta[j] * columns[j]
-            for j, st in enumerate(states):
+        yhat = np.zeros(n)  # the fit of beta = 0, where the first sweep starts
+        while True:
+            for j, p in enumerate(records):
                 u = z - yhat + beta[j] * columns[j]
-                if isinstance(st, _NumState):
-                    new_beta = float(st.x @ u) / n
-                    yhat += (new_beta - beta[j]) * st.x
+                if p.codes is None:
+                    new_beta = float(p.x @ u) / n
+                    yhat += (new_beta - beta[j]) * p.x
                     beta[j] = new_beta
                     continue
-                means = np.bincount(st.codes, weights=u, minlength=len(st.cats)) / st.counts
-                if st.ordinal:
-                    inc = pava(means, st.counts, increasing=True)
-                    dec = pava(means, st.counts, increasing=False)
-                    sse_inc = float((st.counts * (means - inc) ** 2).sum())
-                    sse_dec = float((st.counts * (means - dec) ** 2).sum())
-                    # keep the better-fitting direction; store non-decreasing
-                    # values and let the coefficient carry the sign
-                    w = inc if sse_inc <= sse_dec else -dec
-                else:
-                    w = means
-                v = _standardize_category_values(w, st.counts, n)
+                means = np.bincount(p.codes, weights=u, minlength=len(p.cats)) / p.counts
+                v = _quantify(means, p.counts, n, p.ordinal)
+                degenerate[j] = v is None
                 if v is None:
                     # collapsed this sweep: contribute nothing, keep the old
                     # (still standardized) quantification for bookkeeping
                     yhat -= beta[j] * columns[j]
                     beta[j] = 0.0
-                    degenerate[j] = True
                     continue
-                if not st.ordinal:
-                    v = _orient_nominal(v)
-                degenerate[j] = False
-                col = v[st.codes]
+                col = v[p.codes]
                 new_beta = float(col @ u) / n
                 yhat += new_beta * col - beta[j] * columns[j]
-                quants[j] = v
-                columns[j] = col
-                beta[j] = new_beta
+                quants[j], columns[j], beta[j] = v, col, new_beta
+            # the fit summed afresh gives this sweep's R^2 and the next start
             yhat = np.zeros(n)
-            for j in range(len(states)):
-                yhat += beta[j] * columns[j]
+            for b, col in zip(beta, columns):
+                yhat += b * col
             resid = z - yhat
-            r2 = 1.0 - float(resid @ resid) / n
-            trace.append(r2)
-            if len(trace) >= 2 and trace[-1] - trace[-2] < cfg.epsilon:
-                converged = True
+            trace.append(1.0 - float(resid @ resid) / n)
+            converged = len(trace) >= 2 and trace[-1] - trace[-2] < cfg.epsilon
+            if converged or len(trace) == cfg.max_iterations:
                 break
 
-        active = [j for j in range(len(states)) if not degenerate[j]]
+        active = [j for j in range(len(records)) if not degenerate[j]]
         if not active:
-            raise NumericalError(
-                "every predictor's quantification collapsed; nothing to fit"
-            )
+            raise NumericalError("every predictor's quantification collapsed; nothing to fit")
         design = np.column_stack([columns[j] for j in active])
-        ols = ols_fit(design, z, names=[states[j].name for j in active])
+        ols = ols_fit(design, z, names=[records[j].name for j in active])
         return SimpleNamespace(
-            ols=ols, quants=quants, trace=trace, iterations=iterations,
-            converged=converged, degenerate=degenerate,
+            ols=ols, quants=quants, trace=trace, converged=converged, degenerate=degenerate
         )
 
-    best = run(default_init)
-    if cfg.random_restarts > 0:
-        rng = np.random.default_rng(cfg.seed)
+    best = run(False)
+    for _ in range(cfg.random_restarts):
+        candidate = run(True)
+        if candidate.ols.r2 > best.ols.r2:
+            best = candidate
 
-        def random_init(st: _CatState) -> np.ndarray:
-            while True:
-                v = _standardize_category_values(
-                    rng.normal(size=len(st.cats)), st.counts, n
-                )
-                if v is not None:
-                    return v
-
-        for _ in range(cfg.random_restarts):
-            candidate = run(random_init)
-            if candidate.ols.r2 > best.ols.r2:
-                best = candidate
-
-    categorical_map: dict = {}
-    numeric_map: dict = {}
-    df_effective = 0
-    coef: dict = {}
-    pvalues: dict = {}
-    diagnostics: list[str] = []
-    ols_index = {name: k for k, name in enumerate(best.ols.names)}
-    for j, st in enumerate(states):
-        if isinstance(st, _NumState):
-            numeric_map[st.name] = (st.mean, st.scale)
-        else:
-            v = best.quants[j]
-            categorical_map[st.name] = {cat: float(v[k]) for k, cat in enumerate(st.cats)}
-        if best.degenerate[j]:
-            coef[st.name] = 0.0
-            pvalues[st.name] = math.nan
-            diagnostics.append(
-                f"predictor '{st.name}': quantification collapsed to a single value; "
-                "excluded from the final fit"
-            )
-            continue
-        if isinstance(st, _NumState):
-            df_effective += 1
-        elif st.ordinal:
-            df_effective += len(set(best.quants[j].tolist())) - 1
-        else:
-            df_effective += len(st.cats) - 1
-        k = ols_index[st.name]
-        coef[st.name] = float(best.ols.coef[k])
-        pvalues[st.name] = float(best.ols.pvalue[k])
+    degenerate = [p.name for p, d in zip(records, best.degenerate) if d]
+    diagnostics = [
+        f"predictor '{name}': quantification collapsed to a single value; "
+        "excluded from the final fit"
+        for name in degenerate
+    ]
     if not best.converged:
         diagnostics.append(
             f"did not converge within {cfg.max_iterations} iterations "
             f"(last R^2 gain >= {cfg.epsilon})"
         )
-
+    # effective parameters: a numeric slope counts 1, an ordinal item its
+    # distinct values - 1, a nominal item its categories - 1
+    df_effective = sum(
+        1 if v is None else len(set(v.tolist())) - 1 if p.ordinal else len(p.cats) - 1
+        for p, v, d in zip(records, best.quants, best.degenerate)
+        if not d
+    )
+    coef = dict.fromkeys(names, 0.0)
+    coef.update(zip(best.ols.names, best.ols.coef.tolist()))
+    pvalues = dict.fromkeys(names, math.nan)
+    pvalues.update(zip(best.ols.names, best.ols.pvalue.tolist()))
     r2 = best.ols.r2
-    adj = adjusted_r2(r2, n, df_effective) if n > df_effective + 1 else math.nan
-
+    categorical_map = {
+        p.name: dict(zip(p.cats, v.tolist()))
+        for p, v in zip(records, best.quants)
+        if v is not None
+    }
     return CatregFit(
         predictors=tuple(names),
         quantifications=QuantificationMap(categorical=categorical_map, numeric=numeric_map),
         coef=coef,
         pvalues=pvalues,
         r2=r2,
-        adj_r2=adj,
-        iterations=best.iterations,
+        adj_r2=adjusted_r2(r2, n, df_effective) if n > df_effective + 1 else math.nan,
+        iterations=len(best.trace),
         converged=best.converged,
         r2_trace=tuple(best.trace),
-        degenerate=tuple(st.name for j, st in enumerate(states) if best.degenerate[j]),
+        degenerate=tuple(degenerate),
         diagnostics=tuple(diagnostics),
-        ols=best.ols,
         n=n,
     )

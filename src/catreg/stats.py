@@ -95,6 +95,11 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     )
 
 
+def _stirling_tail(x: float) -> float:
+    # lgamma(x) - ((x - 1/2) log x - x + log(2 pi) / 2), to about 1e-17 for x >= 100
+    return 1.0 / (12.0 * x) - 1.0 / (360.0 * x**3) + 1.0 / (1260.0 * x**5)
+
+
 def _inc_beta(a: float, b: float, x: float, xc: float) -> float:
     # I_x(a, b) with xc = 1 - x from the caller: the log of whichever of x and
     # xc lies near 1 is taken as log1p of the other, and the symmetric branch
@@ -105,9 +110,18 @@ def _inc_beta(a: float, b: float, x: float, xc: float) -> float:
         return 1.0
     ln_x = math.log(x) if x < 0.5 else math.log1p(-xc)
     ln_xc = math.log1p(-x) if x < 0.5 else math.log(xc)
-    front = math.exp(
-        a * ln_x + b * ln_xc + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-    )
+    if max(a, b) < 100.0:
+        log_front = a * ln_x + b * ln_xc + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    else:
+        # lgamma(big + small) - lgamma(big) from Stirling's series, which
+        # avoids subtracting two nearly equal large lgamma values
+        big, small = max(a, b), min(a, b)
+        log_front = (
+            a * ln_x + b * ln_xc + (big - 0.5) * math.log1p(small / big)
+            + small * math.log(big + small) - small
+            + _stirling_tail(big + small) - _stirling_tail(big) - math.lgamma(small)
+        )
+    front = math.exp(log_front)
     # use the expansion on the side where it converges fast, the symmetry
     # I_x(a,b) = 1 - I_{1-x}(b,a) on the other
     if x < (a + 1.0) / (a + b + 2.0):

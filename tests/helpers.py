@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -11,15 +12,20 @@ import numpy as np
 from catreg import (
     DEPENDENT,
     NUMERIC,
+    ORDINAL,
     PREDICTOR,
+    CatregConfig,
     Dataset,
     NumericalError,
     Observation,
+    QuantificationMap,
     UnseenCategoryError,
     ValidationError,
     Variable,
     dummy_design,
     ols_fit,
+    pava,
+    population_standardize,
     run_pipeline,
 )
 from catreg.stats import adjusted_r2, t_pvalue
@@ -165,9 +171,9 @@ def assert_trace_monotone(fit, tol: float = 1e-12) -> None:
 
 # --- oracles ---------------------------------------------------------------
 # The straightforward implementations that the library replaced: a least
-# squares fit by SVD rank screen + QR solve + inv(R), and a stepwise entry
-# scan that refits every candidate from scratch. Kept only to check the faster
-# code against.
+# squares fit by SVD rank screen + QR solve + inv(R), a stepwise entry scan
+# that refits every candidate from scratch, and (further down) the ALS loop
+# before it was simplified. Kept only to check the library code against.
 
 
 def oracle_ols_fit(design, response, names=None):
@@ -456,3 +462,214 @@ def oracle_fold_predictions(method: str, train: Dataset, full: Dataset, rows, co
         except UnseenCategoryError:
             out.append(None)
     return out
+
+
+def oracle_pava(values, weights, increasing: bool = True) -> np.ndarray:
+    """Pool-adjacent-violators on parallel mean/weight/count stacks."""
+    v = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if not increasing:
+        return -oracle_pava(-v, w)
+    means: list[float] = []
+    wsum: list[float] = []
+    counts: list[int] = []
+    for y, wt in zip(v, w):
+        means.append(float(y))
+        wsum.append(float(wt))
+        counts.append(1)
+        while len(means) > 1 and means[-2] > means[-1]:
+            m2, w2, c2 = means.pop(), wsum.pop(), counts.pop()
+            m1, w1, c1 = means.pop(), wsum.pop(), counts.pop()
+            tot = w1 + w2
+            means.append((m1 * w1 + m2 * w2) / tot)
+            wsum.append(tot)
+            counts.append(c1 + c2)
+    out = np.empty_like(v)
+    pos = 0
+    for m, c in zip(means, counts):
+        out[pos : pos + c] = m
+        pos += c
+    return out
+
+
+# The ALS loop as it stood before its per-predictor records: one namedtuple
+# type per level, the public (validating) `pava` for both directions and the
+# fitted values summed afresh at the start and at the end of every sweep.
+_OracleNum = namedtuple("_OracleNum", "name x mean scale")
+_OracleCat = namedtuple("_OracleCat", "name ordinal codes cats counts")
+
+
+def _oracle_standardize(w, counts, n: int):
+    mean = float((w * counts).sum() / n)
+    centered = w - mean
+    ms = float((counts * centered**2).sum() / n)
+    if ms <= 1e-24:
+        return None
+    return centered / math.sqrt(ms)
+
+
+def _oracle_orient_nominal(v):
+    for val in v:
+        if val != 0.0:
+            return -v if val > 0 else v
+    return v
+
+
+def oracle_catreg_fit(dataset: Dataset, predictors=None, config=None):
+    """catreg_fit's result fields (no `ols`) from the loop written out in full."""
+    cfg = config or CatregConfig()
+    names = list(predictors) if predictors is not None else [v.name for v in dataset.predictors]
+    n = dataset.n
+    z, _, _ = population_standardize(dataset.column(dataset.dependent.name))
+
+    states: list = []
+    for name in names:
+        var = dataset.variable(name)
+        if var.level == NUMERIC:
+            x, mean, scale = population_standardize(dataset.column(name))
+            states.append(_OracleNum(name, x, mean, scale))
+        else:
+            codes, cats = dataset.codes(name)
+            counts = np.bincount(codes, minlength=len(cats)).astype(float)
+            states.append(_OracleCat(name, var.level == ORDINAL, codes, cats, counts))
+
+    def default_init(st):
+        return _oracle_standardize(np.arange(len(st.cats), dtype=float), st.counts, n)
+
+    def run(init_for):
+        quants: list = []
+        columns: list = []
+        for st in states:
+            if isinstance(st, _OracleNum):
+                quants.append(None)
+                columns.append(st.x)
+            else:
+                v = init_for(st)
+                quants.append(v)
+                columns.append(v[st.codes])
+        beta = np.zeros(len(states))
+        degenerate = [False] * len(states)
+        trace: list[float] = []
+        converged = False
+        iterations = 0
+        for _ in range(cfg.max_iterations):
+            iterations += 1
+            yhat = np.zeros(n)
+            for j in range(len(states)):
+                yhat += beta[j] * columns[j]
+            for j, st in enumerate(states):
+                u = z - yhat + beta[j] * columns[j]
+                if isinstance(st, _OracleNum):
+                    new_beta = float(st.x @ u) / n
+                    yhat += (new_beta - beta[j]) * st.x
+                    beta[j] = new_beta
+                    continue
+                means = np.bincount(st.codes, weights=u, minlength=len(st.cats)) / st.counts
+                if st.ordinal:
+                    inc = pava(means, st.counts, increasing=True)
+                    dec = pava(means, st.counts, increasing=False)
+                    sse_inc = float((st.counts * (means - inc) ** 2).sum())
+                    sse_dec = float((st.counts * (means - dec) ** 2).sum())
+                    w = inc if sse_inc <= sse_dec else -dec
+                else:
+                    w = means
+                v = _oracle_standardize(w, st.counts, n)
+                if v is None:
+                    yhat -= beta[j] * columns[j]
+                    beta[j] = 0.0
+                    degenerate[j] = True
+                    continue
+                if not st.ordinal:
+                    v = _oracle_orient_nominal(v)
+                degenerate[j] = False
+                col = v[st.codes]
+                new_beta = float(col @ u) / n
+                yhat += new_beta * col - beta[j] * columns[j]
+                quants[j] = v
+                columns[j] = col
+                beta[j] = new_beta
+            yhat = np.zeros(n)
+            for j in range(len(states)):
+                yhat += beta[j] * columns[j]
+            resid = z - yhat
+            r2 = 1.0 - float(resid @ resid) / n
+            trace.append(r2)
+            if len(trace) >= 2 and trace[-1] - trace[-2] < cfg.epsilon:
+                converged = True
+                break
+
+        active = [j for j in range(len(states)) if not degenerate[j]]
+        if not active:
+            raise NumericalError("every predictor's quantification collapsed; nothing to fit")
+        design = np.column_stack([columns[j] for j in active])
+        ols = ols_fit(design, z, names=[states[j].name for j in active])
+        return SimpleNamespace(
+            ols=ols, quants=quants, trace=trace, iterations=iterations,
+            converged=converged, degenerate=degenerate,
+        )
+
+    best = run(default_init)
+    if cfg.random_restarts > 0:
+        rng = np.random.default_rng(cfg.seed)
+
+        def random_init(st):
+            while True:
+                v = _oracle_standardize(rng.normal(size=len(st.cats)), st.counts, n)
+                if v is not None:
+                    return v
+
+        for _ in range(cfg.random_restarts):
+            candidate = run(random_init)
+            if candidate.ols.r2 > best.ols.r2:
+                best = candidate
+
+    categorical_map: dict = {}
+    numeric_map: dict = {}
+    df_effective = 0
+    coef: dict = {}
+    pvalues: dict = {}
+    diagnostics: list[str] = []
+    ols_index = {name: k for k, name in enumerate(best.ols.names)}
+    for j, st in enumerate(states):
+        if isinstance(st, _OracleNum):
+            numeric_map[st.name] = (st.mean, st.scale)
+        else:
+            v = best.quants[j]
+            categorical_map[st.name] = {cat: float(v[k]) for k, cat in enumerate(st.cats)}
+        if best.degenerate[j]:
+            coef[st.name] = 0.0
+            pvalues[st.name] = math.nan
+            diagnostics.append(
+                f"predictor '{st.name}': quantification collapsed to a single value; "
+                "excluded from the final fit"
+            )
+            continue
+        if isinstance(st, _OracleNum):
+            df_effective += 1
+        elif st.ordinal:
+            df_effective += len(set(best.quants[j].tolist())) - 1
+        else:
+            df_effective += len(st.cats) - 1
+        k = ols_index[st.name]
+        coef[st.name] = float(best.ols.coef[k])
+        pvalues[st.name] = float(best.ols.pvalue[k])
+    if not best.converged:
+        diagnostics.append(
+            f"did not converge within {cfg.max_iterations} iterations "
+            f"(last R^2 gain >= {cfg.epsilon})"
+        )
+    r2 = best.ols.r2
+    return SimpleNamespace(
+        predictors=tuple(names),
+        quantifications=QuantificationMap(categorical=categorical_map, numeric=numeric_map),
+        coef=coef,
+        pvalues=pvalues,
+        r2=r2,
+        adj_r2=adjusted_r2(r2, n, df_effective) if n > df_effective + 1 else math.nan,
+        iterations=best.iterations,
+        converged=best.converged,
+        r2_trace=tuple(best.trace),
+        degenerate=tuple(st.name for j, st in enumerate(states) if best.degenerate[j]),
+        diagnostics=tuple(diagnostics),
+        n=n,
+    )

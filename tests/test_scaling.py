@@ -26,6 +26,8 @@ from helpers import (
     assert_trace_monotone,
     mixed_dataset,
     numeric_dataset,
+    oracle_catreg_fit,
+    oracle_pava,
     single_cat_dataset,
 )
 
@@ -86,6 +88,23 @@ class TestPava:
         # projection is idempotent
         assert pava(fitted, weights=weights) == pytest.approx(fitted, abs=1e-9)
 
+    @given(
+        st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1.0, 3.5])),
+                 min_size=1, max_size=15),
+        st.data(),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_exactly(self, values, data, increasing):
+        weights = data.draw(
+            st.lists(st.one_of(st.floats(1e-3, 1e3), st.integers(1, 9)),
+                     min_size=len(values), max_size=len(values))
+        )
+        got = pava(values, weights=weights, increasing=increasing)
+        want = oracle_pava(values, weights, increasing)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=10))
     @settings(max_examples=200, deadline=None)
     def test_directions_are_mirror_images(self, values):
@@ -107,6 +126,59 @@ class TestCatregConfig:
             CatregConfig(max_iterations=0)
         with pytest.raises(ValidationError):
             CatregConfig(random_restarts=-1)
+        for seed in ("x", 1.5, -1, True):
+            with pytest.raises(ValidationError):
+                CatregConfig(seed=seed, random_restarts=1)
+        assert CatregConfig(seed=0, random_restarts=1).seed == 0
+        assert CatregConfig(seed=np.int64(7)).seed == 7
+
+
+def _collapsing_instance() -> Dataset:
+    # c1's category means of the response (and of x) are equal, so its
+    # quantification collapses no matter what beta_x is
+    variables = (
+        Variable("c1", "nominal", ("A", "B")),
+        Variable("x", "numeric"),
+        Variable("y", "numeric", role="dependent"),
+    )
+    base = [
+        ("A", -1.0, 1.0),
+        ("A", 1.0, 3.0),
+        ("B", -1.0, 0.0),
+        ("B", 1.0, 4.0),
+    ]
+    return Dataset(variables, tuple(Observation(r) for _ in range(3) for r in base))
+
+
+@st.composite
+def _mixed_items(draw) -> Dataset:
+    """A random mix of ordinal, nominal and numeric items with planted effects."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(20, 90))
+    levels = draw(st.lists(st.sampled_from(["ordinal", "nominal", "numeric"]), min_size=1, max_size=4))
+    variables, columns = [], []
+    y = rng.normal(scale=draw(st.sampled_from([0.1, 0.6, 3.0])), size=n)
+    for j, level in enumerate(levels):
+        if level == "numeric":
+            x = rng.normal(size=n)
+            y += rng.normal() * x
+            variables.append(Variable(f"v{j}", level))
+            columns.append(x.tolist())
+            continue
+        k = draw(st.integers(2, 5))
+        codes = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+        rng.shuffle(codes)
+        y += rng.normal(size=k)[codes]
+        cats = tuple("ABCDE"[:k])
+        variables.append(Variable(f"v{j}", level, cats))
+        columns.append([cats[c] for c in codes])
+    variables.append(Variable("y", "numeric", role="dependent"))
+    columns.append(y.tolist())
+    return Dataset(tuple(variables), tuple(Observation(row) for row in zip(*columns)))
+
+
+def _same(a, b) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
 
 
 def _binary_hand_instance() -> Dataset:
@@ -231,21 +303,7 @@ class TestCatregFit:
             assert quant2[new] == quant[old]
 
     def test_degenerate_predictor_reported_and_excluded(self):
-        # c1's category means of the response (and of x) are equal, so its
-        # quantification collapses no matter what beta_x is
-        variables = (
-            Variable("c1", "nominal", ("A", "B")),
-            Variable("x", "numeric"),
-            Variable("y", "numeric", role="dependent"),
-        )
-        base = [
-            ("A", -1.0, 1.0),
-            ("A", 1.0, 3.0),
-            ("B", -1.0, 0.0),
-            ("B", 1.0, 4.0),
-        ]
-        rows = tuple(Observation(r) for _ in range(3) for r in base)
-        fit = catreg_fit(Dataset(variables, rows))
+        fit = catreg_fit(_collapsing_instance())
         assert fit.degenerate == ("c1",)
         assert fit.coef["c1"] == 0.0
         assert math.isnan(fit.pvalues["c1"])
@@ -322,3 +380,25 @@ class TestCatregFit:
             fit = catreg_fit(mixed_dataset(seed))
             if not math.isnan(fit.adj_r2):
                 assert fit.adj_r2 <= fit.r2 + 1e-12
+
+    @given(
+        st.one_of(_mixed_items(), st.just(_collapsing_instance())),
+        st.one_of(st.integers(1, 3), st.just(200)),
+        st.one_of(st.just((None, 0)), st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 3))),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_exactly(self, ds, max_iterations, restarts):
+        seed, random_restarts = restarts
+        cfg = CatregConfig(max_iterations=max_iterations, seed=seed, random_restarts=random_restarts)
+        want = oracle_catreg_fit(ds, config=cfg)
+        got = catreg_fit(ds, config=cfg)
+        assert got.r2_trace == want.r2_trace
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert got.quantifications == want.quantifications
+        assert got.coef == want.coef
+        assert got.pvalues.keys() == want.pvalues.keys()
+        assert all(_same(got.pvalues[k], want.pvalues[k]) for k in got.pvalues)
+        assert (got.r2, got.n, got.predictors) == (want.r2, want.n, want.predictors)
+        assert _same(got.adj_r2, want.adj_r2)
+        assert got.degenerate == want.degenerate
+        assert got.diagnostics == want.diagnostics

@@ -71,6 +71,11 @@ class TestTPvalue:
             for t in (-4.2, -1.3, -0.1, 0.4, 2.6, 8.0):
                 oracle = 2.0 * float(scipy.stats.t.sf(abs(t), df))
                 assert t_pvalue(t, df) == pytest.approx(oracle, abs=1e-12)
+        # at large df the beta function's log is taken from Stirling's series
+        for df in (2e4, 2e5, 1e6):
+            for t in (-4.2, -1.3, -0.1, 0.4, 1.0, 2.6, 3.0, 8.0):
+                oracle = 2.0 * float(scipy.stats.t.sf(abs(t), df))
+                assert t_pvalue(t, df) == pytest.approx(oracle, rel=5e-11), (df, t)
 
     def test_near_one_against_scipy(self):
         # a small t makes df/(df+t^2) round to 1; p must keep its digits below 1

@@ -3,10 +3,13 @@
 These values were recorded from the implementation before the stepwise entry
 scan was rewritten (the pipeline coefficients and event p-values before the
 least-squares problems were compressed to one triangular factor, the
-all-predictor `catreg_fit` before its ALS loop was simplified); any refactor of
-the numerical core must keep them.
+all-predictor `catreg_fit` before its ALS loop was simplified, the ingest
+bytes and removal reasons before ingest and the dataset writer went by
+column); any refactor of the numerical core or of the ingest path must keep
+them.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,41 @@ from catreg import (
 from catreg.cli import EXIT_OK, main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+SAMPLE_INGEST_ARGS = [
+    "ingest",
+    "--responses", str(DATA / "responses.sample.csv"),
+    "--gearing", str(DATA / "gearing.sample.json"),
+]
+
+# sha256 of `catreg ingest` on the sample corpus: its stdout with
+# `--data-out sample.json`, the file it writes there, and its stdout without
+# `--data-out` (the payload then holds the dataset itself)
+INGEST_STDOUT_SHA256 = "a2d21499014cf44736694da40fe941d739e146161df74d68871f9e70899c547b"
+INGEST_DATA_OUT_SHA256 = "486d247a94059faa56cc42c5254dc2ec03accd2b2e82d272cf3bc87f8c79bcde"
+INGEST_INLINE_STDOUT_SHA256 = "0ac3268f299db8554cd4b422c1f809d707d29bffdf0de643a8fabe4214c04286"
+
+# ingest_dataset's removal report, in its own order
+REMOVALS = [
+    ("31", "missing answer for Q5"),
+    ("78", "missing defects"),
+    ("141", "missing duration"),
+]
+# ... and with outlier_zmax=2.5, which also screens the Ln(...) columns
+OUTLIER_REMOVALS = REMOVALS + [
+    ("18", "outlier on Ln(FP) (|z| = 3.45 > 2.5)"),
+    ("80", "outlier on Ln(FP) (|z| = 3.13 > 2.5); outlier on Ln(Defect) (|z| = 2.59 > 2.5)"),
+    ("90", "outlier on Ln(FP) (|z| = 2.66 > 2.5)"),
+    ("151", "outlier on Ln(FP) (|z| = 2.71 > 2.5)"),
+    ("124", "outlier on Ln(Duration) (|z| = 3.21 > 2.5)"),
+    ("153", "outlier on Ln(Duration) (|z| = 2.51 > 2.5)"),
+    ("157", "outlier on Ln(Duration) (|z| = 2.51 > 2.5)"),
+    ("199", "outlier on Ln(Duration) (|z| = 2.55 > 2.5)"),
+] + [
+    (rid, "outlier on Ln(Developer) (|z| = 2.56 > 2.5)")
+    for rid in ("8", "32", "35", "42", "58", "64", "89", "99", "100", "111", "129", "135")
+] + [
+    ("169", "outlier on Ln(Defect) (|z| = 2.59 > 2.5)"),
+]
 
 SELECTED = ("Q18", "Q10", "Q3", "Q9", "Ln(FP)", "Ln(Duration)", "Q13", "Q8", "Q4")
 
@@ -161,6 +199,29 @@ def test_ingest_keeps_197_and_removes_3(sample):
     dataset, removals = sample
     assert dataset.n == 197
     assert sorted(removals) == ["141", "31", "78"]
+
+
+def test_ingest_removal_reasons_in_order(sample):
+    assert list(sample[1].items()) == REMOVALS
+    dataset, removals = ingest_dataset(
+        str(DATA / "responses.sample.csv"), load_gearing(str(DATA / "gearing.sample.json")),
+        outlier_zmax=2.5,
+    )
+    assert list(removals.items()) == OUTLIER_REMOVALS
+    assert dataset.n == 200 - len(OUTLIER_REMOVALS)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_ingest_output_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(SAMPLE_INGEST_ARGS + ["--data-out", "sample.json"]) == EXIT_OK
+    assert _sha256(capsys.readouterr().out.encode()) == INGEST_STDOUT_SHA256
+    assert _sha256((tmp_path / "sample.json").read_bytes()) == INGEST_DATA_OUT_SHA256
+    assert main(SAMPLE_INGEST_ARGS) == EXIT_OK
+    assert _sha256(capsys.readouterr().out.encode()) == INGEST_INLINE_STDOUT_SHA256
 
 
 def test_pipeline_selection(pipeline):

@@ -9,10 +9,15 @@ id unique (a row without an id is known by its position).
 
 A Dataset is stored by column: categorical columns as integer codes into the
 declared categories, numeric columns as float64 (so an integer cell is
-written back as 3.0). Cells are checked column by column; if a check fails,
-a row-major rescan names the first bad cell. `subset` is fancy indexing with
-no second validation. Observation is only the row form for building a
-Dataset and for its JSON form.
+written back as 3.0). It is built from Observations or straight from columns
+of cells (as ingest and the JSON reader do); either way one column validator
+checks the cells, and if a check fails, a row-major rescan names the first bad
+cell. `subset` is fancy indexing with no second validation. Observation is
+only the row form of a Dataset.
+
+The JSON form is written from the columns: each row goes into the fixed
+frame that `json.dump(..., indent=2)` gives it, a chunk of rows at a time,
+with the same bytes.
 
 A QuantificationMap records the numeric values assigned to categories together
 with the affine standardization applied to numeric columns, so that any column
@@ -98,14 +103,24 @@ class Observation:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
-        if self.row_id is not None and not isinstance(self.row_id, str):
-            raise ValidationError("row_id must be a string when present")
+        _check_row_id(self.row_id)
+
+
+def _check_row_id(row_id) -> None:
+    if row_id is not None and not isinstance(row_id, str):
+        raise ValidationError("row_id must be a string when present")
 
 
 class Dataset:
     """An immutable, validated table over declared variables, stored by column."""
 
-    def __init__(self, variables, rows):
+    def __init__(self, variables, rows=(), *, columns=None, ids=None):
+        """Validate and store a table given row by row, or column by column.
+
+        `rows` holds Observations. Alternatively `columns` holds one cell
+        sequence per variable (labels or numbers, as in an Observation) and
+        `ids` one row id or None per row; `rows` is then ignored.
+        """
         variables = tuple(variables)
         names = [v.name for v in variables]
         if not names:
@@ -119,19 +134,31 @@ class Dataset:
             )
         if dependents[0].level != NUMERIC:
             raise ValidationError("the dependent variable must be numeric")
-        rows = tuple(rows)
-        if len(rows) < 2:
+        if columns is None:
+            rows = tuple(rows)
+            ids = [row.row_id for row in rows]
+        else:
+            for rid in ids:
+                _check_row_id(rid)
+        if len(ids) < 2:
             raise ValidationError("dataset needs at least two rows")
+        ids = tuple(str(i) if rid is None else rid for i, rid in enumerate(ids))
+        if columns is None:
+            values = [row.values for row in rows]
+            if any(len(cells) != len(variables) for cells in values):
+                _raise_first_error(variables, values, ids)
+            columns = list(zip(*values))
+        elif len(columns) != len(variables) or any(len(cells) != len(ids) for cells in columns):
+            raise ValidationError("dataset needs one column per variable and one cell per row id")
         try:
-            columns = _columns_of(variables, rows)
+            arrays = _columns_of(variables, columns)
         except (ValueError, KeyError, TypeError, OverflowError):
-            _raise_first_error(variables, rows)
+            _raise_first_error(variables, zip(*columns), ids)
             raise
-        ids = tuple(row.row_id if row.row_id is not None else str(i) for i, row in enumerate(rows))
         repeated = [rid for rid, count in Counter(ids).items() if count > 1]
         if repeated:
             raise ValidationError(f"row ids must be unique; '{repeated[0]}' occurs more than once")
-        self._init(variables, ids, columns)
+        self._init(variables, ids, arrays)
 
     def _init(self, variables, ids, columns) -> "Dataset":
         for col in columns:
@@ -234,34 +261,30 @@ class Dataset:
         return object.__new__(Dataset)._init(self.variables, ids, columns)
 
 
-def _columns_of(variables, rows) -> list:
+def _columns_of(variables, columns) -> list:
     """Validated column arrays; raises (without naming the cell) if any cell is bad."""
-    width = len(variables)
-    if any(len(row.values) != width for row in rows):
-        raise ValueError("ragged rows")
-    columns = []
-    for var, cells in zip(variables, zip(*(row.values for row in rows))):
+    arrays = []
+    for var, cells in zip(variables, columns):
         if var.is_categorical:
             lookup = {c: k for k, c in enumerate(var.categories)}
-            columns.append(np.fromiter(map(lookup.__getitem__, cells), np.intp, len(cells)))
+            arrays.append(np.fromiter(map(lookup.__getitem__, cells), np.intp, len(cells)))
             continue
         if not (set(map(type, cells)) <= {float, int} or all(map(finite_number, cells))):
             raise ValueError("not a number")
         col = np.array(cells, dtype=float)
         if not np.isfinite(col).all():
             raise ValueError("not finite")
-        columns.append(col)
-    return columns
+        arrays.append(col)
+    return arrays
 
 
-def _raise_first_error(variables, rows) -> None:
-    """Scan row-major and raise the validation error of the first bad cell."""
+def _raise_first_error(variables, rows, ids) -> None:
+    """Scan row-major (each row a sequence of cells) and raise the first bad cell's error."""
     width = len(variables)
-    for i, row in enumerate(rows):
-        rid = row.row_id if row.row_id is not None else str(i)
-        if len(row.values) != width:
-            raise ValidationError(f"row {rid}: expected {width} values, got {len(row.values)}")
-        for var, cell in zip(variables, row.values):
+    for rid, cells in zip(ids, rows):
+        if len(cells) != width:
+            raise ValidationError(f"row {rid}: expected {width} values, got {len(cells)}")
+        for var, cell in zip(variables, cells):
             where = f"row {rid}, variable '{var.name}'"
             if var.is_categorical:
                 if not isinstance(cell, str):
@@ -339,19 +362,21 @@ def column_as_quantified(
     return (dataset.column(variable) - mean) / scale
 
 
-def dataset_to_json(dataset: Dataset) -> dict:
-    """Canonical JSON form of a dataset (schema version 1)."""
+def _document_head(dataset: Dataset) -> dict:
+    """The canonical JSON form without its rows."""
     return {
         "schema_version": DATASET_SCHEMA_VERSION,
         "variables": [
             {"name": v.name, "level": v.level, "categories": list(v.categories), "role": v.role}
             for v in dataset.variables
         ],
-        "rows": [
-            {"id": rid, "values": values}
-            for rid, values in zip(dataset._ids, dataset._row_values())
-        ],
     }
+
+
+def dataset_to_json(dataset: Dataset) -> dict:
+    """Canonical JSON form of a dataset (schema version 1)."""
+    rows = zip(dataset._ids, dataset._row_values())
+    return {**_document_head(dataset), "rows": [{"id": rid, "values": v} for rid, v in rows]}
 
 
 def dataset_from_json(obj) -> Dataset:
@@ -368,18 +393,48 @@ def dataset_from_json(obj) -> Dataset:
         categories = tuple(json_list(entry.get("categories", []), "categories"))
         role = entry.get("role", PREDICTOR)
         variables.append(Variable(entry.get("name"), entry.get("level"), categories, role))
-    rows = []
+    values, ids = [], []
     for entry in json_list(obj.get("rows", []), "rows"):
         json_object(entry, {"id", "values"}, "row entry")
-        values = tuple(json_list(entry.get("values", []), "row values"))
-        rows.append(Observation(values, row_id=entry.get("id")))
-    return Dataset(tuple(variables), tuple(rows))
+        values.append(json_list(entry.get("values", []), "row values"))
+        ids.append(entry.get("id"))
+        _check_row_id(ids[-1])
+    if any(len(cells) != len(variables) for cells in values):
+        # the row form names the first bad row after checking the variables
+        return Dataset(variables, map(Observation, values, ids))
+    return Dataset(variables, columns=list(zip(*values)), ids=ids)
+
+
+_WRITE_ROWS = 2048  # rows encoded per write, so the file text is never held whole
 
 
 def save_dataset(dataset: Dataset, path) -> None:
+    """Write the canonical JSON form, byte for byte what json.dump(..., indent=2) writes.
+
+    Every row sits at the same depth, so each goes into one fixed frame: ids
+    and labels encoded by json.dumps (each label once per variable), numbers
+    by float.__repr__, as the json encoder does for a finite float.
+    """
+    head = json.dumps({**_document_head(dataset), "rows": []}, indent=2)
+    frame = (
+        '    {\n      "id": %s,\n      "values": [\n        '
+        + ",\n        ".join(["%s"] * len(dataset.variables))
+        + "\n      ]\n    }"
+    )
+    labels = [np.array([json.dumps(c) for c in v.categories], dtype=object)
+              for v in dataset.variables]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataset_to_json(dataset), fh, indent=2)
-        fh.write("\n")
+        fh.write(head[: -len("[]\n}")] + "[\n")
+        for start in range(0, dataset.n, _WRITE_ROWS):
+            part = slice(start, start + _WRITE_ROWS)
+            cells = [
+                encoded[col[part]].tolist() if var.is_categorical
+                else list(map(float.__repr__, col[part].tolist()))
+                for var, encoded, col in zip(dataset.variables, labels, dataset._columns)
+            ]
+            ids = map(json.dumps, dataset._ids[part])
+            fh.write((",\n" if start else "") + ",\n".join(map(frame.__mod__, zip(ids, *cells))))
+        fh.write("\n  ]\n}\n")
 
 
 def load_dataset(path) -> Dataset:

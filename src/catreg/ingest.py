@@ -15,25 +15,30 @@ column. Cells that are merely empty flag the row for removal instead; a blank
 sloc cell counts as 0 (a project that does not use that language), and a row
 whose total sloc is 0 is flagged. Rows never have values imputed, and
 surviving cells are carried through unchanged.
+
+Every stage works on a RawTable held by column: the stripped choice letters
+per item, a float array per language and per metric (NaN where a row has no
+value), and removal reasons only for the rows that have one. The CSV is
+checked column by column; when a check fails, a row-by-row rescan raises the
+first bad cell's error, so the message is the one a row-at-a-time reader
+would give. FP is a column sum over the languages in declared order, the
+same float additions as `backfire`, and the logs are math.log's. The Dataset
+is built from the surviving columns. `RawTable.rows` shows the table row by
+row, for reading only.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
+from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
-from .data import (
-    DEPENDENT,
-    NUMERIC,
-    ORDINAL,
-    PREDICTOR,
-    Dataset,
-    Observation,
-    Variable,
-)
+from .data import DEPENDENT, NUMERIC, ORDINAL, PREDICTOR, Dataset, Variable
 from .errors import NumericalError, ValidationError, finite_number, json_object, parse_json
 
 # choice-set sizes of the fixed 22-item questionnaire
@@ -174,24 +179,56 @@ def load_gearing(path) -> GearingTable:
         return GearingTable.from_json(parse_json(fh.read()))
 
 
-@dataclass
-class RawRow:
-    """One response row while it moves through the ingest steps."""
+class RowView(NamedTuple):
+    """One row of a RawTable, read off its columns (changing it changes nothing)."""
 
     row_id: str
     answers: dict
     sloc: dict
     fields: dict
-    flags: list = field(default_factory=list)
+    flags: list
 
 
 @dataclass
 class RawTable:
-    """Loaded responses plus the schema and the language columns seen."""
+    """Loaded responses, stored by column, plus the schema and the language columns seen.
+
+    answers: item id -> stripped choice letters, "" where blank
+    sloc:    language -> float array, 0.0 where blank
+    fields:  field name -> float array, NaN where the row has no value
+    flags:   row index -> removal reasons, only for rows that have one
+    """
 
     schema: QuestionnaireSchema
     languages: tuple
-    rows: list
+    ids: list
+    answers: dict
+    sloc: dict
+    fields: dict
+    flags: dict
+
+    @property
+    def n(self) -> int:
+        return len(self.ids)
+
+    @property
+    def rows(self) -> list:
+        """The table row by row, rebuilt from the columns on each access."""
+        sloc = {lang: col.tolist() for lang, col in self.sloc.items()}
+        fields = {name: col.tolist() for name, col in self.fields.items()}
+        return [
+            RowView(
+                rid,
+                {qid: col[i] for qid, col in self.answers.items() if col[i]},
+                {lang: col[i] for lang, col in sloc.items()},
+                {name: col[i] for name, col in fields.items() if not math.isnan(col[i])},
+                list(self.flags.get(i, ())),
+            )
+            for i, rid in enumerate(self.ids)
+        ]
+
+    def flag(self, i: int, reason: str) -> None:
+        self.flags.setdefault(i, []).append(reason)
 
 
 def load_responses(path, schema: QuestionnaireSchema | None = None) -> RawTable:
@@ -200,10 +237,12 @@ def load_responses(path, schema: QuestionnaireSchema | None = None) -> RawTable:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = [cell.strip() for cell in next(reader)]
-        except StopIteration:
-            raise ValidationError("responses CSV is empty") from None
-        records = list(reader)
+            records = list(reader)
+        except csv.Error as exc:
+            raise ValidationError(f"responses CSV, line {reader.line_num}: {exc}") from None
+    if not records:
+        raise ValidationError("responses CSV is empty")
+    header = [cell.strip() for cell in records.pop(0)]
 
     if len(set(header)) != len(header):
         raise ValidationError("responses CSV has duplicate column names")
@@ -221,36 +260,80 @@ def load_responses(path, schema: QuestionnaireSchema | None = None) -> RawTable:
         raise ValidationError(f"responses CSV is missing columns: {missing}")
     if not sloc_columns:
         raise ValidationError("responses CSV needs at least one sloc:<Language> column")
-    col = {name: header.index(name) for name in header}
 
-    rows: list[RawRow] = []
+    try:
+        if any(len(record) != len(header) for record in records):
+            raise ValueError("ragged rows")
+        cells = dict(zip(header, zip(*records))) if records else dict.fromkeys(header, ())
+        table = _parse_columns(cells, schema, languages)
+    except ValueError:
+        _raise_first_row_error(records, header, schema)
+        raise
+    if len(set(table.ids)) != table.n:
+        raise ValidationError("responses CSV has duplicate row identifiers")
+    return table
+
+
+def _parse_columns(cells: dict, schema: QuestionnaireSchema, languages: tuple) -> RawTable:
+    """The columns of a rectangular CSV; raises ValueError, naming no cell, on a bad cell."""
+    n = len(cells[schema.items[0].qid])
+    ids = [str(i) for i in range(n)]
+    if ID_COLUMN in cells:
+        ids = [cell.strip() or ids[i] for i, cell in enumerate(cells[ID_COLUMN])]
+    table = RawTable(schema, languages, ids, {}, {}, {}, {})
+    for item in schema.items:
+        col = list(map(str.strip, cells[item.qid]))
+        seen = set(col)
+        if not seen <= {"", *item.choices}:
+            raise ValueError("unknown choice")
+        if "" in seen:
+            for i in _blank_rows(col):
+                table.flag(i, f"missing answer for {item.qid}")
+        table.answers[item.qid] = col
+    for lang in languages:
+        # a blank sloc cell means the language is unused
+        col = map(str.strip, cells[SLOC_PREFIX + lang])
+        values = np.array([float(c) if c else 0.0 for c in col])
+        if not ((values >= 0).all() and np.isfinite(values).all()):
+            raise ValueError("bad source line count")
+        table.sloc[lang] = values
+    for column, canonical in _METRIC_COLUMNS.items():
+        col = list(map(str.strip, cells[column]))
+        values = np.array([float(c) if c else math.nan for c in col])
+        blank = col.count("")
+        if np.count_nonzero(~np.isfinite(values)) != blank:
+            raise ValueError("non-finite metric")
+        if blank:
+            for i in _blank_rows(col):
+                table.flag(i, f"missing {column}")
+        table.fields[canonical] = values
+    return table
+
+
+def _blank_rows(col: list) -> list:
+    return list(compress(range(len(col)), map(operator.not_, col)))
+
+
+def _raise_first_row_error(records, header: list, schema: QuestionnaireSchema) -> None:
+    """Scan row by row and raise the ValidationError of the first bad cell."""
+    col = {name: j for j, name in enumerate(header)}
+    numeric = [c for c in header if c.startswith(SLOC_PREFIX)] + list(_METRIC_COLUMNS)
     for i, record in enumerate(records):
         where = f"row {i + 1}"
         if len(record) != len(header):
             raise ValidationError(
                 f"{where}: expected {len(header)} cells, got {len(record)} (malformed CSV)"
             )
-        row_id = record[col[ID_COLUMN]].strip() if ID_COLUMN in col else str(i)
-        if ID_COLUMN in col and not row_id:
-            row_id = str(i)
-        flags: list[str] = []
-        answers: dict = {}
         for item in schema.items:
             cell = record[col[item.qid]].strip()
-            if not cell:
-                flags.append(f"missing answer for {item.qid}")
-                continue
-            if cell not in item.choices:
+            if cell and cell not in item.choices:
                 raise ValidationError(
                     f"{where}, column {item.qid}: '{cell}' is not one of "
                     f"{''.join(item.choices)}"
                 )
-            answers[item.qid] = cell
-        sloc: dict = {}
-        for lang, column in zip(languages, sloc_columns):
+        for column in numeric:
             cell = record[col[column]].strip()
             if not cell:
-                sloc[lang] = 0.0  # blank sloc means the language is unused
                 continue
             try:
                 value = float(cell)
@@ -258,31 +341,13 @@ def load_responses(path, schema: QuestionnaireSchema | None = None) -> RawTable:
                 raise ValidationError(
                     f"{where}, column {column}: non-numeric cell '{cell}'"
                 ) from None
-            if value < 0 or not math.isfinite(value):
+            if column in _METRIC_COLUMNS:
+                if not math.isfinite(value):
+                    raise ValidationError(f"{where}, column {column}: value must be finite")
+            elif value < 0 or not math.isfinite(value):
                 raise ValidationError(
                     f"{where}, column {column}: source line counts must be >= 0"
                 )
-            sloc[lang] = value
-        fields: dict = {}
-        for column, canonical in _METRIC_COLUMNS.items():
-            cell = record[col[column]].strip()
-            if not cell:
-                flags.append(f"missing {column}")
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ValidationError(
-                    f"{where}, column {column}: non-numeric cell '{cell}'"
-                ) from None
-            if not math.isfinite(value):
-                raise ValidationError(f"{where}, column {column}: value must be finite")
-            fields[canonical] = value
-        rows.append(RawRow(row_id=row_id, answers=answers, sloc=sloc, fields=fields, flags=flags))
-    ids = [row.row_id for row in rows]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("responses CSV has duplicate row identifiers")
-    return RawTable(schema=schema, languages=languages, rows=rows)
 
 
 def backfire(sloc_by_language, gearing: GearingTable) -> float:
@@ -303,38 +368,50 @@ def backfire(sloc_by_language, gearing: GearingTable) -> float:
     if total <= 0.0:
         raise ValidationError("total source line count is zero; cannot backfire")
     if not math.isfinite(total):
-        raise NumericalError("function point total overflows the float range")
+        raise NumericalError(_FP_OVERFLOW)
     return total
 
 
+_FP_OVERFLOW = "function point total overflows the float range"
+
+
 def apply_backfire(table: RawTable, gearing: GearingTable) -> RawTable:
-    """Add the FP field to every row; rows with zero total sloc are flagged."""
-    for language in table.languages:
-        gearing.factor(language)  # unknown language is a configuration error
-    for row in table.rows:
-        try:
-            row.fields["FP"] = backfire(row.sloc, gearing)
-        except ValidationError:
-            row.flags.append("zero total sloc")
-        except NumericalError as exc:
-            raise NumericalError(f"row {row.row_id}: {exc}") from None
+    """Add the FP column; rows with zero total sloc are flagged.
+
+    FP is summed over the languages in declared order from 0.0, the same
+    float additions as `backfire` makes for one row.
+    """
+    factors = [gearing.factor(language) for language in table.languages]
+    total = np.zeros(table.n)
+    with np.errstate(over="ignore"):  # an infinite total is reported below
+        for language, factor in zip(table.languages, factors):
+            total = total + table.sloc[language] / factor
+    zero = total <= 0.0
+    overflow = np.flatnonzero(~np.isfinite(total))
+    if overflow.size:
+        raise NumericalError(f"row {table.ids[overflow[0]]}: {_FP_OVERFLOW}")
+    for i in np.flatnonzero(zero).tolist():
+        table.flag(i, "zero total sloc")
+    table.fields["FP"] = np.where(zero, math.nan, total)
     return table
 
 
 def log_transform(table: RawTable, fields=LOG_FIELDS) -> RawTable:
     """Replace each named field with Ln(<field>); nonpositive values flag the row.
 
-    Rows already missing a field (flagged upstream) are left alone.
+    Rows already missing a field (flagged upstream) are left alone. The logs
+    are math.log's, value by value.
     """
-    for row in table.rows:
-        for name in fields:
-            if name not in row.fields:
-                continue
-            value = row.fields.pop(name)
-            if value <= 0:
-                row.flags.append(f"nonpositive {name} ({value:g}); cannot take its log")
-                continue
-            row.fields[f"Ln({name})"] = math.log(value)
+    for name in fields:
+        if name not in table.fields:
+            continue
+        values = table.fields.pop(name)
+        for i in np.flatnonzero(values <= 0).tolist():
+            table.flag(i, f"nonpositive {name} ({values[i].item():g}); cannot take its log")
+        positive = values > 0
+        logs = np.full(table.n, math.nan)
+        logs[positive] = list(map(math.log, values[positive].tolist()))
+        table.fields[f"Ln({name})"] = logs
     return table
 
 
@@ -349,32 +426,27 @@ def filter_rows(table: RawTable, outlier_zmax: float | None = None):
     """
     if outlier_zmax is not None and not (outlier_zmax > 0):
         raise ValidationError("outlier_zmax must be positive when given")
-    removal: dict = {}
-    survivors: list[RawRow] = []
-    for row in table.rows:
-        if row.flags:
-            removal[row.row_id] = "; ".join(row.flags)
-        else:
-            survivors.append(row)
+    ids = table.ids
+    removal = {ids[i]: "; ".join(table.flags[i]) for i in sorted(table.flags)}
+    survivors = np.setdiff1d(np.arange(table.n), list(table.flags))
 
-    if outlier_zmax is not None and survivors:
-        ln_fields = [name for name in survivors[0].fields if name.startswith("Ln(")]
+    if outlier_zmax is not None and survivors.size:
         flagged: dict = {}
-        for name in ln_fields:
-            values = np.array([row.fields[name] for row in survivors], dtype=float)
+        for name in [name for name in table.fields if name.startswith("Ln(")]:
+            values = table.fields[name][survivors]
             scale = float(np.sqrt(np.mean((values - values.mean()) ** 2)))
             if scale == 0.0:
                 continue
-            z = (values - values.mean()) / scale
-            for row, score in zip(survivors, z):
-                if abs(score) > outlier_zmax:
-                    flagged.setdefault(row.row_id, []).append(
-                        f"outlier on {name} (|z| = {abs(score):.2f} > {outlier_zmax:g})"
-                    )
+            z = np.abs((values - values.mean()) / scale)
+            hits = z > outlier_zmax
+            for i, score in zip(survivors[hits].tolist(), z[hits].tolist()):
+                flagged.setdefault(i, []).append(
+                    f"outlier on {name} (|z| = {score:.2f} > {outlier_zmax:g})"
+                )
         if flagged:
-            survivors = [row for row in survivors if row.row_id not in flagged]
-            for row_id, reasons in flagged.items():
-                removal[row_id] = "; ".join(reasons)
+            survivors = np.setdiff1d(survivors, list(flagged))
+            for i, reasons in flagged.items():
+                removal[ids[i]] = "; ".join(reasons)
 
     if len(survivors) < 2:
         raise ValidationError(
@@ -391,19 +463,17 @@ def filter_rows(table: RawTable, outlier_zmax: float | None = None):
         Variable("Ln(Duration)", NUMERIC, role=PREDICTOR),
         Variable("Ln(Defect)", NUMERIC, role=DEPENDENT),
     ]
-    observations = []
     needed = ("Ln(FP)", "Ln(Developer)", "Ln(Duration)", "Ln(Defect)")
-    for row in survivors:
-        for name in needed:
-            if name not in row.fields:
-                raise ValidationError(
-                    f"row {row.row_id} lacks {name}; run backfiring and the log "
-                    "transform before filtering"
-                )
-        values = [row.answers[item.qid] for item in table.schema.items]
-        values += [row.fields[name] for name in needed]
-        observations.append(Observation(tuple(values), row_id=row.row_id))
-    dataset = Dataset(tuple(variables), tuple(observations))
+    for name in needed:
+        if name not in table.fields:
+            raise ValidationError(
+                f"row {ids[survivors[0]]} lacks {name}; run backfiring and the log "
+                "transform before filtering"
+            )
+    take = operator.itemgetter(*survivors.tolist())  # a tuple, as at least 2 rows survive
+    columns = [take(table.answers[item.qid]) for item in table.schema.items]
+    columns += [table.fields[name][survivors].tolist() for name in needed]
+    dataset = Dataset(tuple(variables), columns=columns, ids=take(ids))
     return dataset, removal
 
 

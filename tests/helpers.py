@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -19,9 +21,12 @@ from catreg import (
     NumericalError,
     Observation,
     QuantificationMap,
+    QuestionnaireSchema,
     UnseenCategoryError,
     ValidationError,
     Variable,
+    backfire,
+    dataset_to_json,
     dummy_design,
     ols_fit,
     pava,
@@ -673,3 +678,181 @@ def oracle_catreg_fit(dataset: Dataset, predictors=None, config=None):
         diagnostics=tuple(diagnostics),
         n=n,
     )
+
+
+# --- ingest and dataset-writer oracles --------------------------------------
+# The row-at-a-time ingest that the columnar stages replaced: one record of
+# dicts per CSV row, `backfire` once per row, and one Observation per
+# surviving row. And the writer it replaced: the json module's indent=2 dump.
+
+_ORACLE_METRICS = {"duration": "Duration", "developers": "Developer", "defects": "Defect"}
+
+
+@dataclass
+class _OracleRow:
+    row_id: str
+    answers: dict
+    sloc: dict
+    fields: dict
+    flags: list
+
+
+def _oracle_load_responses(path, schema):
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [cell.strip() for cell in next(reader)]
+        except StopIteration:
+            raise ValidationError("responses CSV is empty") from None
+        records = list(reader)
+
+    if len(set(header)) != len(header):
+        raise ValidationError("responses CSV has duplicate column names")
+    qids = [item.qid for item in schema.items]
+    sloc_columns = [c for c in header if c.startswith("sloc:")]
+    languages = tuple(c[len("sloc:"):] for c in sloc_columns)
+    if any(not lang for lang in languages):
+        raise ValidationError("sloc column with an empty language name")
+    allowed = {"id", *qids, *_ORACLE_METRICS, *sloc_columns}
+    unknown = [c for c in header if c not in allowed]
+    if unknown:
+        raise ValidationError(f"responses CSV has unknown columns: {unknown}")
+    missing = [c for c in (*qids, *_ORACLE_METRICS) if c not in header]
+    if missing:
+        raise ValidationError(f"responses CSV is missing columns: {missing}")
+    if not sloc_columns:
+        raise ValidationError("responses CSV needs at least one sloc:<Language> column")
+    col = {name: header.index(name) for name in header}
+
+    rows = []
+    for i, record in enumerate(records):
+        where = f"row {i + 1}"
+        if len(record) != len(header):
+            raise ValidationError(
+                f"{where}: expected {len(header)} cells, got {len(record)} (malformed CSV)"
+            )
+        row_id = record[col["id"]].strip() if "id" in col else str(i)
+        if "id" in col and not row_id:
+            row_id = str(i)
+        flags, answers = [], {}
+        for item in schema.items:
+            cell = record[col[item.qid]].strip()
+            if not cell:
+                flags.append(f"missing answer for {item.qid}")
+                continue
+            if cell not in item.choices:
+                raise ValidationError(
+                    f"{where}, column {item.qid}: '{cell}' is not one of "
+                    f"{''.join(item.choices)}"
+                )
+            answers[item.qid] = cell
+        sloc = {}
+        for lang, column in zip(languages, sloc_columns):
+            cell = record[col[column]].strip()
+            if not cell:
+                sloc[lang] = 0.0
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValidationError(
+                    f"{where}, column {column}: non-numeric cell '{cell}'"
+                ) from None
+            if value < 0 or not math.isfinite(value):
+                raise ValidationError(
+                    f"{where}, column {column}: source line counts must be >= 0"
+                )
+            sloc[lang] = value
+        fields = {}
+        for column, canonical in _ORACLE_METRICS.items():
+            cell = record[col[column]].strip()
+            if not cell:
+                flags.append(f"missing {column}")
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValidationError(
+                    f"{where}, column {column}: non-numeric cell '{cell}'"
+                ) from None
+            if not math.isfinite(value):
+                raise ValidationError(f"{where}, column {column}: value must be finite")
+            fields[canonical] = value
+        rows.append(_OracleRow(row_id, answers, sloc, fields, flags))
+    ids = [row.row_id for row in rows]
+    if len(set(ids)) != len(ids):
+        raise ValidationError("responses CSV has duplicate row identifiers")
+    return languages, rows
+
+
+def oracle_ingest(path, gearing, schema=None, outlier_zmax=None):
+    """Load, backfire, log-transform and filter row by row; (dataset, removal)."""
+    schema = schema or QuestionnaireSchema.default()
+    languages, rows = _oracle_load_responses(path, schema)
+    for language in languages:
+        gearing.factor(language)
+    for row in rows:
+        try:
+            row.fields["FP"] = backfire(row.sloc, gearing)
+        except ValidationError:
+            row.flags.append("zero total sloc")
+        except NumericalError as exc:
+            raise NumericalError(f"row {row.row_id}: {exc}") from None
+    for row in rows:
+        for name in ("FP", "Duration", "Developer", "Defect"):
+            if name not in row.fields:
+                continue
+            value = row.fields.pop(name)
+            if value <= 0:
+                row.flags.append(f"nonpositive {name} ({value:g}); cannot take its log")
+                continue
+            row.fields[f"Ln({name})"] = math.log(value)
+
+    if outlier_zmax is not None and not (outlier_zmax > 0):
+        raise ValidationError("outlier_zmax must be positive when given")
+    removal, survivors = {}, []
+    for row in rows:
+        if row.flags:
+            removal[row.row_id] = "; ".join(row.flags)
+        else:
+            survivors.append(row)
+    if outlier_zmax is not None and survivors:
+        ln_fields = [name for name in survivors[0].fields if name.startswith("Ln(")]
+        flagged = {}
+        for name in ln_fields:
+            values = np.array([row.fields[name] for row in survivors], dtype=float)
+            scale = float(np.sqrt(np.mean((values - values.mean()) ** 2)))
+            if scale == 0.0:
+                continue
+            z = (values - values.mean()) / scale
+            for row, score in zip(survivors, z):
+                if abs(score) > outlier_zmax:
+                    flagged.setdefault(row.row_id, []).append(
+                        f"outlier on {name} (|z| = {abs(score):.2f} > {outlier_zmax:g})"
+                    )
+        if flagged:
+            survivors = [row for row in survivors if row.row_id not in flagged]
+            for row_id, reasons in flagged.items():
+                removal[row_id] = "; ".join(reasons)
+    if len(survivors) < 2:
+        raise ValidationError(
+            f"only {len(survivors)} rows survive filtering; at least 2 are required"
+        )
+    needed = ("Ln(FP)", "Ln(Developer)", "Ln(Duration)", "Ln(Defect)")
+    variables = [Variable(item.qid, item.level, item.choices, PREDICTOR) for item in schema.items]
+    variables += [Variable(name, NUMERIC, role=PREDICTOR) for name in needed[:3]]
+    variables.append(Variable(needed[3], NUMERIC, role=DEPENDENT))
+    observations = [
+        Observation(
+            tuple(row.answers[item.qid] for item in schema.items)
+            + tuple(row.fields[name] for name in needed),
+            row_id=row.row_id,
+        )
+        for row in survivors
+    ]
+    return Dataset(tuple(variables), tuple(observations)), removal
+
+
+def oracle_save_text(dataset: Dataset) -> str:
+    """The dataset file's text as the json module's indent=2 dump writes it."""
+    return json.dumps(dataset_to_json(dataset), indent=2) + "\n"

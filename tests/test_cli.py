@@ -389,3 +389,15 @@ class TestExitCodes:
                                    "--method", "dummy-ols"])
         assert rc == EXIT_VALIDATION
         assert "row ids must be unique" in err
+
+    def test_overlong_csv_field_is_a_validation_error(self, capsys, tmp_path):
+        lines = Path("data/responses.sample.csv").read_text().splitlines()
+        header, third = lines[0].split(","), lines[3].split(",")
+        third[header.index("id")] = "x" * 131_073  # past the csv module's field limit
+        responses = tmp_path / "responses.csv"
+        responses.write_text("\n".join([*lines[:3], ",".join(third), *lines[4:]]) + "\n")
+        rc, out, err = _run(capsys, ["ingest", "--responses", str(responses),
+                                     "--gearing", "data/gearing.sample.json"])
+        assert rc == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("validation error: responses CSV, line 4: field larger than")

@@ -1,8 +1,11 @@
-"""Hostile documents and inline JSON through every subcommand.
+"""Hostile documents, response CSVs and inline JSON through every subcommand.
 
 Each example plants one hostile JSON literal (non-finite, past the float range
 or Python's integer digit limit, the wrong type), a duplicate row id, or text
-that only looks like JSON, into an otherwise valid input. Whatever the
+that only looks like JSON, into an otherwise valid input; or, for `ingest`,
+one hostile spot into the sample responses CSV (an over-long field, a NUL
+byte, an unterminated quote, a byte-order mark, blank lines, a ragged row,
+bytes that are not UTF-8, or an odd sloc or metric cell). Whatever the
 outcome, the CLI must end with one of its documented exit codes; an
 exception escaping `main` fails the test.
 """
@@ -13,7 +16,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catreg import dataset_to_json
@@ -27,6 +30,10 @@ HOSTILE = (
     "true", "null", '"x"', '""', "[]", "[1]", "{}", "-1", "0", "0.5",
 )
 NOT_JSON = ("[1]", "[", "[1, 2", "{", '{"a": }', "[" * 5000, "", "nan")
+SAMPLE_CSV = (DATA / "responses.sample.csv").read_text(encoding="utf-8")
+CSV_CELLS = (" ", "\t", "  ", "nan", "inf", "-inf", "1e400", "1_000", "-0", "", "x", '"1"')
+CSV_SPOTS = ("cell", "long field", "NUL", "open quote", "BOM", "blank lines", "ragged",
+             "not UTF-8")
 REFERENCE_INPUTS = {
     "FP": 100, "Duration": 10, "Q2": 0.1, "Q3": 0.1, "Q9": 0.1,
     "Q10": 0.1, "Q11": 0.1, "Q17": 0.1, "Q18": 0.1,
@@ -81,6 +88,39 @@ def _inline(literal_keys, base):
     return st.one_of(planted, st.sampled_from(NOT_JSON))
 
 
+def _hostile_csv(spot: str, row: int, cell: str = "") -> str | bytes:
+    """The sample responses CSV with one hostile spot in data row `row`."""
+    lines = SAMPLE_CSV.splitlines()
+    header = lines[0].split(",")
+    cells = lines[row].split(",")
+    if spot == "cell":
+        numeric = [j for j, c in enumerate(header)
+                   if c.startswith("sloc:") or c in ("duration", "developers", "defects")]
+        cells[numeric[row % len(numeric)]] = cell
+    elif spot == "long field":
+        cells[0] = "9" * 131_073  # past the csv module's field limit
+    elif spot == "NUL":
+        cells[1] += "\x00"
+    elif spot == "open quote":
+        cells[2] = '"' + cells[2]  # the quoted field runs to the end of the file
+    elif spot == "ragged":
+        cells = cells[:-1] if row % 2 else cells + ["1"]
+    lines[row] = ",".join(cells)
+    if spot == "BOM":
+        lines[0] = "\ufeff" + lines[0]
+    elif spot == "blank lines":
+        lines[row:row] = ["", " ", ""]
+    text = "\n".join(lines) + "\n"
+    if spot == "not UTF-8":
+        raw = text.encode("utf-8")
+        return raw[:len(raw) // 2] + b"\xff\xfe" + raw[len(raw) // 2:]
+    return text
+
+
+GEARING_TEXT = (DATA / "gearing.sample.json").read_text()
+INGEST_CSV = ["ingest", "--responses", "{responses.csv}", "--gearing", "{gearing.json}"]
+
+
 @st.composite
 def invocations(draw):
     """(argv, {file name: text}) for one subcommand."""
@@ -117,7 +157,11 @@ def invocations(draw):
                     "--gearing", "{gearing.json}"], {"gearing.json": json.dumps(gearing)}
         return ["backfire", "--sloc", '{"L": 5300}', "--gearing", "{gearing.json}"], {
             "gearing.json": _plant(gearing, ("factors", "L"), draw(st.sampled_from(HOSTILE)))}
-    gearing = json.loads((DATA / "gearing.sample.json").read_text())
+    if draw(st.booleans()):
+        responses = _hostile_csv(draw(st.sampled_from(CSV_SPOTS)), draw(st.integers(1, 200)),
+                                 draw(st.sampled_from(CSV_CELLS)))
+        return INGEST_CSV, {"responses.csv": responses, "gearing.json": GEARING_TEXT}
+    gearing = json.loads(GEARING_TEXT)
     language = draw(st.sampled_from(sorted(gearing["factors"])))
     return ["ingest", "--responses", str(DATA / "responses.sample.csv"),
             "--gearing", "{gearing.json}"], {
@@ -125,15 +169,20 @@ def invocations(draw):
 
 
 @given(invocations())
-@settings(max_examples=120, deadline=None)
+@example((INGEST_CSV, {"responses.csv": _hostile_csv("long field", 3),
+                       "gearing.json": GEARING_TEXT}))
+@settings(max_examples=160, deadline=None)
 def test_every_subcommand_ends_with_an_exit_code(files, invocation):
     argv, texts = invocation
     paths = {}
     for name, text in texts.items():
-        (files / name).write_text(text, encoding="utf-8")
+        if isinstance(text, bytes):
+            (files / name).write_bytes(text)
+        else:
+            (files / name).write_text(text, encoding="utf-8")
         paths[name] = str(files / name)
-    argv = [paths.get(arg[1:-1], arg) if arg.startswith("{") and arg.endswith(".json}") else arg
-            for arg in argv]
+    argv = [paths.get(arg[1:-1], arg) if arg.startswith("{") and arg.endswith(("json}", "csv}"))
+            else arg for arg in argv]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         rc = main(argv)
     assert rc in (0, 1, 2, 3)

@@ -350,6 +350,9 @@ def _raise_first_row_error(records, header: list, schema: QuestionnaireSchema) -
                 )
 
 
+_FP_OVERFLOW = "function point total overflows the float range"
+
+
 def backfire(sloc_by_language, gearing: GearingTable) -> float:
     """Function points from source lines: sum of sloc / gearing over languages.
 
@@ -370,9 +373,6 @@ def backfire(sloc_by_language, gearing: GearingTable) -> float:
     if not math.isfinite(total):
         raise NumericalError(_FP_OVERFLOW)
     return total
-
-
-_FP_OVERFLOW = "function point total overflows the float range"
 
 
 def apply_backfire(table: RawTable, gearing: GearingTable) -> RawTable:

@@ -10,10 +10,12 @@ id unique (a row without an id is known by its position).
 A Dataset is stored by column: categorical columns as integer codes into the
 declared categories, numeric columns as float64 (so an integer cell is
 written back as 3.0). It is built from Observations or straight from columns
-of cells (as ingest and the JSON reader do); either way one column validator
-checks the cells, and if a check fails, a row-major rescan names the first bad
-cell. `subset` is fancy indexing with no second validation. Observation is
-only the row form of a Dataset.
+of cells (as ingest and the JSON reader do); either way each column is
+checked once, and only a column whose check fails is searched cell by cell.
+The error names the first bad cell in row-major order: the earliest row, and
+within it the first variable in declared order. Given rows, a ragged row is
+named only if no bad cell comes before it. `subset` is fancy indexing with no
+second validation. Observation is only the row form of a Dataset.
 
 The JSON form is written from the columns: each row goes into the fixed
 frame that `json.dump(..., indent=2)` gives it, a chunk of rows at a time,
@@ -143,18 +145,21 @@ class Dataset:
         if len(ids) < 2:
             raise ValidationError("dataset needs at least two rows")
         ids = tuple(str(i) if rid is None else rid for i, rid in enumerate(ids))
+        ragged = None
         if columns is None:
+            # the rows before the first ragged one are checked; a bad cell there comes first
             values = [row.values for row in rows]
-            if any(len(cells) != len(variables) for cells in values):
-                _raise_first_error(variables, values, ids)
-            columns = list(zip(*values))
+            ragged = next((i for i, cells in enumerate(values) if len(cells) != len(names)), None)
+            columns = list(zip(*values[:ragged])) or [()] * len(names)
         elif len(columns) != len(variables) or any(len(cells) != len(ids) for cells in columns):
             raise ValidationError("dataset needs one column per variable and one cell per row id")
-        try:
-            arrays = _columns_of(variables, columns)
-        except (ValueError, KeyError, TypeError, OverflowError):
-            _raise_first_error(variables, zip(*columns), ids)
-            raise
+        arrays, bad = _columns_of(variables, columns)
+        if bad:
+            raise ValidationError(f"row {ids[bad[0]]}, {bad[1]}")
+        if ragged is not None:
+            raise ValidationError(
+                f"row {ids[ragged]}: expected {len(names)} values, got {len(values[ragged])}"
+            )
         repeated = [rid for rid, count in Counter(ids).items() if count > 1]
         if repeated:
             raise ValidationError(f"row ids must be unique; '{repeated[0]}' occurs more than once")
@@ -261,40 +266,37 @@ class Dataset:
         return object.__new__(Dataset)._init(self.variables, ids, columns)
 
 
-def _columns_of(variables, columns) -> list:
-    """Validated column arrays; raises (without naming the cell) if any cell is bad."""
-    arrays = []
+def _columns_of(variables, columns) -> tuple:
+    """The column arrays and the first bad cell as (row, message), or None if there is none.
+
+    Each column names its own first bad cell. The earliest row wins, and
+    within a row the variable declared first.
+    """
+    arrays, errors = [], []  # errors: (row, message), the first bad cell of a column
     for var, cells in zip(variables, columns):
         if var.is_categorical:
             lookup = {c: k for k, c in enumerate(var.categories)}
-            arrays.append(np.fromiter(map(lookup.__getitem__, cells), np.intp, len(cells)))
-            continue
-        if not (set(map(type, cells)) <= {float, int} or all(map(finite_number, cells))):
-            raise ValueError("not a number")
-        col = np.array(cells, dtype=float)
-        if not np.isfinite(col).all():
-            raise ValueError("not finite")
-        arrays.append(col)
-    return arrays
-
-
-def _raise_first_error(variables, rows, ids) -> None:
-    """Scan row-major (each row a sequence of cells) and raise the first bad cell's error."""
-    width = len(variables)
-    for rid, cells in zip(ids, rows):
-        if len(cells) != width:
-            raise ValidationError(f"row {rid}: expected {width} values, got {len(cells)}")
-        for var, cell in zip(variables, cells):
-            where = f"row {rid}, variable '{var.name}'"
-            if var.is_categorical:
-                if not isinstance(cell, str):
-                    raise ValidationError(f"{where}: expected a category label")
-                if cell not in var.categories:
-                    raise ValidationError(f"{where}: '{cell}' is not a declared category")
-            elif not finite_number(cell):
-                raise ValidationError(
-                    f"{where}: numeric cell must be a finite number, got {cell!r}"
-                )
+            try:
+                arrays.append(np.fromiter(map(lookup.__getitem__, cells), np.intp, len(cells)))
+                continue
+            except (KeyError, TypeError):  # an undeclared or an unhashable cell
+                i = next(i for i, c in enumerate(cells) if not (isinstance(c, str) and c in lookup))
+            problem = (f"'{cells[i]}' is not a declared category" if isinstance(cells[i], str)
+                       else "expected a category label")
+        else:
+            col = None
+            if {float, int}.issuperset(map(type, cells)) or all(map(finite_number, cells)):
+                try:
+                    col = np.array(cells, dtype=float)
+                except OverflowError:  # an integer past the float range
+                    pass
+            if col is not None and np.isfinite(col).all():
+                arrays.append(col)
+                continue
+            i = next(i for i, c in enumerate(cells) if not finite_number(c))
+            problem = f"numeric cell must be a finite number, got {cells[i]!r}"
+        errors.append((i, f"variable '{var.name}': {problem}"))
+    return arrays, min(errors, key=operator.itemgetter(0), default=None)
 
 
 def population_standardize(values) -> tuple[np.ndarray, float, float]:

@@ -19,12 +19,14 @@ surviving cells are carried through unchanged.
 Every stage works on a RawTable held by column: the stripped choice letters
 per item, a float array per language and per metric (NaN where a row has no
 value), and removal reasons only for the rows that have one. The CSV is
-checked column by column; when a check fails, a row-by-row rescan raises the
-first bad cell's error, so the message is the one a row-at-a-time reader
-would give. FP is a column sum over the languages in declared order, the
-same float additions as `backfire`, and the logs are math.log's. The Dataset
-is built from the surviving columns. `RawTable.rows` shows the table row by
-row, for reading only.
+checked once, column by column, and only a column whose check fails is
+searched cell by cell. The error names the first bad cell a row-at-a-time
+reader would meet: the earliest row, and within it the answers, then the sloc
+columns in header order, then the metrics. A ragged row is named only if no
+bad cell comes before it. A UTF-8 byte-order mark and blank lines at the end
+of the file are ignored. FP is a column sum over the languages in declared
+order, the same float additions as `backfire`, and the logs are math.log's.
+The Dataset is built from the surviving columns.
 """
 
 from __future__ import annotations
@@ -34,11 +36,10 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import compress
-from typing import NamedTuple
 
 import numpy as np
 
-from .data import DEPENDENT, NUMERIC, ORDINAL, PREDICTOR, Dataset, Variable
+from .data import DEPENDENT, NOMINAL, NUMERIC, ORDINAL, PREDICTOR, Dataset, Variable
 from .errors import NumericalError, ValidationError, finite_number, json_object, parse_json
 
 # choice-set sizes of the fixed 22-item questionnaire
@@ -72,7 +73,7 @@ class SchemaItem:
     level: str
 
     def __post_init__(self):
-        if self.level not in (ORDINAL, "nominal"):
+        if self.level not in (ORDINAL, NOMINAL):
             raise ValidationError(
                 f"schema item {self.qid}: level must be ordinal or nominal"
             )
@@ -102,11 +103,7 @@ class QuestionnaireSchema:
 
     @classmethod
     def default(cls) -> "QuestionnaireSchema":
-        items = tuple(
-            SchemaItem(qid, tuple(_LETTERS[:count]), ORDINAL)
-            for qid, count in _QUESTION_CHOICE_COUNTS.items()
-        )
-        return cls(items)
+        return cls.from_json({})
 
     @classmethod
     def from_json(cls, obj) -> "QuestionnaireSchema":
@@ -161,14 +158,9 @@ class GearingTable:
 
     @classmethod
     def from_json(cls, obj) -> "GearingTable":
-        if not isinstance(obj, dict):
-            raise ValidationError("gearing document must be a JSON object")
-        # keys starting with "_" are comments
-        meaningful = {k: v for k, v in obj.items() if not k.startswith("_")}
-        unknown = set(meaningful) - {"factors"}
-        if unknown:
-            raise ValidationError(f"gearing document has unknown fields: {sorted(unknown)}")
-        factors = meaningful.get("factors")
+        if isinstance(obj, dict):  # keys starting with "_" are comments
+            obj = {k: v for k, v in obj.items() if not k.startswith("_")}
+        factors = json_object(obj, {"factors"}, "gearing document").get("factors")
         if not isinstance(factors, dict):
             raise ValidationError("gearing document needs a 'factors' object")
         return cls(factors=dict(factors))
@@ -177,16 +169,6 @@ class GearingTable:
 def load_gearing(path) -> GearingTable:
     with open(path, "r", encoding="utf-8") as fh:
         return GearingTable.from_json(parse_json(fh.read()))
-
-
-class RowView(NamedTuple):
-    """One row of a RawTable, read off its columns (changing it changes nothing)."""
-
-    row_id: str
-    answers: dict
-    sloc: dict
-    fields: dict
-    flags: list
 
 
 @dataclass
@@ -211,22 +193,6 @@ class RawTable:
     def n(self) -> int:
         return len(self.ids)
 
-    @property
-    def rows(self) -> list:
-        """The table row by row, rebuilt from the columns on each access."""
-        sloc = {lang: col.tolist() for lang, col in self.sloc.items()}
-        fields = {name: col.tolist() for name, col in self.fields.items()}
-        return [
-            RowView(
-                rid,
-                {qid: col[i] for qid, col in self.answers.items() if col[i]},
-                {lang: col[i] for lang, col in sloc.items()},
-                {name: col[i] for name, col in fields.items() if not math.isnan(col[i])},
-                list(self.flags.get(i, ())),
-            )
-            for i, rid in enumerate(self.ids)
-        ]
-
     def flag(self, i: int, reason: str) -> None:
         self.flags.setdefault(i, []).append(reason)
 
@@ -234,12 +200,14 @@ class RawTable:
 def load_responses(path, schema: QuestionnaireSchema | None = None) -> RawTable:
     """Read, validate and flag a responses CSV (see module docstring)."""
     schema = schema or QuestionnaireSchema.default()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             records = list(reader)
         except csv.Error as exc:
             raise ValidationError(f"responses CSV, line {reader.line_num}: {exc}") from None
+    while records and not records[-1]:  # blank lines at the end of the file
+        records.pop()
     if not records:
         raise ValidationError("responses CSV is empty")
     header = [cell.strip() for cell in records.pop(0)]
@@ -261,93 +229,94 @@ def load_responses(path, schema: QuestionnaireSchema | None = None) -> RawTable:
     if not sloc_columns:
         raise ValidationError("responses CSV needs at least one sloc:<Language> column")
 
-    try:
-        if any(len(record) != len(header) for record in records):
-            raise ValueError("ragged rows")
-        cells = dict(zip(header, zip(*records))) if records else dict.fromkeys(header, ())
-        table = _parse_columns(cells, schema, languages)
-    except ValueError:
-        _raise_first_row_error(records, header, schema)
-        raise
+    # the rows before the first ragged one are checked; a bad cell there comes first
+    ragged = next((i for i, record in enumerate(records) if len(record) != len(header)), None)
+    rectangle = records[:ragged]
+    cells = dict(zip(header, zip(*rectangle))) if rectangle else dict.fromkeys(header, ())
+    table = _parse_columns(cells, schema, languages)
+    if ragged is not None:
+        raise ValidationError(
+            f"row {ragged + 1}: expected {len(header)} cells, got {len(records[ragged])} "
+            "(malformed CSV)"
+        )
     if len(set(table.ids)) != table.n:
         raise ValidationError("responses CSV has duplicate row identifiers")
     return table
 
 
 def _parse_columns(cells: dict, schema: QuestionnaireSchema, languages: tuple) -> RawTable:
-    """The columns of a rectangular CSV; raises ValueError, naming no cell, on a bad cell."""
+    """The columns of a rectangular CSV; a bad cell raises the first one's ValidationError.
+
+    Each column names its own first bad cell. The earliest row wins, and
+    within a row the column checked first: the answers, the sloc columns in
+    header order, then the metrics.
+    """
     n = len(cells[schema.items[0].qid])
     ids = [str(i) for i in range(n)]
     if ID_COLUMN in cells:
         ids = [cell.strip() or ids[i] for i, cell in enumerate(cells[ID_COLUMN])]
     table = RawTable(schema, languages, ids, {}, {}, {}, {})
+    errors = []  # (row, message): the first bad cell of each column that has one
     for item in schema.items:
         col = list(map(str.strip, cells[item.qid]))
+        allowed = {"", *item.choices}
         seen = set(col)
-        if not seen <= {"", *item.choices}:
-            raise ValueError("unknown choice")
+        if not seen <= allowed:
+            i = next(i for i, cell in enumerate(col) if cell not in allowed)
+            errors.append((i, f"row {i + 1}, column {item.qid}: '{col[i]}' is not one of "
+                              f"{''.join(item.choices)}"))
         if "" in seen:
             for i in _blank_rows(col):
                 table.flag(i, f"missing answer for {item.qid}")
         table.answers[item.qid] = col
     for lang in languages:
         # a blank sloc cell means the language is unused
-        col = map(str.strip, cells[SLOC_PREFIX + lang])
-        values = np.array([float(c) if c else 0.0 for c in col])
-        if not ((values >= 0).all() and np.isfinite(values).all()):
-            raise ValueError("bad source line count")
-        table.sloc[lang] = values
+        column = SLOC_PREFIX + lang
+        col = list(map(str.strip, cells[column]))
+        table.sloc[lang] = _floats(column, col, 0.0, "source line counts must be >= 0", errors)
     for column, canonical in _METRIC_COLUMNS.items():
         col = list(map(str.strip, cells[column]))
-        values = np.array([float(c) if c else math.nan for c in col])
-        blank = col.count("")
-        if np.count_nonzero(~np.isfinite(values)) != blank:
-            raise ValueError("non-finite metric")
-        if blank:
-            for i in _blank_rows(col):
+        values = _floats(column, col, -math.inf, "value must be finite", errors)
+        if "" in col and not errors:  # a table with a bad cell is never returned
+            blank = _blank_rows(col)
+            values[blank] = math.nan
+            for i in blank:
                 table.flag(i, f"missing {column}")
         table.fields[canonical] = values
+    if errors:
+        raise ValidationError(min(errors, key=operator.itemgetter(0))[1])
     return table
+
+
+def _floats(column: str, col: list, minimum: float, rule: str, errors: list) -> np.ndarray:
+    """The stripped cells of a column as floats, blank cells as 0.0.
+
+    The first cell that is not a number, or whose value is not finite or is
+    below `minimum`, goes into `errors` as (row, message); the array then
+    stops at the first non-numeric cell.
+    """
+    try:
+        values = np.array([float(c) if c else 0.0 for c in col])
+    except ValueError:  # read the cells before the first non-numeric one
+        parsed = []
+        for cell in col:
+            try:
+                parsed.append(float(cell) if cell else 0.0)
+            except ValueError:
+                break
+        values = np.array(parsed)
+    bad = np.flatnonzero(~(np.isfinite(values) & (values >= minimum)))
+    if bad.size:
+        i = bad[0].item()
+        errors.append((i, f"row {i + 1}, column {column}: {rule}"))
+    elif len(values) < len(col):
+        i = len(values)
+        errors.append((i, f"row {i + 1}, column {column}: non-numeric cell '{col[i]}'"))
+    return values
 
 
 def _blank_rows(col: list) -> list:
     return list(compress(range(len(col)), map(operator.not_, col)))
-
-
-def _raise_first_row_error(records, header: list, schema: QuestionnaireSchema) -> None:
-    """Scan row by row and raise the ValidationError of the first bad cell."""
-    col = {name: j for j, name in enumerate(header)}
-    numeric = [c for c in header if c.startswith(SLOC_PREFIX)] + list(_METRIC_COLUMNS)
-    for i, record in enumerate(records):
-        where = f"row {i + 1}"
-        if len(record) != len(header):
-            raise ValidationError(
-                f"{where}: expected {len(header)} cells, got {len(record)} (malformed CSV)"
-            )
-        for item in schema.items:
-            cell = record[col[item.qid]].strip()
-            if cell and cell not in item.choices:
-                raise ValidationError(
-                    f"{where}, column {item.qid}: '{cell}' is not one of "
-                    f"{''.join(item.choices)}"
-                )
-        for column in numeric:
-            cell = record[col[column]].strip()
-            if not cell:
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ValidationError(
-                    f"{where}, column {column}: non-numeric cell '{cell}'"
-                ) from None
-            if column in _METRIC_COLUMNS:
-                if not math.isfinite(value):
-                    raise ValidationError(f"{where}, column {column}: value must be finite")
-            elif value < 0 or not math.isfinite(value):
-                raise ValidationError(
-                    f"{where}, column {column}: source line counts must be >= 0"
-                )
 
 
 _FP_OVERFLOW = "function point total overflows the float range"
@@ -396,13 +365,13 @@ def apply_backfire(table: RawTable, gearing: GearingTable) -> RawTable:
     return table
 
 
-def log_transform(table: RawTable, fields=LOG_FIELDS) -> RawTable:
-    """Replace each named field with Ln(<field>); nonpositive values flag the row.
+def log_transform(table: RawTable) -> RawTable:
+    """Replace each of LOG_FIELDS with Ln(<field>); nonpositive values flag the row.
 
     Rows already missing a field (flagged upstream) are left alone. The logs
     are math.log's, value by value.
     """
-    for name in fields:
+    for name in LOG_FIELDS:
         if name not in table.fields:
             continue
         values = table.fields.pop(name)

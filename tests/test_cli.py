@@ -36,7 +36,9 @@ def work(tmp_path_factory):
     return root
 
 
-REFERENCE_MODEL = str(Path(__file__).resolve().parent.parent / "data" / "reference_model.json")
+DATA = Path(__file__).resolve().parent.parent / "data"
+SAMPLE_RESPONSES = DATA / "responses.sample.csv"
+REFERENCE_MODEL = str(DATA / "reference_model.json")
 REFERENCE_INPUTS = {
     "FP": 100, "Duration": 10, "Q2": 0.1, "Q3": 0.1, "Q9": 0.1,
     "Q10": 0.1, "Q11": 0.1, "Q17": 0.1, "Q18": 0.1,
@@ -79,6 +81,34 @@ class TestIngestCommand:
         assert rc == EXIT_OK
         payload = json.loads(out)
         assert payload["dataset"]["schema_version"] == "1"
+
+    def _ingest(self, capsys, responses, out_path):
+        return _run(capsys, [
+            "ingest", "--responses", str(responses),
+            "--gearing", str(DATA / "gearing.sample.json"), "--data-out", str(out_path),
+        ])
+
+    @pytest.mark.parametrize(
+        "prefix, suffix", [("\ufeff", ""), ("", "\n"), ("\ufeff", "\n\r\n\n")],
+        ids=["byte-order mark", "blank line at the end", "both"])
+    def test_byte_order_mark_and_blank_lines_at_the_end_change_nothing(
+            self, tmp_path, capsys, prefix, suffix):
+        edited = tmp_path / "responses.csv"
+        edited.write_bytes((prefix + SAMPLE_RESPONSES.read_text(encoding="utf-8") + suffix)
+                           .encode("utf-8"))
+        assert self._ingest(capsys, SAMPLE_RESPONSES, tmp_path / "plain.json")[0] == EXIT_OK
+        assert self._ingest(capsys, edited, tmp_path / "edited.json")[0] == EXIT_OK
+        assert (tmp_path / "edited.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+    def test_blank_line_inside_the_file_is_a_ragged_row(self, tmp_path, capsys):
+        lines = SAMPLE_RESPONSES.read_text(encoding="utf-8").splitlines()
+        lines.insert(5, "")
+        edited = tmp_path / "responses.csv"
+        edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc, _, err = self._ingest(capsys, edited, tmp_path / "out.json")
+        assert rc == EXIT_VALIDATION
+        assert "row 5: expected 29 cells, got 0 (malformed CSV)" in err
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestFitCommand:

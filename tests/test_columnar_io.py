@@ -7,8 +7,10 @@ the same file bytes.
 """
 
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -231,17 +233,28 @@ def test_ingest_matches_the_row_at_a_time_oracle(tmp_path, case):
 @given(response_csvs())
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_loaded_rows_view_matches_the_oracle_rows(tmp_path, case):
+def test_loaded_columns_match_the_oracle_rows(tmp_path, case):
     text, _, schema, _ = case
     path = tmp_path / "responses.csv"
     path.write_text(text, encoding="utf-8")
-    got = _outcome(lambda: [tuple(row) for row in load_responses(str(path), schema).rows])
-    want = _outcome(lambda: [
-        (r.row_id, r.answers, r.sloc, r.fields, r.flags)
-        for r in _oracle_load_responses(str(path), schema)[1]
-    ])
-    assert got == want
-
+    got = _outcome(load_responses, str(path), schema)
+    want = _outcome(_oracle_load_responses, str(path), schema)
+    if want[0] != "ok":
+        assert got == want
+        return
+    assert got[0] == "ok", got
+    table, (languages, rows) = got[1], want[1]
+    assert table.languages == languages
+    assert table.ids == [r.row_id for r in rows]
+    assert table.answers == {
+        item.qid: [r.answers.get(item.qid, "") for r in rows] for item in schema.items}
+    assert {lang: col.tolist() for lang, col in table.sloc.items()} == {
+        lang: [r.sloc[lang] for r in rows] for lang in languages}
+    assert list(table.fields) == ["Duration", "Developer", "Defect"]
+    for name, col in table.fields.items():
+        assert col.dtype == float
+        np.testing.assert_array_equal(col, [r.fields.get(name, math.nan) for r in rows])
+    assert table.flags == {i: r.flags for i, r in enumerate(rows) if r.flags}
 
 
 SAMPLE_LINES = (Path(__file__).resolve().parent.parent / "data" / "responses.sample.csv").read_text(
@@ -249,10 +262,19 @@ SAMPLE_LINES = (Path(__file__).resolve().parent.parent / "data" / "responses.sam
 
 
 @pytest.mark.parametrize("planted", [
-    {"defects": "x", "sloc:Java": "-1"},  # a sloc cell is checked before any metric
-    {"duration": "nan", "sloc:Python": "y", "Q22": "Z"},  # answers come first
-    {"defects": "inf", "developers": "z"},  # metrics in their fixed order
-    {"sloc:C": "", "sloc:Java": "", "sloc:Python": "", "duration": "fast"},
+    # (row, column, cell); a column of None cuts the row one cell short
+    [(5, "defects", "x"), (5, "sloc:Java", "-1")],  # a sloc cell is checked before any metric
+    [(5, "duration", "nan"), (5, "sloc:Python", "y"), (5, "Q22", "Z")],  # answers come first
+    [(5, "defects", "inf"), (5, "developers", "z")],  # metrics in their fixed order
+    [(5, "sloc:C", ""), (5, "sloc:Java", ""), (5, "sloc:Python", ""), (5, "duration", "fast")],
+    # a later column on an earlier row beats an earlier column on a later row
+    [(9, "Q1", "Z"), (5, "defects", "x")],
+    [(5, "sloc:Python", "-2"), (9, "sloc:C", "w"), (3, "duration", "1e999")],
+    [(7, "Q2", "a"), (4, "Q21", "D")],
+    # a ragged row after a bad cell, before one, and in the same row
+    [(5, "Q3", "Z"), (9, None, None)],
+    [(9, "Q3", "Z"), (5, None, None)],
+    [(5, "developers", "n/a"), (5, None, None)],
 ])
 def test_first_error_in_a_row_follows_the_old_cell_order(tmp_path, planted):
     header = SAMPLE_LINES[0].split(",")
@@ -261,10 +283,13 @@ def test_first_error_in_a_row_follows_the_old_cell_order(tmp_path, planted):
     lines = []
     for number, line in enumerate(SAMPLE_LINES):
         cells = line.split(",")
-        if number == 5:
-            for column, value in planted.items():
+        for row, column, value in planted:
+            if number == row and column:
                 cells[header.index(column)] = value
-        lines.append(",".join(cells[j] for j in order))
+        cells = [cells[j] for j in order]
+        if (number, None, None) in planted:
+            cells.pop()
+        lines.append(",".join(cells))
     path = tmp_path / "responses.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     gearing = GearingTable({"C": 100.0, "Java": 50.0, "Python": 40.0})

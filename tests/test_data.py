@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catreg import (
@@ -238,6 +238,13 @@ def tables(draw):
     return tuple(variables), tuple(rows)
 
 
+def _rejected_rows(*rows):
+    """A table in row form for the fixed cases; each row lacks an id, so its position names it."""
+    variables = (Variable("c", "nominal", ("A", "B")), Variable("x", "numeric"),
+                 Variable("y", "numeric", role="dependent"))
+    return variables, tuple(map(Observation, rows))
+
+
 def assert_same_table(ds, oracle):
     assert ds.n == oracle.n
     assert [ds.row_id(i) for i in range(ds.n)] == [oracle.row_id(i) for i in range(oracle.n)]
@@ -255,6 +262,16 @@ def assert_same_table(ds, oracle):
 
 
 class TestAgainstRowOracle:
+    # every fixed case is rejected, so `data` is never drawn from
+    # a later variable on an earlier row beats an earlier variable on a later row
+    @example(table=_rejected_rows(("A", 1.0, 2.0), ("A", 1.0, float("nan")), ("Z", [1], 2.0)),
+             data=None)
+    @example(table=_rejected_rows(("A", True, 1.0), ({}, 1.0, 1.0)), data=None)
+    # a ragged row after a bad cell, before one, in the same row, and first
+    @example(table=_rejected_rows(("A", "B", 1.0), ("A", 1.0)), data=None)
+    @example(table=_rejected_rows(("A", 1.0, 2.0), ("A", 1.0), ("Z", 1.0, 2.0)), data=None)
+    @example(table=_rejected_rows(("A", 1.0, 2.0), ("Z", None)), data=None)
+    @example(table=_rejected_rows(("A",), ("Z", 1.0, 2.0)), data=None)
     @given(tables(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_same_accessors_and_first_error(self, table, data):

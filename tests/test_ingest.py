@@ -76,12 +76,29 @@ class TestSchema:
             QuestionnaireSchema.from_json({"choices": {}})
 
 
+class TestGearingDocument:
+    @pytest.mark.parametrize("doc, message", [
+        (["factors"], "gearing document must be a JSON object"),
+        ({"factors": {"L": 1.0}, "unit": "sloc", "_note": "x"},
+         "gearing document has unknown fields: ['unit']"),
+        ({"_factors": {"L": 1.0}}, "gearing document needs a 'factors' object"),
+    ])
+    def test_messages(self, doc, message):
+        with pytest.raises(ValidationError) as exc:
+            GearingTable.from_json(doc)
+        assert str(exc.value) == message
+
+    def test_underscore_keys_are_comments(self):
+        doc = {"_source": "calibration", "factors": {"L": 53}}
+        assert GearingTable.from_json(doc) == GearingTable({"L": 53})
+
+
 class TestLoadResponses:
     def test_valid_choice_accepted(self, tmp_path):
         path = _write_csv(tmp_path, [_row("1", {"Q6": "C"})])
         table = load_responses(path)
-        assert table.rows[0].answers["Q6"] == "C"
-        assert not table.rows[0].flags
+        assert table.answers["Q6"][0] == "C"
+        assert 0 not in table.flags
 
     def test_out_of_schema_choice_rejected(self, tmp_path):
         # Q6 offers only A-C
@@ -92,13 +109,13 @@ class TestLoadResponses:
     def test_empty_metric_cell_flags_row(self, tmp_path):
         path = _write_csv(tmp_path, [_row("1", {"defects": ""}), _row("2")])
         table = load_responses(path)
-        assert table.rows[0].flags
-        assert not table.rows[1].flags
+        assert table.flags[0]
+        assert 1 not in table.flags
 
     def test_empty_answer_cell_flags_row(self, tmp_path):
         path = _write_csv(tmp_path, [_row("1", {"Q3": ""})])
         table = load_responses(path)
-        assert table.rows[0].flags
+        assert table.flags[0]
 
     def test_non_numeric_metric_rejected(self, tmp_path):
         path = _write_csv(tmp_path, [_row("1", {"duration": "fast"})])
@@ -108,8 +125,8 @@ class TestLoadResponses:
     def test_blank_sloc_reads_as_zero(self, tmp_path):
         path = _write_csv(tmp_path, [_row("1", {"sloc:L": ""}), _row("2")])
         table = load_responses(path)
-        assert table.rows[0].sloc["L"] == 0.0
-        assert not table.rows[0].flags
+        assert table.sloc["L"][0] == 0.0
+        assert 0 not in table.flags
 
     def test_missing_question_column_rejected(self, tmp_path):
         bad_header = HEADER.replace("Q7,", "")
@@ -172,8 +189,8 @@ class TestBackfire:
     def test_apply_backfire_flags_zero_rows(self, tmp_path):
         path = _write_csv(tmp_path, [_row("1", {"sloc:L": "0"}), _row("2")])
         table = apply_backfire(load_responses(path), GEARING)
-        assert any("sloc" in f for f in table.rows[0].flags)
-        assert table.rows[1].fields["FP"] == pytest.approx(10.0)
+        assert any("sloc" in f for f in table.flags[0])
+        assert table.fields["FP"][1] == pytest.approx(10.0)
 
     def test_apply_backfire_unknown_language_is_config_error(self, tmp_path):
         path = _write_csv(tmp_path, [_row("1")])
@@ -188,26 +205,25 @@ class TestLogTransform:
     def test_ln_of_one_is_zero(self, tmp_path):
         table = self._table(tmp_path, [_row("1", {"sloc:L": "53"}), _row("2")])
         out = log_transform(table)
-        assert out.rows[0].fields["Ln(FP)"] == pytest.approx(0.0, abs=1e-15)
+        assert out.fields["Ln(FP)"][0] == pytest.approx(0.0, abs=1e-15)
 
     def test_ln_of_e_squared_is_two(self, tmp_path):
         table = self._table(
             tmp_path, [_row("1", {"defects": repr(math.e**2)}), _row("2")]
         )
         out = log_transform(table)
-        assert out.rows[0].fields["Ln(Defect)"] == pytest.approx(2.0, abs=1e-12)
+        assert out.fields["Ln(Defect)"][0] == pytest.approx(2.0, abs=1e-12)
 
     def test_fields_renamed_not_duplicated(self, tmp_path):
         out = log_transform(self._table(tmp_path, [_row("1"), _row("2")]))
-        fields = out.rows[0].fields
-        assert "FP" not in fields and "Ln(FP)" in fields
-        assert "Duration" not in fields and "Ln(Duration)" in fields
+        fields = out.fields
+        assert "FP" not in fields and math.isfinite(fields["Ln(FP)"][0])
+        assert "Duration" not in fields and math.isfinite(fields["Ln(Duration)"][0])
 
     def test_zero_duration_flagged_with_row_named(self, tmp_path):
         table = self._table(tmp_path, [_row("9", {"duration": "0"}), _row("2")])
         out = log_transform(table)
-        flagged = next(r for r in out.rows if r.row_id == "9")
-        assert any("Duration" in f for f in flagged.flags)
+        assert any("Duration" in f for f in out.flags[out.ids.index("9")])
 
 
 class TestFilterRows:
@@ -256,11 +272,11 @@ class TestFilterRows:
         ]
         prepared = self._prepared(tmp_path, rows)
         dataset, _ = filter_rows(prepared)
-        by_id = {row.row_id: row for row in prepared.rows}
+        by_id = {rid: i for i, rid in enumerate(prepared.ids)}
         for i in range(dataset.n):
-            rid = dataset.row_id(i)
-            assert dataset.value(i, "Ln(FP)") == by_id[rid].fields["Ln(FP)"]
-            assert dataset.value(i, "Q4") == by_id[rid].answers["Q4"]
+            row = by_id[dataset.row_id(i)]
+            assert dataset.value(i, "Ln(FP)") == prepared.fields["Ln(FP)"][row]
+            assert dataset.value(i, "Q4") == prepared.answers["Q4"][row]
 
     def test_too_few_survivors_rejected(self, tmp_path):
         rows = [_row("1"), _row("2", {"defects": ""}), _row("3", {"defects": ""})]

@@ -25,8 +25,13 @@ The loop keeps one record per predictor (a numeric one holds its standardized
 column; a categorical one its codes, labels, counts and level) and one
 category update, `_quantify`. The fitted values are summed afresh once per
 sweep, at its end, for R^2; that sum is also where the next sweep starts. The
-ALS calls the PAVA kernel without `pava`'s checks: its weights are category
-counts (each at least 1) and its values are finite category means.
+category update works on short lists of Python floats (one per category), not
+on numpy arrays, whose per-call overhead dominates at a handful of categories;
+every n-length step (category sums, column rebuilds, dot products) stays in
+numpy. Its reductions go through `_sum`, which adds in numpy's pairwise order,
+so every number is bit for bit what the array arithmetic gave. The ALS calls
+the PAVA kernel without `pava`'s checks: its weights are category counts (each
+at least 1) and its values are finite category means.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from types import SimpleNamespace
 
 import numpy as np
@@ -91,7 +98,8 @@ def pava(values, weights=None, increasing: bool = True) -> np.ndarray:
     """Weighted isotonic projection by pool-adjacent-violators.
 
     Returns the monotone vector minimizing sum(w * (v - out)^2). Weights must
-    be strictly positive; direction is controlled by `increasing`.
+    be strictly positive; direction is controlled by `increasing`. Raises
+    NumericalError when a pooled value overflows.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 1:
@@ -106,22 +114,61 @@ def pava(values, weights=None, increasing: bool = True) -> np.ndarray:
             raise ValidationError("weights must be strictly positive and finite")
     if not np.all(np.isfinite(v)):
         raise ValidationError("values must be finite")
-    return _pava_increasing(v, w) if increasing else -_pava_increasing(-v, w)
+    if increasing:
+        out = np.array(_pava(v.tolist(), w.tolist()))
+    else:
+        out = -np.array(_pava((-v).tolist(), w.tolist()))
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("pava: a pooled weighted sum overflowed")
+    return out
 
 
-def _pava_increasing(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # classic stack of [mean, weight, count] blocks; merge while the last two
-    # violate the order
-    blocks: list[list] = []
-    for y, wt in zip(v.tolist(), w.tolist()):
-        blocks.append([y, wt, 1])
-        while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
-            m2, w2, c2 = blocks.pop()
-            m1, w1, c1 = blocks[-1]
-            tot = w1 + w2
-            blocks[-1] = [(m1 * w1 + m2 * w2) / tot, tot, c1 + c2]
-    means, _, counts = zip(*blocks)
-    return np.repeat(means, counts)
+def _pava(values: list, weights: list) -> list:
+    """The non-decreasing PAVA fit of a list of floats, as a list (`values`
+    itself when nothing pools).
+
+    A stack of (mean, weight, size) blocks; each value opens a block, merged
+    into the one before it while that one's mean (`last`) is larger.
+    """
+    blocks: list = []
+    last = None
+    for y, wt in zip(values, weights):
+        size = 1
+        while blocks and last > y:
+            _, w1, s1 = blocks.pop()
+            tot = w1 + wt
+            y, wt, size = (last * w1 + y * wt) / tot, tot, size + s1
+            last = blocks[-1][0] if blocks else None
+        blocks.append((y, wt, size))
+        last = y
+    if len(blocks) == len(values):
+        return values
+    out: list = []
+    for m, _, size in blocks:
+        out += [m] * size
+    return out
+
+
+def _sum(xs: list) -> float:
+    """The sum of a list of floats, bit for bit as numpy's `sum` of its array.
+
+    numpy adds pairwise from 0.0: below 8 elements left to right; up to 128 in
+    eight interleaved running sums, combined as a tree, then the remainder
+    left to right; above 128 it splits at a multiple of 8 near the middle and
+    adds the two halves. The leading `0.0 +` turns a sum of -0.0s into 0.0,
+    as numpy does.
+    """
+    n = len(xs)
+    if n < 8:
+        return reduce(add, xs, 0.0)
+    if n > 128:
+        h = n // 2 - (n // 2) % 8
+        # a half's own leading 0.0 + cannot change the total's bits
+        return _sum(xs[:h]) + _sum(xs[h:])
+    m = n - n % 8
+    r = [reduce(add, xs[j + 8 : m : 8], xs[j]) for j in range(8)]
+    tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return 0.0 + reduce(add, xs[m:], tree)
 
 
 @dataclass(frozen=True)
@@ -157,17 +204,23 @@ class CatregFit:
 _Predictor = namedtuple("_Predictor", "name x codes cats counts ordinal")
 
 
-def _standardize_category_values(w: np.ndarray, counts: np.ndarray, n: int):
+def _weighted_ss(xs: list, counts: list) -> float:
+    """numpy's (counts * xs**2).sum(); numpy squares as x * x."""
+    return _sum([c * (x * x) for x, c in zip(xs, counts)])
+
+
+def _standardize_category_values(w: list, counts: list, n: int):
     """Per-category values at count-weighted mean 0 / mean square 1; None if they collapse."""
-    mean = float((w * counts).sum() / n)
-    centered = w - mean
-    ms = float((counts * centered**2).sum() / n)
+    mean = _sum([x * c for x, c in zip(w, counts)]) / n
+    centered = [x - mean for x in w]
+    ms = _weighted_ss(centered, counts) / n
     if ms <= _DEGENERATE_MS:
         return None
-    return centered / math.sqrt(ms)
+    scale = math.sqrt(ms)
+    return [x / scale for x in centered]
 
 
-def _quantify(means: np.ndarray, counts: np.ndarray, n: int, ordinal: bool):
+def _quantify(means: list, counts: list, n: int, ordinal: bool):
     """The standardized quantification fitted to the category means, or None
     when it collapses.
 
@@ -178,13 +231,14 @@ def _quantify(means: np.ndarray, counts: np.ndarray, n: int, ordinal: bool):
     """
     w = means
     if ordinal:
-        inc = _pava_increasing(means, counts)
-        neg = _pava_increasing(-means, counts)  # the non-increasing fit, negated
-        sse_inc = (counts * (means - inc) ** 2).sum()
-        w = inc if sse_inc <= (counts * (means + neg) ** 2).sum() else neg
+        inc = _pava(means, counts)
+        neg = _pava([-m for m in means], counts)  # the non-increasing fit, negated
+        sse_inc = _weighted_ss([m - f for m, f in zip(means, inc)], counts)
+        sse_dec = _weighted_ss([m + f for m, f in zip(means, neg)], counts)
+        w = inc if sse_inc <= sse_dec else neg
     v = _standardize_category_values(w, counts, n)
     if v is not None and not ordinal and next((x for x in v if x != 0.0), 0.0) > 0:
-        return -v
+        return [-x for x in v]
     return v
 
 
@@ -223,7 +277,7 @@ def catreg_fit(dataset: Dataset, predictors=None, config: CatregConfig | None = 
                 raise ValidationError(
                     f"categorical predictor '{name}' needs at least two observed categories"
                 )
-            counts = np.bincount(codes, minlength=len(cats)).astype(float)
+            counts = np.bincount(codes, minlength=len(cats)).astype(float).tolist()
             records.append(_Predictor(name, None, codes, cats, counts, var.level == ORDINAL))
             free_params += len(cats) - 1
     if n <= free_params:
@@ -232,42 +286,44 @@ def catreg_fit(dataset: Dataset, predictors=None, config: CatregConfig | None = 
         )
     rng = np.random.default_rng(cfg.seed) if cfg.random_restarts else None
 
-    def start(p: _Predictor, restart: bool) -> np.ndarray:
+    def start(p: _Predictor, restart: bool) -> list:
         # standardized category indices (never collapsed: >= 2 categories with
         # positive counts), or seeded random values on a restart
         while True:
-            w = rng.normal(size=len(p.cats)) if restart else np.arange(len(p.cats), dtype=float)
+            k = len(p.cats)
+            w = rng.normal(size=k).tolist() if restart else [float(c) for c in range(k)]
             v = _standardize_category_values(w, p.counts, n)
             if v is not None:
                 return v
 
     def run(restart: bool) -> SimpleNamespace:
         quants = [None if p.codes is None else start(p, restart) for p in records]
-        columns = [p.x if v is None else v[p.codes] for p, v in zip(records, quants)]
-        beta = np.zeros(len(records))
+        columns = [p.x if v is None else np.array(v)[p.codes] for p, v in zip(records, quants)]
+        beta = [0.0] * len(records)
         degenerate = [False] * len(records)
         trace: list[float] = []
         yhat = np.zeros(n)  # the fit of beta = 0, where the first sweep starts
         while True:
             for j, p in enumerate(records):
-                u = z - yhat + beta[j] * columns[j]
+                old = beta[j] * columns[j]  # this predictor's share of yhat
+                u = z - yhat + old
                 if p.codes is None:
                     new_beta = float(p.x @ u) / n
                     yhat += (new_beta - beta[j]) * p.x
                     beta[j] = new_beta
                     continue
-                means = np.bincount(p.codes, weights=u, minlength=len(p.cats)) / p.counts
-                v = _quantify(means, p.counts, n, p.ordinal)
+                sums = np.bincount(p.codes, weights=u, minlength=len(p.cats)).tolist()
+                v = _quantify([s / c for s, c in zip(sums, p.counts)], p.counts, n, p.ordinal)
                 degenerate[j] = v is None
                 if v is None:
                     # collapsed this sweep: contribute nothing, keep the old
                     # (still standardized) quantification for bookkeeping
-                    yhat -= beta[j] * columns[j]
+                    yhat -= old
                     beta[j] = 0.0
                     continue
-                col = v[p.codes]
+                col = np.array(v)[p.codes]
                 new_beta = float(col @ u) / n
-                yhat += new_beta * col - beta[j] * columns[j]
+                yhat += new_beta * col - old
                 quants[j], columns[j], beta[j] = v, col, new_beta
             # the fit summed afresh gives this sweep's R^2 and the next start
             yhat = np.zeros(n)
@@ -308,7 +364,7 @@ def catreg_fit(dataset: Dataset, predictors=None, config: CatregConfig | None = 
     # effective parameters: a numeric slope counts 1, an ordinal item its
     # distinct values - 1, a nominal item its categories - 1
     df_effective = sum(
-        1 if v is None else len(set(v.tolist())) - 1 if p.ordinal else len(p.cats) - 1
+        1 if v is None else len(set(v)) - 1 if p.ordinal else len(p.cats) - 1
         for p, v, d in zip(records, best.quants, best.degenerate)
         if not d
     )
@@ -318,7 +374,7 @@ def catreg_fit(dataset: Dataset, predictors=None, config: CatregConfig | None = 
     pvalues.update(zip(best.ols.names, best.ols.pvalue.tolist()))
     r2 = best.ols.r2
     categorical_map = {
-        p.name: dict(zip(p.cats, v.tolist()))
+        p.name: dict(zip(p.cats, v))
         for p, v in zip(records, best.quants)
         if v is not None
     }

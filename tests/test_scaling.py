@@ -20,6 +20,7 @@ from catreg import (
     pava,
     population_standardize,
 )
+from catreg.scaling import _sum
 from helpers import (
     assert_ordinal_monotone,
     assert_quantification_constraints,
@@ -64,6 +65,13 @@ class TestPava:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             pava([])
+
+    def test_overflowing_pool_raises(self):
+        # 1e308 * 1e308 overflows in the pooled weighted sum: inf - inf is NaN
+        with pytest.raises(NumericalError):
+            pava([1e308, -1e308], weights=[1e308, 1e308])
+        with pytest.raises(NumericalError):
+            pava([-1e308, 1e308], weights=[1e308, 1e308], increasing=False)
 
     @given(
         st.lists(st.floats(-100, 100), min_size=1, max_size=12),
@@ -113,6 +121,19 @@ class TestPava:
         assert dec == pytest.approx(mirrored, abs=1e-9)
 
 
+class TestSum:
+    def test_matches_numpy_sum_bit_for_bit(self):
+        # every length through the plain, the eight-lane and the split path;
+        # numpy's sum of -0.0s is 0.0
+        rng = np.random.default_rng(0)
+        for n in range(301):
+            a = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-5, 5, n)
+            for xs in (a, np.where(rng.random(n) < 0.9, -0.0, a), np.full(n, -0.0)):
+                got, want = _sum(xs.tolist()), float(xs.sum())
+                assert got == want
+                assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
 class TestCatregConfig:
     def test_defaults(self):
         cfg = CatregConfig()
@@ -154,22 +175,25 @@ def _collapsing_instance() -> Dataset:
 def _mixed_items(draw) -> Dataset:
     """A random mix of ordinal, nominal and numeric items with planted effects."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(20, 90))
     levels = draw(st.lists(st.sampled_from(["ordinal", "nominal", "numeric"]), min_size=1, max_size=4))
+    # up to 20 categories, so that category sums of 8 or more terms take
+    # numpy's pairwise order; n stays above the free parameters
+    ks = [1 if level == "numeric" else draw(st.integers(2, 20)) for level in levels]
+    free = sum(1 if level == "numeric" else k - 1 for level, k in zip(levels, ks))
+    n = free + draw(st.integers(20, 90))
     variables, columns = [], []
     y = rng.normal(scale=draw(st.sampled_from([0.1, 0.6, 3.0])), size=n)
-    for j, level in enumerate(levels):
+    for j, (level, k) in enumerate(zip(levels, ks)):
         if level == "numeric":
             x = rng.normal(size=n)
             y += rng.normal() * x
             variables.append(Variable(f"v{j}", level))
             columns.append(x.tolist())
             continue
-        k = draw(st.integers(2, 5))
         codes = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
         rng.shuffle(codes)
         y += rng.normal(size=k)[codes]
-        cats = tuple("ABCDE"[:k])
+        cats = tuple(f"c{c:02d}" for c in range(k))
         variables.append(Variable(f"v{j}", level, cats))
         columns.append([cats[c] for c in codes])
     variables.append(Variable("y", "numeric", role="dependent"))

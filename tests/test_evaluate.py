@@ -15,6 +15,7 @@ from catreg import (
     StepwiseConfig,
     ValidationError,
     Variable,
+    compare_baseline,
     crossval,
     dummy_design,
     fold_plan,
@@ -223,10 +224,12 @@ def test_fold_predictions_match_the_per_row_oracle(method, seed):
     assert excluded > 0
 
 
-def _numeric_crossval_dataset(n: int = 30, seed: int = 0, noise: float = 0.3):
+def _numeric_crossval_dataset(n: int = 30, seed: int = 0, noise: float = 0.3, responses=None):
     rng = np.random.default_rng(seed)
     x = rng.uniform(1.0, 4.0, size=n)
     y = 0.8 * x + 0.7 + noise * rng.normal(size=n)
+    for i, value in (responses or {}).items():
+        y[i] = value
     variables = (
         Variable("x", "numeric"),
         Variable("y", "numeric", role="dependent"),
@@ -250,6 +253,22 @@ def _rare_category_dataset():
     for i in range(15):
         rows.append(Observation(("A", float(1.0 + rng.normal(scale=0.1))), row_id=f"a{i}"))
         rows.append(Observation(("B", float(3.0 + rng.normal(scale=0.1))), row_id=f"b{i}"))
+    rows.append(Observation(("R", 2.0), row_id="rare"))
+    return Dataset(variables, tuple(rows))
+
+
+def _rare_category_noise_dataset():
+    # the R row again, but the response is noise around 2, so stepwise
+    # selection comes up empty in every training part
+    variables = (
+        Variable("c", "nominal", ("A", "B", "R")),
+        Variable("y", "numeric", role="dependent"),
+    )
+    rng = np.random.default_rng(0)
+    rows = []
+    for i in range(15):
+        rows.append(Observation(("A", float(2.0 + rng.normal())), row_id=f"a{i}"))
+        rows.append(Observation(("B", float(2.0 + rng.normal())), row_id=f"b{i}"))
     rows.append(Observation(("R", 2.0), row_id="rare"))
     return Dataset(variables, tuple(rows))
 
@@ -314,6 +333,28 @@ class TestCrossval:
         assert logged.average != count.average
 
 
+    @pytest.mark.parametrize("k, first_bad", [(2, "0.0"), (5, "-2.0")])
+    def test_log_scale_error_names_the_first_bad_actual_in_test_row_order(self, k, first_bad):
+        ds = _numeric_crossval_dataset(responses={3: 0.0, 7: -2.0})
+        plan = fold_plan(ds.n, k, seed=0)
+        # k=2: rows 3 and 7 share the first fold; k=5: row 7's fold comes first
+        if k == 2:
+            assert plan.assignment[3] == plan.assignment[7] == 0
+        else:
+            assert plan.assignment[7] < plan.assignment[3]
+        configs = MethodConfigs(mre_scale=LOG_SCALE)
+        with pytest.raises(ValidationError) as exc:
+            crossval(ds, k=k, seed=0, method=BASELINE, configs=configs)
+        assert str(exc.value) == f"mre requires a strictly positive actual, got {first_bad}"
+
+    @pytest.mark.parametrize("method", [BASELINE, CONTENDER])
+    def test_count_scale_overflow_is_a_numerical_error(self, method):
+        ds = _numeric_crossval_dataset(responses={3: 0.0, 7: 800.0})
+        with pytest.raises(NumericalError) as exc:
+            crossval(ds, k=5, seed=0, method=method)
+        assert str(exc.value) == "log-scale value 800.0 has no finite count"
+
+
 class TestEvaluationReport:
     BASE = (1.3690, 1.6432, 0.7784, 1.9725, 1.5635, 1.1229)
     CONT = (1.3657, 1.6425, 0.7747, 1.1736, 1.5581, 1.1216)
@@ -365,6 +406,16 @@ class TestEvaluationReport:
         assert any(ln.strip().startswith("average") for ln in lines)
         assert "1.3690" in table and "1.2727" in table
         assert BASELINE in lines[1] and CONTENDER in lines[1]
+
+    def test_table_ends_with_excluded_rows_and_fallback_notes(self):
+        table = compare_baseline(_rare_category_noise_dataset(), k=5, seed=2).as_table()
+        assert table.splitlines()[-6:] == [
+            "excluded rows (unseen categories): dummy-ols 1, catreg-stepwise 0",
+            *(
+                f"note: catreg-stepwise fold {fold}: empty selection; intercept-only fallback"
+                for fold in range(1, 6)
+            ),
+        ]
 
     def test_dict_rendering(self):
         report = EvaluationReport.from_fold_mmres(self.BASE, self.CONT, k=6, seed=0)

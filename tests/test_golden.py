@@ -42,6 +42,17 @@ INGEST_INLINE_STDOUT_SHA256 = "0ac3268f299db8554cd4b422c1f809d707d29bffdf0de643a
 # leave-one-out run (`--k 197`, about 6 s) prints
 # 8c974c27cf14603a0f0f227f13d860d1ea336777f4cc8ab9f7360f02c2cbca17.
 COMPARE_K6_STDOUT_SHA256 = "67952857b1f17599ef5b6f1c4881664aa2cdaa39b4d8d25b68fcc8ba61312ec2"
+# sha256 of the JSON stdout of more k=6 runs on that dataset: `compare` with
+# `--mre-scale log` (the flag overrides the configured scale) and `crossval`
+# with each method
+K6_STDOUT_SHA256 = {
+    ("compare", "--mre-scale", "log"):
+        "27f491c2ae8a75c29db7d0891f0ab9f0a46a0f75acc83856bb86902ae35704fc",
+    ("crossval", "--method", "dummy-ols"):
+        "4dc7dedd3cca8ae6062ef6bc5a4cb4c6fc3e0ef93739e1a8c12d38ea3ac0532a",
+    ("crossval", "--method", "catreg-stepwise"):
+        "e2a609ea0ef0879207b9fdf3c37ac4fcaeafab5099bbeeb177e5cbb6d929241f",
+}
 
 # ingest_dataset's removal report, in its own order
 REMOVALS = [
@@ -235,6 +246,16 @@ def test_compare_k6_output_bytes(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["compare", "--data", "sample.json", "--k", "6"]) == EXIT_OK
     assert _sha256(capsys.readouterr().out.encode()) == COMPARE_K6_STDOUT_SHA256
+
+
+@pytest.mark.parametrize("argv", list(K6_STDOUT_SHA256), ids=" ".join)
+def test_k6_output_bytes(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(SAMPLE_INGEST_ARGS + ["--data-out", "sample.json"]) == EXIT_OK
+    capsys.readouterr()
+    command, *flags = argv
+    assert main([command, "--data", "sample.json", "--k", "6", *flags]) == EXIT_OK
+    assert _sha256(capsys.readouterr().out.encode()) == K6_STDOUT_SHA256[argv]
 
 
 def test_pipeline_selection(pipeline):

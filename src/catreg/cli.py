@@ -246,7 +246,7 @@ def _crossval_table(evaluation) -> str:
     return "\n".join(lines)
 
 
-def _cmd_ingest(args, _configs=None) -> None:
+def _cmd_ingest(args, _configs) -> None:
     gearing = load_gearing(args.gearing)
     schema = load_schema(args.schema) if args.schema else None
     dataset, removals = ingest_dataset(
@@ -308,7 +308,7 @@ def _cmd_pipeline(args, configs: MethodConfigs) -> None:
     _emit(payload, args)
 
 
-def _cmd_predict(args, _configs=None) -> None:
+def _cmd_predict(args, _configs) -> None:
     model = load_model(args.model)
     inputs = _load_json_arg(args.inputs)
     if not isinstance(inputs, dict):
@@ -332,7 +332,7 @@ def _cmd_compare(args, configs: MethodConfigs) -> None:
     _emit(payload, args, report.as_table())
 
 
-def _cmd_backfire(args, _configs=None) -> None:
+def _cmd_backfire(args, _configs) -> None:
     gearing = load_gearing(args.gearing)
     sloc = _load_json_arg(args.sloc)
     if not isinstance(sloc, dict):
@@ -352,12 +352,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_seed(args.seed)
-        configs = None
-        if args.command in ("fit", "pipeline", "crossval", "compare"):
-            configs = _load_configs(args.config, args.seed)
-            scale = getattr(args, "mre_scale", None)
-            if scale is not None:
-                configs = dataclasses.replace(configs, mre_scale=scale)
+        configs = _load_configs(args.config, args.seed)
+        scale = getattr(args, "mre_scale", None)
+        if scale is not None:
+            configs = dataclasses.replace(configs, mre_scale=scale)
         _COMMANDS[args.command](args, configs)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,10 +1,10 @@
 """Prediction-quality evaluation: MRE/MMRE, dummy-coded baseline, k-fold CV.
 
 The magnitude of relative error of one prediction is |actual - predicted| /
-actual, which requires a strictly positive actual. MMRE averages those over a
-set of records. By default predictions made on the log scale are exponentiated
-back to counts before the error is taken ("count" scale); "log" keeps the raw
-scale and is flagged in every report.
+actual, which requires a strictly positive actual. MMRE averages those over
+paired arrays of actual and predicted values. By default predictions made on
+the log scale are exponentiated back to counts before the error is taken
+("count" scale); "log" keeps the raw scale and is flagged in every report.
 
 Fold plans are deterministic: a seeded uniform shuffle followed by round-robin
 assignment, so fold sizes differ by at most one and the same (n, k, seed)
@@ -20,8 +20,10 @@ Each fold's test rows are predicted at once: the rows are encoded from their
 declared category codes into one design matrix (dummy indicators for the
 baseline, the model's quantification tables for the contender) and predicted
 with one matrix product. A row whose category the training part never showed
-is masked out of scoring. Scoring itself (back-transform and MRE) runs per
-row, through the checked scalar functions below.
+is masked out of scoring. Each fold is then scored on two arrays, the actual
+and predicted values of its scored rows, with one MMRE call; on the count
+scale each pair is first exponentiated by the scalar back_transform, in row
+order, so the first overflow is the one reported.
 """
 
 from __future__ import annotations
@@ -46,22 +48,19 @@ LOG_SCALE = "log"
 MRE_SCALES = (COUNT_SCALE, LOG_SCALE)
 
 
-@dataclass(frozen=True)
-class EvaluationRecord:
-    """One scored prediction."""
-
-    row_id: str
-    actual: float
-    predicted: float
-
-
-def mre(actual: float, predicted: float) -> float:
-    """Magnitude of relative error |actual - predicted| / actual (actual > 0)."""
-    if not (actual > 0) or not math.isfinite(actual):
-        raise ValidationError(f"mre requires a strictly positive actual, got {actual}")
-    if not math.isfinite(predicted):
+def mre(actual, predicted):
+    """Magnitude of relative error |actual - predicted| / actual (actual > 0),
+    elementwise over paired scalars or arrays; the first bad pair is reported."""
+    actual, predicted = np.asarray(actual, dtype=float), np.asarray(predicted, dtype=float)
+    if actual.shape != predicted.shape:
+        raise ValidationError("mre requires paired actual and predicted values")
+    bad = ~((actual > 0) & np.isfinite(actual) & np.isfinite(predicted))
+    if bad.any():
+        first = float(actual[bad][0])
+        if not (first > 0) or not math.isfinite(first):
+            raise ValidationError(f"mre requires a strictly positive actual, got {first}")
         raise ValidationError("mre requires a finite prediction")
-    return abs(actual - predicted) / actual
+    return np.abs(actual - predicted) / actual
 
 
 def back_transform(ln_value: float) -> float:
@@ -75,12 +74,12 @@ def back_transform(ln_value: float) -> float:
     return count
 
 
-def mmre(records) -> float:
-    """Mean MRE over evaluation records (non-empty)."""
-    records = list(records)
-    if not records:
-        raise ValidationError("mmre requires at least one record")
-    return float(np.mean([mre(r.actual, r.predicted) for r in records]))
+def mmre(actual, predicted) -> float:
+    """Mean MRE over paired actual and predicted values (non-empty)."""
+    errors = mre(actual, predicted)
+    if not errors.size:
+        raise ValidationError("mmre requires at least one pair")
+    return float(np.mean(errors))
 
 
 @dataclass(frozen=True)
@@ -168,9 +167,9 @@ class DummyDesign:
         return np.column_stack(parts).astype(float), seen
 
 
-def dummy_design(dataset: Dataset, predictors=None) -> DummyDesign:
+def dummy_design(dataset: Dataset) -> DummyDesign:
     """Build the dummy-coded design matrix for the dataset's predictors."""
-    names = list(predictors) if predictors is not None else [v.name for v in dataset.predictors]
+    names = [v.name for v in dataset.predictors]
     if not names:
         raise ValidationError("dummy_design needs at least one predictor")
     col_names: list[str] = []
@@ -238,18 +237,14 @@ class MethodEvaluation:
         }
 
 
-def _dummy_fitter(train: Dataset, full: Dataset, configs: MethodConfigs):
+def _dummy_fitter(train: Dataset, full: Dataset, rows, configs: MethodConfigs):
     design = dummy_design(train)
     fit = ols_fit(design.matrix, train.column(full.dependent.name), names=design.names)
-
-    def predict(rows):
-        matrix, seen = design.encode(full, rows)
-        return fit.intercept + matrix @ fit.coef, seen
-
-    return predict, ""
+    matrix, seen = design.encode(full, rows)
+    return fit.intercept + matrix @ fit.coef, seen, ""
 
 
-def _contender_fitter(train: Dataset, full: Dataset, configs: MethodConfigs):
+def _contender_fitter(train: Dataset, full: Dataset, rows, configs: MethodConfigs):
     # imported here: pipeline depends on this module for reporting types
     from .pipeline import run_pipeline
 
@@ -261,26 +256,25 @@ def _contender_fitter(train: Dataset, full: Dataset, configs: MethodConfigs):
     )
     if result.model is None:
         fallback = float(train.column(full.dependent.name).mean())
-        predict = lambda rows: (np.full(len(rows), fallback), np.ones(len(rows), dtype=bool))
-        return predict, "empty selection; intercept-only fallback"
+        note = "empty selection; intercept-only fallback"
+        return np.full(len(rows), fallback), np.ones(len(rows), dtype=bool), note
     model = result.model
+    columns = []
+    for mv in model.variables:
+        if mv.is_categorical:
+            # a category without a quantification was unseen in training: NaN
+            qmap = model.quantifications[mv.name]
+            table = [qmap.get(c, np.nan) for c in full.variable(mv.name).categories]
+            columns.append(np.array(table, dtype=float)[full.category_codes(mv.name)[rows]])
+        else:
+            columns.append(full.column(mv.name)[rows])
+    matrix = np.column_stack(columns)
     coef = np.array([model.coefficients[mv.name] for mv in model.variables])
-
-    def column(mv, rows):
-        if not mv.is_categorical:
-            return full.column(mv.name)[rows]
-        # a category without a quantification was unseen in training: NaN
-        qmap = model.quantifications[mv.name]
-        table = [qmap.get(c, np.nan) for c in full.variable(mv.name).categories]
-        return np.array(table, dtype=float)[full.category_codes(mv.name)[rows]]
-
-    def predict(rows):
-        matrix = np.column_stack([column(mv, rows) for mv in model.variables])
-        return model.intercept + matrix @ coef, ~np.isnan(matrix).any(axis=1)
-
-    return predict, ""
+    return model.intercept + matrix @ coef, ~np.isnan(matrix).any(axis=1), ""
 
 
+# fitter(train, full, rows, configs) -> (estimates for full's rows, a mask that
+# is False on rows showing a category train never showed, a note for the report)
 _FITTERS = {BASELINE: _dummy_fitter, CONTENDER: _contender_fitter}
 
 
@@ -301,32 +295,30 @@ def crossval(
     if method not in METHODS:
         raise ValidationError(f"method must be one of {METHODS}, got {method!r}")
     plan = fold_plan(dataset.n, k, seed)
-    y = dataset.column(dataset.dependent.name).tolist()
+    y = dataset.column(dataset.dependent.name)
     outcomes: list[FoldOutcome] = []
     for fold in range(k):
         train_idx, test_idx = plan.fold_indices(fold)
-        predict, note = _FITTERS[method](dataset.subset(train_idx), dataset, configs)
-        estimates, seen = predict(test_idx)
-        scored = np.asarray(test_idx)[seen].tolist()
-        excluded = len(test_idx) - len(scored)
-        records: list[EvaluationRecord] = []
-        for i, estimate in zip(scored, estimates[seen].tolist()):
-            if configs.mre_scale == COUNT_SCALE:
-                actual, predicted = back_transform(y[i]), back_transform(estimate)
-                records.append(EvaluationRecord(dataset.row_id(i), actual, predicted))
-            else:
-                records.append(EvaluationRecord(dataset.row_id(i), y[i], estimate))
-        if not records:
+        estimates, seen, note = _FITTERS[method](
+            dataset.subset(train_idx), dataset, test_idx, configs
+        )
+        if not seen.any():
             raise ValidationError(
                 f"fold {fold + 1}: every test row was excluded; nothing to score"
             )
+        actual, predicted = y[test_idx][seen], estimates[seen]
+        if configs.mre_scale == COUNT_SCALE:
+            actual, predicted = np.array(
+                [(back_transform(a), back_transform(p))
+                 for a, p in zip(actual.tolist(), predicted.tolist())]
+            ).T
         outcomes.append(
             FoldOutcome(
                 fold=fold,
                 n_train=len(train_idx),
                 n_test=len(test_idx),
-                n_excluded=excluded,
-                mmre_value=mmre(records),
+                n_excluded=len(test_idx) - int(seen.sum()),
+                mmre_value=mmre(actual, predicted),
                 note=note,
             )
         )

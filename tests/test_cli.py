@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from catreg import Dataset, Observation, Variable, load_model, save_dataset
@@ -110,6 +111,35 @@ class TestIngestCommand:
         assert "row 5: expected 29 cells, got 0 (malformed CSV)" in err
         assert not (tmp_path / "out.json").exists()
 
+    def test_table_format_indents_nested_objects(self, capsys, tmp_path):
+        rc, out, _ = _run(capsys, [
+            "ingest", "--responses", str(SAMPLE_RESPONSES),
+            "--gearing", str(DATA / "gearing.sample.json"),
+            "--data-out", str(tmp_path / "table.json"), "--format", "table",
+        ])
+        assert rc == EXIT_OK
+        assert out.splitlines() == [
+            "seed: 42",
+            "rows_kept: 197",
+            "rows_removed: 3",
+            "removals:",
+            "  141: missing duration",
+            "  31: missing answer for Q5",
+            "  78: missing defects",
+            f"data_out: {tmp_path / 'table.json'}",
+        ]
+
+    def test_unknown_schema_level_is_a_validation_error(self, capsys, tmp_path):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"levels": {"Q7": "numeric"}}))
+        rc, out, err = _run(capsys, [
+            "ingest", "--responses", str(SAMPLE_RESPONSES),
+            "--gearing", str(DATA / "gearing.sample.json"), "--schema", str(schema),
+        ])
+        assert rc == EXIT_VALIDATION
+        assert out == ""
+        assert err == "validation error: schema item Q7: level must be ordinal or nominal\n"
+
 
 class TestFitCommand:
     def test_json_payload(self, work, capsys):
@@ -165,6 +195,36 @@ class TestPipelineCommand:
         model = load_model(model_path)
         assert set(model.coefficients) == {"ord1", "nom1", "num1"}
 
+    def test_table_format_prints_lists_as_json(self, work, capsys):
+        argv = ["pipeline", "--data", str(work / "planted.json")]
+        rc, out, _ = _run(capsys, argv)
+        assert rc == EXIT_OK
+        rounds = json.loads(out)["rounds"]
+        rc, out, _ = _run(capsys, argv + ["--format", "table"])
+        assert rc == EXIT_OK
+        lines = out.splitlines()
+        assert lines[:4] == ["seed: 42", "converged: True", "empty_model: False",
+                             f"rounds: {json.dumps(rounds)}"]
+        assert lines[4] == "model:"
+        assert lines[5].startswith("  schema_version: ")
+
+    def test_empty_selection_writes_no_model(self, capsys, tmp_path):
+        # the response is noise, unrelated to x: stepwise selection enters nothing
+        rng = np.random.default_rng(0)
+        noise = Dataset(
+            (Variable("x", "numeric"), Variable("y", "numeric", role="dependent")),
+            tuple(Observation((float(a), float(b))) for a, b in rng.normal(size=(40, 2))),
+        )
+        save_dataset(noise, tmp_path / "noise.json")
+        model_path = tmp_path / "model.json"
+        rc, out, err = _run(capsys, [
+            "pipeline", "--data", str(tmp_path / "noise.json"), "--model-out", str(model_path),
+        ])
+        assert rc == EXIT_VALIDATION
+        assert out == ""
+        assert err == "validation error: selection came up empty; there is no model to write\n"
+        assert not model_path.exists()
+
     def test_predict_against_written_model(self, work, capsys):
         model = load_model(work / "model.json")
         inputs = {}
@@ -185,6 +245,61 @@ class TestPipelineCommand:
         payload = json.loads(out)
         assert "ln_estimate" in payload
         assert payload["defect_estimate"] > 0
+
+
+def _duplicate_variable(doc):
+    doc["variables"].append(doc["variables"][2])
+
+
+def _drop_q2_quantification(doc):
+    del doc["quantifications"]["Q2"]
+
+
+def _partial_q17_quantification(doc):
+    doc["quantifications"]["Q17"] = {"A": 0.1}
+
+
+def _drop_ln_fp_input_field(doc):
+    del doc["variables"][0]["input_field"]
+
+
+class TestPredictCommand:
+    def test_inputs_from_a_file(self, capsys, tmp_path):
+        inline = _run(capsys, ["predict", "--model", REFERENCE_MODEL,
+                               "--inputs", json.dumps(REFERENCE_INPUTS)])
+        path = tmp_path / "inputs.json"
+        path.write_text(json.dumps(REFERENCE_INPUTS))
+        from_file = _run(capsys, ["predict", "--model", REFERENCE_MODEL, "--inputs", str(path)])
+        assert inline[0] == from_file[0] == EXIT_OK
+        assert from_file[1] == inline[1]
+        assert json.loads(from_file[1])["defect_estimate"] > 0
+
+    def test_label_for_a_placeholder_quantification_is_a_validation_error(self, capsys):
+        inputs = json.dumps(dict(REFERENCE_INPUTS, Q2="A"))
+        rc, out, err = _run(capsys, ["predict", "--model", REFERENCE_MODEL, "--inputs", inputs])
+        assert rc == EXIT_VALIDATION
+        assert out == ""
+        assert err == (
+            "validation error: variable 'Q2' has a placeholder quantification; "
+            "supply a numeric quantified value instead of a label\n"
+        )
+
+    @pytest.mark.parametrize("edit, message", [
+        (_duplicate_variable, "model variables must be unique"),
+        (_drop_q2_quantification, "categorical variable 'Q2' needs a quantification entry"),
+        (_partial_q17_quantification, "variable 'Q17': categories without quantification: ['B']"),
+        (_drop_ln_fp_input_field, "numeric variable 'Ln(FP)' needs an input_field"),
+    ], ids=["duplicate variable", "no Q2 entry", "partial Q17", "no input_field"])
+    def test_malformed_model_is_a_validation_error(self, capsys, tmp_path, edit, message):
+        doc = json.loads(Path(REFERENCE_MODEL).read_text())
+        edit(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        rc, out, err = _run(capsys, ["predict", "--model", str(path),
+                                     "--inputs", json.dumps(REFERENCE_INPUTS)])
+        assert rc == EXIT_VALIDATION
+        assert out == ""
+        assert err == f"validation error: {message}\n"
 
 
 class TestEvaluationCommands:
@@ -266,6 +381,14 @@ class TestBackfireCommand:
         assert rc == EXIT_OK
         assert json.loads(out)["function_points"] == pytest.approx(100.0)
 
+    def test_table_format(self, capsys):
+        rc, out, _ = _run(capsys, [
+            "backfire", "--sloc", json.dumps({"Java": 12400, "Python": 3100}),
+            "--gearing", str(DATA / "gearing.sample.json"), "--format", "table",
+        ])
+        assert rc == EXIT_OK
+        assert out == "seed: 42\nfunction_points: 325.5\n"
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
@@ -318,6 +441,23 @@ class TestExitCodes:
             ["fit", "--data", str(work / "planted.json"), "--config", str(cfg)],
         )
         assert rc == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--responses", str(SAMPLE_RESPONSES),
+         "--gearing", str(DATA / "gearing.sample.json")],
+        ["predict", "--model", REFERENCE_MODEL, "--inputs", json.dumps(REFERENCE_INPUTS)],
+        ["backfire", "--sloc", '{"Java": 100}', "--gearing", str(DATA / "gearing.sample.json")],
+    ], ids=lambda argv: argv[0])
+    def test_every_subcommand_loads_the_config(self, capsys, tmp_path, argv):
+        rc, out, err = _run(capsys, argv + ["--config", str(tmp_path / "missing.json")])
+        assert rc == EXIT_IO
+        assert out == "" and err.startswith("i/o error:")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"banana": {}}))
+        rc, out, err = _run(capsys, argv + ["--config", str(cfg)])
+        assert rc == EXIT_VALIDATION
+        assert out == "" and err.startswith("validation error:")
+        assert _run(capsys, argv)[0] == EXIT_OK
 
     def test_unknown_config_key_rejected(self, work, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

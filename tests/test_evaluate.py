@@ -7,7 +7,6 @@ import pytest
 
 from catreg import (
     Dataset,
-    EvaluationRecord,
     EvaluationReport,
     MethodConfigs,
     NumericalError,
@@ -41,6 +40,13 @@ class TestMre:
         with pytest.raises(ValidationError):
             mre(-3.0, 1.0)
 
+    def test_elementwise_with_the_first_bad_pair_reported(self):
+        assert mre([10.0, 20.0], [5.0, 30.0]).tolist() == [0.5, 0.5]
+        with pytest.raises(ValidationError, match="^mre requires a finite prediction$"):
+            mre([1.0, 0.0], [math.inf, 1.0])
+        with pytest.raises(ValidationError, match="got -1.0$"):
+            mre([1.0, -1.0, 0.0], [1.0, 1.0, math.nan])
+
 
 class TestBackTransform:
     def test_exp_of_a_log_value(self):
@@ -53,20 +59,15 @@ class TestBackTransform:
 
 
 class TestMmre:
-    def test_mean_of_record_errors(self):
-        records = [
-            EvaluationRecord("a", 10.0, 5.0),
-            EvaluationRecord("b", 20.0, 30.0),
-        ]
-        assert mmre(records) == 0.5
+    def test_mean_of_pair_errors(self):
+        assert mmre([10.0, 20.0], [5.0, 30.0]) == 0.5
 
-    def test_single_record_equals_mre(self):
-        rec = EvaluationRecord("a", 7.0, 3.0)
-        assert mmre([rec]) == mre(7.0, 3.0)
+    def test_single_pair_equals_mre(self):
+        assert mmre([7.0], [3.0]) == mre(7.0, 3.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            mmre([])
+            mmre([], [])
 
 
 class TestFoldPlan:
@@ -152,10 +153,12 @@ class TestDummyDesign:
 
     def test_reference_category_row_is_all_zero(self):
         ds = _categorical_dataset()
-        design = dummy_design(ds, predictors=["g"])
+        design = dummy_design(ds)
+        g_columns = [j for j, name in enumerate(design.names) if name.startswith("g=")]
+        assert [design.names[j] for j in g_columns] == ["g=B", "g=C"]
         # first row is category A, the declared reference
         assert ds.value(0, "g") == "A"
-        assert design.matrix[0].tolist() == [0.0, 0.0]
+        assert design.matrix[0, g_columns].tolist() == [0.0, 0.0]
 
     def test_numeric_columns_standardized(self):
         ds = _categorical_dataset()
@@ -215,8 +218,7 @@ def test_fold_predictions_match_the_per_row_oracle(method, seed):
     for fold in range(plan.k):
         train_idx, test_idx = plan.fold_indices(fold)
         train = ds.subset(train_idx)
-        predict, _ = _FITTERS[method](train, ds, configs)
-        estimates, seen = predict(test_idx)
+        estimates, seen, _ = _FITTERS[method](train, ds, test_idx, configs)
         want = oracle_fold_predictions(method, train, ds, test_idx, configs)
         assert seen.tolist() == [w is not None for w in want]
         np.testing.assert_allclose(estimates[seen], [w for w in want if w is not None], rtol=1e-12)
@@ -311,6 +313,15 @@ class TestCrossval:
         assert len(flagged) == 1
         # the excluded row still counts toward the fold's test size
         assert flagged[0].n_test >= 1
+
+    def test_fold_with_every_test_row_excluded_is_rejected(self):
+        ds = _rare_category_dataset()
+        rare_fold = fold_plan(ds.n, ds.n, seed=0).assignment[ds.labels("c").index("R")]
+        with pytest.raises(ValidationError) as exc:
+            crossval(ds, k=ds.n, seed=0, method=BASELINE)
+        assert str(exc.value) == (
+            f"fold {rare_fold + 1}: every test row was excluded; nothing to score"
+        )
 
     def test_contender_excludes_unseen_category_too(self):
         ds = _rare_category_dataset()

@@ -159,7 +159,9 @@ class DummyDesign:
                 declared = dataset.variable(name).categories
                 observed = [declared.index(c) for c in self.categorical_levels[name]]
                 codes = dataset.category_codes(name)[rows]
-                seen &= np.isin(codes, observed)
+                known = np.zeros(len(declared), dtype=bool)
+                known[observed] = True
+                seen &= known[codes]
                 parts.extend(codes == k for k in observed[1:])
             else:
                 mean, scale = self.numeric_scaling[name]
@@ -440,24 +442,12 @@ class EvaluationReport:
     def as_table(self) -> str:
         """Aligned text table: one row per fold plus the average row."""
         header = ["fold", BASELINE, CONTENDER, "improvement"]
-        rows = []
-        for i in range(len(self.baseline)):
-            rows.append(
-                [
-                    str(i + 1),
-                    f"{self.baseline[i]:.4f}",
-                    f"{self.contender[i]:.4f}",
-                    f"{self.improvement[i]:.4f}",
-                ]
-            )
-        rows.append(
-            [
-                "average",
-                f"{self.baseline_avg:.4f}",
-                f"{self.contender_avg:.4f}",
-                f"{self.improvement_avg:.4f}",
-            ]
-        )
+        rows = [
+            [str(i + 1), *(f"{v:.4f}" for v in values)]
+            for i, values in enumerate(zip(self.baseline, self.contender, self.improvement))
+        ]
+        averages = (self.baseline_avg, self.contender_avg, self.improvement_avg)
+        rows.append(["average", *(f"{v:.4f}" for v in averages)])
         widths = [max(len(header[c]), *(len(r[c]) for r in rows)) for c in range(len(header))]
         lines = [
             f"MMRE by fold ({self.mre_scale} scale, k={self.k}, seed={self.seed})",

@@ -38,8 +38,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from operator import add
 from types import SimpleNamespace
 
@@ -55,7 +55,7 @@ from .data import (
     population_standardize,
 )
 from .errors import NumericalError, ValidationError, require_number
-from .stats import adjusted_r2, ols_fit
+from .stats import OlsFit, adjusted_r2, ols_fit
 
 # mean square below this is treated as a collapsed (degenerate) quantification
 _DEGENERATE_MS = 1e-24
@@ -177,17 +177,16 @@ class CatregFit:
 
     coef/pvalues are keyed by predictor name; both refer to the standardized
     problem (response and quantified columns at mean 0, mean square 1), read
-    off the final joint least-squares pass. Degenerate predictors (whose
-    quantification collapsed to a single value) are excluded from that pass
-    and reported with coefficient 0 and p-value NaN. adj_r2 is the apparent
-    adjusted R^2 charging each predictor its effective quantification
-    parameters, not just one slope.
+    off the final joint least-squares pass, `_final`. Degenerate predictors
+    (whose quantification collapsed to a single value) are excluded from that
+    pass and reported with coefficient 0 and p-value NaN. The p-values are
+    computed on first read. adj_r2 is the apparent adjusted R^2 charging each
+    predictor its effective quantification parameters, not just one slope.
     """
 
     predictors: tuple[str, ...]
     quantifications: QuantificationMap
     coef: dict
-    pvalues: dict
     r2: float
     adj_r2: float
     iterations: int
@@ -196,6 +195,13 @@ class CatregFit:
     degenerate: tuple[str, ...]
     diagnostics: tuple[str, ...]
     n: int
+    _final: OlsFit = field(repr=False, compare=False)
+
+    @cached_property
+    def pvalues(self) -> dict:
+        pvalues = dict.fromkeys(self.predictors, math.nan)
+        pvalues.update(zip(self._final.names, self._final.pvalue.tolist()))
+        return pvalues
 
 
 # one record per predictor: a numeric one carries its standardized column x
@@ -370,8 +376,6 @@ def catreg_fit(dataset: Dataset, predictors=None, config: CatregConfig | None = 
     )
     coef = dict.fromkeys(names, 0.0)
     coef.update(zip(best.ols.names, best.ols.coef.tolist()))
-    pvalues = dict.fromkeys(names, math.nan)
-    pvalues.update(zip(best.ols.names, best.ols.pvalue.tolist()))
     r2 = best.ols.r2
     categorical_map = {
         p.name: dict(zip(p.cats, v))
@@ -382,7 +386,6 @@ def catreg_fit(dataset: Dataset, predictors=None, config: CatregConfig | None = 
         predictors=tuple(names),
         quantifications=QuantificationMap(categorical=categorical_map, numeric=numeric_map),
         coef=coef,
-        pvalues=pvalues,
         r2=r2,
         adj_r2=adjusted_r2(r2, n, df_effective) if n > df_effective + 1 else math.nan,
         iterations=len(best.trace),
@@ -391,4 +394,5 @@ def catreg_fit(dataset: Dataset, predictors=None, config: CatregConfig | None = 
         degenerate=tuple(degenerate),
         diagnostics=tuple(diagnostics),
         n=n,
+        _final=best.ols,
     )

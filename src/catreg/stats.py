@@ -1,4 +1,4 @@
-"""Least squares with t-based inference, and the stepwise entry scan.
+"""Least squares with t-based inference, and the stepwise entry and removal scans.
 
 Every least-squares problem here is factorized once, and what follows works on
 the small factor instead of the n data rows (Golub & Van Loan, Matrix
@@ -11,8 +11,9 @@ the rank screen (a smallest/largest ratio of at most 1e-10 is rank-deficient),
 the coefficients V (U'r / s) from R's last column r, and diag((X'X)^-1) as the
 row sums of (V / s)^2. It accepts Q'[1, X, y] as well, for any orthonormal Q
 whose span holds those columns: its R agrees with the data's up to the signs
-of rows, so every fit is the same. `ols_fit` validates its input and calls it
-on the data.
+of rows, so every fit is the same. It evaluates no p-value: `ols_fit`
+validates its input and calls it on the data, and `OlsFit.pvalue` is computed
+on first read.
 
 `entry_scan` scores every candidate c to enter next to an included set S from
 one QR factorization [1, S] = Q R: one matrix product residualizes all
@@ -22,8 +23,10 @@ from the largest |t| down until one exceeds the best, and among exactly equal
 p (p underflowing to 0 included) the first declared candidate wins. The rank
 screen is `ols_fit`'s test on [1, S, c], whose singular values are those of
 the triangle [[R, Q'c], [0, |e_c|]]; one batched SVD covers all triangles.
-Stepwise runs it on compressed rows; see `stepwise` for why those are formed
-with Q.
+`removal_scan` refits [1, S, y] and scans the other way, from the smallest |t|
+up for the largest p, with the same tie rule; it stops at once when the first p
+is at most alpha. Stepwise runs both on compressed rows; see `stepwise` for why
+those are formed with Q.
 
 Two-sided p-values come from the Student-t distribution evaluated through a
 hand-rolled regularized incomplete beta function, kept dependency-free on
@@ -36,13 +39,15 @@ rounds to 1) keeps its digits. The continued fraction follows the classical
 Lentz scheme and must shrink its correction term below 1e-12 within 300
 iterations, else NumericalError.
 
-Everything here is a pure function over immutable inputs.
+Everything here is a pure function over immutable inputs, and every p-value
+the package needs is evaluated here, through `t_pvalue`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -161,23 +166,6 @@ def adjusted_r2(r2: float, n: int, p: int) -> float:
     return 1.0 - (1.0 - r2) * (n - 1) / (n - p - 1)
 
 
-def pearson_r(x, y) -> float:
-    """Pearson correlation of two equal-length vectors with nonzero variance."""
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.ndim != 1 or ya.ndim != 1 or xa.size != ya.size:
-        raise ValidationError("pearson_r requires two 1-d vectors of equal length")
-    if xa.size < 2:
-        raise ValidationError("pearson_r requires length >= 2")
-    xc = xa - xa.mean()
-    yc = ya - ya.mean()
-    sxx = float(xc @ xc)
-    syy = float(yc @ yc)
-    if sxx == 0.0 or syy == 0.0:
-        raise ValidationError("pearson_r requires nonzero variance in both vectors")
-    return float((xc @ yc) / math.sqrt(sxx * syy))
-
-
 # shared by ols_fit and stepwise, whose diagnostics quote ols_fit's words
 NONFINITE = "design and response must be finite"
 RANK_DEFICIENT = "design matrix is rank-deficient (singular value ratio below 1e-10)"
@@ -202,7 +190,7 @@ def fit_rows(rows, n: int):
     rows is [1, X, y] over n finite rows, or Q'[1, X, y] for an orthonormal Q
     whose span holds those columns: fewer rows with the same coefficients and
     residual sum of squares. Both its row count and n must be at least its
-    column count. Returns (b, stderr, tstat, pvalue, sse): b starts with the
+    column count. Returns (b, stderr, tstat, sse): b starts with the
     intercept, the others cover the columns of X. Raises NumericalError when
     [1, X] fails the rank screen.
     """
@@ -215,8 +203,7 @@ def fit_rows(rows, n: int):
     sse = float(R[k, k] ** 2)
     df = n - k
     se = np.sqrt(np.maximum(sse / df * ((Vt[:, 1:] / s[:, None]) ** 2).sum(axis=0), 0.0))
-    tstat = _tstat(b[1:], se)
-    return b, se, tstat, np.array([t_pvalue(float(t), df) for t in tstat]), sse
+    return b, se, _tstat(b[1:], se), sse
 
 
 @dataclass(frozen=True)
@@ -225,7 +212,8 @@ class OlsFit:
 
     Arrays are aligned with `names` (predictors only; the intercept is kept
     separate). Standardized coefficients use population standard deviations:
-    std_coef = coef * sd(x) / sd(y).
+    std_coef = coef * sd(x) / sd(y). The p-values are computed on first read,
+    from tstat at n - p - 1 degrees of freedom.
     """
 
     names: tuple[str, ...]
@@ -234,11 +222,14 @@ class OlsFit:
     std_coef: np.ndarray
     stderr: np.ndarray
     tstat: np.ndarray
-    pvalue: np.ndarray
     r2: float
     adj_r2: float
     n: int
     p: int
+
+    @cached_property
+    def pvalue(self) -> np.ndarray:
+        return np.array([t_pvalue(float(t), self.n - self.p - 1) for t in self.tstat])
 
 
 def ols_fit(design, response, names=None) -> OlsFit:
@@ -273,7 +264,7 @@ def ols_fit(design, response, names=None) -> OlsFit:
     rows[:, 0] = 1.0
     rows[:, 1:-1] = X0
     rows[:, -1] = y
-    b, se, tstat, pvalue, sse = fit_rows(rows, n)
+    b, se, tstat, sse = fit_rows(rows, n)
     sst = float(((y - y.mean()) ** 2).sum())
     # the mean of a constant response can round, leaving sst just above 0
     if sst <= 0.0 or np.ptp(y) == 0.0:
@@ -288,7 +279,6 @@ def ols_fit(design, response, names=None) -> OlsFit:
         std_coef=coef * np.std(X0, axis=0) / sd_y if sd_y > 0 else np.zeros_like(coef),
         stderr=se,
         tstat=tstat,
-        pvalue=pvalue,
         r2=r2,
         adj_r2=adjusted_r2(r2, n, p),
         n=n,
@@ -339,3 +329,21 @@ def entry_scan(base, candidates, response, n: int) -> tuple[int | None, float, n
         if p < best_p or scored[j] < best:
             best, best_p = int(scored[j]), p
     return best, best_p, deficient
+
+
+def removal_scan(rows, n: int, rank, alpha: float) -> tuple[int | None, float]:
+    """(index, p) of the column of X with the largest p-value, or (None, p) when
+    that p is at most alpha. rows and n are as in `fit_rows`, whose
+    NumericalError this raises; rank gives each column of X its declared place,
+    and the smallest rank wins among equal p."""
+    t = fit_rows(rows, n)[2]
+    worst, worst_p = None, -math.inf
+    for j in np.argsort(np.abs(t), kind="stable"):
+        p = t_pvalue(float(t[j]), n - t.size - 1)
+        if p < worst_p:
+            break
+        if worst is None and p <= alpha:
+            return None, p
+        if p > worst_p or rank[j] < rank[worst]:
+            worst, worst_p = int(j), p
+    return worst, worst_p

@@ -1,20 +1,19 @@
 """Stepwise linear regression gated by coefficient p-values (Efroymson 1960).
 
-Each step first tries to enter the best not-yet-included candidate: the one
-whose coefficient p-value, fitted alongside the current set, is smallest
-enters if that p-value is below alpha_enter. One scan (`stats.entry_scan`)
-scores all candidates from a single QR factorization of the included set and
-evaluates p-values only from the largest |t| down to the first one that is
-larger; among exactly equal p-values, p underflowing to 0 included, the first
-declared candidate wins. The step then removes, one at a time, the included
-variable with the largest p-value while it exceeds alpha_remove (ties again
-to the first declared). Steps repeat until a full step changes nothing or
-max_steps is hit. alpha_enter must not exceed alpha_remove, which rules out
-enter/remove cycling.
+Each step first enters the best not-yet-included candidate: the one whose
+coefficient p-value, fitted alongside the current set, is smallest, if that
+p-value is below alpha_enter. It then removes, one at a time, the included
+variable with the largest p-value while that exceeds alpha_remove. Among
+exactly equal p-values, p underflowing to 0 included, the first declared wins
+either way. Two scans make these choices (`stats.entry_scan`,
+`stats.removal_scan`) and evaluate only the p-values they need; those of the
+reported fit are computed when first read. Steps repeat until a full step
+changes nothing or max_steps is hit. alpha_enter must not exceed
+alpha_remove, which rules out enter/remove cycling.
 
 Every fit of a run regresses y on 1 and some of the same columns, so the run
-factorizes once: Z = [1, finite candidates, y] = Q R, and all entry scans and
-removal-phase p-values work on Z' = Q'Z, which has at most (candidates + 2)
+factorizes once: Z = [1, finite candidates, y] = Q R, and all entry and
+removal scans work on Z' = Q'Z, which has at most (candidates + 2)
 rows and gives every such fit the same coefficients and residual sum of
 squares; degrees of freedom use the real n. Z' is formed as the product Q'Z,
 not taken as R: a product treats every column alike, and scaling a column by a
@@ -41,7 +40,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, require_number
 from .stats import FLAT_RESPONSE, NONFINITE, RANK_DEFICIENT, TOO_FEW_ROWS, OlsFit
-from .stats import entry_scan, fit_rows, ols_fit
+from .stats import entry_scan, ols_fit, removal_scan
 
 ENTERED = "entered"
 REMOVED = "removed"
@@ -172,14 +171,12 @@ def stepwise_fit(columns, response, config: StepwiseConfig | None = None) -> Ste
 
         # removal phase: repeatedly drop the worst offender above alpha_remove
         while included:
+            z_cols = [at[name] for name in included]  # ascending in declared order
             try:
-                pvalue = fit_rows(Z[:, [0, *(at[name] for name in included), -1]], n)[3]
+                worst, worst_p = removal_scan(Z[:, [0, *z_cols, -1]], n, z_cols, cfg.alpha_remove)
             except (NumericalError, ValidationError) as exc:
                 raise _unfittable(step, included) from exc
-            order = sorted(range(len(included)), key=lambda i: names.index(included[i]))
-            worst = max(order, key=lambda i: pvalue[i])  # first declared among ties
-            worst_p = float(pvalue[worst])
-            if worst_p <= cfg.alpha_remove:
+            if worst is None:
                 break
             events.append(StepwiseEvent(step, included.pop(worst), REMOVED, worst_p))
             changed = True

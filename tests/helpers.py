@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+import catreg.stats
 from catreg import (
     DEPENDENT,
     NUMERIC,
@@ -172,6 +173,19 @@ def assert_trace_monotone(fit, tol: float = 1e-12) -> None:
     trace = fit.r2_trace
     for a, b in zip(trace, trace[1:]):
         assert b - a >= -tol, f"R^2 trace decreased: {a} -> {b}"
+
+
+def count_pvalues(monkeypatch) -> list:
+    """Record every evaluation of `catreg.stats.t_pvalue`, the package's only
+    p-value path, as (t, df); returns the growing record."""
+    calls = []
+
+    def counted(t, df):
+        calls.append((t, df))
+        return t_pvalue(t, df)
+
+    monkeypatch.setattr(catreg.stats, "t_pvalue", counted)
+    return calls
 
 
 # --- oracles ---------------------------------------------------------------

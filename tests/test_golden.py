@@ -17,12 +17,14 @@ import pytest
 from catreg import (
     catreg_fit,
     compare_baseline,
+    crossval,
     ingest_dataset,
     load_gearing,
     run_pipeline,
     save_dataset,
 )
 from catreg.cli import EXIT_OK, main
+from helpers import count_pvalues
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SAMPLE_INGEST_ARGS = [
@@ -290,6 +292,15 @@ def test_catreg_fit_all_predictors(sample):
     assert fit.pvalues == pytest.approx({k: p for k, (_, p) in CATREG_TERMS.items()}, rel=1e-12)
     assert fit.degenerate == ()
     assert fit.diagnostics == ()
+
+
+def test_pvalues_are_evaluated_only_when_read(sample, monkeypatch):
+    calls = count_pvalues(monkeypatch)
+    crossval(sample[0], k=6, seed=42, method="dummy-ols")
+    fit = catreg_fit(sample[0])
+    assert calls == []
+    assert fit.pvalues == pytest.approx({k: p for k, (_, p) in CATREG_TERMS.items()}, rel=1e-12)
+    assert len(calls) == len(CATREG_TERMS)
 
 
 def test_compare_k6(sample):

@@ -14,11 +14,10 @@ from catreg import (
     ValidationError,
     adjusted_r2,
     ols_fit,
-    pearson_r,
     reg_inc_beta,
     t_pvalue,
 )
-from helpers import oracle_ols_fit
+from helpers import count_pvalues, oracle_ols_fit
 
 
 class TestRegIncBeta:
@@ -115,18 +114,6 @@ class TestAdjustedR2:
             adjusted_r2(0.5, 10, 9)
 
 
-class TestPearson:
-    def test_known_value(self):
-        assert pearson_r([1, 2, 3], [1, 2, 4]) == pytest.approx(0.98198, abs=1e-5)
-
-    def test_perfect_correlation(self):
-        assert pearson_r([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]) == pytest.approx(1.0)
-
-    def test_zero_variance_rejected(self):
-        with pytest.raises(ValidationError):
-            pearson_r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-
-
 class TestOlsFit:
     def test_exact_line(self):
         # y = x exactly: slope 1, intercept 0, R^2 = 1
@@ -176,7 +163,19 @@ class TestOlsFit:
         x = rng.normal(size=50)
         y = 1.4 * x + rng.normal(scale=0.8, size=50)
         fit = ols_fit(x.reshape(-1, 1), y)
-        assert fit.std_coef[0] == pytest.approx(pearson_r(x, y), abs=1e-10)
+        assert fit.std_coef[0] == pytest.approx(np.corrcoef(x, y)[0, 1], abs=1e-10)
+
+    def test_pvalues_are_computed_on_first_read(self, monkeypatch):
+        calls = count_pvalues(monkeypatch)
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(40, 3))
+        y = X @ np.array([1.0, 0.0, -0.5]) + rng.normal(size=40)
+        fit = ols_fit(X, y)
+        assert calls == []
+        assert fit.pvalue.tolist() == [t_pvalue(float(t), 40 - 3 - 1) for t in fit.tstat]
+        assert calls == [(float(t), 36) for t in fit.tstat]
+        fit.pvalue  # read again: kept from the first read
+        assert len(calls) == 3
 
     def test_rank_deficiency_raises_numerical(self):
         x = np.arange(10.0)

@@ -1,5 +1,7 @@
 """p-value gated forward/backward variable selection."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from catreg import (
     ols_fit,
     stepwise_fit,
 )
+from catreg.stats import fit_rows, removal_scan, t_pvalue
 from catreg.stepwise import ENTERED, REMOVED
 from helpers import oracle_ols_fit, oracle_stepwise_fit
 
@@ -273,3 +276,76 @@ class TestAgainstOracle:
         if old.fit is not None:
             assert new.fit.coef == pytest.approx(old.fit.coef, rel=1e-7, abs=1e-9)
             assert new.fit.pvalue == pytest.approx(old.fit.pvalue, rel=1e-9)
+
+
+REMOVAL_TWISTS = ("zero", "huge", "perfect", "copy", "scaled")
+
+
+@st.composite
+def removal_problems(draw):
+    """Rows of a fit as `fit_rows` takes them, the declared place of each column
+    of X, and the twists applied.
+
+    "data" rows are random [1, X, y]; the others are a triangle R of [1, X, y].
+    A diagonal triangle gives column j the t-statistic r_j sign(d_j) / s with
+    every rounding step the same for all columns, so a copy of a column (the
+    same d and r) or a +-2^k multiple of it (d scaled by +-2^k) ties with it
+    on |t| bit for bit. "zero" plants a zero coefficient (t = 0, p = 1),
+    "huge" one whose p underflows to 0, and "perfect" a perfect fit (every
+    other t is +-inf and its p is 0).
+    """
+    k = draw(st.integers(1, 8))  # columns of X
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("data", "triangle", "diagonal")))
+    rank = rng.permutation(k)
+    if kind == "data":
+        n = k + 2 + draw(st.integers(0, 60))
+        return np.column_stack([np.ones(n), rng.normal(size=(n, k + 1))]), n, rank, ()
+    size = k + 1
+    rows = np.triu(rng.normal(size=(size + 1, size + 1)))
+    signs = rng.choice([-1.0, 1.0], size)
+    if kind == "triangle":
+        rows[range(size), range(size)] = signs * (1.0 + rng.random(size))
+    else:
+        rows[:size, :size] = np.diag(signs * 2.0 ** rng.integers(-3, 4, size))
+    pool = REMOVAL_TWISTS if k > 1 else REMOVAL_TWISTS[:3]  # a copy needs two columns
+    twists = [] if kind == "triangle" else draw(st.lists(st.sampled_from(pool), max_size=4))
+    for twist in sorted(twists, key=REMOVAL_TWISTS.index):  # the last copy keeps its tie
+        i, j = rng.choice(np.arange(1, size), size=2, replace=k < 2)
+        if twist == "copy":
+            rows[j, j], rows[j, -1] = rows[i, i], rows[i, -1]
+        elif twist == "scaled":
+            scale = rng.choice([-1.0, 1.0]) * 2.0 ** rng.integers(-3, 4)
+            rows[j, j], rows[j, -1] = scale * rows[i, i], rows[i, -1]
+        elif twist == "zero":
+            rows[j, -1] = 0.0
+        elif twist == "huge":
+            rows[j, -1] = 1e30
+        else:
+            rows[-1, -1] = 0.0
+    return rows, size + 1 + draw(st.integers(0, 200)), rank, tuple(twists)
+
+
+def _removal_by_max(rows, n, rank):
+    # the rule the scan replaces: every p-value, the largest taken, first
+    # declared among equal ones
+    t = fit_rows(rows, n)[2]
+    p = [t_pvalue(float(v), n - t.size - 1) for v in t]
+    worst = max(sorted(range(t.size), key=lambda j: rank[j]), key=lambda j: p[j])
+    return worst, p[worst]
+
+
+class TestRemovalScan:
+    @given(removal_problems())
+    @settings(max_examples=400, deadline=None)
+    def test_picks_the_largest_pvalue_first_declared_among_ties(self, problem):
+        rows, n, rank, twists = problem
+        if {"copy", "scaled"} & set(twists):
+            t = fit_rows(rows, n)[2]
+            assert np.unique(np.abs(t)).size < t.size  # the planted tie holds
+        worst, worst_p = _removal_by_max(rows, n, rank)
+        assert removal_scan(rows, n, rank, -math.inf) == (worst, worst_p)
+        for alpha in (0.0, 0.05, 0.1, 0.5):
+            got, p = removal_scan(rows, n, rank, alpha)
+            assert got == (worst if worst_p > alpha else None)
+            assert p == worst_p

@@ -15,7 +15,8 @@ checked once, and only a column whose check fails is searched cell by cell.
 The error names the first bad cell in row-major order: the earliest row, and
 within it the first variable in declared order. Given rows, a ragged row is
 named only if no bad cell comes before it. `subset` is fancy indexing with no
-second validation. Observation is only the row form of a Dataset.
+second validation; an integer index array is used as it is, and repeats are
+found by counting indices. Observation is only the row form of a Dataset.
 
 The JSON form is written from the columns: each row goes into the fixed
 frame that `json.dump(..., indent=2)` gives it, a chunk of rows at a time,
@@ -256,9 +257,13 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         """New dataset with the same variables over the selected rows, each at most once."""
-        idx = np.array([operator.index(i) for i in indices], dtype=np.intp)
-        ids = tuple(self._ids[i] for i in idx.tolist())
-        if len(set(ids)) != len(ids):
+        if (isinstance(indices, np.ndarray) and indices.ndim == 1
+                and indices.dtype.kind in "iu" and np.can_cast(indices.dtype, np.intp)):
+            idx = indices.astype(np.intp)
+        else:
+            idx = np.array([operator.index(i) for i in indices], dtype=np.intp)
+        ids = tuple(map(self._ids.__getitem__, idx.tolist()))
+        if (np.bincount(idx % self.n) > 1).any():  # every index is in range here
             raise ValidationError("subset indices must not repeat")
         if len(ids) < 2:
             raise ValidationError("dataset needs at least two rows")

@@ -16,14 +16,17 @@ The baseline method dummy-codes categorical predictors (c-1 indicators against
 the first observed category) and fits plain least squares; the contender runs
 the full quantify-then-select pipeline per training fold.
 
-Each fold's test rows are predicted at once: the rows are encoded from their
-declared category codes into one design matrix (dummy indicators for the
-baseline, the model's quantification tables for the contender) and predicted
-with one matrix product. A row whose category the training part never showed
-is masked out of scoring. Each fold is then scored on two arrays, the actual
-and predicted values of its scored rows, with one MMRE call; on the count
-scale each pair is first exponentiated by the scalar back_transform, in row
-order, so the first overflow is the one reported.
+A fold is a pair of index arrays, and its training part the `Dataset.subset`
+over the first. Its test rows are predicted at once: they are encoded from their declared
+category codes into one design matrix (dummy indicators written column by
+column into one preallocated matrix for the baseline, the model's
+quantification tables for the contender) and predicted with one matrix
+product. A row whose category the training part never showed is masked out
+of scoring. Each fold is then scored on two arrays, the actual and predicted
+values of its scored rows, with one MMRE call. On the count scale both are
+first exponentiated by math.exp; only when a value has no finite count does
+the scalar back_transform scan the pairs in row order, so the first overflow
+is the one reported.
 """
 
 from __future__ import annotations
@@ -74,6 +77,20 @@ def back_transform(ln_value: float) -> float:
     return count
 
 
+def _counts(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """Paired log-scale arrays as the two rows of an array of counts, each by
+    math.exp (np.exp can differ in the last bit). When a value has no finite
+    count, back_transform runs on the pairs in row order and reports the first."""
+    pairs = actual.tolist(), predicted.tolist()
+    try:
+        counts = np.array([list(map(math.exp, values)) for values in pairs])
+        if np.isfinite(counts).all():
+            return counts
+    except OverflowError:
+        pass
+    return np.array([(back_transform(a), back_transform(p)) for a, p in zip(*pairs)]).T
+
+
 def mmre(actual, predicted) -> float:
     """Mean MRE over paired actual and predicted values (non-empty)."""
     errors = mre(actual, predicted)
@@ -112,13 +129,12 @@ class FoldPlan:
     seed: int
     assignment: tuple[int, ...]
 
-    def fold_indices(self, fold: int) -> tuple[list[int], list[int]]:
-        """(train_indices, test_indices) for one fold."""
+    def fold_indices(self, fold: int) -> tuple[np.ndarray, np.ndarray]:
+        """(train_indices, test_indices) for one fold: ascending intp arrays."""
         if not (0 <= fold < self.k):
             raise ValidationError(f"fold must lie in [0, {self.k})")
-        train = [i for i, a in enumerate(self.assignment) if a != fold]
-        test = [i for i, a in enumerate(self.assignment) if a == fold]
-        return train, test
+        assignment = np.fromiter(self.assignment, np.intp, len(self.assignment))
+        return np.flatnonzero(assignment != fold), np.flatnonzero(assignment == fold)
 
 
 def fold_plan(n: int, k: int, seed: int) -> FoldPlan:
@@ -131,7 +147,7 @@ def fold_plan(n: int, k: int, seed: int) -> FoldPlan:
     perm = rng.permutation(n)
     assignment = np.empty(n, dtype=int)
     assignment[perm] = np.arange(n) % k
-    return FoldPlan(k=k, seed=seed, assignment=tuple(int(a) for a in assignment))
+    return FoldPlan(k=k, seed=seed, assignment=tuple(assignment.tolist()))
 
 
 @dataclass(frozen=True)
@@ -149,11 +165,16 @@ class DummyDesign:
         """Dummy-code the given rows of dataset with this design's levels and scalings.
 
         Returns the matrix and a mask that is False on rows showing a category
-        the design never observed; their matrix rows carry no meaning.
+        the design never observed; their matrix rows carry no meaning. Each
+        column is written in place into one column-major float64 matrix, the
+        order in which `ols_fit` copies it into LAPACK's buffer. A product with
+        the test rows' matrix is taken in row-major order: its sums then run
+        along each row as they always have, and give the same bits.
         """
         rows = np.asarray(rows, dtype=np.intp)
         seen = np.ones(rows.size, dtype=bool)
-        parts = []
+        matrix = np.empty((rows.size, len(self.names)), order="F")
+        columns = iter(matrix.T)  # views of matrix's columns, in order
         for name in self.variables:
             if name in self.categorical_levels:
                 declared = dataset.variable(name).categories
@@ -162,11 +183,12 @@ class DummyDesign:
                 known = np.zeros(len(declared), dtype=bool)
                 known[observed] = True
                 seen &= known[codes]
-                parts.extend(codes == k for k in observed[1:])
+                for k in observed[1:]:
+                    np.equal(codes, k, out=next(columns))
             else:
                 mean, scale = self.numeric_scaling[name]
-                parts.append((dataset.column(name)[rows] - mean) / scale)
-        return np.column_stack(parts).astype(float), seen
+                next(columns)[:] = (dataset.column(name)[rows] - mean) / scale
+        return matrix, seen
 
 
 def dummy_design(dataset: Dataset) -> DummyDesign:
@@ -225,14 +247,8 @@ class MethodEvaluation:
             "seed": self.seed,
             "mre_scale": self.mre_scale,
             "folds": [
-                {
-                    "fold": f.fold + 1,
-                    "n_train": f.n_train,
-                    "n_test": f.n_test,
-                    "excluded": f.n_excluded,
-                    "mmre": f.mmre_value,
-                    "note": f.note,
-                }
+                {"fold": f.fold + 1, "n_train": f.n_train, "n_test": f.n_test,
+                 "excluded": f.n_excluded, "mmre": f.mmre_value, "note": f.note}
                 for f in self.folds
             ],
             "average_mmre": self.average,
@@ -243,7 +259,7 @@ def _dummy_fitter(train: Dataset, full: Dataset, rows, configs: MethodConfigs):
     design = dummy_design(train)
     fit = ols_fit(design.matrix, train.column(full.dependent.name), names=design.names)
     matrix, seen = design.encode(full, rows)
-    return fit.intercept + matrix @ fit.coef, seen, ""
+    return fit.intercept + np.ascontiguousarray(matrix) @ fit.coef, seen, ""  # see encode
 
 
 def _contender_fitter(train: Dataset, full: Dataset, rows, configs: MethodConfigs):
@@ -298,42 +314,22 @@ def crossval(
         raise ValidationError(f"method must be one of {METHODS}, got {method!r}")
     plan = fold_plan(dataset.n, k, seed)
     y = dataset.column(dataset.dependent.name)
-    outcomes: list[FoldOutcome] = []
+    fitter, outcomes = _FITTERS[method], []
     for fold in range(k):
         train_idx, test_idx = plan.fold_indices(fold)
-        estimates, seen, note = _FITTERS[method](
-            dataset.subset(train_idx), dataset, test_idx, configs
-        )
+        estimates, seen, note = fitter(dataset.subset(train_idx), dataset, test_idx, configs)
         if not seen.any():
             raise ValidationError(
                 f"fold {fold + 1}: every test row was excluded; nothing to score"
             )
         actual, predicted = y[test_idx][seen], estimates[seen]
         if configs.mre_scale == COUNT_SCALE:
-            actual, predicted = np.array(
-                [(back_transform(a), back_transform(p))
-                 for a, p in zip(actual.tolist(), predicted.tolist())]
-            ).T
-        outcomes.append(
-            FoldOutcome(
-                fold=fold,
-                n_train=len(train_idx),
-                n_test=len(test_idx),
-                n_excluded=len(test_idx) - int(seen.sum()),
-                mmre_value=mmre(actual, predicted),
-                note=note,
-            )
-        )
+            actual, predicted = _counts(actual, predicted)
+        excluded = len(test_idx) - int(seen.sum())
+        outcomes.append(FoldOutcome(fold, len(train_idx), len(test_idx), excluded,
+                                    mmre(actual, predicted), note))
     average = float(np.mean([f.mmre_value for f in outcomes]))
-    return MethodEvaluation(
-        method=method,
-        k=k,
-        seed=seed,
-        mre_scale=configs.mre_scale,
-        plan=plan,
-        folds=tuple(outcomes),
-        average=average,
-    )
+    return MethodEvaluation(method, k, seed, configs.mre_scale, plan, tuple(outcomes), average)
 
 
 @dataclass(frozen=True)
@@ -412,20 +408,19 @@ class EvaluationReport:
         )
 
     def as_dict(self) -> dict:
-        folds = []
-        for i in range(len(self.baseline)):
-            folds.append(
-                {
-                    "fold": i + 1,
-                    BASELINE: self.baseline[i],
-                    CONTENDER: self.contender[i],
-                    "improvement": self.improvement[i],
-                    "excluded": {
-                        BASELINE: self.baseline_excluded[i],
-                        CONTENDER: self.contender_excluded[i],
-                    },
-                }
-            )
+        folds = [
+            {
+                "fold": i + 1,
+                BASELINE: self.baseline[i],
+                CONTENDER: self.contender[i],
+                "improvement": self.improvement[i],
+                "excluded": {
+                    BASELINE: self.baseline_excluded[i],
+                    CONTENDER: self.contender_excluded[i],
+                },
+            }
+            for i in range(len(self.baseline))
+        ]
         return {
             "k": self.k,
             "seed": self.seed,

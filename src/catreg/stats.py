@@ -211,15 +211,13 @@ class OlsFit:
     """Ordinary least squares fit (with intercept) and per-coefficient inference.
 
     Arrays are aligned with `names` (predictors only; the intercept is kept
-    separate). Standardized coefficients use population standard deviations:
-    std_coef = coef * sd(x) / sd(y). The p-values are computed on first read,
-    from tstat at n - p - 1 degrees of freedom.
+    separate). The p-values are computed on first read, from tstat at
+    n - p - 1 degrees of freedom.
     """
 
     names: tuple[str, ...]
     coef: np.ndarray
     intercept: float
-    std_coef: np.ndarray
     stderr: np.ndarray
     tstat: np.ndarray
     r2: float
@@ -270,13 +268,10 @@ def ols_fit(design, response, names=None) -> OlsFit:
     if sst <= 0.0 or np.ptp(y) == 0.0:
         raise ValidationError(FLAT_RESPONSE)
     r2 = min(1.0, max(0.0, 1.0 - sse / sst))
-    coef = b[1:]
-    sd_y = float(np.std(y))
     return OlsFit(
         names=names,
-        coef=coef,
+        coef=b[1:],
         intercept=float(b[0]),
-        std_coef=coef * np.std(X0, axis=0) / sd_y if sd_y > 0 else np.zeros_like(coef),
         stderr=se,
         tstat=tstat,
         r2=r2,

@@ -317,6 +317,30 @@ class TestColumnarDataset:
         with pytest.raises(ValidationError, match="must not repeat"):
             ds.subset([3, -1])
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_subset_of_an_index_array_matches_the_list(self, data):
+        n = data.draw(st.integers(2, 12))
+        ds = Dataset(
+            small_dataset().variables,
+            columns=[data.draw(st.lists(st.sampled_from("ABC"), min_size=n, max_size=n)),
+                     [float(i) for i in range(n)], [float(i * i) for i in range(n)]],
+            ids=[f"r{i}" for i in range(n)],
+        )
+        dtype = data.draw(st.sampled_from((np.intp, np.int32, np.uint8, np.uint32, np.uint)))
+        low = 0 if np.dtype(dtype).kind == "u" else -n - 2
+        indices = data.draw(st.lists(st.integers(low, n + 2), max_size=n + 2))
+
+        def outcome(given_indices):
+            try:
+                return ds.subset(given_indices)
+            except Exception as exc:  # noqa: BLE001 - the type and message are compared
+                return type(exc), str(exc)
+
+        want = outcome(indices)
+        got = outcome(np.array(indices, dtype=dtype))
+        assert type(got) is type(want) and got == want
+
     def test_huge_integer_cell_is_not_finite(self):
         variables = (Variable("x", "numeric"), Variable("y", "numeric", role="dependent"))
         rows = (Observation((1.0, 2.0)), Observation((10**400, 1.0)))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catreg import (
     Dataset,
@@ -100,6 +102,20 @@ class TestFoldPlan:
         a = fold_plan(40, 6, seed=1)
         b = fold_plan(40, 6, seed=2)
         assert a.assignment != b.assignment
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fold_indices_match_the_comprehension(self, data):
+        n = data.draw(st.integers(2, 300))
+        k = data.draw(st.integers(2, n))
+        plan = fold_plan(n, k, seed=data.draw(st.integers(0, 2**32 - 1)))
+        assert type(plan.assignment) is tuple
+        assert all(type(a) is int for a in plan.assignment)
+        for fold in range(k):
+            train, test = plan.fold_indices(fold)
+            assert train.dtype == test.dtype == np.intp
+            assert train.tolist() == [i for i, a in enumerate(plan.assignment) if a != fold]
+            assert test.tolist() == [i for i, a in enumerate(plan.assignment) if a == fold]
 
     def test_bounds_validated(self):
         with pytest.raises(ValidationError):
@@ -364,6 +380,33 @@ class TestCrossval:
         with pytest.raises(NumericalError) as exc:
             crossval(ds, k=5, seed=0, method=method)
         assert str(exc.value) == "log-scale value 800.0 has no finite count"
+
+    @pytest.mark.parametrize("first", [750.0, math.nan])
+    def test_count_scale_error_names_the_first_bad_value_in_row_order(self, monkeypatch, first):
+        # row 0's prediction and row 1's actual both lack a finite count
+        plan = fold_plan(30, 3, seed=0)
+        test = plan.fold_indices(0)[1]
+        ds = _numeric_crossval_dataset(responses={int(test[1]): 800.0})
+
+        def fitter(train, full, rows, configs):
+            estimates = np.ones(len(rows))
+            estimates[0] = first
+            return estimates, np.ones(len(rows), dtype=bool), ""
+
+        monkeypatch.setitem(_FITTERS, BASELINE, fitter)
+        with pytest.raises(NumericalError) as exc:
+            crossval(ds, k=3, seed=0, method=BASELINE)
+        assert str(exc.value) == f"log-scale value {first} has no finite count"
+
+    def test_count_scale_nonpositive_actual_keeps_its_message(self, monkeypatch):
+        # exp(-800) underflows to an actual count of 0.0; every prediction is finite
+        test = fold_plan(30, 3, seed=0).fold_indices(0)[1]
+        ds = _numeric_crossval_dataset(responses={int(test[1]): -800.0})
+        monkeypatch.setitem(_FITTERS, BASELINE, lambda train, full, rows, configs: (
+            np.ones(len(rows)), np.ones(len(rows), dtype=bool), ""))
+        with pytest.raises(ValidationError) as exc:
+            crossval(ds, k=3, seed=0, method=BASELINE)
+        assert str(exc.value) == "mre requires a strictly positive actual, got 0.0"
 
 
 class TestEvaluationReport:

@@ -199,9 +199,10 @@ def dummy_design(dataset: Dataset) -> DummyDesign:
     col_names: list[str] = []
     categorical_levels: dict = {}
     numeric_scaling: dict = {}
-    for name in names:
-        if dataset.variable(name).is_categorical:
-            _, observed = dataset.codes(name)
+    for var, name in zip(dataset.predictors, names):
+        if var.is_categorical:  # the categories that occur, in declared order, as in `codes`
+            present = np.bincount(dataset.category_codes(name), minlength=len(var.categories))
+            observed = tuple(c for c, k in zip(var.categories, present) if k)
             if len(observed) < 2:
                 raise ValidationError(
                     f"categorical predictor '{name}' has a single observed category"

@@ -2,7 +2,9 @@
 
 Every least-squares problem here is factorized once, and what follows works on
 the small factor instead of the n data rows (Golub & Van Loan, Matrix
-Computations, 5.3 and 6.5).
+Computations, 5.3 and 6.5). One of more than BLOCK_ROWS rows is factorized as
+a tall-skinny QR (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput.
+34(1), 2012): block by block, each in cache, then the stack of their factors.
 
 `fit_rows` takes the rows of [1, X, y] and keeps only R of a Householder QR,
 never forming Q. The bottom-right entry of R squared is the residual sum of
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -57,6 +59,7 @@ _BETA_EPS = 1e-12
 _BETA_MAX_ITER = 300
 _FPMIN = 1e-300
 _RANK_TOL = 1e-10
+BLOCK_ROWS = 2048  # rows per factorized block; [1, X, y] at 68 columns is 1.1 MB
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -184,17 +187,25 @@ def _tstat(coef: np.ndarray, se: np.ndarray) -> np.ndarray:
     return np.divide(coef, se, out=out, where=se > 0.0)
 
 
+def blockwise(rows, reduce):
+    """reduce(rows); for more than BLOCK_ROWS rows, reduce of the stacked
+    reduce of each BLOCK_ROWS-row block, top to bottom."""
+    if len(rows) > BLOCK_ROWS:
+        rows = np.vstack([reduce(rows[i:i + BLOCK_ROWS]) for i in range(0, len(rows), BLOCK_ROWS)])
+    return reduce(rows)
+
+
 def fit_rows(rows, n: int):
     """Least squares of the last column of `rows` on the others, from R alone.
 
     rows is [1, X, y] over n finite rows, or Q'[1, X, y] for an orthonormal Q
     whose span holds those columns: fewer rows with the same coefficients and
-    residual sum of squares. Both its row count and n must be at least its
-    column count. Returns (b, stderr, tstat, sse): b starts with the
-    intercept, the others cover the columns of X. Raises NumericalError when
-    [1, X] fails the rank screen.
+    residual sum of squares. Its row count and n are at least its column
+    count; R is taken by row blocks above BLOCK_ROWS rows. Returns (b, stderr,
+    tstat, sse): b starts with the intercept, the others cover the columns of
+    X. Raises NumericalError when [1, X] fails the rank screen.
     """
-    R = np.linalg.qr(rows, mode="r")
+    R = blockwise(rows, partial(np.linalg.qr, mode="r"))
     k = R.shape[1] - 1
     U, s, Vt = np.linalg.svd(R[:k, :k])
     if _rank_deficient(s):

@@ -21,7 +21,9 @@ power of two commutes exactly with it, so an exact copy or a +-2^k multiple of
 a column ties with it bit for bit, and the first declared enters. R does not
 keep such ties: QR sets the entries below each pivot to exact zeros, while a
 later copy of that column keeps rounding noise there. `ols_fit` has no ties to
-keep and takes R alone.
+keep and takes R alone. Above `stats.BLOCK_ROWS` rows, Z' is formed by row
+blocks Z_i: S stacks the products Q_i'Z_i, and Z' = Q_S'S. Both steps are left
+products, so the ties survive.
 
 Candidates that cannot be fitted next to the included set (a non-finite cell,
 too few rows, a rank-deficient design by the singular value ratio test of
@@ -40,7 +42,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, require_number
 from .stats import FLAT_RESPONSE, NONFINITE, RANK_DEFICIENT, TOO_FEW_ROWS, OlsFit
-from .stats import entry_scan, ols_fit, removal_scan
+from .stats import blockwise, entry_scan, ols_fit, removal_scan
 
 ENTERED = "entered"
 REMOVED = "removed"
@@ -133,7 +135,7 @@ def stepwise_fit(columns, response, config: StepwiseConfig | None = None) -> Ste
     if finite:
         # Z' = Q'[1, finite columns, y] as a product; see the module docstring
         Z = np.array([np.ones(n), *(cols[name] for name in finite), y]).T  # column-major
-        Z = np.linalg.qr(Z)[0].T @ Z
+        Z = blockwise(Z, lambda rows: np.linalg.qr(rows)[0].T @ rows)
 
     included: list[str] = []
     events: list[StepwiseEvent] = []

@@ -17,6 +17,7 @@ from catreg import (
     reg_inc_beta,
     t_pvalue,
 )
+from catreg.stats import BLOCK_ROWS, RANK_DEFICIENT, fit_rows
 from helpers import count_pvalues, oracle_ols_fit
 
 
@@ -212,3 +213,36 @@ class TestOlsFit:
         assert new.pvalue == pytest.approx(old.pvalue, rel=1e-9, abs=1e-300)
         assert new.r2 == pytest.approx(old.r2, rel=1e-9, abs=1e-12)
         assert new.adj_r2 == pytest.approx(old.adj_r2, rel=1e-9, abs=1e-12)
+
+
+class TestBlockedLeastSquares:
+    """Problems taller than BLOCK_ROWS rows are factorized block by block."""
+
+    # 2049, 4097 and 4100 rows leave a last block with fewer rows than [1, X, y]
+    # has columns; 6000 leaves a full-width one
+    @pytest.mark.parametrize("n, p", [(2049, 5), (4097, 3), (4100, 10), (6000, 20)])
+    def test_matches_the_oracle_and_lstsq(self, n, p):
+        assert n > BLOCK_ROWS
+        rng = np.random.default_rng(n + p)
+        X = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
+        y = X @ rng.normal(size=p) + rng.normal(size=n)
+        A = np.column_stack([np.ones(n), X])
+        b, sse, _, _ = np.linalg.lstsq(A, y, rcond=None)
+        new, old = ols_fit(X, y), oracle_ols_fit(X, y)
+        for want in (old.coef, b[1:]):
+            assert new.coef == pytest.approx(want, rel=1e-10)
+        for want in (old.intercept, b[0]):
+            assert new.intercept == pytest.approx(want, rel=1e-10)
+        assert new.stderr == pytest.approx(old.stderr, rel=1e-10)
+        assert new.r2 == pytest.approx(old.r2, rel=1e-10)
+        assert fit_rows(np.column_stack([A, y]), n)[3] == pytest.approx(sse[0], rel=1e-10)
+
+    @pytest.mark.parametrize("n", [2049, 4097, 6000])
+    @pytest.mark.parametrize("scale", [1.0, 3.0])
+    def test_a_copy_or_a_multiple_of_a_column_is_rank_deficient(self, n, scale):
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 4))
+        X[:, 2] = scale * X[:, 0]
+        with pytest.raises(NumericalError) as exc:
+            ols_fit(X, rng.normal(size=n))
+        assert str(exc.value) == RANK_DEFICIENT

@@ -159,17 +159,23 @@ class TestAuditability:
 
 
 class TestDegenerateCandidates:
-    def test_collinear_candidate_skipped_with_diagnostic(self):
+    # 2049 and 5000 rows are more than one block of stats.BLOCK_ROWS
+    @pytest.mark.parametrize("n", [50, 2049, 5000])
+    def test_collinear_candidate_skipped_with_diagnostic(self, n):
         # each pair ties exactly (a copy, or a power-of-two multiple, of x1):
-        # the first declared enters, the other is then rank-deficient next to it
+        # the first declared enters, the other is then rank-deficient next to it.
+        # The noise grows with n (t near 47, 7 and 5), so p stays above 0, where
+        # any two candidates would tie whatever their bits.
         rng = np.random.default_rng(4)
-        x1 = rng.normal(size=50)
-        y = 2.0 * x1 + rng.normal(scale=0.3, size=50)
+        x1 = rng.normal(size=n)
+        y = 2.0 * x1 + rng.normal(scale=0.3 * n / 50, size=n)
         for cols in (
             {"x1": x1, "dup": 2.0 * x1},
             {"x1": x1, "dup": x1.copy()},
             {"x1": x1, "dup": -2.0 * x1},
+            {"x1": x1, "dup": 0.25 * x1},
             {"dup": 2.0 * x1, "x1": x1},
+            {"dup": -4.0 * x1, "x1": x1},
         ):
             first, second = cols
             trace = stepwise_fit(cols, y, StepwiseConfig())
@@ -276,6 +282,27 @@ class TestAgainstOracle:
         if old.fit is not None:
             assert new.fit.coef == pytest.approx(old.fit.coef, rel=1e-7, abs=1e-9)
             assert new.fit.pvalue == pytest.approx(old.fit.pvalue, rel=1e-9)
+
+
+class TestAboveOneBlock:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_events_and_selection_as_the_oracle(self, seed):
+        # n = 5000 rows, so Z' and the reported fit are formed by row blocks; a
+        # proxy of v2 + v3 enters first and leaves once both are in
+        rng = np.random.default_rng(seed)
+        n = 5000
+        X = rng.normal(size=(n, 8))
+        X[:, 7] = (X[:, 1] + X[:, 2]) / np.sqrt(2.0) + 0.3 * rng.normal(size=n)
+        beta = np.array([0.05, 1.0, 1.0, 0.0, 0.04, 0.0, 0.03, 0.0])
+        y = X @ beta + 5.0 * rng.normal(size=n)
+        cols = {f"v{j + 1}": X[:, j] for j in range(8)}
+        new, old = stepwise_fit(cols, y), oracle_stepwise_fit(cols, y)
+        assert [(e.step, e.variable, e.action) for e in new.events] == [
+            (e.step, e.variable, e.action) for e in old.events]
+        assert [e.pvalue for e in new.events] == pytest.approx(
+            [e.pvalue for e in old.events], rel=1e-9)
+        assert new.selected == old.selected
+        assert new.diagnostics == old.diagnostics
 
 
 REMOVAL_TWISTS = ("zero", "huge", "perfect", "copy", "scaled")

@@ -30,6 +30,37 @@ def work(tmp_path_factory):
     )
     save_dataset(degenerate, root / "degenerate.json")
 
+    # four rows, each of categories A-D seen once: n = 4 <= df + 1, so the
+    # adjusted R^2 is undefined
+    save_dataset(
+        Dataset(
+            (
+                Variable("c", "nominal", ("A", "B", "C", "D")),
+                Variable("y", "numeric", role="dependent"),
+            ),
+            tuple(Observation(r) for r in [("A", 1.0), ("B", 2.5), ("C", 2.0), ("D", 4.0)]),
+        ),
+        root / "four_categories.json",
+    )
+
+    # c1's categories share one mean of x and one mean of y, so c1's
+    # quantification collapses while x stays: c1's p-value is undefined
+    save_dataset(
+        Dataset(
+            (
+                Variable("c1", "nominal", ("A", "B")),
+                Variable("x", "numeric"),
+                Variable("y", "numeric", role="dependent"),
+            ),
+            tuple(
+                Observation(r)
+                for r in [("A", 1.0, 2.3), ("A", 3.0, 5.9), ("A", 2.0, 3.8),
+                          ("B", 0.0, 0.2), ("B", 4.0, 7.8), ("B", 2.0, 4.0)]
+            ),
+        ),
+        root / "one_collapsed.json",
+    )
+
     (root / "config.json").write_text(
         json.dumps({"stepwise": {"alpha_enter": 0.001, "alpha_remove": 0.1}})
     )
@@ -388,6 +419,31 @@ class TestBackfireCommand:
         ])
         assert rc == EXIT_OK
         assert out == "seed: 42\nfunction_points: 325.5\n"
+
+
+class TestUndefinedStatistics:
+    """The two statistics that may be undefined are written as null, with exit 0."""
+
+    def test_fit_adjusted_r2_is_null(self, work, capsys):
+        rc, out, _ = _run(capsys, ["fit", "--data", str(work / "four_categories.json")])
+        assert rc == EXIT_OK
+        assert '"adjusted_r2": null' in out
+        assert json.loads(out)["adjusted_r2"] is None
+
+    def test_pipeline_round_adjusted_r2_is_null(self, work, capsys):
+        rc, out, _ = _run(capsys, ["pipeline", "--data", str(work / "four_categories.json")])
+        assert rc == EXIT_OK
+        assert '"catreg_adjusted_r2": null' in out
+        assert json.loads(out)["rounds"][0]["catreg_adjusted_r2"] is None
+
+    def test_collapsed_predictor_p_value_is_null(self, work, capsys):
+        rc, out, _ = _run(capsys, ["fit", "--data", str(work / "one_collapsed.json")])
+        assert rc == EXIT_OK
+        payload = json.loads(out)
+        assert payload["degenerate"] == ["c1"]
+        assert payload["p_values"]["c1"] is None
+        assert 0.0 <= payload["p_values"]["x"] < 0.05
+        assert payload["adjusted_r2"] is not None
 
 
 class TestExitCodes:

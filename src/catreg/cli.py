@@ -5,7 +5,8 @@ Global flags (given after the subcommand): --config, --seed, --output,
 --format {json,table}. The seed defaults to 42, feeds every randomized step
 (fold shuffling, optional restart initialization) and is echoed in every
 payload. Exit codes: 0 success, 1 validation failure, 2 numerical failure,
-3 I/O failure.
+3 I/O failure. A statistic is null only when undefined (adjusted R^2 at n <= df + 1,
+a collapsed predictor's p-value); any other NaN or infinity in a payload exits 2.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import sys
 
 from .data import dataset_to_json, load_dataset, save_dataset
-from .errors import NumericalError, ValidationError, json_object, parse_json
+from .errors import NumericalError, ValidationError, encode_json, json_object, parse_json, read_json
 from .evaluate import METHODS, MRE_SCALES, MethodConfigs, crossval
 from .ingest import backfire, ingest_dataset, load_gearing, load_schema
 from .pipeline import compare_baseline, load_model, predict, run_pipeline, save_model
@@ -110,8 +111,7 @@ def _load_json_arg(text: str):
             return parse_json(stripped)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"invalid inline JSON: {exc}") from None
-    with open(text, "r", encoding="utf-8") as fh:
-        return parse_json(fh.read())
+    return read_json(text)
 
 
 _CONFIG_SECTIONS = {
@@ -125,8 +125,7 @@ _CONFIG_SECTIONS = {
 def _load_configs(path: str | None, seed: int) -> MethodConfigs:
     raw = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json_object(parse_json(fh.read()), _CONFIG_SECTIONS, "configuration file")
+        raw = json_object(read_json(path), _CONFIG_SECTIONS, "configuration file")
         for section, keys in _CONFIG_SECTIONS.items():
             json_object(raw.get(section, {}), keys, f"configuration section '{section}'")
     return MethodConfigs(
@@ -135,17 +134,6 @@ def _load_configs(path: str | None, seed: int) -> MethodConfigs:
         **raw.get("pipeline", {}),
         **raw.get("evaluation", {}),
     )
-
-
-def _clean(value):
-    """Make a payload strictly JSON-serializable: NaN/inf become null."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {k: _clean(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_clean(v) for v in value]
-    return value
 
 
 def _kv_lines(payload, prefix="") -> list[str]:
@@ -162,11 +150,11 @@ def _kv_lines(payload, prefix="") -> list[str]:
 
 
 def _emit(payload: dict, args, table_text: str | None = None) -> None:
-    payload = _clean(payload)
     if args.format == "table":
+        encode_json(payload, indent=None)  # the JSON format's strictness check
         text = table_text if table_text is not None else "\n".join(_kv_lines(payload))
     else:
-        text = json.dumps(payload, indent=2)
+        text = encode_json(payload)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -191,12 +179,12 @@ def _fit_payload(cfit, seed: int) -> dict:
         "predictors": list(cfit.predictors),
         "n": cfit.n,
         "r2": cfit.r2,
-        "adjusted_r2": cfit.adj_r2,
+        "adjusted_r2": None if math.isnan(cfit.adj_r2) else cfit.adj_r2,
         "converged": cfit.converged,
         "iterations": cfit.iterations,
         "r2_trace": list(cfit.r2_trace),
         "coefficients": dict(cfit.coef),
-        "p_values": dict(cfit.pvalues),
+        "p_values": {k: None if k in cfit.degenerate else p for k, p in cfit.pvalues.items()},
         "quantifications": {
             "categorical": {
                 name: dict(mapping)
@@ -213,17 +201,18 @@ def _fit_payload(cfit, seed: int) -> dict:
 
 
 def _fit_table(cfit, seed: int) -> str:
+    def text(value: float, spec: str) -> str:
+        return "n/a" if math.isnan(value) else format(value, spec)
+
     lines = [
         f"optimal-scaling fit (seed {seed})",
-        f"n = {cfit.n}, R^2 = {cfit.r2:.4f}, adjusted R^2 = {cfit.adj_r2:.4f}, "
+        f"n = {cfit.n}, R^2 = {cfit.r2:.4f}, adjusted R^2 = {text(cfit.adj_r2, '.4f')}, "
         f"iterations = {cfit.iterations}, converged = {cfit.converged}",
         "",
         "predictor        coefficient    p-value",
     ]
     for name in cfit.predictors:
-        p = cfit.pvalues[name]
-        p_text = f"{p:.4g}" if not math.isnan(p) else "n/a"
-        lines.append(f"{name:<16} {cfit.coef[name]:>11.4f}    {p_text}")
+        lines.append(f"{name:<16} {cfit.coef[name]:>11.4f}    {text(cfit.pvalues[name], '.4g')}")
     for name, mapping in cfit.quantifications.categorical.items():
         pairs = ", ".join(f"{cat}: {val:.4f}" for cat, val in mapping.items())
         lines.append(f"quantification {name}: {pairs}")
@@ -292,7 +281,7 @@ def _cmd_pipeline(args, configs: MethodConfigs) -> None:
                 "round": r.index,
                 "predictors": list(r.predictors),
                 "catreg_r2": r.catreg_r2,
-                "catreg_adjusted_r2": r.catreg_adj_r2,
+                "catreg_adjusted_r2": None if math.isnan(r.catreg_adj_r2) else r.catreg_adj_r2,
                 "selected": list(r.selected),
                 **_trace_payload(r.trace),
             }

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, finite_number, json_list, json_object, parse_json
+from .errors import ValidationError, finite_number, json_list, json_object, read_json
 
 NOMINAL = "nominal"
 ORDINAL = "ordinal"
@@ -445,5 +445,4 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        return dataset_from_json(parse_json(fh.read()))
+    return dataset_from_json(read_json(path))

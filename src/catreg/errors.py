@@ -1,4 +1,5 @@
-"""Exception hierarchy and input checks shared across the package."""
+"""Exceptions, input checks, and the one JSON reader and strict encoder: JSON has
+no NaN or Infinity (RFC 8259, section 6), so `encode_json` raises NumericalError."""
 
 import json
 import math
@@ -63,3 +64,17 @@ def parse_json(text: str):
         raise
     except (ValueError, RecursionError) as exc:  # digit limit on ints; deep nesting
         raise json.JSONDecodeError(str(exc), text, 0) from None
+
+
+def read_json(path):
+    """The JSON document in the UTF-8 file at path, parsed by parse_json."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_json(fh.read())
+
+
+def encode_json(value, indent: int | None = 2) -> str:
+    """Strict JSON text of value; a NaN or infinity in it is a NumericalError."""
+    try:
+        return json.dumps(value, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"cannot write JSON: {exc}") from None

@@ -25,8 +25,8 @@ product. A row whose category the training part never showed is masked out
 of scoring. Each fold is then scored on two arrays, the actual and predicted
 values of its scored rows, with one MMRE call. On the count scale both are
 first exponentiated by math.exp; only when a value has no finite count does
-the scalar back_transform scan the pairs in row order, so the first overflow
-is the one reported.
+the scalar back_transform scan the pairs in row order, so the first value it
+rejects is the one reported.
 """
 
 from __future__ import annotations
@@ -67,12 +67,12 @@ def mre(actual, predicted):
 
 
 def back_transform(ln_value: float) -> float:
-    """exp of a log-scale value; a result that is not finite is a NumericalError."""
+    """exp of a log-scale value; a value or result that is not finite is a NumericalError."""
     try:
         count = math.exp(ln_value)
     except OverflowError:
         count = math.inf
-    if not math.isfinite(count):
+    if not (math.isfinite(ln_value) and math.isfinite(count)):
         raise NumericalError(f"log-scale value {ln_value} has no finite count")
     return count
 

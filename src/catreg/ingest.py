@@ -40,7 +40,7 @@ from itertools import compress
 import numpy as np
 
 from .data import DEPENDENT, NOMINAL, NUMERIC, ORDINAL, PREDICTOR, Dataset, Variable
-from .errors import NumericalError, ValidationError, finite_number, json_object, parse_json
+from .errors import NumericalError, ValidationError, finite_number, json_object, read_json
 
 # choice-set sizes of the fixed 22-item questionnaire
 _QUESTION_CHOICE_COUNTS = {
@@ -126,8 +126,7 @@ class QuestionnaireSchema:
 
 
 def load_schema(path) -> QuestionnaireSchema:
-    with open(path, "r", encoding="utf-8") as fh:
-        return QuestionnaireSchema.from_json(parse_json(fh.read()))
+    return QuestionnaireSchema.from_json(read_json(path))
 
 
 @dataclass(frozen=True)
@@ -167,8 +166,7 @@ class GearingTable:
 
 
 def load_gearing(path) -> GearingTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return GearingTable.from_json(parse_json(fh.read()))
+    return GearingTable.from_json(read_json(path))
 
 
 @dataclass

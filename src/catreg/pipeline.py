@@ -20,13 +20,12 @@ exponential.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 from .data import NUMERIC, Dataset, column_as_quantified
 from .errors import UnseenCategoryError, ValidationError, finite_number, json_list, json_object
-from .errors import parse_json, require_number
+from .errors import encode_json, read_json, require_number
 from .evaluate import (
     BASELINE,
     CONTENDER,
@@ -261,14 +260,13 @@ class SerializedModel:
 
 
 def save_model(model: SerializedModel, path) -> None:
+    text = encode_json(model.to_dict())  # first, so a failed encode leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_model(path) -> SerializedModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return SerializedModel.from_dict(parse_json(fh.read()))
+    return SerializedModel.from_dict(read_json(path))
 
 
 def run_pipeline(

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: payloads, files, exit codes."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -444,6 +445,52 @@ class TestUndefinedStatistics:
         assert payload["p_values"]["c1"] is None
         assert 0.0 <= payload["p_values"]["x"] < 0.05
         assert payload["adjusted_r2"] is not None
+
+    def test_table_prints_n_a_for_both(self, work, capsys):
+        rc, out, _ = _run(capsys, ["fit", "--data", str(work / "four_categories.json"),
+                                   "--format", "table"])
+        assert rc == EXIT_OK
+        assert out.splitlines()[1] == (
+            "n = 4, R^2 = 1.0000, adjusted R^2 = n/a, iterations = 2, converged = True")
+        rc, out, _ = _run(capsys, ["fit", "--data", str(work / "one_collapsed.json"),
+                                   "--format", "table"])
+        assert rc == EXIT_OK
+        assert "c1                    0.0000    n/a" in out.splitlines()
+
+
+class TestStrictPayloads:
+    """Any other non-finite number in a payload exits 2, in either format."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_planted_non_finite_value_exits_two(self, capsys, monkeypatch, tmp_path, fmt, value):
+        monkeypatch.setattr("catreg.cli.backfire", lambda sloc, gearing: value)
+        out_path = tmp_path / "payload.txt"
+        argv = ["backfire", "--sloc", '{"Java": 100}', "--gearing",
+                str(DATA / "gearing.sample.json"), "--format", fmt]
+        for extra in ([], ["--output", str(out_path)]):
+            rc, out, err = _run(capsys, argv + extra)
+            assert rc == EXIT_NUMERICAL
+            assert out == ""
+            assert err.startswith("numerical error: cannot write JSON: ")
+            assert "Traceback" not in err
+        assert not out_path.exists()
+
+    def test_minus_infinite_estimate_exits_two(self, capsys, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "schema_version": "1",
+            "variables": [{"name": "FP", "level": "numeric", "input_field": "FP",
+                           "transform": "identity"}],
+            "quantifications": {},
+            "coefficients": {"FP": -1e308},
+            "intercept": 0.0,
+        }))
+        rc, out, err = _run(capsys, ["predict", "--model", str(model),
+                                     "--inputs", '{"FP": 1e308}'])
+        assert rc == EXIT_NUMERICAL
+        assert out == ""
+        assert err == "numerical error: log-scale value -inf has no finite count\n"
 
 
 class TestExitCodes:

@@ -7,7 +7,8 @@ one hostile spot into the sample responses CSV (an over-long field, a NUL
 byte, an unterminated quote, a byte-order mark, blank lines, a ragged row,
 bytes that are not UTF-8, or an odd sloc or metric cell). Whatever the
 outcome, the CLI must end with one of its documented exit codes; an
-exception escaping `main` fails the test.
+exception escaping `main` fails the test. A run that exits 0 must print
+strict JSON: no NaN or Infinity literal.
 """
 
 import contextlib
@@ -168,6 +169,10 @@ def invocations(draw):
         "gearing.json": _plant(gearing, ("factors", language), draw(st.sampled_from(HOSTILE)))}
 
 
+def _no_constant(literal: str):
+    raise AssertionError(f"payload holds the non-JSON literal {literal}")
+
+
 @given(invocations())
 @example((INGEST_CSV, {"responses.csv": _hostile_csv("long field", 3),
                        "gearing.json": GEARING_TEXT}))
@@ -183,6 +188,9 @@ def test_every_subcommand_ends_with_an_exit_code(files, invocation):
         paths[name] = str(files / name)
     argv = [paths.get(arg[1:-1], arg) if arg.startswith("{") and arg.endswith(("json}", "csv}"))
             else arg for arg in argv]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         rc = main(argv)
     assert rc in (0, 1, 2, 3)
+    if rc == 0:  # every invocation prints the default json format
+        json.loads(stdout.getvalue(), parse_constant=_no_constant)

@@ -59,6 +59,11 @@ class TestBackTransform:
             with pytest.raises(NumericalError):
                 back_transform(value)
 
+    def test_minus_infinity_is_a_numerical_error(self):
+        # exp(-inf) is a finite 0.0, but the log-scale value itself is not finite
+        with pytest.raises(NumericalError, match="^log-scale value -inf has no finite count$"):
+            back_transform(-math.inf)
+
 
 class TestMmre:
     def test_mean_of_pair_errors(self):

@@ -9,6 +9,7 @@ import pytest
 from catreg import (
     CatregConfig,
     Dataset,
+    NumericalError,
     Observation,
     StepwiseConfig,
     UnseenCategoryError,
@@ -20,7 +21,7 @@ from catreg import (
     run_pipeline,
     save_model,
 )
-from catreg.pipeline import SerializedModel
+from catreg.pipeline import ModelVariable, SerializedModel
 from helpers import PLANTED_SET, planted_pipeline_dataset
 
 TIGHT = StepwiseConfig(alpha_enter=0.001, alpha_remove=0.10)
@@ -129,6 +130,17 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="schema"):
             load_model(tmp_path / "bad.json")
 
+    def test_non_finite_model_raises_and_writes_no_file(self, tmp_path):
+        model = SerializedModel(
+            variables=(ModelVariable("x", "numeric", input_field="x", transform="identity"),),
+            quantifications={},
+            coefficients={"x": 1.0},
+            intercept=math.nan,
+        )
+        with pytest.raises(NumericalError, match="^cannot write JSON: "):
+            save_model(model, tmp_path / "m.json")
+        assert not (tmp_path / "m.json").exists()
+
     def test_coefficient_variable_bijection_enforced(self):
         with pytest.raises(ValidationError):
             SerializedModel(
@@ -215,6 +227,19 @@ class TestReferenceModelPredict:
         inputs["FP"] = 0.0
         with pytest.raises(ValidationError, match="FP"):
             predict(model, inputs)
+
+
+class TestNonFiniteEstimate:
+    def test_minus_infinite_log_estimate_is_a_numerical_error(self):
+        model = SerializedModel(
+            variables=(ModelVariable("x", "numeric", input_field="FP", transform="identity"),),
+            quantifications={},
+            coefficients={"x": -1e308},
+            intercept=0.0,
+        )
+        assert predict(model, {"FP": 1.0})["ln_estimate"] == -1e308
+        with pytest.raises(NumericalError, match="^log-scale value -inf has no finite count$"):
+            predict(model, {"FP": 1e308})
 
 
 class TestFittedModelPredict:

@@ -25,7 +25,9 @@ from catreg import (
     GearingTable,
     Observation,
     QuestionnaireSchema,
+    ValidationError,
     Variable,
+    dataset_from_json,
     ingest_dataset,
     load_dataset,
     load_responses,
@@ -77,8 +79,8 @@ def test_writer_bytes_match_the_json_dump(tmp_path, dataset):
     assert load_dataset(str(path)) == dataset
 
 
-def test_writer_spans_chunks(tmp_path):
-    n = 5000  # more rows than one write holds
+@pytest.mark.parametrize("n", [2047, 2048, 2049, 4096, 4097, 5000])  # around 2,048-row writes
+def test_writer_spans_chunks(tmp_path, n):
     variables = (Variable("c", NOMINAL, ("A", "</", "é")), Variable("y", NUMERIC, role=DEPENDENT))
     rows = [Observation((("A", "</", "é")[i % 3], i * 0.1 - 7), row_id=f"r{i}") for i in range(n)]
     dataset = Dataset(variables, rows)
@@ -102,6 +104,103 @@ def test_reader_names_a_ragged_row_after_the_variables(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CatregError, match="row a: expected 2 values, got 1"):
         load_dataset(str(path))
+
+
+READER_ROWS = 5000
+# fault -> (the bad entry made from a good one, the reader's message)
+ROW_FAULTS = {
+    "a list entry": (lambda e: [e["id"], e["values"]], "row entry must be a JSON object"),
+    "a string entry": (lambda e: "row", "row entry must be a JSON object"),
+    "a null entry": (lambda e: None, "row entry must be a JSON object"),
+    "unknown fields": (lambda e: {**e, "weight": 1, "extra": None},
+                       "row entry has unknown fields: ['extra', 'weight']"),
+    "object values": (lambda e: {**e, "values": {"c": "A"}}, "row values must be a JSON list"),
+    "null values": (lambda e: {**e, "values": None}, "row values must be a JSON list"),
+    "string values": (lambda e: {**e, "values": "A"}, "row values must be a JSON list"),
+    "integer id": (lambda e: {**e, "id": 7}, "row_id must be a string when present"),
+    "boolean id": (lambda e: {**e, "id": False}, "row_id must be a string when present"),
+    "list id": (lambda e: {**e, "id": ["r"]}, "row_id must be a string when present"),
+}
+
+
+def _reader_document(n=READER_ROWS) -> dict:
+    return {
+        "schema_version": "1",
+        "variables": [{"name": "c", "level": "nominal", "categories": ["A", "B"]},
+                      {"name": "y", "level": "numeric", "role": "dependent"}],
+        "rows": [{"id": f"r{i}", "values": ["AB"[i % 2], i * 0.5]} for i in range(n)],
+    }
+
+
+def _reader_message(doc) -> str:
+    with pytest.raises(ValidationError) as info:
+        dataset_from_json(doc)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("row", [0, READER_ROWS // 2, READER_ROWS - 1])
+@pytest.mark.parametrize("fault", list(ROW_FAULTS))
+def test_reader_names_a_bad_row_entry_wherever_it_is(row, fault):
+    doc = _reader_document()
+    plant, message = ROW_FAULTS[fault]
+    doc["rows"][row] = plant(doc["rows"][row])
+    assert _reader_message(doc) == message
+
+
+@pytest.mark.parametrize("first, second", [
+    ("integer id", "a list entry"), ("a list entry", "integer id"),
+    ("object values", "unknown fields"), ("unknown fields", "null values"),
+    ("null values", "boolean id"), ("boolean id", "a null entry"),
+])
+@pytest.mark.parametrize("rows", [(0, READER_ROWS - 1), (1, 2), (2500, 2501)])
+def test_reader_reports_the_earlier_of_two_bad_rows(first, second, rows):
+    doc = _reader_document()
+    for fault, row in zip((first, second), rows):
+        doc["rows"][row] = ROW_FAULTS[fault][0](doc["rows"][row])
+    assert _reader_message(doc) == ROW_FAULTS[first][1]
+
+
+def test_reader_checks_a_row_entry_in_a_fixed_order():
+    doc = _reader_document()
+    doc["rows"][9] = {"id": 7, "values": None, "extra": 1}
+    assert _reader_message(doc) == "row entry has unknown fields: ['extra']"
+    doc["rows"][9] = {"id": 7, "values": None}
+    assert _reader_message(doc) == "row values must be a JSON list"
+
+
+@pytest.mark.parametrize("ragged, bad", [(READER_ROWS - 1, 10), (10, READER_ROWS - 1), (0, 1)])
+def test_reader_reports_a_bad_id_before_a_ragged_row(ragged, bad):
+    doc = _reader_document()
+    doc["rows"][ragged]["values"].append(1.0)
+    doc["rows"][bad]["id"] = 3
+    assert _reader_message(doc) == "row_id must be a string when present"
+    doc["rows"][bad]["id"] = None
+    assert _reader_message(doc) == f"row r{ragged}: expected 2 values, got 3"
+
+
+def test_reader_fills_missing_row_fields():
+    doc = _reader_document()
+    del doc["rows"][7]["id"]
+    doc["rows"][8]["id"] = None
+    loaded = dataset_from_json(doc)
+    assert [loaded.row_id(i) for i in (6, 7, 8, 9)] == ["r6", "7", "8", "r9"]
+    del doc["rows"][READER_ROWS - 1]["values"]
+    assert _reader_message(doc) == f"row r{READER_ROWS - 1}: expected 2 values, got 0"
+
+
+class _Entry(dict):
+    pass
+
+
+class _Id(str):
+    pass
+
+
+def test_reader_takes_subclassed_objects_and_ids():
+    doc = _reader_document()
+    want = dataset_from_json(doc)
+    doc["rows"] = [_Entry(e, id=_Id(e["id"])) for e in doc["rows"]]
+    assert dataset_from_json(doc) == want
 
 
 def test_column_constructor_checks_its_shape_and_ids():
@@ -237,6 +336,11 @@ def test_loaded_columns_match_the_oracle_rows(tmp_path, case):
     text, _, schema, _ = case
     path = tmp_path / "responses.csv"
     path.write_text(text, encoding="utf-8")
+    _assert_loads_like_the_oracle(path, schema)
+
+
+def _assert_loads_like_the_oracle(path, schema):
+    """load_responses raises what the oracle raises, or gives the table of its rows."""
     got = _outcome(load_responses, str(path), schema)
     want = _outcome(_oracle_load_responses, str(path), schema)
     if want[0] != "ok":
@@ -259,6 +363,43 @@ def test_loaded_columns_match_the_oracle_rows(tmp_path, case):
 
 SAMPLE_LINES = (Path(__file__).resolve().parent.parent / "data" / "responses.sample.csv").read_text(
     encoding="utf-8").splitlines()
+
+
+def _edited_sample(tmp_path, rows, edit) -> Path:
+    """The sample corpus with `edit(cells, header)` applied to each of `rows` (1 = first)."""
+    lines = [line.split(",") for line in SAMPLE_LINES]
+    for row in rows:
+        edit(lines[row], lines[0])
+    path = tmp_path / "responses.csv"
+    path.write_text("\n".join(map(",".join, lines)) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("text", ["{}", "{}\n", "{}\r\n"])
+def test_header_only_csv_loads_like_the_oracle(tmp_path, text):
+    path = tmp_path / "responses.csv"
+    path.write_text(text.format(SAMPLE_LINES[0]), encoding="utf-8", newline="")
+    _assert_loads_like_the_oracle(path, QuestionnaireSchema.default())
+    assert load_responses(str(path)).n == 0
+
+
+@pytest.mark.parametrize("rows", [(1,), (-1,), (1, -1), (1, 2), (-2, -1)])
+@pytest.mark.parametrize("change", [list.pop, lambda cells: cells.append("1")])
+def test_ragged_edge_rows_load_like_the_oracle(tmp_path, rows, change):
+    path = _edited_sample(tmp_path, rows, lambda cells, header: change(cells))
+    _assert_loads_like_the_oracle(path, QuestionnaireSchema.default())
+
+
+@pytest.mark.parametrize("rows", [(1,), (-1,), (1, -1)])
+@pytest.mark.parametrize("column", ["Q1", "Q22", "sloc:C", "sloc:Python", "duration",
+                                    "defects"])
+@pytest.mark.parametrize("blank", ["", " ", "\t"])
+def test_blank_edge_cells_load_like_the_oracle(tmp_path, rows, column, blank):
+    def clear(cells, header):
+        cells[header.index(column)] = blank
+    path = _edited_sample(tmp_path, rows, clear)
+    _assert_loads_like_the_oracle(path, QuestionnaireSchema.default())
+    assert load_responses(str(path)).flags or column.startswith("sloc:")
 
 
 @pytest.mark.parametrize("planted", [

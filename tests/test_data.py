@@ -310,6 +310,17 @@ class TestColumnarDataset:
         with pytest.raises(ValidationError, match="'1' occurs more than once"):
             Dataset(variables, (Observation((1.0, 2.0), "1"), Observation((2.0, 1.0))))
 
+    def test_duplicate_row_id_named_is_the_first_to_repeat(self):
+        # 'a' occurs first of the repeated ids, though 'b' repeats sooner
+        variables = (Variable("x", "numeric"), Variable("y", "numeric", role="dependent"))
+        ids = ["c", "a", "b", "b", "a", "c"]
+        with pytest.raises(ValidationError, match="^row ids must be unique; 'c' occurs"):
+            Dataset(variables, columns=[range(6), range(6)], ids=ids)
+        with pytest.raises(ValidationError, match="^row ids must be unique; 'a' occurs"):
+            Dataset(variables, columns=[range(5), range(5)], ids=ids[1:])
+        with pytest.raises(ValidationError, match="^row ids must be unique; '2' occurs"):
+            Dataset(variables, columns=[range(4), range(4)], ids=["x", "2", None, None])
+
     def test_subset_rejects_repeated_rows(self):
         ds = small_dataset()
         with pytest.raises(ValidationError, match="must not repeat"):

@@ -18,15 +18,16 @@ surviving cells are carried through unchanged.
 
 Every stage works on a RawTable held by column: the stripped choice letters
 per item, a float array per language and per metric (NaN where a row has no
-value), and removal reasons only for the rows that have one. The CSV is
-checked once, column by column, and only a column whose check fails is
-searched cell by cell. The error names the first bad cell a row-at-a-time
-reader would meet: the earliest row, and within it the answers, then the sloc
-columns in header order, then the metrics. A ragged row is named only if no
-bad cell comes before it. A UTF-8 byte-order mark and blank lines at the end
-of the file are ignored. FP is a column sum over the languages in declared
-order, the same float additions as `backfire`, and the logs are math.log's.
-The Dataset is built from the surviving columns.
+value), and removal reasons only for the rows that have one. Each column is
+a strided slice of one list of all cells. The CSV is checked once, column by
+column, and only a column whose check fails is searched cell by cell. The
+error names the first bad cell a row-at-a-time reader would meet: the
+earliest row, and within it the answers, then the sloc columns in header
+order, then the metrics. A ragged row is named only if no bad cell comes
+before it. A UTF-8 byte-order mark and blank lines at the end of the file
+are ignored. FP is a column sum over the languages in declared order, the
+same float additions as `backfire`, and the logs are math.log's. The Dataset
+is built from the surviving columns.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import csv
 import math
 import operator
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain
 
 import numpy as np
 
@@ -228,10 +229,12 @@ def load_responses(path, schema: QuestionnaireSchema | None = None) -> RawTable:
         raise ValidationError("responses CSV needs at least one sloc:<Language> column")
 
     # the rows before the first ragged one are checked; a bad cell there comes first
-    ragged = next((i for i, record in enumerate(records) if len(record) != len(header)), None)
-    rectangle = records[:ragged]
-    cells = dict(zip(header, zip(*rectangle))) if rectangle else dict.fromkeys(header, ())
-    table = _parse_columns(cells, schema, languages)
+    width, ragged = len(header), None
+    if set(map(len, records)) - {width}:
+        ragged = next(i for i, record in enumerate(records) if len(record) != width)
+    flat = list(chain.from_iterable(records[:ragged]))
+    table = _parse_columns({name: flat[j::width] for j, name in enumerate(header)},
+                           schema, languages)
     if ragged is not None:
         raise ValidationError(
             f"row {ragged + 1}: expected {len(header)} cells, got {len(records[ragged])} "
@@ -249,34 +252,33 @@ def _parse_columns(cells: dict, schema: QuestionnaireSchema, languages: tuple) -
     within a row the column checked first: the answers, the sloc columns in
     header order, then the metrics.
     """
-    n = len(cells[schema.items[0].qid])
-    ids = [str(i) for i in range(n)]
+    ids = [str(i) for i in range(len(cells[schema.items[0].qid]))]
     if ID_COLUMN in cells:
         ids = [cell.strip() or ids[i] for i, cell in enumerate(cells[ID_COLUMN])]
     table = RawTable(schema, languages, ids, {}, {}, {}, {})
     errors = []  # (row, message): the first bad cell of each column that has one
     for item in schema.items:
-        col = list(map(str.strip, cells[item.qid]))
+        col = cells[item.qid]
         allowed = {"", *item.choices}
         seen = set(col)
+        if any(cell != cell.strip() for cell in seen):  # an answer column has few distinct cells
+            col = list(map(str.strip, col))
+            seen = set(col)
         if not seen <= allowed:
             i = next(i for i, cell in enumerate(col) if cell not in allowed)
             errors.append((i, f"row {i + 1}, column {item.qid}: '{col[i]}' is not one of "
                               f"{''.join(item.choices)}"))
-        if "" in seen:
-            for i in _blank_rows(col):
-                table.flag(i, f"missing answer for {item.qid}")
+        for i in _blank_rows(col):
+            table.flag(i, f"missing answer for {item.qid}")
         table.answers[item.qid] = col
     for lang in languages:
         # a blank sloc cell means the language is unused
         column = SLOC_PREFIX + lang
-        col = list(map(str.strip, cells[column]))
-        table.sloc[lang] = _floats(column, col, 0.0, "source line counts must be >= 0", errors)
+        table.sloc[lang], _ = _floats(column, cells[column], 0.0,
+                                      "source line counts must be >= 0", errors)
     for column, canonical in _METRIC_COLUMNS.items():
-        col = list(map(str.strip, cells[column]))
-        values = _floats(column, col, -math.inf, "value must be finite", errors)
-        if "" in col and not errors:  # a table with a bad cell is never returned
-            blank = _blank_rows(col)
+        values, blank = _floats(column, cells[column], -math.inf, "value must be finite", errors)
+        if blank and not errors:  # a table with a bad cell is never returned
             values[blank] = math.nan
             for i in blank:
                 table.flag(i, f"missing {column}")
@@ -286,20 +288,24 @@ def _parse_columns(cells: dict, schema: QuestionnaireSchema, languages: tuple) -
     return table
 
 
-def _floats(column: str, col: list, minimum: float, rule: str, errors: list) -> np.ndarray:
-    """The stripped cells of a column as floats, blank cells as 0.0.
+def _floats(column: str, cells: list, minimum: float, rule: str, errors: list) -> tuple:
+    """The cells of a column, stripped, as floats (blank cells as 0.0) and the blank rows.
 
     The first cell that is not a number, or whose value is not finite or is
     below `minimum`, goes into `errors` as (row, message); the array then
     stops at the first non-numeric cell.
     """
+    col = list(map(str.strip, cells))
+    blank = _blank_rows(col)
+    for i in blank:
+        col[i] = "0"
     try:
-        values = np.array([float(c) if c else 0.0 for c in col])
+        values = np.array(list(map(float, col)))
     except ValueError:  # read the cells before the first non-numeric one
         parsed = []
         for cell in col:
             try:
-                parsed.append(float(cell) if cell else 0.0)
+                parsed.append(float(cell))
             except ValueError:
                 break
         values = np.array(parsed)
@@ -310,11 +316,14 @@ def _floats(column: str, col: list, minimum: float, rule: str, errors: list) -> 
     elif len(values) < len(col):
         i = len(values)
         errors.append((i, f"row {i + 1}, column {column}: non-numeric cell '{col[i]}'"))
-    return values
+    return values, blank
 
 
 def _blank_rows(col: list) -> list:
-    return list(compress(range(len(col)), map(operator.not_, col)))
+    rows = []
+    for _ in range(col.count("")):
+        rows.append(col.index("", rows[-1] + 1 if rows else 0))
+    return rows
 
 
 _FP_OVERFLOW = "function point total overflows the float range"

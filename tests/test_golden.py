@@ -40,10 +40,10 @@ INGEST_STDOUT_SHA256 = "a2d21499014cf44736694da40fe941d739e146161df74d68871f9e70
 INGEST_DATA_OUT_SHA256 = "486d247a94059faa56cc42c5254dc2ec03accd2b2e82d272cf3bc87f8c79bcde"
 INGEST_INLINE_STDOUT_SHA256 = "0ac3268f299db8554cd4b422c1f809d707d29bffdf0de643a8fabe4214c04286"
 # sha256 of `catreg compare --data sample.json --k 6` (JSON, default seed) on
-# that dataset: every fold's MMREs and the averages to the last bit. The
-# leave-one-out run (`--k 197`, about 6 s) prints
-# 8c974c27cf14603a0f0f227f13d860d1ea336777f4cc8ab9f7360f02c2cbca17.
+# that dataset: every fold's MMREs and the averages to the last bit, and of
+# the leave-one-out run (`--k 197`, about 5 s)
 COMPARE_K6_STDOUT_SHA256 = "67952857b1f17599ef5b6f1c4881664aa2cdaa39b4d8d25b68fcc8ba61312ec2"
+COMPARE_K197_STDOUT_SHA256 = "8c974c27cf14603a0f0f227f13d860d1ea336777f4cc8ab9f7360f02c2cbca17"
 # sha256 of the JSON stdout of more k=6 runs on that dataset: `compare` with
 # `--mre-scale log` (the flag overrides the configured scale) and `crossval`
 # with each method
@@ -248,6 +248,14 @@ def test_compare_k6_output_bytes(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["compare", "--data", "sample.json", "--k", "6"]) == EXIT_OK
     assert _sha256(capsys.readouterr().out.encode()) == COMPARE_K6_STDOUT_SHA256
+
+
+def test_compare_leave_one_out_output_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(SAMPLE_INGEST_ARGS + ["--data-out", "sample.json"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["compare", "--data", "sample.json", "--k", "197"]) == EXIT_OK
+    assert _sha256(capsys.readouterr().out.encode()) == COMPARE_K197_STDOUT_SHA256
 
 
 @pytest.mark.parametrize("argv", list(K6_STDOUT_SHA256), ids=" ".join)

@@ -1,6 +1,8 @@
 """Optimal-scaling categorical regression with stepwise selection and
 cross-validated MMRE benchmarking against a dummy-coded baseline."""
 
+import types
+
 from .data import (
     DEPENDENT,
     NOMINAL,
@@ -56,72 +58,11 @@ from .pipeline import (
     save_model,
 )
 from .scaling import CatregConfig, CatregFit, catreg_fit, pava
-from .stats import OlsFit, adjusted_r2, ols_fit, reg_inc_beta, t_pvalue
+from .stats import OlsFit, adjusted_r2, ols_fit, t_pvalue
 from .stepwise import StepwiseConfig, StepwiseEvent, StepwiseTrace, stepwise_fit
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BASELINE",
-    "CONTENDER",
-    "CatregConfig",
-    "CatregError",
-    "CatregFit",
-    "Dataset",
-    "DEPENDENT",
-    "DummyDesign",
-    "EvaluationReport",
-    "FoldPlan",
-    "GearingTable",
-    "MethodConfigs",
-    "MethodEvaluation",
-    "NOMINAL",
-    "NUMERIC",
-    "NumericalError",
-    "Observation",
-    "OlsFit",
-    "ORDINAL",
-    "PipelineResult",
-    "PREDICTOR",
-    "QuantificationMap",
-    "QuestionnaireSchema",
-    "RoundRecord",
-    "SerializedModel",
-    "StepwiseConfig",
-    "StepwiseEvent",
-    "StepwiseTrace",
-    "UnseenCategoryError",
-    "ValidationError",
-    "Variable",
-    "adjusted_r2",
-    "apply_backfire",
-    "backfire",
-    "catreg_fit",
-    "column_as_quantified",
-    "compare_baseline",
-    "crossval",
-    "dataset_from_json",
-    "dataset_to_json",
-    "dummy_design",
-    "filter_rows",
-    "fold_plan",
-    "ingest_dataset",
-    "load_dataset",
-    "load_gearing",
-    "load_model",
-    "load_responses",
-    "load_schema",
-    "log_transform",
-    "mmre",
-    "mre",
-    "ols_fit",
-    "pava",
-    "population_standardize",
-    "predict",
-    "reg_inc_beta",
-    "run_pipeline",
-    "save_dataset",
-    "save_model",
-    "stepwise_fit",
-    "t_pvalue",
-]
+# every public name imported above; the submodules are attributes, not exports
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

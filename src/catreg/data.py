@@ -184,20 +184,12 @@ class Dataset:
             and all(map(np.array_equal, self._columns, other._columns))
         )
 
-    @property
-    def rows(self) -> tuple[Observation, ...]:
-        """The table as Observations, rebuilt on each access (the adapter form)."""
-        return tuple(map(Observation, self._row_values(), self._ids))
-
     def _row_values(self) -> list:
         """The cells row by row: labels for categorical, floats for numeric variables."""
-        return np.column_stack([self._cells(j) for j in range(len(self.variables))]).tolist()
-
-    def _cells(self, j: int) -> np.ndarray:
-        categories = self.variables[j].categories
-        if categories:
-            return np.array(categories, dtype=object)[self._columns[j]]
-        return self._columns[j].astype(object)
+        return np.column_stack([
+            np.array(v.categories, dtype=object)[col] if v.categories else col.astype(object)
+            for v, col in zip(self.variables, self._columns)
+        ]).tolist()
 
     @property
     def n(self) -> int:
@@ -220,13 +212,10 @@ class Dataset:
             raise ValidationError(f"unknown variable '{name}'")
         j = self._index[name]
         if categorical is not None and self.variables[j].is_categorical != categorical:
-            use = "use labels() or codes()" if categorical is False else "use column()"
+            use = "use codes() or category_codes()" if categorical is False else "use column()"
             kind = "categorical" if self.variables[j].is_categorical else "numeric"
             raise ValidationError(f"variable '{name}' is {kind}; {use}")
         return j
-
-    def row_id(self, i: int) -> str:
-        return self._ids[i]
 
     def value(self, i: int, name: str):
         j = self.index(name)
@@ -236,10 +225,6 @@ class Dataset:
     def column(self, name: str) -> np.ndarray:
         """Numeric column as a float array. Errors on categorical variables."""
         return self._columns[self.index(name, categorical=False)].copy()
-
-    def labels(self, name: str) -> tuple[str, ...]:
-        """Categorical column as its raw labels."""
-        return tuple(self._cells(self.index(name, categorical=True)).tolist())
 
     def category_codes(self, name: str) -> np.ndarray:
         """Categorical column as integer codes into the declared categories."""
@@ -258,13 +243,22 @@ class Dataset:
         return (np.cumsum(present) - 1)[declared], observed
 
     def subset(self, indices) -> "Dataset":
-        """New dataset with the same variables over the selected rows, each at most once."""
-        if (isinstance(indices, np.ndarray) and indices.ndim == 1
-                and indices.dtype.kind in "iu" and np.can_cast(indices.dtype, np.intp)):
-            idx = indices.astype(np.intp)
-        else:
-            idx = np.array([operator.index(i) for i in indices], dtype=np.intp)
-        ids = tuple(map(self._ids.__getitem__, idx.tolist()))
+        """New dataset with the same variables over the selected rows, each at most once.
+
+        A negative index counts from the end, as in numpy; one outside [-n, n)
+        is a ValidationError.
+        """
+        try:
+            if (isinstance(indices, np.ndarray) and indices.ndim == 1
+                    and indices.dtype.kind in "iu" and np.can_cast(indices.dtype, np.intp)):
+                idx = indices.astype(np.intp)
+            else:
+                indices = [operator.index(i) for i in indices]
+                idx = np.array(indices, dtype=np.intp)
+            ids = tuple(map(self._ids.__getitem__, idx.tolist()))
+        except (IndexError, OverflowError):  # an index outside [-n, n), or past intp
+            i = next(i for i in map(operator.index, indices) if not -self.n <= i < self.n)
+            raise ValidationError(f"subset index {i} is out of range for {self.n} rows") from None
         if (np.bincount(idx % self.n) > 1).any():  # every index is in range here
             raise ValidationError("subset indices must not repeat")
         if len(ids) < 2:

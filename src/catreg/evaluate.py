@@ -24,9 +24,9 @@ quantification tables for the contender) and predicted with one matrix
 product. A row whose category the training part never showed is masked out
 of scoring. Each fold is then scored on two arrays, the actual and predicted
 values of its scored rows, with one MMRE call. On the count scale both are
-first exponentiated by math.exp; only when a value has no finite count does
-the scalar back_transform scan the pairs in row order, so the first value it
-rejects is the one reported.
+first exponentiated by math.exp; only when a value has no finite count, or a
+predicted count underflows to 0.0, are the pairs scanned in row order, so the
+first value rejected is the one reported.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ def mre(actual, predicted):
     return np.abs(actual - predicted) / actual
 
 
-def back_transform(ln_value: float) -> float:
-    """exp of a log-scale value; a value or result that is not finite is a NumericalError."""
+def _count(ln_value: float) -> float:
+    # exp of a log-scale value; a value or result that is not finite is a NumericalError
     try:
         count = math.exp(ln_value)
     except OverflowError:
@@ -77,18 +77,28 @@ def back_transform(ln_value: float) -> float:
     return count
 
 
+def back_transform(ln_value: float) -> float:
+    """exp of a log-scale estimate. A value or count that is not finite, or a count
+    that underflows to 0.0, is a NumericalError; a subnormal count is kept."""
+    count = _count(ln_value)
+    if count == 0.0:
+        raise NumericalError(f"log-scale value {ln_value} underflows to a count of 0.0")
+    return count
+
+
 def _counts(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     """Paired log-scale arrays as the two rows of an array of counts, each by
     math.exp (np.exp can differ in the last bit). When a value has no finite
-    count, back_transform runs on the pairs in row order and reports the first."""
+    count or an estimate a count of 0.0, the pairs are converted again in row
+    order and the first is reported; an actual count of 0.0 is left to `mre`."""
     pairs = actual.tolist(), predicted.tolist()
     try:
         counts = np.array([list(map(math.exp, values)) for values in pairs])
-        if np.isfinite(counts).all():
+        if np.isfinite(counts).all() and counts[1].all():
             return counts
     except OverflowError:
         pass
-    return np.array([(back_transform(a), back_transform(p)) for a, p in zip(*pairs)]).T
+    return np.array([(_count(a), back_transform(p)) for a, p in zip(*pairs)]).T
 
 
 def mmre(actual, predicted) -> float:

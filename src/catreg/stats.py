@@ -63,7 +63,7 @@ BLOCK_ROWS = 2048  # rows per factorized block; [1, X, y] at 68 columns is 1.1 M
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
-    # Lentz continued fraction for the incomplete beta; see reg_inc_beta.
+    # Lentz continued fraction for the incomplete beta; see _inc_beta.
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -135,15 +135,6 @@ def _inc_beta(a: float, b: float, x: float, xc: float) -> float:
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cf(a, b, x) / a
     return 1.0 - front * _beta_cf(b, a, xc) / b
-
-
-def reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for a, b > 0 and 0 <= x <= 1."""
-    if not (a > 0 and b > 0):
-        raise ValidationError("reg_inc_beta requires a > 0 and b > 0")
-    if not (0.0 <= x <= 1.0):
-        raise ValidationError("reg_inc_beta requires 0 <= x <= 1")
-    return _inc_beta(a, b, x, 1.0 - x)
 
 
 def t_pvalue(t: float, df: float) -> float:

@@ -492,6 +492,21 @@ class TestStrictPayloads:
         assert out == ""
         assert err == "numerical error: log-scale value -inf has no finite count\n"
 
+    def test_underflowing_estimate_exits_two(self, capsys, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "schema_version": "1",
+            "variables": [{"name": "FP", "level": "numeric", "input_field": "FP",
+                           "transform": "identity"}],
+            "quantifications": {},
+            "coefficients": {"FP": -1.0},
+            "intercept": 0.0,
+        }))
+        rc, out, err = _run(capsys, ["predict", "--model", str(model), "--inputs", '{"FP": 800}'])
+        assert rc == EXIT_NUMERICAL
+        assert out == ""
+        assert err == "numerical error: log-scale value -800.0 underflows to a count of 0.0\n"
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):

@@ -93,12 +93,15 @@ class TestDataset:
         assert ds.n == 4
         assert ds.dependent.name == "y"
         assert [v.name for v in ds.predictors] == ["q", "size"]
-        assert ds.labels("q") == ("A", "B", "C", "B")
+        assert [ds.value(i, "q") for i in range(ds.n)] == ["A", "B", "C", "B"]
+        np.testing.assert_array_equal(ds.category_codes("q"), [0, 1, 2, 1])
         np.testing.assert_array_equal(ds.column("size"), [1.0, 2.0, 3.0, 4.0])
         codes, observed = ds.codes("q")
         assert observed == ("A", "B", "C")
         np.testing.assert_array_equal(codes, [0, 1, 2, 1])
-        assert ds.row_id(2) == "r3"
+        assert dataset_to_json(ds)["rows"][2]["id"] == "r3"
+        with pytest.raises(ValidationError, match=r"^variable 'q' is categorical; use codes\(\) or category_codes\(\)$"):
+            ds.column("q")
 
     def test_observed_categories_keep_declared_order(self):
         variables = (
@@ -115,8 +118,16 @@ class TestDataset:
         ds = small_dataset()
         sub = ds.subset([0, 3])
         assert sub.n == 2
-        assert sub.row_id(1) == "r4"
-        assert sub.labels("q") == ("A", "B")
+        assert [row["id"] for row in dataset_to_json(sub)["rows"]] == ["r1", "r4"]
+        assert [sub.value(i, "q") for i in range(sub.n)] == ["A", "B"]
+
+    def test_subset_index_out_of_range_is_a_validation_error(self):
+        ds = small_dataset()
+        for indices in ([0, 4], [-5, 1], np.array([0, 9]), [0, 1 << 70]):
+            with pytest.raises(ValidationError, match=r"^subset index \S+ is out of range for 4 rows$"):
+                ds.subset(indices)
+        # a negative index in [-n, 0) counts from the end, as in numpy
+        assert [row["id"] for row in dataset_to_json(ds.subset([-1, 0]))["rows"]] == ["r4", "r1"]
 
 
 class TestStandardize:
@@ -247,10 +258,12 @@ def _rejected_rows(*rows):
 
 def assert_same_table(ds, oracle):
     assert ds.n == oracle.n
-    assert [ds.row_id(i) for i in range(ds.n)] == [oracle.row_id(i) for i in range(oracle.n)]
+    ids = [row["id"] for row in dataset_to_json(ds)["rows"]]
+    assert ids == [oracle.row_id(i) for i in range(oracle.n)]
     for var in ds.variables:
         if var.is_categorical:
-            assert ds.labels(var.name) == oracle.labels(var.name)
+            want = [var.categories.index(label) for label in oracle.labels(var.name)]
+            np.testing.assert_array_equal(ds.category_codes(var.name), want)
             codes, observed = ds.codes(var.name)
             want_codes, want_observed = oracle.codes(var.name)
             assert observed == want_observed

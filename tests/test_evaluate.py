@@ -18,6 +18,7 @@ from catreg import (
     Variable,
     compare_baseline,
     crossval,
+    dataset_to_json,
     dummy_design,
     fold_plan,
     mmre,
@@ -200,7 +201,8 @@ class TestDummyDesign:
 
     def test_fold_encoder_maps_and_rejects_unseen(self):
         ds = _categorical_dataset()
-        b_row, c_row = ds.labels("g").index("B"), ds.labels("g").index("C")
+        labels = [ds.value(i, "g") for i in range(ds.n)]
+        b_row, c_row = labels.index("B"), labels.index("C")
         design = dummy_design(ds)
         matrix, seen = design.encode(ds, [b_row])
         assert matrix[0, design.names.index("g=B")] == 1.0
@@ -337,7 +339,8 @@ class TestCrossval:
 
     def test_fold_with_every_test_row_excluded_is_rejected(self):
         ds = _rare_category_dataset()
-        rare_fold = fold_plan(ds.n, ds.n, seed=0).assignment[ds.labels("c").index("R")]
+        rare_row = [ds.value(i, "c") for i in range(ds.n)].index("R")
+        rare_fold = fold_plan(ds.n, ds.n, seed=0).assignment[rare_row]
         with pytest.raises(ValidationError) as exc:
             crossval(ds, k=ds.n, seed=0, method=BASELINE)
         assert str(exc.value) == (
@@ -412,6 +415,18 @@ class TestCrossval:
         with pytest.raises(ValidationError) as exc:
             crossval(ds, k=3, seed=0, method=BASELINE)
         assert str(exc.value) == "mre requires a strictly positive actual, got 0.0"
+
+    def test_count_scale_underflowing_prediction_is_a_numerical_error(self, monkeypatch):
+        # exp(-740) is a subnormal count and is kept; exp(-800) underflows to 0.0
+        def fitter(train, full, rows, configs):
+            estimates = np.ones(len(rows))
+            estimates[1], estimates[2] = -740.0, -800.0
+            return estimates, np.ones(len(rows), dtype=bool), ""
+
+        monkeypatch.setitem(_FITTERS, BASELINE, fitter)
+        with pytest.raises(NumericalError) as exc:
+            crossval(_numeric_crossval_dataset(), k=3, seed=0, method=BASELINE)
+        assert str(exc.value) == "log-scale value -800.0 underflows to a count of 0.0"
 
 
 class TestEvaluationReport:
@@ -501,5 +516,6 @@ class TestDummyOlsEqualsNominalCatreg:
             else v
             for v in ds.variables
         )
-        fit = catreg_fit(Dataset(variables, ds.rows))
+        rows = [Observation(row["values"], row["id"]) for row in dataset_to_json(ds)["rows"]]
+        fit = catreg_fit(Dataset(variables, rows))
         assert fit.r2 == pytest.approx(oracle.r2, abs=1e-8)

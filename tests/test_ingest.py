@@ -12,6 +12,7 @@ from catreg import (
     ValidationError,
     apply_backfire,
     backfire,
+    dataset_to_json,
     filter_rows,
     ingest_dataset,
     load_responses,
@@ -273,8 +274,8 @@ class TestFilterRows:
         prepared = self._prepared(tmp_path, rows)
         dataset, _ = filter_rows(prepared)
         by_id = {rid: i for i, rid in enumerate(prepared.ids)}
-        for i in range(dataset.n):
-            row = by_id[dataset.row_id(i)]
+        for i, entry in enumerate(dataset_to_json(dataset)["rows"]):
+            row = by_id[entry["id"]]
             assert dataset.value(i, "Ln(FP)") == prepared.fields["Ln(FP)"][row]
             assert dataset.value(i, "Q4") == prepared.answers["Q4"][row]
 

@@ -237,9 +237,23 @@ class TestNonFiniteEstimate:
             coefficients={"x": -1e308},
             intercept=0.0,
         )
-        assert predict(model, {"FP": 1.0})["ln_estimate"] == -1e308
+        with pytest.raises(NumericalError, match=r"^log-scale value -1e\+308 underflows to a count of 0\.0$"):
+            predict(model, {"FP": 1.0})
         with pytest.raises(NumericalError, match="^log-scale value -inf has no finite count$"):
             predict(model, {"FP": 1e308})
+
+    def test_underflowing_count_is_a_numerical_error_and_a_subnormal_one_is_kept(self):
+        model = SerializedModel(
+            variables=(ModelVariable("x", "numeric", input_field="FP", transform="identity"),),
+            quantifications={},
+            coefficients={"x": -1.0},
+            intercept=0.0,
+        )
+        with pytest.raises(NumericalError, match=r"^log-scale value -800\.0 underflows to a count of 0\.0$"):
+            predict(model, {"FP": 800})
+        out = predict(model, {"FP": 740})
+        assert out == {"ln_estimate": -740.0, "defect_estimate": math.exp(-740.0)}
+        assert 0.0 < out["defect_estimate"] < 2.2250738585072014e-308  # subnormal
 
 
 class TestFittedModelPredict:

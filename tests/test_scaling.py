@@ -16,6 +16,7 @@ from catreg import (
     Variable,
     catreg_fit,
     column_as_quantified,
+    dataset_to_json,
     ols_fit,
     pava,
     population_standardize,
@@ -311,11 +312,11 @@ class TestCatregFit:
             Observation(
                 tuple(
                     renames[val] if j == ord_idx else val
-                    for j, val in enumerate(row.values)
+                    for j, val in enumerate(row["values"])
                 ),
-                row_id=row.row_id,
+                row_id=row["id"],
             )
-            for row in ds.rows
+            for row in dataset_to_json(ds)["rows"]
         )
         fit2 = catreg_fit(Dataset(tuple(new_vars), new_rows))
 

@@ -370,7 +370,7 @@ def predict(model: SerializedModel, inputs) -> dict:
     inputs is a mapping keyed by each categorical variable's name and each
     numeric variable's input_field. Numeric inputs are transformed per the
     model (ln requires a strictly positive value). Returns the log-scale
-    estimate and its exponential, taken by `back_transform`.
+    estimate and its exponential.
     """
     if not isinstance(inputs, dict):
         raise ValidationError("inputs must be a mapping")

@@ -417,7 +417,11 @@ class TestCrossval:
         assert str(exc.value) == "mre requires a strictly positive actual, got 0.0"
 
     def test_count_scale_underflowing_prediction_is_a_numerical_error(self, monkeypatch):
-        # exp(-740) is a subnormal count and is kept; exp(-800) underflows to 0.0
+        # exp(-740) is a subnormal count and is kept; exp(-800) underflows to 0.0,
+        # which only an estimate may not: the earlier actual of 0.0 is left to mre
+        test = fold_plan(30, 3, seed=0).fold_indices(0)[1]
+        ds = _numeric_crossval_dataset(responses={int(test[0]): -900.0})
+
         def fitter(train, full, rows, configs):
             estimates = np.ones(len(rows))
             estimates[1], estimates[2] = -740.0, -800.0
@@ -425,7 +429,7 @@ class TestCrossval:
 
         monkeypatch.setitem(_FITTERS, BASELINE, fitter)
         with pytest.raises(NumericalError) as exc:
-            crossval(_numeric_crossval_dataset(), k=3, seed=0, method=BASELINE)
+            crossval(ds, k=3, seed=0, method=BASELINE)
         assert str(exc.value) == "log-scale value -800.0 underflows to a count of 0.0"
 
 

@@ -55,6 +55,19 @@ K6_STDOUT_SHA256 = {
     ("crossval", "--method", "catreg-stepwise"):
         "e2a609ea0ef0879207b9fdf3c37ac4fcaeafab5099bbeeb177e5cbb6d929241f",
 }
+# sha256 of the stdout of `fit` (all predictors; JSON and table, and JSON with
+# the ALS capped at 3 sweeps, so the fit is flagged non-converged) and of
+# `pipeline` on that dataset; the config, if any, is written to config.json
+FIT_STDOUT_SHA256 = {
+    ("fit", None):
+        "157ed1f4a568156d4a474cb89549ac8e850df075cfdaa89760a6c141d8f9ff98",
+    ("fit --format table", None):
+        "8102a99cb6254cc0564a3b9ce6a20c8690467049c3cc43cdffd9b23eb7517f00",
+    ("fit", '{"catreg": {"max_iterations": 3}}'):
+        "9198e0e1eb2d3ba63d652edc0b0ec31790be9ab12edcff0d4153a4b0d347424f",
+    ("pipeline", None):
+        "082c61828264dcfd97333e17c4767b235619f57c79cb454941bcce57253fa104",
+}
 
 # ingest_dataset's removal report, in its own order
 REMOVALS = [
@@ -266,6 +279,22 @@ def test_k6_output_bytes(argv, tmp_path, monkeypatch, capsys):
     command, *flags = argv
     assert main([command, "--data", "sample.json", "--k", "6", *flags]) == EXIT_OK
     assert _sha256(capsys.readouterr().out.encode()) == K6_STDOUT_SHA256[argv]
+
+
+@pytest.mark.parametrize(
+    "command, config", list(FIT_STDOUT_SHA256),
+    ids=[f"{c} {cfg or 'default'}" for c, cfg in FIT_STDOUT_SHA256],
+)
+def test_fit_and_pipeline_output_bytes(command, config, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(SAMPLE_INGEST_ARGS + ["--data-out", "sample.json"]) == EXIT_OK
+    capsys.readouterr()
+    subcommand, *flags = command.split()
+    if config is not None:
+        (tmp_path / "config.json").write_text(config)
+        flags += ["--config", "config.json"]
+    assert main([subcommand, "--data", "sample.json", *flags]) == EXIT_OK
+    assert _sha256(capsys.readouterr().out.encode()) == FIT_STDOUT_SHA256[command, config]
 
 
 def test_pipeline_selection(pipeline):

@@ -2,11 +2,11 @@
 
 Subcommands: ingest, fit, pipeline, predict, crossval, compare, backfire.
 Global flags (given after the subcommand): --config, --seed, --output,
---format {json,table}. The seed defaults to 42, feeds every randomized step
-(fold shuffling, optional restart initialization) and is echoed in every
-payload. Exit codes: 0 success, 1 validation failure, 2 numerical failure,
-3 I/O failure. A statistic is null only when undefined (adjusted R^2 at n <= df + 1,
-a collapsed predictor's p-value); any other NaN or infinity in a payload exits 2.
+--format {json,table}. The seed defaults to 42, drives fold shuffling only
+and is echoed in every payload. Exit codes: 0 success, 1 validation failure,
+2 numerical failure, 3 I/O failure. A statistic is null only when undefined
+(adjusted R^2 at n <= df + 1, a collapsed predictor's p-value); any other NaN
+or infinity in a payload exits 2.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _common_flags(parser: _Parser) -> None:
     parser.add_argument("--config", metavar="PATH", help="JSON configuration file")
-    parser.add_argument("--seed", type=int, default=42, help="seed for every randomized step (default 42)")
+    parser.add_argument("--seed", type=int, default=42, help="seed for fold shuffling (default 42)")
     parser.add_argument("--output", metavar="PATH", help="write the payload here instead of stdout")
     parser.add_argument("--format", choices=("json", "table"), default="json", help="payload rendering")
 
@@ -115,21 +115,21 @@ def _load_json_arg(text: str):
 
 
 _CONFIG_SECTIONS = {
-    "catreg": {"epsilon", "max_iterations", "random_restarts"},
-    "stepwise": {"alpha_enter", "alpha_remove", "max_steps"},
+    "catreg": {f.name for f in dataclasses.fields(CatregConfig)},
+    "stepwise": {f.name for f in dataclasses.fields(StepwiseConfig)},
     "pipeline": {"max_rounds"},
     "evaluation": {"mre_scale"},
 }
 
 
-def _load_configs(path: str | None, seed: int) -> MethodConfigs:
+def _load_configs(path: str | None) -> MethodConfigs:
     raw = {}
     if path is not None:
         raw = json_object(read_json(path), _CONFIG_SECTIONS, "configuration file")
         for section, keys in _CONFIG_SECTIONS.items():
             json_object(raw.get(section, {}), keys, f"configuration section '{section}'")
     return MethodConfigs(
-        catreg=CatregConfig(seed=seed, **raw.get("catreg", {})),
+        catreg=CatregConfig(**raw.get("catreg", {})),
         stepwise=StepwiseConfig(**raw.get("stepwise", {})),
         **raw.get("pipeline", {}),
         **raw.get("evaluation", {}),
@@ -341,7 +341,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_seed(args.seed)
-        configs = _load_configs(args.config, args.seed)
+        configs = _load_configs(args.config)
         scale = getattr(args, "mre_scale", None)
         if scale is not None:
             configs = dataclasses.replace(configs, mre_scale=scale)

@@ -142,6 +142,8 @@ class Dataset:
         if columns is None:
             rows = tuple(rows)
             ids = [row.row_id for row in rows]
+        elif ids is None:
+            raise ValidationError("a dataset given by columns needs one row id or None per row")
         elif not set(map(type, ids)) <= {str}:
             for rid in ids:
                 _check_row_id(rid)
@@ -245,26 +247,35 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         """New dataset with the same variables over the selected rows, each at most once.
 
-        A negative index counts from the end, as in numpy; one outside [-n, n)
-        is a ValidationError.
+        A negative index counts from the end, as in numpy; one outside [-n, n),
+        a bool, a non-integer or a non-iterable `indices` is a ValidationError.
         """
         try:
             if (isinstance(indices, np.ndarray) and indices.ndim == 1
                     and indices.dtype.kind in "iu" and np.can_cast(indices.dtype, np.intp)):
                 idx = indices.astype(np.intp)
             else:
-                indices = [operator.index(i) for i in indices]
+                indices = [_index(i) for i in indices]
                 idx = np.array(indices, dtype=np.intp)
             ids = tuple(map(self._ids.__getitem__, idx.tolist()))
         except (IndexError, OverflowError):  # an index outside [-n, n), or past intp
-            i = next(i for i in map(operator.index, indices) if not -self.n <= i < self.n)
+            i = next(i for i in indices if not -self.n <= i < self.n)
             raise ValidationError(f"subset index {i} is out of range for {self.n} rows") from None
+        except TypeError:  # `indices` is not iterable
+            raise ValidationError("subset indices must be a sequence of integers") from None
         if (np.bincount(idx % self.n) > 1).any():  # every index is in range here
             raise ValidationError("subset indices must not repeat")
         if len(ids) < 2:
             raise ValidationError("dataset needs at least two rows")
         columns = [col[idx] for col in self._columns]
         return object.__new__(Dataset)._init(self.variables, ids, columns)
+
+
+def _index(i) -> int:
+    """A subset index as an int; a bool or any other non-integer is a ValidationError."""
+    if isinstance(i, (bool, np.bool_)) or not hasattr(type(i), "__index__"):
+        raise ValidationError(f"subset index {i!r} is not an integer")
+    return operator.index(i)
 
 
 def _columns_of(variables, columns) -> tuple:

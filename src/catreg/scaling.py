@@ -41,12 +41,10 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import add
-from types import SimpleNamespace
 
 import numpy as np
 
 from .data import (
-    DEPENDENT,
     NUMERIC,
     ORDINAL,
     PREDICTOR,
@@ -67,31 +65,18 @@ class CatregConfig:
 
     epsilon: stop once the per-iteration R^2 gain falls below this.
     max_iterations: hard cap on full sweeps; hitting it flags the fit.
-    seed / random_restarts: optional mode that reruns the loop from seeded
-        random quantifications and keeps the best final R^2. Off by default;
-        the standard initialization (standardized category indices) is
-        deterministic.
     """
 
     epsilon: float = 1e-6
     max_iterations: int = 200
-    seed: int | None = None
-    random_restarts: int = 0
 
     def __post_init__(self):
         require_number("epsilon", self.epsilon)
         require_number("max_iterations", self.max_iterations, integer=True)
-        require_number("random_restarts", self.random_restarts, integer=True)
-        if self.seed is not None:
-            require_number("seed", self.seed, integer=True)
-            if self.seed < 0:
-                raise ValidationError("seed must be >= 0")
         if not (self.epsilon > 0):
             raise ValidationError("epsilon must be positive")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be >= 1")
-        if self.random_restarts < 0:
-            raise ValidationError("random_restarts must be >= 0")
 
 
 def pava(values, weights=None, increasing: bool = True) -> np.ndarray:
@@ -290,79 +275,64 @@ def catreg_fit(dataset: Dataset, predictors=None, config: CatregConfig | None = 
         raise ValidationError(
             f"n = {n} must exceed the {free_params} free quantification parameters"
         )
-    rng = np.random.default_rng(cfg.seed) if cfg.random_restarts else None
+    # the first sweep starts from beta = 0, so no start value enters the fit; the
+    # standardized category indices (>= 2 observed, so never collapsed) are only
+    # what a predictor that collapses in every sweep reports
+    quants = [
+        None if p.codes is None
+        else _standardize_category_values([float(c) for c in range(len(p.cats))], p.counts, n)
+        for p in records
+    ]
+    columns = [p.x if v is None else np.array(v)[p.codes] for p, v in zip(records, quants)]
+    beta = [0.0] * len(records)
+    collapsed = [False] * len(records)
+    trace: list[float] = []
+    yhat = np.zeros(n)  # the fit of beta = 0, where the first sweep starts
+    while True:
+        for j, p in enumerate(records):
+            old = beta[j] * columns[j]  # this predictor's share of yhat
+            u = z - yhat + old
+            if p.codes is None:
+                new_beta = float(p.x @ u) / n
+                yhat += (new_beta - beta[j]) * p.x
+                beta[j] = new_beta
+                continue
+            sums = np.bincount(p.codes, weights=u, minlength=len(p.cats)).tolist()
+            v = _quantify([s / c for s, c in zip(sums, p.counts)], p.counts, n, p.ordinal)
+            collapsed[j] = v is None
+            if v is None:
+                # collapsed this sweep: contribute nothing, keep the old
+                # (still standardized) quantification for bookkeeping
+                yhat -= old
+                beta[j] = 0.0
+                continue
+            col = np.array(v)[p.codes]
+            new_beta = float(col @ u) / n
+            yhat += new_beta * col - old
+            quants[j], columns[j], beta[j] = v, col, new_beta
+        # the fit summed afresh gives this sweep's R^2 and the next start
+        yhat = np.zeros(n)
+        for b, col in zip(beta, columns):
+            yhat += b * col
+        resid = z - yhat
+        trace.append(1.0 - float(resid @ resid) / n)
+        converged = len(trace) >= 2 and trace[-1] - trace[-2] < cfg.epsilon
+        if converged or len(trace) == cfg.max_iterations:
+            break
 
-    def start(p: _Predictor, restart: bool) -> list:
-        # standardized category indices (never collapsed: >= 2 categories with
-        # positive counts), or seeded random values on a restart
-        while True:
-            k = len(p.cats)
-            w = rng.normal(size=k).tolist() if restart else [float(c) for c in range(k)]
-            v = _standardize_category_values(w, p.counts, n)
-            if v is not None:
-                return v
+    active = [j for j in range(len(records)) if not collapsed[j]]
+    if not active:
+        raise NumericalError("every predictor's quantification collapsed; nothing to fit")
+    design = np.column_stack([columns[j] for j in active])
+    ols = ols_fit(design, z, names=[records[j].name for j in active])
 
-    def run(restart: bool) -> SimpleNamespace:
-        quants = [None if p.codes is None else start(p, restart) for p in records]
-        columns = [p.x if v is None else np.array(v)[p.codes] for p, v in zip(records, quants)]
-        beta = [0.0] * len(records)
-        degenerate = [False] * len(records)
-        trace: list[float] = []
-        yhat = np.zeros(n)  # the fit of beta = 0, where the first sweep starts
-        while True:
-            for j, p in enumerate(records):
-                old = beta[j] * columns[j]  # this predictor's share of yhat
-                u = z - yhat + old
-                if p.codes is None:
-                    new_beta = float(p.x @ u) / n
-                    yhat += (new_beta - beta[j]) * p.x
-                    beta[j] = new_beta
-                    continue
-                sums = np.bincount(p.codes, weights=u, minlength=len(p.cats)).tolist()
-                v = _quantify([s / c for s, c in zip(sums, p.counts)], p.counts, n, p.ordinal)
-                degenerate[j] = v is None
-                if v is None:
-                    # collapsed this sweep: contribute nothing, keep the old
-                    # (still standardized) quantification for bookkeeping
-                    yhat -= old
-                    beta[j] = 0.0
-                    continue
-                col = np.array(v)[p.codes]
-                new_beta = float(col @ u) / n
-                yhat += new_beta * col - old
-                quants[j], columns[j], beta[j] = v, col, new_beta
-            # the fit summed afresh gives this sweep's R^2 and the next start
-            yhat = np.zeros(n)
-            for b, col in zip(beta, columns):
-                yhat += b * col
-            resid = z - yhat
-            trace.append(1.0 - float(resid @ resid) / n)
-            converged = len(trace) >= 2 and trace[-1] - trace[-2] < cfg.epsilon
-            if converged or len(trace) == cfg.max_iterations:
-                break
-
-        active = [j for j in range(len(records)) if not degenerate[j]]
-        if not active:
-            raise NumericalError("every predictor's quantification collapsed; nothing to fit")
-        design = np.column_stack([columns[j] for j in active])
-        ols = ols_fit(design, z, names=[records[j].name for j in active])
-        return SimpleNamespace(
-            ols=ols, quants=quants, trace=trace, converged=converged, degenerate=degenerate
-        )
-
-    best = run(False)
-    for _ in range(cfg.random_restarts):
-        candidate = run(True)
-        if candidate.ols.r2 > best.ols.r2:
-            best = candidate
-
-    degenerate = [p.name for p, d in zip(records, best.degenerate) if d]
+    degenerate = [p.name for p, d in zip(records, collapsed) if d]
     diagnostics = [
         f"predictor '{name}': quantification collapsed to a single value; "
         "excluded from the final fit"
         for name in degenerate
     ]
-    if not best.converged:
+    if not converged:
         diagnostics.append(
             f"did not converge within {cfg.max_iterations} iterations "
             f"(last R^2 gain >= {cfg.epsilon})"
@@ -371,28 +341,27 @@ def catreg_fit(dataset: Dataset, predictors=None, config: CatregConfig | None = 
     # distinct values - 1, a nominal item its categories - 1
     df_effective = sum(
         1 if v is None else len(set(v)) - 1 if p.ordinal else len(p.cats) - 1
-        for p, v, d in zip(records, best.quants, best.degenerate)
+        for p, v, d in zip(records, quants, collapsed)
         if not d
     )
     coef = dict.fromkeys(names, 0.0)
-    coef.update(zip(best.ols.names, best.ols.coef.tolist()))
-    r2 = best.ols.r2
+    coef.update(zip(ols.names, ols.coef.tolist()))
     categorical_map = {
         p.name: dict(zip(p.cats, v))
-        for p, v in zip(records, best.quants)
+        for p, v in zip(records, quants)
         if v is not None
     }
     return CatregFit(
         predictors=tuple(names),
         quantifications=QuantificationMap(categorical=categorical_map, numeric=numeric_map),
         coef=coef,
-        r2=r2,
-        adj_r2=adjusted_r2(r2, n, df_effective) if n > df_effective + 1 else math.nan,
-        iterations=len(best.trace),
-        converged=best.converged,
-        r2_trace=tuple(best.trace),
+        r2=ols.r2,
+        adj_r2=adjusted_r2(ols.r2, n, df_effective) if n > df_effective + 1 else math.nan,
+        iterations=len(trace),
+        converged=converged,
+        r2_trace=tuple(trace),
         degenerate=tuple(degenerate),
         diagnostics=tuple(diagnostics),
         n=n,
-        _final=best.ols,
+        _final=ols,
     )

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 import catreg.stats
 from catreg import (
@@ -38,6 +39,14 @@ from catreg.stats import adjusted_r2, t_pvalue
 from catreg.stepwise import ENTERED, REMOVED, StepwiseConfig, StepwiseEvent, StepwiseTrace
 
 LETTERS = "ABCDEFGHIJ"
+
+
+def assert_raises_exactly(call, exc_type, message: str) -> None:
+    """call() raises exc_type itself (not a subclass) with exactly this message."""
+    with pytest.raises(exc_type) as info:
+        call()
+    assert type(info.value) is exc_type
+    assert str(info.value) == message
 
 
 def numeric_dataset(seed: int, n: int, p: int) -> Dataset:
@@ -628,19 +637,6 @@ def oracle_catreg_fit(dataset: Dataset, predictors=None, config=None):
         )
 
     best = run(default_init)
-    if cfg.random_restarts > 0:
-        rng = np.random.default_rng(cfg.seed)
-
-        def random_init(st):
-            while True:
-                v = _oracle_standardize(rng.normal(size=len(st.cats)), st.counts, n)
-                if v is not None:
-                    return v
-
-        for _ in range(cfg.random_restarts):
-            candidate = run(random_init)
-            if candidate.ols.r2 > best.ols.r2:
-                best = candidate
 
     categorical_map: dict = {}
     numeric_map: dict = {}

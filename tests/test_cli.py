@@ -578,13 +578,22 @@ class TestExitCodes:
         assert _run(capsys, argv)[0] == EXIT_OK
 
     def test_unknown_config_key_rejected(self, work, capsys, tmp_path):
+        # random_restarts and seed were CatregConfig fields once; the section
+        # accepts exactly the fields of its config class
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"stepwise": {"alpha_banana": 0.5}}))
-        rc, _, _ = _run(
-            capsys,
-            ["fit", "--data", str(work / "planted.json"), "--config", str(cfg)],
-        )
-        assert rc == EXIT_VALIDATION
+        for section, key in [
+            ("stepwise", "alpha_banana"), ("catreg", "random_restarts"), ("catreg", "seed"),
+        ]:
+            cfg.write_text(json.dumps({section: {key: 3}}))
+            rc, out, err = _run(
+                capsys,
+                ["fit", "--data", str(work / "planted.json"), "--config", str(cfg)],
+            )
+            assert rc == EXIT_VALIDATION and out == ""
+            assert err == (
+                f"validation error: configuration section '{section}' "
+                f"has unknown fields: ['{key}']\n"
+            )
 
     @pytest.mark.parametrize(
         "config",

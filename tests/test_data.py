@@ -19,7 +19,7 @@ from catreg import (
     population_standardize,
 )
 
-from helpers import OracleDataset, mixed_dataset
+from helpers import OracleDataset, assert_raises_exactly, mixed_dataset
 
 
 def small_dataset():
@@ -128,6 +128,28 @@ class TestDataset:
                 ds.subset(indices)
         # a negative index in [-n, 0) counts from the end, as in numpy
         assert [row["id"] for row in dataset_to_json(ds.subset([-1, 0]))["rows"]] == ["r4", "r1"]
+
+    def test_non_integer_subset_index_is_a_validation_error(self):
+        ds = small_dataset()
+        cases = [
+            ([0.5, 1], "subset index 0.5 is not an integer"),
+            (["0", "1"], "subset index '0' is not an integer"),
+            ([True, False], "subset index True is not an integer"),
+            (np.array([True, False, True]), "subset index np.True_ is not an integer"),
+            (np.array([0.0, 1.0]), "subset index np.float64(0.0) is not an integer"),
+            (5, "subset indices must be a sequence of integers"),
+            (None, "subset indices must be a sequence of integers"),
+        ]
+        for indices, message in cases:
+            assert_raises_exactly(lambda: ds.subset(indices), ValidationError, message)
+        # numpy integer scalars are integers
+        assert ds.subset([np.int8(1), np.uint64(2)]).n == 2
+
+    def test_columns_without_ids_are_a_validation_error(self):
+        assert_raises_exactly(
+            lambda: Dataset(small_dataset().variables, columns=[["A", "B"], [1.0, 2.0], [1.0, 2.0]]),
+            ValidationError, "a dataset given by columns needs one row id or None per row",
+        )
 
 
 class TestStandardize:
@@ -384,3 +406,38 @@ class TestColumnarDataset:
         ds.column("size")[0] = 99.0
         ds.category_codes("q")[0] = 2
         assert ds.value(0, "size") == 1.0 and ds.value(0, "q") == "A"
+
+
+# each validation raise that no other test reaches, with its full message
+DATA_VALIDATION_CASES = {
+    "empty category": (
+        lambda: Variable("q", "ordinal", ("A", "")),
+        "variable 'q': categories must be non-empty strings",
+    ),
+    "categorical dependent": (
+        lambda: Dataset(
+            (Variable("y", "ordinal", ("A", "B"), role="dependent"),), columns=[["A", "B"]], ids=["a", "b"]
+        ),
+        "the dependent variable must be numeric",
+    ),
+    "standardize one value": (
+        lambda: population_standardize([1.0]),
+        "standardization needs a 1-d array of length >= 2",
+    ),
+    "no numeric standardization": (
+        lambda: column_as_quantified(small_dataset(), "size", QuantificationMap()),
+        "no standardization recorded for numeric variable 'size'",
+    ),
+    "zero recorded scale": (
+        lambda: column_as_quantified(
+            small_dataset(), "size", QuantificationMap(numeric={"size": (0.0, 0.0)})
+        ),
+        "invalid scale recorded for variable 'size'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(DATA_VALIDATION_CASES))
+def test_validation_raises(case):
+    call, message = DATA_VALIDATION_CASES[case]
+    assert_raises_exactly(call, ValidationError, message)

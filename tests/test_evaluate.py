@@ -26,7 +26,7 @@ from catreg import (
 )
 from catreg.evaluate import _FITTERS, BASELINE, CONTENDER, LOG_SCALE, back_transform
 
-from helpers import oracle_fold_predictions
+from helpers import assert_raises_exactly, oracle_fold_predictions
 
 
 class TestMre:
@@ -523,3 +523,40 @@ class TestDummyOlsEqualsNominalCatreg:
         rows = [Observation(row["values"], row["id"]) for row in dataset_to_json(ds)["rows"]]
         fit = catreg_fit(Dataset(variables, rows))
         assert fit.r2 == pytest.approx(oracle.r2, abs=1e-8)
+
+
+# each validation raise that no other test reaches, with its full message
+EVALUATE_VALIDATION_CASES = {
+    "unpaired mre": (
+        lambda: mre([1.0, 2.0], [1.0]),
+        "mre requires paired actual and predicted values",
+    ),
+    "unknown mre scale": (
+        lambda: MethodConfigs(mre_scale="ratio"),
+        "mre_scale must be one of ('count', 'log')",
+    ),
+    "zero max_rounds": (
+        lambda: MethodConfigs(max_rounds=0),
+        "max_rounds must be >= 1",
+    ),
+    "fold out of range": (
+        lambda: fold_plan(4, 2, seed=0).fold_indices(2),
+        "fold must lie in [0, 2)",
+    ),
+    "one-row fold plan": (
+        lambda: fold_plan(1, 2, seed=0),
+        "fold_plan requires n >= 2",
+    ),
+    "dummy design without predictors": (
+        lambda: dummy_design(
+            Dataset((Variable("y", "numeric", role="dependent"),), columns=[[1.0, 2.0]], ids=["a", "b"])
+        ),
+        "dummy_design needs at least one predictor",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(EVALUATE_VALIDATION_CASES))
+def test_validation_raises(case):
+    call, message = EVALUATE_VALIDATION_CASES[case]
+    assert_raises_exactly(call, ValidationError, message)

@@ -18,6 +18,7 @@ from catreg import (
     load_responses,
     log_transform,
 )
+from helpers import assert_raises_exactly
 
 # Expected per-question choice counts, restated independently of the module.
 CHOICE_COUNTS = {
@@ -310,3 +311,53 @@ class TestEndToEnd:
         assert dataset.n == 197
         assert set(removal) == {"31", "78", "141"}
         assert dataset.dependent.name == "Ln(Defect)"
+
+
+def _csv(tmp_path, text):
+    path = tmp_path / "v.csv"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+# each validation raise that no other test reaches, with its full message;
+# every call takes a directory for the CSV it may write
+INGEST_VALIDATION_CASES = {
+    "schema levels not an object": (
+        lambda tmp: QuestionnaireSchema.from_json({"levels": []}),
+        "schema 'levels' must be an object",
+    ),
+    "empty gearing": (
+        lambda tmp: GearingTable({}),
+        "gearing table must list at least one language",
+    ),
+    "empty gearing language": (
+        lambda tmp: GearingTable({"": 50.0}),
+        "gearing languages must be non-empty strings",
+    ),
+    "empty CSV": (
+        lambda tmp: load_responses(_csv(tmp, "\n\n")),
+        "responses CSV is empty",
+    ),
+    "duplicate column": (
+        lambda tmp: load_responses(_csv(tmp, HEADER + ",Q1\n")),
+        "responses CSV has duplicate column names",
+    ),
+    "empty sloc language": (
+        lambda tmp: load_responses(_csv(tmp, HEADER + ",sloc:\n")),
+        "sloc column with an empty language name",
+    ),
+    "no sloc column": (
+        lambda tmp: load_responses(_csv(tmp, HEADER.replace(",sloc:L", "") + "\n")),
+        "responses CSV needs at least one sloc:<Language> column",
+    ),
+    "filter before the logs": (
+        lambda tmp: filter_rows(load_responses(_write_csv(tmp, [_row("r1"), _row("r2")]))),
+        "row r1 lacks Ln(FP); run backfiring and the log transform before filtering",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(INGEST_VALIDATION_CASES))
+def test_validation_raises(case, tmp_path):
+    call, message = INGEST_VALIDATION_CASES[case]
+    assert_raises_exactly(lambda: call(tmp_path), ValidationError, message)

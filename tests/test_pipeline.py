@@ -21,8 +21,8 @@ from catreg import (
     run_pipeline,
     save_model,
 )
-from catreg.pipeline import ModelVariable, SerializedModel
-from helpers import PLANTED_SET, planted_pipeline_dataset
+from catreg.pipeline import MODEL_SCHEMA_VERSION, ModelVariable, SerializedModel
+from helpers import PLANTED_SET, assert_raises_exactly, planted_pipeline_dataset
 
 TIGHT = StepwiseConfig(alpha_enter=0.001, alpha_remove=0.10)
 
@@ -308,3 +308,52 @@ class TestCompareBaseline:
         assert json.dumps(a.as_dict(), sort_keys=True) == json.dumps(
             b.as_dict(), sort_keys=True
         )
+
+
+def _identity_model():
+    variable = ModelVariable("x", "numeric", input_field="size", transform="identity")
+    return SerializedModel((variable,), {}, {"x": 1.0}, 0.0)
+
+
+# each validation raise that no other test reaches, with its full message
+PIPELINE_VALIDATION_CASES = {
+    "empty model variable name": (
+        lambda: ModelVariable("", "numeric"),
+        "model variable name must be a non-empty string",
+    ),
+    "missing linear value": (
+        lambda: _identity_model().linear_estimate({}),
+        "missing value for model variable 'x'",
+    ),
+    "non-numeric linear value": (
+        lambda: _identity_model().linear_estimate({"x": "big"}),
+        "variable 'x' expects a finite number, got 'big'",
+    ),
+    "quantifications not an object": (
+        lambda: SerializedModel.from_dict({
+            "schema_version": MODEL_SCHEMA_VERSION, "variables": [],
+            "quantifications": [], "coefficients": {}, "intercept": 0.0,
+        }),
+        "quantifications must be an object",
+    ),
+    "zero max_rounds": (
+        lambda: run_pipeline(planted_pipeline_dataset(0), max_rounds=0),
+        "max_rounds must be >= 1",
+    ),
+    "no predictors": (
+        lambda: run_pipeline(
+            Dataset((Variable("y", "numeric", role="dependent"),), columns=[[1.0, 2.0]], ids=["a", "b"])
+        ),
+        "the dataset declares no predictors",
+    ),
+    "inputs not a mapping": (
+        lambda: predict(_identity_model(), [("size", 1.0)]),
+        "inputs must be a mapping",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PIPELINE_VALIDATION_CASES))
+def test_validation_raises(case):
+    call, message = PIPELINE_VALIDATION_CASES[case]
+    assert_raises_exactly(call, ValidationError, message)

@@ -17,7 +17,7 @@ from catreg import (
     t_pvalue,
 )
 from catreg.stats import BLOCK_ROWS, RANK_DEFICIENT, _inc_beta, fit_rows
-from helpers import count_pvalues, oracle_ols_fit
+from helpers import assert_raises_exactly, count_pvalues, oracle_ols_fit
 
 
 class TestRegIncBeta:
@@ -240,3 +240,38 @@ class TestBlockedLeastSquares:
         with pytest.raises(NumericalError) as exc:
             ols_fit(X, rng.normal(size=n))
         assert str(exc.value) == RANK_DEFICIENT
+
+
+# each validation raise that no other test reaches, with its full message
+STATS_VALIDATION_CASES = {
+    "NaN t": (
+        lambda: t_pvalue(math.nan, 5.0),
+        "t statistic must not be NaN",
+    ),
+    "3-d design": (
+        lambda: ols_fit(np.ones((4, 1, 1)), np.arange(4.0)),
+        "design must be a 2-d array",
+    ),
+    "short response": (
+        lambda: ols_fit(np.arange(4.0), np.arange(3.0)),
+        "response length must match the design row count",
+    ),
+    "non-finite design": (
+        lambda: ols_fit([1.0, 2.0, math.inf, 4.0], np.arange(4.0)),
+        "design and response must be finite",
+    ),
+    "no design columns": (
+        lambda: ols_fit(np.ones((4, 0)), np.arange(4.0)),
+        "design needs at least one column",
+    ),
+    "names of the wrong length": (
+        lambda: ols_fit(np.arange(10.0).reshape(5, 2) ** 2, np.arange(5.0), names=["a"]),
+        "names must match the number of design columns",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(STATS_VALIDATION_CASES))
+def test_validation_raises(case):
+    call, message = STATS_VALIDATION_CASES[case]
+    assert_raises_exactly(call, ValidationError, message)

@@ -16,7 +16,7 @@ from catreg import (
 )
 from catreg.stats import fit_rows, removal_scan, t_pvalue
 from catreg.stepwise import ENTERED, REMOVED
-from helpers import oracle_ols_fit, oracle_stepwise_fit
+from helpers import assert_raises_exactly, oracle_ols_fit, oracle_stepwise_fit
 
 
 def _planted(seed: int = 0, n: int = 50):
@@ -376,3 +376,26 @@ class TestRemovalScan:
             got, p = removal_scan(rows, n, rank, alpha)
             assert got == (worst if worst_p > alpha else None)
             assert p == worst_p
+
+
+# each validation raise that no other test reaches, with its full message
+STEPWISE_VALIDATION_CASES = {
+    "zero max_steps": (
+        lambda: StepwiseConfig(max_steps=0),
+        "max_steps must be >= 1 when given",
+    ),
+    "2-d response": (
+        lambda: stepwise_fit({"a": [1.0, 2.0, 3.0]}, np.ones((3, 1))),
+        "response must be a 1-d array",
+    ),
+    "short column": (
+        lambda: stepwise_fit({"a": [1.0, 2.0]}, [1.0, 2.0, 3.0]),
+        "column 'a' must be 1-d and match the response length",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(STEPWISE_VALIDATION_CASES))
+def test_validation_raises(case):
+    call, message = STEPWISE_VALIDATION_CASES[case]
+    assert_raises_exactly(call, ValidationError, message)

@@ -10,6 +10,7 @@ them.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,48 @@ FIT_STDOUT_SHA256 = {
         "9198e0e1eb2d3ba63d652edc0b0ec31790be9ab12edcff0d4153a4b0d347424f",
     ("pipeline", None):
         "082c61828264dcfd97333e17c4767b235619f57c79cb454941bcce57253fa104",
+}
+# sha256 of the stdout of the remaining commands and formats, each run in a
+# directory holding sample.json: the tables of `ingest` and `pipeline`,
+# `predict` on the shipped reference model and on the model.json that
+# `pipeline --model-out` writes, and `backfire`
+REFERENCE_INPUTS = (
+    '{"FP": 148, "Duration": 7.4, "Q2": 0, "Q3": 0, "Q9": 0, "Q10": 0, '
+    '"Q11": 0, "Q17": 0, "Q18": 0}'
+)
+SAMPLE_MODEL_INPUTS = (
+    '{"Q3": "D", "Q4": "E", "Q8": "D", "Q9": "E", "Q10": "E", "Q13": "C", '
+    '"Q18": "E", "FP": 3.5, "Duration": 3.5}'
+)
+PREDICT_REFERENCE = ("predict", "--model", str(DATA / "reference_model.json"),
+                     "--inputs", REFERENCE_INPUTS)
+BACKFIRE = ("backfire", "--sloc", '{"Java": 12400, "Python": 3100}',
+            "--gearing", str(DATA / "gearing.sample.json"))
+MORE_STDOUT_SHA256 = {
+    ("ingest table", (*SAMPLE_INGEST_ARGS, "--data-out", "sample.json", "--format", "table")):
+        "6d7df1c26ebdb351eae1cd570bc60f08341f90f5906f24237dfe88d59dd2f67f",
+    ("pipeline table", ("pipeline", "--data", "sample.json", "--format", "table")):
+        "a359921c89afc05d01cb6c54d14f546656fafd96cb5697ea3dbf91f6d8320221",
+    ("predict reference", PREDICT_REFERENCE):
+        "4934c8820ee316f9a186470458ded0edc6be3746396d350e50fcedbb2d985486",
+    ("predict reference table", (*PREDICT_REFERENCE, "--format", "table")):
+        "ccd10b7cf7aa5b84a1a48aaee1f46a058bac01ac8bd0824129ecd8aa499353ef",
+    ("predict sample model", ("predict", "--model", "model.json", "--inputs", SAMPLE_MODEL_INPUTS)):
+        "ea05c6b99a7afb7720fc84983dcd1b0f37d966dcaa4fcff1d8045e175f530201",
+    ("backfire", BACKFIRE):
+        "8e41e18f0c39393c8be180a1e3ec3ef407203f17990682c30fd79b9f42fe6dbc",
+    ("backfire table", (*BACKFIRE, "--format", "table")):
+        "6baeb87bd40d2296f8fad4199ca4c261fc9083cf299ca88aa8f50a17e83df693",
+}
+# the sample corpus ingested with Q1, Q4, Q6, Q7, Q12, Q15, Q19 and Q21
+# nominal: sha256 of the ingest stdout, of the nominal.json it writes, and of
+# the stdout of `fit` and `pipeline` on that file
+NOMINAL_ITEMS = ("Q1", "Q4", "Q6", "Q7", "Q12", "Q15", "Q19", "Q21")
+NOMINAL_SHA256 = {
+    "ingest": "074d043c1a09e98c7b98cfc95a1e81236b021f896baf2c69c8ef702f28b024ce",
+    "nominal.json": "69151a93b681bef3e033dba25278d5d8929da9948d3be9ff1dd5a17591e9e377",
+    "fit": "99846d9d5bdd947a6faebaa3f3b5944547a8b8574a67045d1a3370f0b56211c6",
+    "pipeline": "cb3b1693ad06d008664e9f21d4c3a19bff0515f90c54bee11f0b03557d386987",
 }
 
 # ingest_dataset's removal report, in its own order
@@ -295,6 +338,31 @@ def test_fit_and_pipeline_output_bytes(command, config, tmp_path, monkeypatch, c
         flags += ["--config", "config.json"]
     assert main([subcommand, "--data", "sample.json", *flags]) == EXIT_OK
     assert _sha256(capsys.readouterr().out.encode()) == FIT_STDOUT_SHA256[command, config]
+
+
+@pytest.mark.parametrize("name, argv", list(MORE_STDOUT_SHA256), ids=[n for n, _ in MORE_STDOUT_SHA256])
+def test_more_output_bytes(name, argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(SAMPLE_INGEST_ARGS + ["--data-out", "sample.json"]) == EXIT_OK
+    if "model.json" in argv:
+        assert main(["pipeline", "--data", "sample.json", "--model-out", "model.json"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(list(argv)) == EXIT_OK
+    assert _sha256(capsys.readouterr().out.encode()) == MORE_STDOUT_SHA256[name, argv]
+
+
+def test_nominal_schema_output_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    levels = dict.fromkeys(NOMINAL_ITEMS, "nominal")
+    (tmp_path / "schema.json").write_text(json.dumps({"levels": levels}))
+    args = SAMPLE_INGEST_ARGS + ["--schema", "schema.json", "--data-out", "nominal.json"]
+    assert main(args) == EXIT_OK
+    got = {"ingest": _sha256(capsys.readouterr().out.encode()),
+           "nominal.json": _sha256((tmp_path / "nominal.json").read_bytes())}
+    for command in ("fit", "pipeline"):
+        assert main([command, "--data", "nominal.json"]) == EXIT_OK
+        got[command] = _sha256(capsys.readouterr().out.encode())
+    assert got == NOMINAL_SHA256
 
 
 def test_pipeline_selection(pipeline):

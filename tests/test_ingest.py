@@ -73,6 +73,12 @@ class TestSchema:
         with pytest.raises(ValidationError):
             QuestionnaireSchema.from_json({"levels": {"Q99": "nominal"}})
 
+    def test_first_bad_level_in_questionnaire_order_is_named(self):
+        assert_raises_exactly(
+            lambda: QuestionnaireSchema.from_json({"levels": {"Q7": "x", "Q5": "y"}}),
+            ValidationError, "schema item Q5: level must be ordinal or nominal",
+        )
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValidationError):
             QuestionnaireSchema.from_json({"choices": {}})

@@ -395,19 +395,42 @@ class TestCatregFit:
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_oracle_exactly(self, ds, max_iterations):
-        cfg = CatregConfig(max_iterations=max_iterations)
-        want = oracle_catreg_fit(ds, config=cfg)
-        got = catreg_fit(ds, config=cfg)
-        assert got.r2_trace == want.r2_trace
-        assert (got.iterations, got.converged) == (want.iterations, want.converged)
-        assert got.quantifications == want.quantifications
-        assert got.coef == want.coef
-        assert got.pvalues.keys() == want.pvalues.keys()
-        assert all(_same(got.pvalues[k], want.pvalues[k]) for k in got.pvalues)
-        assert (got.r2, got.n, got.predictors) == (want.r2, want.n, want.predictors)
-        assert _same(got.adj_r2, want.adj_r2)
-        assert got.degenerate == want.degenerate
-        assert got.diagnostics == want.diagnostics
+        _assert_matches_oracle(ds, CatregConfig(max_iterations=max_iterations))
+
+    @pytest.mark.parametrize("level", ["nominal", "ordinal"])
+    def test_long_category_lists_match_oracle_exactly(self, level):
+        # 8, 9 and 130 observed categories: their category sums take numpy's
+        # pairwise order, and 130 terms cross numpy's split above 128
+        rng = np.random.default_rng(5)
+        n = 400
+        y = rng.normal(size=n)
+        variables, columns = [], []
+        for j, k in enumerate((8, 9, 130)):
+            codes = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+            rng.shuffle(codes)
+            y += rng.normal(size=k)[codes]
+            cats = tuple(f"c{c:03d}" for c in range(k))
+            variables.append(Variable(f"v{j}", level, cats))
+            columns.append([cats[c] for c in codes])
+        variables.append(Variable("y", "numeric", role="dependent"))
+        columns.append(y.tolist())
+        ds = Dataset(tuple(variables), columns=columns, ids=[f"r{i}" for i in range(n)])
+        _assert_matches_oracle(ds, CatregConfig())
+
+
+def _assert_matches_oracle(ds, cfg):
+    want = oracle_catreg_fit(ds, config=cfg)
+    got = catreg_fit(ds, config=cfg)
+    assert got.r2_trace == want.r2_trace
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert got.quantifications == want.quantifications
+    assert got.coef == want.coef
+    assert got.pvalues.keys() == want.pvalues.keys()
+    assert all(_same(got.pvalues[k], want.pvalues[k]) for k in got.pvalues)
+    assert (got.r2, got.n, got.predictors) == (want.r2, want.n, want.predictors)
+    assert _same(got.adj_r2, want.adj_r2)
+    assert got.degenerate == want.degenerate
+    assert got.diagnostics == want.diagnostics
 
 
 def _small_fit_dataset(q_cells):

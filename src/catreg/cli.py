@@ -150,6 +150,7 @@ def _kv_lines(payload, prefix="") -> list[str]:
 
 
 def _emit(payload: dict, args, table_text: str | None = None) -> None:
+    payload = {"seed": args.seed, **payload}
     if args.format == "table":
         encode_json(payload, indent=None)  # the JSON format's strictness check
         text = table_text if table_text is not None else "\n".join(_kv_lines(payload))
@@ -173,9 +174,8 @@ def _trace_payload(trace) -> dict:
     }
 
 
-def _fit_payload(cfit, seed: int) -> dict:
+def _fit_payload(cfit) -> dict:
     return {
-        "seed": seed,
         "predictors": list(cfit.predictors),
         "n": cfit.n,
         "r2": cfit.r2,
@@ -242,7 +242,6 @@ def _cmd_ingest(args, _configs) -> None:
         args.responses, gearing, schema=schema, outlier_zmax=args.outlier_zmax
     )
     payload = {
-        "seed": args.seed,
         "rows_kept": dataset.n,
         "rows_removed": len(removals),
         "removals": dict(sorted(removals.items())),
@@ -261,7 +260,7 @@ def _cmd_fit(args, configs: MethodConfigs) -> None:
     if args.predictors:
         predictors = [name.strip() for name in args.predictors.split(",") if name.strip()]
     cfit = catreg_fit(dataset, predictors, configs.catreg)
-    _emit(_fit_payload(cfit, args.seed), args, _fit_table(cfit, args.seed))
+    _emit(_fit_payload(cfit), args, _fit_table(cfit, args.seed))
 
 
 def _cmd_pipeline(args, configs: MethodConfigs) -> None:
@@ -273,7 +272,6 @@ def _cmd_pipeline(args, configs: MethodConfigs) -> None:
         max_rounds=configs.max_rounds,
     )
     payload = {
-        "seed": args.seed,
         "converged": result.converged,
         "empty_model": result.empty_model,
         "rounds": [
@@ -302,23 +300,19 @@ def _cmd_predict(args, _configs) -> None:
     inputs = _load_json_arg(args.inputs)
     if not isinstance(inputs, dict):
         raise ValidationError("--inputs must hold a JSON object")
-    result = predict(model, inputs)
-    payload = {"seed": args.seed, **result}
-    _emit(payload, args)
+    _emit(predict(model, inputs), args)
 
 
 def _cmd_crossval(args, configs: MethodConfigs) -> None:
     dataset = load_dataset(args.data)
     evaluation = crossval(dataset, args.k, args.seed, args.method, configs)
-    payload = {"seed": args.seed, **evaluation.as_dict()}
-    _emit(payload, args, _crossval_table(evaluation))
+    _emit(evaluation.as_dict(), args, _crossval_table(evaluation))
 
 
 def _cmd_compare(args, configs: MethodConfigs) -> None:
     dataset = load_dataset(args.data)
     report = compare_baseline(dataset, args.k, args.seed, configs)
-    payload = {"seed": args.seed, **report.as_dict()}
-    _emit(payload, args, report.as_table())
+    _emit(report.as_dict(), args, report.as_table())
 
 
 def _cmd_backfire(args, _configs) -> None:
@@ -326,8 +320,7 @@ def _cmd_backfire(args, _configs) -> None:
     sloc = _load_json_arg(args.sloc)
     if not isinstance(sloc, dict):
         raise ValidationError("--sloc must hold a JSON object of language -> lines")
-    payload = {"seed": args.seed, "function_points": backfire(sloc, gearing)}
-    _emit(payload, args)
+    _emit({"function_points": backfire(sloc, gearing)}, args)
 
 
 _COMMANDS = {

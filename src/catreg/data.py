@@ -42,7 +42,7 @@ from json.encoder import encode_basestring_ascii as json_string
 
 import numpy as np
 
-from .errors import ValidationError, finite_number, json_list, json_object, read_json
+from .errors import NumericalError, ValidationError, finite_number, json_list, json_object, read_json
 
 NOMINAL = "nominal"
 ORDINAL = "ordinal"
@@ -315,15 +315,18 @@ def population_standardize(values) -> tuple[np.ndarray, float, float]:
     """Center and scale to mean 0, mean square 1 (population convention).
 
     Returns (standardized array, mean, scale) with scale = sqrt(mean((x - mean)^2)),
-    so the sum of squares of the result equals n. Errors on zero variance.
+    so the sum of squares of the result equals n. Errors on zero or overflowing spread.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValidationError("standardization needs a 1-d array of length >= 2")
-    mean = float(x.mean())
-    scale = float(np.sqrt(np.mean((x - mean) ** 2)))
-    if scale == 0.0 or not math.isfinite(scale):
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(x.mean())
+        scale = float(np.sqrt(np.mean((x - mean) ** 2)))
+    if scale == 0.0:
         raise ValidationError("cannot standardize a zero-variance column")
+    if not math.isfinite(scale):
+        raise NumericalError("cannot standardize a column whose spread overflows the float range")
     return (x - mean) / scale, mean, scale
 
 

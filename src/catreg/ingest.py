@@ -2,7 +2,8 @@
 
 The input is one CSV with a header row: an optional `id` column, the 22
 question columns Q1..Q22 (one choice letter each), one or more `sloc:<Language>`
-columns, and the metric columns `duration`, `developers`, `defects`.
+columns, and the metric columns `duration`, `developers`, `defects`. The
+items and their choice letters are fixed; a schema sets only their levels.
 
 Processing order: load and validate against the questionnaire schema, convert
 source lines to function points through the gearing table (backfiring), apply
@@ -35,7 +36,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -73,57 +74,45 @@ class SchemaItem:
     choices: tuple[str, ...]
     level: str
 
-    def __post_init__(self):
-        if self.level not in (ORDINAL, NOMINAL):
-            raise ValidationError(
-                f"schema item {self.qid}: level must be ordinal or nominal"
-            )
-
 
 @dataclass(frozen=True)
 class QuestionnaireSchema:
-    """The fixed 22-item questionnaire.
+    """The fixed 22-item questionnaire and the scaling level of each item.
 
-    The structure (item ids Q1..Q22 and their choice counts) is pinned; a JSON
-    override may only change per-item scaling levels, which default to
-    ordinal.
+    `items` builds Q1..Q22 and their choice letters from `_QUESTION_CHOICE_COUNTS`.
+    `levels` maps item ids to "ordinal" or "nominal"; items it leaves out are
+    ordinal, and the schema keeps its own copy with all 22.
     """
 
-    items: tuple[SchemaItem, ...]
+    levels: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        expected = [f"Q{i}" for i in range(1, 23)]
-        if [item.qid for item in self.items] != expected:
-            raise ValidationError("schema must declare exactly Q1..Q22, in order")
-        for item in self.items:
-            want = tuple(_LETTERS[: _QUESTION_CHOICE_COUNTS[item.qid]])
-            if item.choices != want:
-                raise ValidationError(
-                    f"schema item {item.qid}: choices must be {''.join(want)}"
-                )
+        if not isinstance(self.levels, dict):
+            raise ValidationError("schema 'levels' must be an object")
+        bad = set(self.levels) - set(_QUESTION_CHOICE_COUNTS)
+        if bad:
+            raise ValidationError(f"schema overrides unknown items: {sorted(bad)}")
+        levels = {qid: self.levels.get(qid, ORDINAL) for qid in _QUESTION_CHOICE_COUNTS}
+        for qid, level in levels.items():
+            if level not in (ORDINAL, NOMINAL):
+                raise ValidationError(f"schema item {qid}: level must be ordinal or nominal")
+        object.__setattr__(self, "levels", levels)
+
+    @property
+    def items(self) -> tuple[SchemaItem, ...]:
+        return tuple(
+            SchemaItem(qid, tuple(_LETTERS[:count]), self.levels[qid])
+            for qid, count in _QUESTION_CHOICE_COUNTS.items()
+        )
 
     @classmethod
     def default(cls) -> "QuestionnaireSchema":
-        return cls.from_json({})
+        return cls()
 
     @classmethod
     def from_json(cls, obj) -> "QuestionnaireSchema":
         """Parse {"levels": {"Q7": "nominal", ...}}; unlisted items stay ordinal."""
-        levels = json_object(obj, {"levels"}, "schema document").get("levels", {})
-        if not isinstance(levels, dict):
-            raise ValidationError("schema 'levels' must be an object")
-        bad = set(levels) - set(_QUESTION_CHOICE_COUNTS)
-        if bad:
-            raise ValidationError(f"schema overrides unknown items: {sorted(bad)}")
-        items = tuple(
-            SchemaItem(
-                qid,
-                tuple(_LETTERS[:count]),
-                levels.get(qid, ORDINAL),
-            )
-            for qid, count in _QUESTION_CHOICE_COUNTS.items()
-        )
-        return cls(items)
+        return cls(json_object(obj, {"levels"}, "schema document").get("levels", {}))
 
 
 def load_schema(path) -> QuestionnaireSchema:

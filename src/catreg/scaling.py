@@ -28,10 +28,10 @@ sweep, at its end, for R^2; that sum is also where the next sweep starts. The
 category update works on short lists of Python floats (one per category), not
 on numpy arrays, whose per-call overhead dominates at a handful of categories;
 every n-length step (category sums, column rebuilds, dot products) stays in
-numpy. Its reductions go through `_sum`, which adds in numpy's pairwise order,
-so every number is bit for bit what the array arithmetic gave. The ALS calls
-the PAVA kernel without `pava`'s checks: its weights are category counts (each
-at least 1) and its values are finite category means.
+numpy. Its reductions go through `_sum`, which adds as numpy does, so every
+number is bit for bit what the array arithmetic gave. The ALS calls the PAVA
+kernel without `pava`'s checks: its weights are category counts (each at
+least 1) and its values are finite category means.
 """
 
 from __future__ import annotations
@@ -135,25 +135,11 @@ def _pava(values: list, weights: list) -> list:
 
 
 def _sum(xs: list) -> float:
-    """The sum of a list of floats, bit for bit as numpy's `sum` of its array.
-
-    numpy adds pairwise from 0.0: below 8 elements left to right; up to 128 in
-    eight interleaved running sums, combined as a tree, then the remainder
-    left to right; above 128 it splits at a multiple of 8 near the middle and
-    adds the two halves. The leading `0.0 +` turns a sum of -0.0s into 0.0,
-    as numpy does.
-    """
-    n = len(xs)
-    if n < 8:
+    """numpy's `sum` of a list of floats, bit for bit; below 8 elements it adds
+    left to right from 0.0 (so -0.0s sum to 0.0), as numpy does, without an array."""
+    if len(xs) < 8:
         return reduce(add, xs, 0.0)
-    if n > 128:
-        h = n // 2 - (n // 2) % 8
-        # a half's own leading 0.0 + cannot change the total's bits
-        return _sum(xs[:h]) + _sum(xs[h:])
-    m = n - n % 8
-    r = [reduce(add, xs[j + 8 : m : 8], xs[j]) for j in range(8)]
-    tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    return 0.0 + reduce(add, xs[m:], tree)
+    return float(np.sum(xs))
 
 
 @dataclass(frozen=True)

@@ -168,8 +168,8 @@ TOO_FEW_ROWS = "too few rows for inference: n={} must exceed {} fitted parameter
 
 
 def _rank_deficient(singular: np.ndarray):
-    # singular values in descending order along the last axis
-    return (singular[..., 0] == 0.0) | (singular[..., -1] <= singular[..., 0] * _RANK_TOL)
+    # singular values descend along the last axis; all 0s, NaN or inf fail
+    return ~(singular[..., -1] > singular[..., 0] * _RANK_TOL)
 
 
 def _tstat(coef: np.ndarray, se: np.ndarray) -> np.ndarray:

@@ -533,6 +533,26 @@ class TestExitCodes:
         assert rc == EXIT_NUMERICAL
         assert "numerical error" in err
 
+    @pytest.mark.parametrize("command", [["fit"], ["crossval", "--method", "dummy-ols", "--k", "2"]])
+    def test_overflowing_spread_exits_two(self, capsys, tmp_path, command):
+        # the seed-42 folds train on rows 0 and 2 and on rows 1 and 3: each
+        # sees x = +-1e200, whose squared deviations overflow
+        path = tmp_path / "huge.json"
+        save_dataset(
+            Dataset(
+                (Variable("x", "numeric"), Variable("y", "numeric", role="dependent")),
+                tuple(Observation(r) for r in [(1e200, 1.0), (1e200, 2.0),
+                                               (-1e200, 4.0), (-1e200, 3.0)]),
+            ),
+            path,
+        )
+        rc, out, err = _run(capsys, [*command, "--data", str(path)])
+        assert rc == EXIT_NUMERICAL
+        assert out == ""
+        assert err == (
+            "numerical error: cannot standardize a column whose spread overflows the float range\n"
+        )
+
     def test_missing_file_is_three(self, capsys):
         rc, _, err = _run(capsys, ["fit", "--data", "/nonexistent/ds.json"])
         assert rc == EXIT_IO

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from catreg import (
     Dataset,
+    NumericalError,
     Observation,
     QuantificationMap,
     ValidationError,
@@ -167,8 +168,21 @@ class TestStandardize:
         assert float(z @ z) == pytest.approx(37.0, abs=1e-9)
 
     def test_zero_variance_rejected(self):
-        with pytest.raises(ValidationError):
-            population_standardize([2.0, 2.0, 2.0])
+        assert_raises_exactly(
+            lambda: population_standardize([2.0, 2.0, 2.0]),
+            ValidationError, "cannot standardize a zero-variance column",
+        )
+
+    @pytest.mark.parametrize("values", [
+        [1e200, -1e200, 1e200, -1e200],  # the squared deviations overflow
+        [1.7e308, 1.7e308, -1.0],  # the sum overflows
+        [1.7e308, -1.7e308, *[0.0] * 6] * 2,  # numpy's pairwise sum adds inf - inf
+    ])
+    def test_overflowing_spread_is_a_numerical_error(self, values):
+        assert_raises_exactly(
+            lambda: population_standardize(values),
+            NumericalError, "cannot standardize a column whose spread overflows the float range",
+        )
 
 
 class TestColumnAsQuantified:

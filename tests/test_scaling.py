@@ -126,7 +126,7 @@ class TestPava:
 
 class TestSum:
     def test_matches_numpy_sum_bit_for_bit(self):
-        # every length through the plain, the eight-lane and the split path;
+        # every length on both sides of 8 and of numpy's split above 128;
         # numpy's sum of -0.0s is 0.0
         rng = np.random.default_rng(0)
         for n in range(301):

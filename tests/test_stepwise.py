@@ -183,6 +183,21 @@ class TestDegenerateCandidates:
             assert any(f"'{second}' skipped (design matrix is rank-deficient" in d
                        for d in trace.diagnostics)
 
+    @pytest.mark.parametrize("scale", [1e150, 1e160])
+    def test_candidate_whose_square_overflows_is_rank_deficient(self, scale):
+        # at 1e160 the candidate's squared residual norm overflows to inf and
+        # its SVD to NaN; the screen must skip it as at 1e150, as ols_fit does
+        x = np.array([1.0, -1.0, 1.0, -1.0, 2.0, -2.0]) * scale
+        y = np.array([1.0, 2.0, 3.0, 5.0, 4.0, 7.0])
+        trace = stepwise_fit({"x": x}, y)
+        assert (trace.events, trace.selected) == ((), ())
+        assert trace.diagnostics == (
+            "step 1: candidate 'x' skipped (design matrix is rank-deficient "
+            "(singular value ratio below 1e-10))",
+        )
+        with pytest.raises(NumericalError, match="rank-deficient"):
+            ols_fit(x[:, None], y)
+
     def test_no_candidates_rejected(self):
         with pytest.raises(ValidationError):
             stepwise_fit({}, np.arange(5.0), StepwiseConfig())

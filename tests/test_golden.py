@@ -58,7 +58,10 @@ K6_STDOUT_SHA256 = {
 }
 # sha256 of the stdout of `fit` (all predictors; JSON and table, and JSON with
 # the ALS capped at 3 sweeps, so the fit is flagged non-converged) and of
-# `pipeline` on that dataset; the config, if any, is written to config.json
+# `pipeline` on that dataset (also, JSON and table, capped at one round, so it
+# is flagged non-converged and keeps round 1's model, and with thresholds no
+# p-value meets, so nothing enters and there is no model); the config, if
+# any, is written to config.json
 FIT_STDOUT_SHA256 = {
     ("fit", None):
         "157ed1f4a568156d4a474cb89549ac8e850df075cfdaa89760a6c141d8f9ff98",
@@ -68,6 +71,14 @@ FIT_STDOUT_SHA256 = {
         "9198e0e1eb2d3ba63d652edc0b0ec31790be9ab12edcff0d4153a4b0d347424f",
     ("pipeline", None):
         "082c61828264dcfd97333e17c4767b235619f57c79cb454941bcce57253fa104",
+    ("pipeline", '{"pipeline": {"max_rounds": 1}}'):
+        "d288c6b055f8f7102d1486cf574c274517e0f38be8029b5ba490ca5fc5ea028c",
+    ("pipeline --format table", '{"pipeline": {"max_rounds": 1}}'):
+        "a03c85326d6fcb4c18899d2f353b1dc826733ec16205c2c3da13f60b5a272a3d",
+    ("pipeline", '{"stepwise": {"alpha_enter": 1e-300, "alpha_remove": 1e-300}}'):
+        "520d9e2da4ca93df929ab286a2df704e07236163efe0dbe5605798b248bdd6d2",
+    ("pipeline --format table", '{"stepwise": {"alpha_enter": 1e-300, "alpha_remove": 1e-300}}'):
+        "9cd8326dc3c9f408b2f3e1f530b51394d0485cf14c172ba38a96394d01dcebe7",
 }
 # sha256 of the stdout of the remaining commands and formats, each run in a
 # directory holding sample.json: the tables of `ingest` and `pipeline`,

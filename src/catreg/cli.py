@@ -163,17 +163,6 @@ def _emit(payload: dict, args, table_text: str | None = None) -> None:
         print(text)
 
 
-def _trace_payload(trace) -> dict:
-    return {
-        "events": [
-            {"step": e.step, "variable": e.variable, "action": e.action, "p_value": e.pvalue}
-            for e in trace.events
-        ],
-        "selected": list(trace.selected),
-        "diagnostics": list(trace.diagnostics),
-    }
-
-
 def _fit_payload(cfit) -> dict:
     return {
         "predictors": list(cfit.predictors),
@@ -281,7 +270,12 @@ def _cmd_pipeline(args, configs: MethodConfigs) -> None:
                 "catreg_r2": r.catreg_r2,
                 "catreg_adjusted_r2": None if math.isnan(r.catreg_adj_r2) else r.catreg_adj_r2,
                 "selected": list(r.selected),
-                **_trace_payload(r.trace),
+                "events": [
+                    {"step": e.step, "variable": e.variable, "action": e.action,
+                     "p_value": e.pvalue}
+                    for e in r.trace.events
+                ],
+                "diagnostics": list(r.trace.diagnostics),
             }
             for r in result.rounds
         ],

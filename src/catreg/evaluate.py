@@ -141,6 +141,7 @@ class FoldPlan:
 
     def fold_indices(self, fold: int) -> tuple[np.ndarray, np.ndarray]:
         """(train_indices, test_indices) for one fold: ascending intp arrays."""
+        require_number("fold", fold, integer=True)
         if not (0 <= fold < self.k):
             raise ValidationError(f"fold must lie in [0, {self.k})")
         assignment = np.fromiter(self.assignment, np.intp, len(self.assignment))
@@ -149,6 +150,10 @@ class FoldPlan:
 
 def fold_plan(n: int, k: int, seed: int) -> FoldPlan:
     """Shuffle row indices with the seed, then deal them round-robin into k folds."""
+    for name, value in (("n", n), ("k", k), ("seed", seed)):
+        require_number(name, value, integer=True)
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if n < 2:
         raise ValidationError("fold_plan requires n >= 2")
     if not (2 <= k <= n):

@@ -41,7 +41,7 @@ from itertools import chain
 
 import numpy as np
 
-from .data import DEPENDENT, NOMINAL, NUMERIC, ORDINAL, PREDICTOR, Dataset, Variable
+from .data import DEPENDENT, NOMINAL, NUMERIC, ORDINAL, Dataset, Variable
 from .errors import NumericalError, ValidationError, finite_number, json_object, read_json
 
 # choice-set sizes of the fixed 22-item questionnaire
@@ -67,19 +67,11 @@ LOG_FIELDS = ("FP", "Duration", "Developer", "Defect")
 
 
 @dataclass(frozen=True)
-class SchemaItem:
-    """One questionnaire item: id, its choice letters, and its scaling level."""
-
-    qid: str
-    choices: tuple[str, ...]
-    level: str
-
-
-@dataclass(frozen=True)
 class QuestionnaireSchema:
     """The fixed 22-item questionnaire and the scaling level of each item.
 
-    `items` builds Q1..Q22 and their choice letters from `_QUESTION_CHOICE_COUNTS`.
+    `items` are the dataset Variables of Q1..Q22: each item's scaling level
+    and its choice letters from `_QUESTION_CHOICE_COUNTS`, as predictors.
     `levels` maps item ids to "ordinal" or "nominal"; items it leaves out are
     ordinal, and the schema keeps its own copy with all 22.
     """
@@ -99,15 +91,11 @@ class QuestionnaireSchema:
         object.__setattr__(self, "levels", levels)
 
     @property
-    def items(self) -> tuple[SchemaItem, ...]:
+    def items(self) -> tuple[Variable, ...]:
         return tuple(
-            SchemaItem(qid, tuple(_LETTERS[:count]), self.levels[qid])
+            Variable(qid, self.levels[qid], tuple(_LETTERS[:count]))
             for qid, count in _QUESTION_CHOICE_COUNTS.items()
         )
-
-    @classmethod
-    def default(cls) -> "QuestionnaireSchema":
-        return cls()
 
     @classmethod
     def from_json(cls, obj) -> "QuestionnaireSchema":
@@ -187,7 +175,7 @@ class RawTable:
 
 def load_responses(path, schema: QuestionnaireSchema | None = None) -> RawTable:
     """Read, validate and flag a responses CSV (see module docstring)."""
-    schema = schema or QuestionnaireSchema.default()
+    schema = schema or QuestionnaireSchema()
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -202,7 +190,7 @@ def load_responses(path, schema: QuestionnaireSchema | None = None) -> RawTable:
 
     if len(set(header)) != len(header):
         raise ValidationError("responses CSV has duplicate column names")
-    qids = [item.qid for item in schema.items]
+    qids = [item.name for item in schema.items]
     sloc_columns = [c for c in header if c.startswith(SLOC_PREFIX)]
     languages = tuple(c[len(SLOC_PREFIX) :] for c in sloc_columns)
     if any(not lang for lang in languages):
@@ -241,25 +229,25 @@ def _parse_columns(cells: dict, schema: QuestionnaireSchema, languages: tuple) -
     within a row the column checked first: the answers, the sloc columns in
     header order, then the metrics.
     """
-    ids = [str(i) for i in range(len(cells[schema.items[0].qid]))]
+    ids = [str(i) for i in range(len(cells[schema.items[0].name]))]
     if ID_COLUMN in cells:
         ids = [cell.strip() or ids[i] for i, cell in enumerate(cells[ID_COLUMN])]
     table = RawTable(schema, languages, ids, {}, {}, {}, {})
     errors = []  # (row, message): the first bad cell of each column that has one
     for item in schema.items:
-        col = cells[item.qid]
-        allowed = {"", *item.choices}
+        col = cells[item.name]
+        allowed = {"", *item.categories}
         seen = set(col)
         if any(cell != cell.strip() for cell in seen):  # an answer column has few distinct cells
             col = list(map(str.strip, col))
             seen = set(col)
         if not seen <= allowed:
             i = next(i for i, cell in enumerate(col) if cell not in allowed)
-            errors.append((i, f"row {i + 1}, column {item.qid}: '{col[i]}' is not one of "
-                              f"{''.join(item.choices)}"))
+            errors.append((i, f"row {i + 1}, column {item.name}: '{col[i]}' is not one of "
+                              f"{''.join(item.categories)}"))
         for i in _blank_rows(col):
-            table.flag(i, f"missing answer for {item.qid}")
-        table.answers[item.qid] = col
+            table.flag(i, f"missing answer for {item.name}")
+        table.answers[item.name] = col
     for lang in languages:
         # a blank sloc cell means the language is unused
         column = SLOC_PREFIX + lang
@@ -418,16 +406,6 @@ def filter_rows(table: RawTable, outlier_zmax: float | None = None):
             f"only {len(survivors)} rows survive filtering; at least 2 are required"
         )
 
-    variables = [
-        Variable(item.qid, item.level, item.choices, PREDICTOR)
-        for item in table.schema.items
-    ]
-    variables += [
-        Variable("Ln(FP)", NUMERIC, role=PREDICTOR),
-        Variable("Ln(Developer)", NUMERIC, role=PREDICTOR),
-        Variable("Ln(Duration)", NUMERIC, role=PREDICTOR),
-        Variable("Ln(Defect)", NUMERIC, role=DEPENDENT),
-    ]
     needed = ("Ln(FP)", "Ln(Developer)", "Ln(Duration)", "Ln(Defect)")
     for name in needed:
         if name not in table.fields:
@@ -436,9 +414,12 @@ def filter_rows(table: RawTable, outlier_zmax: float | None = None):
                 "transform before filtering"
             )
     take = operator.itemgetter(*survivors.tolist())  # a tuple, as at least 2 rows survive
-    columns = [take(table.answers[item.qid]) for item in table.schema.items]
+    items = table.schema.items
+    variables = (*items, *(Variable(name, NUMERIC) for name in needed[:-1]),
+                 Variable(needed[-1], NUMERIC, role=DEPENDENT))
+    columns = [take(table.answers[item.name]) for item in items]
     columns += [table.fields[name][survivors].tolist() for name in needed]
-    dataset = Dataset(tuple(variables), columns=columns, ids=take(ids))
+    dataset = Dataset(variables, columns=columns, ids=take(ids))
     return dataset, removal
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .data import NUMERIC, Dataset, column_as_quantified
+from .data import LEVELS, NUMERIC, Dataset, column_as_quantified
 from .errors import UnseenCategoryError, ValidationError, finite_number, json_list, json_object
 from .errors import encode_json, read_json, require_number
 from .evaluate import (
@@ -86,7 +86,7 @@ class ModelVariable:
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise ValidationError("model variable name must be a non-empty string")
-        if self.level not in ("nominal", "ordinal", NUMERIC):
+        if self.level not in LEVELS:
             raise ValidationError(
                 f"model variable '{self.name}': unknown level {self.level!r}"
             )
@@ -143,10 +143,6 @@ class SerializedModel:
                     raise ValidationError(
                         f"numeric variable '{v.name}' needs an input_field"
                     )
-
-    def input_keys(self) -> tuple[str, ...]:
-        """The exact keys a prediction input mapping must carry."""
-        return tuple(v.name if v.is_categorical else v.input_field for v in self.variables)
 
     def linear_estimate(self, values) -> float:
         """Log-scale estimate from already-transformed values keyed by variable name.
@@ -284,61 +280,31 @@ def run_pipeline(
     require_number("max_rounds", max_rounds, integer=True)
     if max_rounds < 1:
         raise ValidationError("max_rounds must be >= 1")
-    ccfg = catreg_config or CatregConfig()
-    scfg = stepwise_config or StepwiseConfig()
-    dep = dataset.dependent
-    y = dataset.column(dep.name)
+    y = dataset.column(dataset.dependent.name)
     declared = [v.name for v in dataset.predictors]
     if not declared:
         raise ValidationError("the dataset declares no predictors")
 
     current = list(declared)
     rounds: list[RoundRecord] = []
-    converged = False
-    cfit: CatregFit | None = None
-    trace: StepwiseTrace | None = None
     for r in range(1, max_rounds + 1):
-        cfit = catreg_fit(dataset, current, ccfg)
+        cfit = catreg_fit(dataset, current, catreg_config)
         columns = {}
         for name in current:
-            var = dataset.variable(name)
-            if var.is_categorical:
+            if dataset.variable(name).is_categorical:
                 columns[name] = column_as_quantified(dataset, name, cfit.quantifications)
             else:
                 columns[name] = dataset.column(name)
-        trace = stepwise_fit(columns, y, scfg)
-        selected = trace.selected
-        rounds.append(
-            RoundRecord(
-                index=r,
-                predictors=tuple(current),
-                catreg_r2=cfit.r2,
-                catreg_adj_r2=cfit.adj_r2,
-                trace=trace,
-                selected=selected,
-            )
-        )
-        if not selected:
-            return PipelineResult(
-                rounds=tuple(rounds),
-                converged=False,
-                empty_model=True,
-                model=None,
-            )
-        if set(selected) == set(current):
-            converged = True
+        trace = stepwise_fit(columns, y, stepwise_config)
+        rounds.append(RoundRecord(r, tuple(current), cfit.r2, cfit.adj_r2, trace, trace.selected))
+        converged = set(trace.selected) == set(current)
+        if not trace.selected or converged:
             break
         # next round works on the selection, kept in declared dataset order
-        chosen = set(selected)
-        current = [name for name in declared if name in chosen]
+        current = [name for name in declared if name in trace.selected]
 
-    model = _build_model(dataset, cfit, trace)
-    return PipelineResult(
-        rounds=tuple(rounds),
-        converged=converged,
-        empty_model=False,
-        model=model,
-    )
+    model = _build_model(dataset, cfit, trace) if trace.selected else None
+    return PipelineResult(tuple(rounds), converged, model is None, model)
 
 
 def _build_model(dataset: Dataset, cfit: CatregFit, trace: StepwiseTrace) -> SerializedModel:
@@ -374,7 +340,7 @@ def predict(model: SerializedModel, inputs) -> dict:
     """
     if not isinstance(inputs, dict):
         raise ValidationError("inputs must be a mapping")
-    expected = set(model.input_keys())
+    expected = {v.name if v.is_categorical else v.input_field for v in model.variables}
     supplied = set(inputs)
     missing = expected - supplied
     if missing:

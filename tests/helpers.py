@@ -718,7 +718,7 @@ def _oracle_load_responses(path, schema):
 
     if len(set(header)) != len(header):
         raise ValidationError("responses CSV has duplicate column names")
-    qids = [item.qid for item in schema.items]
+    qids = [item.name for item in schema.items]
     sloc_columns = [c for c in header if c.startswith("sloc:")]
     languages = tuple(c[len("sloc:"):] for c in sloc_columns)
     if any(not lang for lang in languages):
@@ -746,16 +746,16 @@ def _oracle_load_responses(path, schema):
             row_id = str(i)
         flags, answers = [], {}
         for item in schema.items:
-            cell = record[col[item.qid]].strip()
+            cell = record[col[item.name]].strip()
             if not cell:
-                flags.append(f"missing answer for {item.qid}")
+                flags.append(f"missing answer for {item.name}")
                 continue
-            if cell not in item.choices:
+            if cell not in item.categories:
                 raise ValidationError(
-                    f"{where}, column {item.qid}: '{cell}' is not one of "
-                    f"{''.join(item.choices)}"
+                    f"{where}, column {item.name}: '{cell}' is not one of "
+                    f"{''.join(item.categories)}"
                 )
-            answers[item.qid] = cell
+            answers[item.name] = cell
         sloc = {}
         for lang, column in zip(languages, sloc_columns):
             cell = record[col[column]].strip()
@@ -797,7 +797,7 @@ def _oracle_load_responses(path, schema):
 
 def oracle_ingest(path, gearing, schema=None, outlier_zmax=None):
     """Load, backfire, log-transform and filter row by row; (dataset, removal)."""
-    schema = schema or QuestionnaireSchema.default()
+    schema = schema or QuestionnaireSchema()
     languages, rows = _oracle_load_responses(path, schema)
     for language in languages:
         gearing.factor(language)
@@ -849,12 +849,13 @@ def oracle_ingest(path, gearing, schema=None, outlier_zmax=None):
             f"only {len(survivors)} rows survive filtering; at least 2 are required"
         )
     needed = ("Ln(FP)", "Ln(Developer)", "Ln(Duration)", "Ln(Defect)")
-    variables = [Variable(item.qid, item.level, item.choices, PREDICTOR) for item in schema.items]
+    variables = [Variable(item.name, item.level, item.categories, PREDICTOR)
+                 for item in schema.items]
     variables += [Variable(name, NUMERIC, role=PREDICTOR) for name in needed[:3]]
     variables.append(Variable(needed[3], NUMERIC, role=DEPENDENT))
     observations = [
         Observation(
-            tuple(row.answers[item.qid] for item in schema.items)
+            tuple(row.answers[item.name] for item in schema.items)
             + tuple(row.fields[name] for name in needed),
             row_id=row.row_id,
         )

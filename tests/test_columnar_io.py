@@ -218,7 +218,7 @@ def test_column_constructor_checks_its_shape_and_ids():
 
 # --- the ingest stages -------------------------------------------------------
 
-CHOICES = {item.qid: item.choices for item in QuestionnaireSchema.default().items}
+CHOICES = {item.name: item.categories for item in QuestionnaireSchema().items}
 METRICS = ("duration", "developers", "defects")
 PADDING = st.sampled_from(["{}", "{}", "{}", " {} ", "\t{}", "{}  "])
 # cells that flag their row (blank of every kind, zero or nonpositive values)
@@ -352,7 +352,7 @@ def _assert_loads_like_the_oracle(path, schema):
     assert table.languages == languages
     assert table.ids == [r.row_id for r in rows]
     assert table.answers == {
-        item.qid: [r.answers.get(item.qid, "") for r in rows] for item in schema.items}
+        item.name: [r.answers.get(item.name, "") for r in rows] for item in schema.items}
     assert {lang: col.tolist() for lang, col in table.sloc.items()} == {
         lang: [r.sloc[lang] for r in rows] for lang in languages}
     assert list(table.fields) == ["Duration", "Developer", "Defect"]
@@ -380,7 +380,7 @@ def _edited_sample(tmp_path, rows, edit) -> Path:
 def test_header_only_csv_loads_like_the_oracle(tmp_path, text):
     path = tmp_path / "responses.csv"
     path.write_text(text.format(SAMPLE_LINES[0]), encoding="utf-8", newline="")
-    _assert_loads_like_the_oracle(path, QuestionnaireSchema.default())
+    _assert_loads_like_the_oracle(path, QuestionnaireSchema())
     assert load_responses(str(path)).n == 0
 
 
@@ -388,7 +388,7 @@ def test_header_only_csv_loads_like_the_oracle(tmp_path, text):
 @pytest.mark.parametrize("change", [list.pop, lambda cells: cells.append("1")])
 def test_ragged_edge_rows_load_like_the_oracle(tmp_path, rows, change):
     path = _edited_sample(tmp_path, rows, lambda cells, header: change(cells))
-    _assert_loads_like_the_oracle(path, QuestionnaireSchema.default())
+    _assert_loads_like_the_oracle(path, QuestionnaireSchema())
 
 
 @pytest.mark.parametrize("rows", [(1,), (-1,), (1, -1)])
@@ -399,7 +399,7 @@ def test_blank_edge_cells_load_like_the_oracle(tmp_path, rows, column, blank):
     def clear(cells, header):
         cells[header.index(column)] = blank
     path = _edited_sample(tmp_path, rows, clear)
-    _assert_loads_like_the_oracle(path, QuestionnaireSchema.default())
+    _assert_loads_like_the_oracle(path, QuestionnaireSchema())
     assert load_responses(str(path)).flags or column.startswith("sloc:")
 
 

@@ -129,6 +129,19 @@ class TestFoldPlan:
         with pytest.raises(ValidationError):
             fold_plan(10, 11, seed=0)
 
+    # n, k, seed and fold must be integers, and the seed non-negative
+    @pytest.mark.parametrize("call, message", [
+        (lambda: fold_plan(10, 2.5, 0), "k must be an integer, got 2.5"),
+        (lambda: crossval(_categorical_dataset(), 2.5, 0, BASELINE),
+         "k must be an integer, got 2.5"),
+        (lambda: fold_plan(10, 2, -1), "seed must be >= 0, got -1"),
+        (lambda: fold_plan(10, 2, 0.5), "seed must be an integer, got 0.5"),
+        (lambda: fold_plan(10.0, 2, 0), "n must be an integer, got 10.0"),
+        (lambda: fold_plan(10, 2, 0).fold_indices(0.5), "fold must be an integer, got 0.5"),
+    ], ids=["k", "crossval k", "negative seed", "seed", "n", "fold"])
+    def test_non_integer_arguments_rejected(self, call, message):
+        assert_raises_exactly(call, ValidationError, message)
+
 
 def _categorical_dataset(n_per: int = 10):
     variables = (

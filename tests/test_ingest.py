@@ -52,20 +52,20 @@ GEARING = GearingTable({"L": 53.0})
 
 class TestSchema:
     def test_default_choice_counts(self):
-        schema = QuestionnaireSchema.default()
-        got = {item.qid: len(item.choices) for item in schema.items}
+        schema = QuestionnaireSchema()
+        got = {item.name: len(item.categories) for item in schema.items}
         assert got == CHOICE_COUNTS
 
     def test_choices_are_letter_prefixes(self):
-        for item in QuestionnaireSchema.default().items:
-            assert item.choices == tuple("ABCDEF"[: len(item.choices)])
+        for item in QuestionnaireSchema().items:
+            assert item.categories == tuple("ABCDEF"[: len(item.categories)])
 
     def test_default_level_is_ordinal(self):
-        assert all(item.level == "ordinal" for item in QuestionnaireSchema.default().items)
+        assert all(item.level == "ordinal" for item in QuestionnaireSchema().items)
 
     def test_levels_overridable(self):
         schema = QuestionnaireSchema.from_json({"levels": {"Q5": "nominal"}})
-        by_id = {item.qid: item for item in schema.items}
+        by_id = {item.name: item for item in schema.items}
         assert by_id["Q5"].level == "nominal"
         assert by_id["Q6"].level == "ordinal"
 
@@ -317,6 +317,14 @@ class TestEndToEnd:
         assert dataset.n == 197
         assert set(removal) == {"31", "78", "141"}
         assert dataset.dependent.name == "Ln(Defect)"
+
+    def test_the_schema_items_are_the_dataset_variables(self):
+        from catreg import load_gearing
+
+        schema = QuestionnaireSchema.from_json({"levels": {"Q7": "nominal"}})
+        gearing = load_gearing("data/gearing.sample.json")
+        dataset, _ = ingest_dataset("data/responses.sample.csv", gearing, schema)
+        assert dataset.variables[:22] == schema.items
 
 
 def _csv(tmp_path, text):

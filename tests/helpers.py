@@ -35,7 +35,8 @@ from catreg import (
     population_standardize,
     run_pipeline,
 )
-from catreg.stats import adjusted_r2, t_pvalue
+from catreg.stats import FLAT_RESPONSE, NONFINITE, RANK_DEFICIENT, TOO_FEW_ROWS
+from catreg.stats import adjusted_r2, blockwise, entry_scan, removal_scan, t_pvalue
 from catreg.stepwise import ENTERED, REMOVED, StepwiseConfig, StepwiseEvent, StepwiseTrace
 
 LETTERS = "ABCDEFGHIJ"
@@ -314,6 +315,96 @@ def oracle_stepwise_fit(columns, response, config=None) -> StepwiseTrace:
     ) if included else None
     return StepwiseTrace(tuple(events), tuple(included), final, tuple(diagnostics))
 
+
+
+def reference_stepwise_fit(columns, response, config=None) -> StepwiseTrace:
+    """The stepwise loop before its decisions were read off the cross-product
+    matrix: every entry and removal decided by `stats.entry_scan` and
+    `stats.removal_scan` on Z' = Q'[1, finite columns, y], and every step that
+    entered nothing still scanning for removals. Kept to check the library's
+    events, selection, diagnostics and fit against, bit for bit."""
+    cfg = config or StepwiseConfig()
+    if not columns:
+        raise ValidationError("stepwise_fit needs at least one candidate column")
+    names = list(columns.keys())
+    y = np.asarray(response, dtype=float)
+    if y.ndim != 1:
+        raise ValidationError("response must be a 1-d array")
+    cols: dict[str, np.ndarray] = {}
+    for name in names:
+        arr = np.asarray(columns[name], dtype=float)
+        if arr.ndim != 1 or arr.size != y.size:
+            raise ValidationError(
+                f"column '{name}' must be 1-d and match the response length"
+            )
+        cols[name] = arr
+    max_steps = cfg.max_steps if cfg.max_steps is not None else 2 * len(names)
+    n = y.size
+
+    finite = []
+    if np.isfinite(y).all():
+        finite = [name for name in names if np.isfinite(cols[name]).all()]
+    flat = bool(finite) and (np.ptp(y) == 0.0 or float(((y - y.mean()) ** 2).sum()) <= 0.0)
+    at = {name: j + 1 for j, name in enumerate(finite)}  # column of Z
+    if finite:
+        Z = np.array([np.ones(n), *(cols[name] for name in finite), y]).T  # column-major
+        Z = blockwise(Z, lambda rows: np.linalg.qr(rows)[0].T @ rows)
+
+    included: list[str] = []
+    events: list[StepwiseEvent] = []
+    diagnostics: list[str] = []
+
+    for step in range(1, max_steps + 1):
+        changed = False
+
+        pending = [name for name in names if name not in included]
+        reasons = dict.fromkeys(pending, NONFINITE)
+        scored = [name for name in pending if name in at]
+        k = len(included) + 1
+        if scored and n <= k + 1:
+            reasons.update(dict.fromkeys(scored, TOO_FEW_ROWS.format(n, k + 1)))
+        elif scored:
+            best, best_p, deficient = entry_scan(
+                Z[:, [0, *(at[name] for name in included)]],
+                Z[:, [at[name] for name in scored]],
+                Z[:, -1],
+                n,
+            )
+            for name, bad in zip(scored, deficient):
+                reasons[name] = RANK_DEFICIENT if bad else (FLAT_RESPONSE if flat else None)
+            if not flat and best is not None and best_p < cfg.alpha_enter:
+                included.append(scored[best])
+                events.append(StepwiseEvent(step, scored[best], ENTERED, best_p))
+                changed = True
+        diagnostics.extend(
+            f"step {step}: candidate '{name}' skipped ({why})"
+            for name, why in reasons.items()
+            if why is not None
+        )
+
+        while included:
+            z_cols = [at[name] for name in included]
+            try:
+                worst, worst_p = removal_scan(Z[:, [0, *z_cols, -1]], n, z_cols, cfg.alpha_remove)
+            except (NumericalError, ValidationError) as exc:
+                raise NumericalError(
+                    f"step {step}: the included set {included} cannot be fitted") from exc
+            if worst is None:
+                break
+            events.append(StepwiseEvent(step, included.pop(worst), REMOVED, worst_p))
+            changed = True
+
+        if not changed:
+            break
+
+    fit = None
+    if included:
+        try:
+            fit = ols_fit(np.column_stack([cols[name] for name in included]), y, names=included)
+        except (NumericalError, ValidationError) as exc:
+            raise NumericalError(
+                f"step {step}: the included set {included} cannot be fitted") from exc
+    return StepwiseTrace(tuple(events), tuple(included), fit, tuple(diagnostics))
 
 # The row-tuple Dataset and the per-row fold prediction that the columnar
 # Dataset and the batch fold predictors replaced.

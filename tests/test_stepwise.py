@@ -14,9 +14,14 @@ from catreg import (
     ols_fit,
     stepwise_fit,
 )
-from catreg.stats import fit_rows, removal_scan, t_pvalue
+from catreg.stats import BLOCK_ROWS, fit_rows, removal_scan, t_pvalue
 from catreg.stepwise import ENTERED, REMOVED
-from helpers import assert_raises_exactly, oracle_ols_fit, oracle_stepwise_fit
+from helpers import (
+    assert_raises_exactly,
+    oracle_ols_fit,
+    oracle_stepwise_fit,
+    reference_stepwise_fit,
+)
 
 
 def _planted(seed: int = 0, n: int = 50):
@@ -391,6 +396,105 @@ class TestRemovalScan:
             got, p = removal_scan(rows, n, rank, alpha)
             assert got == (worst if worst_p > alpha else None)
             assert p == worst_p
+
+
+
+EXACT_TWISTS = ("scales", "copy", "near_collinear", "close_t", "underflow", "perfect", "huge",
+                "tall", "near_alpha")
+
+
+@st.composite
+def exact_scan_problems(draw):
+    """Selection problems around the margins of the cross-product decisions.
+
+    "scales" scales and shifts each column by up to 1e4; "copy" is an exact
+    copy or a +-2^k multiple of a column; "near_collinear" a column whose pivot
+    ratio next to [1, x_i] is 1e-5 to 1e-9; "close_t" two orthogonal
+    candidates whose |t| differ by about 1e-7 relative, or by a few rounding
+    errors; "underflow" several candidates whose p underflows to 0;
+    "perfect" a near-perfect fit; "huge" a column scaled by 1e150 or 1e160;
+    "tall" more than BLOCK_ROWS rows; "near_alpha" sets alpha_enter or
+    alpha_remove within 1e-3 (relative) of a p-value of the run, or to it.
+    """
+    twists = draw(st.lists(st.sampled_from(EXACT_TWISTS), min_size=1, max_size=3, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if "tall" in twists:
+        n = int(rng.integers(BLOCK_ROWS + 1, BLOCK_ROWS + 400))
+    else:
+        n = int(rng.integers(200, 800) if "underflow" in twists else rng.integers(8, 200))
+    m = int(rng.integers(3, 9))
+    mix = np.eye(m) + rng.choice([0.0, 0.3, 1.0]) * rng.normal(size=(m, m))
+    X = rng.normal(size=(n, m)) @ mix
+    y = X @ (rng.normal(size=m) * (rng.random(m) < 0.5))
+    y += rng.choice([0.3, 1.0, 3.0]) * rng.normal(size=n)
+    for twist in sorted(twists, key=EXACT_TWISTS.index):
+        i, j, k = (int(v) for v in rng.choice(m, size=3, replace=False))
+        if twist == "scales":
+            X = X * 10.0 ** rng.uniform(-4, 4, size=m) + 10.0 ** rng.uniform(-4, 4, size=m)
+        elif twist == "copy":
+            X[:, j] = rng.choice([-1.0, 1.0]) * 2.0 ** int(rng.integers(-3, 4)) * X[:, i]
+        elif twist == "near_collinear":
+            Q = np.linalg.qr(np.column_stack([np.ones(n), X[:, i]]))[0]
+            e = rng.normal(size=n)
+            e -= Q @ (Q.T @ e)
+            e *= 10.0 ** -rng.uniform(5, 9) * np.linalg.norm(X[:, i]) / np.linalg.norm(e)
+            X[:, j] = X[:, i] + e
+        elif twist == "close_t":
+            Q = np.linalg.qr(np.column_stack([np.ones(n), rng.normal(size=(n, 3))]))[0]
+            X[:, i], X[:, j] = Q[:, 1] * math.sqrt(n), Q[:, 2] * math.sqrt(n)
+            r = 10.0 ** rng.choice([rng.uniform(-7.5, -6.5), rng.uniform(-17, -15.5)])
+            r *= rng.choice([-1.0, 1.0])
+            y = X[:, i] + (1.0 + r) * X[:, j] + rng.uniform(0.5, 3.0) * math.sqrt(n) * Q[:, 3]
+        elif twist == "underflow":
+            X[:, j] = X[:, i] + 0.1 * rng.normal(size=n)
+            X[:, k] = X[:, i] - 0.05 * rng.normal(size=n)
+            y = X[:, i] + 1e-6 * rng.normal(size=n)
+        elif twist == "perfect":
+            y = X[:, i] - 0.5 * X[:, j] + rng.choice([0.0, 1e-13, 1e-9]) * rng.normal(size=n)
+        elif twist == "huge":
+            X[:, j] *= rng.choice([1e150, 1e160])
+    cols = {f"v{j + 1}": X[:, j].copy() for j in range(m)}
+    cfg = StepwiseConfig()
+    if "near_alpha" in twists:
+        try:
+            events = reference_stepwise_fit(cols, y, StepwiseConfig(0.5, 0.5)).events
+        except NumericalError:
+            events = ()
+        events = [e for e in events if 0.0 < e.pvalue < 1.0]
+        if events:
+            event = events[int(rng.integers(len(events)))]
+            shift = draw(st.sampled_from((-1e-3, -1e-9, 0.0, 1e-12, 1e-9, 1e-3)))
+            alpha = min(event.pvalue * (1.0 + shift), 1.0 - 1e-12)
+            if event.action == ENTERED:
+                cfg = StepwiseConfig(alpha, max(alpha, 0.5))
+            else:
+                cfg = StepwiseConfig(min(alpha, 0.5), alpha)
+    return cols, y, cfg
+
+
+def _outcome(fit, cols, y, cfg):
+    # everything a run reports, the event p-values and the fit's arrays as bits
+    try:
+        trace = fit(cols, y, cfg)
+    except NumericalError as exc:
+        return str(exc)
+    final = trace.fit
+    if final is not None:
+        final = (final.names, final.coef.tobytes(), final.intercept, final.stderr.tobytes(),
+                 final.tstat.tobytes(), final.r2, final.adj_r2, final.n, final.p)
+    return ([(e.step, e.variable, e.action, e.pvalue) for e in trace.events],
+            trace.selected, trace.diagnostics, final)
+
+
+class TestCrossProductDecisions:
+    """Stepwise decides exactly what the exact scans decide, bit for bit."""
+
+    @given(exact_scan_problems())
+    @settings(max_examples=500, deadline=None)
+    def test_same_outcome_as_the_exact_scans_bit_for_bit(self, problem):
+        cols, y, cfg = problem
+        assert _outcome(stepwise_fit, cols, y, cfg) == _outcome(
+            reference_stepwise_fit, cols, y, cfg)
 
 
 # each validation raise that no other test reaches, with its full message

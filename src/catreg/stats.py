@@ -27,8 +27,9 @@ screen is `ols_fit`'s test on [1, S, c], whose singular values are those of
 the triangle [[R, Q'c], [0, |e_c|]]; one batched SVD covers all triangles.
 `removal_scan` refits [1, S, y] and scans the other way, from the smallest |t|
 up for the largest p, with the same tie rule; it stops at once when the first p
-is at most alpha. Stepwise runs both on compressed rows; see `stepwise` for why
-those are formed with Q.
+is at most alpha. Stepwise runs both on rows compressed with Q, only where its
+cross-product decisions leave a choice open and to report an event's p-value:
+rank is decided by its cross-product certificate, else by this SVD screen.
 
 Two-sided p-values come from the Student-t distribution evaluated through a
 hand-rolled regularized incomplete beta function, kept dependency-free on

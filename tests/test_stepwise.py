@@ -1,6 +1,7 @@
 """p-value gated forward/backward variable selection."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +11,13 @@ from hypothesis import strategies as st
 from catreg import (
     NumericalError,
     StepwiseConfig,
+    StepwiseEvent,
     ValidationError,
+    compare_baseline,
+    ingest_dataset,
+    load_gearing,
     ols_fit,
+    stepwise,
     stepwise_fit,
 )
 from catreg.stats import BLOCK_ROWS, fit_rows, removal_scan, t_pvalue
@@ -22,6 +28,8 @@ from helpers import (
     oracle_stepwise_fit,
     reference_stepwise_fit,
 )
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def _planted(seed: int = 0, n: int = 50):
@@ -486,8 +494,28 @@ def _outcome(fit, cols, y, cfg):
             trace.selected, trace.diagnostics, final)
 
 
+def _count_decisions(monkeypatch) -> dict:
+    """Count the exact scans stepwise runs and the cross-product decisions it
+    tries: entry_scan and removal_scan calls, p-value replays included."""
+    calls = dict.fromkeys(("entry_scan", "removal_scan", "entry", "removal"), 0)
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def count(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, count)
+
+    for owner, name in ((stepwise, "entry_scan"), (stepwise, "removal_scan"),
+                        (stepwise._Gram, "entry"), (stepwise._Gram, "removal")):
+        counted(owner, name)
+    return calls
+
+
 class TestCrossProductDecisions:
-    """Stepwise decides exactly what the exact scans decide, bit for bit."""
+    """Entries and removals read off the cross-product matrix decide exactly
+    what the exact scans decide, and leave them only the close calls."""
 
     @given(exact_scan_problems())
     @settings(max_examples=500, deadline=None)
@@ -496,6 +524,60 @@ class TestCrossProductDecisions:
         assert _outcome(stepwise_fit, cols, y, cfg) == _outcome(
             reference_stepwise_fit, cols, y, cfg)
 
+    def test_the_sample_comparison_runs_no_exact_scan(self, monkeypatch):
+        dataset, _ = ingest_dataset(
+            str(DATA / "responses.sample.csv"), load_gearing(str(DATA / "gearing.sample.json")))
+        calls = _count_decisions(monkeypatch)
+        compare_baseline(dataset, k=6, seed=42)
+        assert calls == {"entry_scan": 0, "removal_scan": 0, "entry": 126, "removal": 119}
+
+    def test_an_underflowing_winner_on_20k_rows_runs_no_exact_scan(self, monkeypatch):
+        # v1, v2 and v3 all reach p = 0 at step 1, where v2 has the largest |t|
+        # and v1, a proxy of v2 declared first, enters; v1 leaves once v2 is in
+        rng = np.random.default_rng(5)
+        n = 20_000
+        X = rng.normal(size=(n, 8))
+        X[:, 0] = X[:, 1] + 0.3 * rng.normal(size=n)
+        y = X[:, 1] + 0.5 * X[:, 2] + 0.3 * X[:, 4] + 0.5 * rng.normal(size=n)
+        cols = {f"v{j + 1}": X[:, j] for j in range(8)}
+        cfg = StepwiseConfig(1e-4, 1e-3)
+        calls = _count_decisions(monkeypatch)
+        trace = stepwise_fit(cols, y, cfg)
+        assert calls == {"entry_scan": 0, "removal_scan": 0, "entry": 5, "removal": 5}
+        assert [(e.step, e.variable, e.action) for e in trace.events] == [
+            (1, "v1", ENTERED), (2, "v2", ENTERED), (2, "v1", REMOVED), (3, "v3", ENTERED),
+            (4, "v5", ENTERED)]
+        assert _outcome(lambda *a: trace, cols, y, cfg) == _outcome(
+            reference_stepwise_fit, cols, y, cfg)
+        assert [e.pvalue for e in trace.events if e.action == ENTERED] == [0.0] * 4
+        # one replay per event, on first read
+        assert (calls["entry_scan"], calls["removal_scan"]) == (4, 1)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_a_step_that_enters_nothing_scans_no_removal(self, exact, monkeypatch):
+        # x3 enters first and leaves once x1 and x2 are in: 3 entries and 1
+        # removal take 3 + 1 removal scans, the last step's none
+        if exact:
+            for name in ("entry", "removal"):
+                monkeypatch.setattr(stepwise._Gram, name, lambda *args: stepwise._UNDECIDED)
+        calls = _count_decisions(monkeypatch)
+        rng = np.random.default_rng(0)
+        x1, x2, e3, noise = rng.normal(size=(4, 120))
+        x3 = (x1 + x2) / np.sqrt(2.0) + 0.3 * e3
+        trace = stepwise_fit({"x1": x1, "x2": x2, "x3": x3}, x1 + x2 + 0.8 * noise)
+        assert [(e.step, e.action) for e in trace.events] == [
+            (1, ENTERED), (2, ENTERED), (3, ENTERED), (3, REMOVED)]
+        assert calls["removal"] == 4
+        assert calls["removal_scan"] == (4 if exact else 0)
+
+    def test_an_event_pvalue_is_a_float_or_computed_on_first_read(self):
+        event = StepwiseEvent(1, "x", ENTERED, 0.01)
+        assert event.pvalue == 0.01 and isinstance(event.pvalue, float)
+        reads = []
+        lazy = StepwiseEvent(1, "x", ENTERED, lambda: reads.append(1) or 0.01)
+        assert reads == []
+        assert lazy == event and lazy.pvalue == 0.01
+        assert reads == [1]
 
 # each validation raise that no other test reaches, with its full message
 STEPWISE_VALIDATION_CASES = {

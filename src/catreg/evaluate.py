@@ -17,29 +17,33 @@ the first observed category) and fits plain least squares; the contender runs
 the full quantify-then-select pipeline per training fold.
 
 A fold is a pair of index arrays, and its training part the `Dataset.subset`
-over the first. Its test rows are predicted at once: they are encoded from their declared
-category codes into one design matrix (dummy indicators written column by
-column into one preallocated matrix for the baseline, the model's
-quantification tables for the contender) and predicted with one matrix
-product. A row whose category the training part never showed is masked out
-of scoring. Each fold is then scored on two arrays, the actual and predicted
-values of its scored rows, with one MMRE call. On the count scale both are
-first exponentiated by math.exp; only when a value has no finite count, or a
-predicted count underflows to 0.0, are the pairs scanned in row order, so the
-first value rejected is the one reported.
+over the first. Once every training part has over `stats.BLOCK_ROWS` rows, the
+baseline factorizes each fold's dummy-coded rows once: a training part's R is
+that of the other folds' factors, its numeric columns moved to the part's own
+mean and scale (a part lacking a category is fitted alone). Its test rows are
+predicted at once: they are encoded from their declared category codes into
+one design matrix (dummy indicators written column by column into one
+preallocated matrix for the baseline, the model's quantification tables for
+the contender) and predicted with one matrix product. A row whose category the
+training part never showed is masked out of scoring. Each fold is then scored
+on two arrays, the actual and predicted values of its scored rows, with one
+MMRE call. On the count scale both are first exponentiated by math.exp; only
+when a value has no finite count, or a predicted count underflows to 0.0, are
+the pairs scanned in row order, so the first value rejected is the one reported.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .data import Dataset, population_standardize
-from .errors import NumericalError, ValidationError, require_number
+from .errors import CatregError, NumericalError, ValidationError, require_number
 from .scaling import CatregConfig
-from .stats import ols_fit
+from .stats import BLOCK_ROWS, FLAT_RESPONSE, blockwise, fit_rows, ols_fit
 from .stepwise import StepwiseConfig
 
 BASELINE = "dummy-ols"
@@ -278,6 +282,48 @@ def _dummy_fitter(train: Dataset, full: Dataset, rows, configs: MethodConfigs):
     return fit.intercept + np.ascontiguousarray(matrix) @ fit.coef, seen, ""  # see encode
 
 
+def _shared_dummy_fitter(dataset: Dataset, plan: FoldPlan):
+    """fit(fold, train_idx, test_idx) -> `_dummy_fitter`'s triple and errors, or None if
+    the training part lacks a category; None if a part is short or the full design fails."""
+    n_train = dataset.n - np.bincount(plan.assignment).max()  # the smallest training part
+    try:
+        design = dummy_design(dataset) if n_train > BLOCK_ROWS else None
+    except CatregError:
+        design = None
+    if design is None or n_train <= len(design.names) + 1:  # ols_fit's TOO_FEW_ROWS
+        return None
+    folds = [plan.fold_indices(f)[1] for f in range(plan.k)]
+    y, qr = dataset.column(dataset.dependent.name), partial(np.linalg.qr, mode="r")
+    factors = [blockwise(np.c_[np.ones(len(i)), design.matrix[i], y[i]], qr) for i in folds]
+    lacks, numeric, j = np.zeros(plan.k, dtype=bool), [], 1  # j: a column of [1, X, y]
+    for name in design.variables:
+        if name in design.numeric_scaling:
+            numeric.append((j, name, dataset.column(name), *design.numeric_scaling[name]))
+            j += 1
+            continue
+        codes = dataset.category_codes(name)
+        counts = np.array([np.bincount(codes[i], minlength=codes.max() + 1) for i in folds])
+        lacks |= ((counts == counts.sum(axis=0)) & (counts > 0)).any(axis=1)
+        j += len(design.categorical_levels[name]) - 1
+    design = replace(design, matrix=None)
+
+    def fit(fold, train_idx, test_idx):
+        if lacks[fold]:
+            return None
+        R, scalings = blockwise(np.vstack(factors[:fold] + factors[fold + 1:]), qr), {}
+        for j, name, x, m, s in numeric:  # dummy_design's standardizations, in declared order
+            _, m_f, s_f = population_standardize(x[train_idx])
+            R[:, j] = R[:, j] * (s / s_f) + R[:, 0] * ((m - m_f) / s_f)
+            scalings[name] = m_f, s_f
+        b = fit_rows(R, len(train_idx))[0]
+        if np.ptp(t := y[train_idx]) == 0.0 or ((t - t.mean()) ** 2).sum() <= 0.0:
+            raise ValidationError(FLAT_RESPONSE)  # as in ols_fit, after its rank screen
+        matrix, seen = replace(design, numeric_scaling=scalings).encode(dataset, test_idx)
+        return b[0] + np.ascontiguousarray(matrix) @ b[1:], seen, ""  # as _dummy_fitter
+
+    return fit
+
+
 def _contender_fitter(train: Dataset, full: Dataset, rows, configs: MethodConfigs):
     # imported here: pipeline depends on this module for reporting types
     from .pipeline import run_pipeline
@@ -331,9 +377,11 @@ def crossval(
     plan = fold_plan(dataset.n, k, seed)
     y = dataset.column(dataset.dependent.name)
     fitter, outcomes = _FITTERS[method], []
+    shared = _shared_dummy_fitter(dataset, plan) if fitter is _dummy_fitter else None
     for fold in range(k):
         train_idx, test_idx = plan.fold_indices(fold)
-        estimates, seen, note = fitter(dataset.subset(train_idx), dataset, test_idx, configs)
+        fitted = shared and shared(fold, train_idx, test_idx)
+        estimates, seen, note = fitted or fitter(dataset.subset(train_idx), dataset, test_idx, configs)
         if not seen.any():
             raise ValidationError(
                 f"fold {fold + 1}: every test row was excluded; nothing to score"

@@ -5,6 +5,8 @@ the small factor instead of the n data rows (Golub & Van Loan, Matrix
 Computations, 5.3 and 6.5). One of more than BLOCK_ROWS rows is factorized as
 a tall-skinny QR (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput.
 34(1), 2012): block by block, each in cache, then the stack of their factors.
+In the dummy baseline's cross-validation of tall data the blocks are the folds:
+each training part's R is that of the other folds' stacked factors.
 
 `fit_rows` takes the rows of [1, X, y] and keeps only R of a Householder QR,
 never forming Q. The bottom-right entry of R squared is the residual sum of

@@ -1,6 +1,7 @@
 """MRE/MMRE metrics, fold planning, dummy coding, and k-fold comparison."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catreg import (
+    CatregError,
     Dataset,
     EvaluationReport,
     MethodConfigs,
@@ -21,10 +23,22 @@ from catreg import (
     dataset_to_json,
     dummy_design,
     fold_plan,
+    ingest_dataset,
+    load_gearing,
     mmre,
     mre,
 )
-from catreg.evaluate import _FITTERS, BASELINE, CONTENDER, LOG_SCALE, back_transform
+from catreg import evaluate
+from catreg.evaluate import (
+    _FITTERS,
+    BASELINE,
+    CONTENDER,
+    LOG_SCALE,
+    _dummy_fitter,
+    _shared_dummy_fitter,
+    back_transform,
+)
+from catreg.stats import BLOCK_ROWS, FLAT_RESPONSE, RANK_DEFICIENT
 
 from helpers import assert_raises_exactly, oracle_fold_predictions
 
@@ -573,3 +587,161 @@ EVALUATE_VALIDATION_CASES = {
 def test_validation_raises(case):
     call, message = EVALUATE_VALIDATION_CASES[case]
     assert_raises_exactly(call, ValidationError, message)
+
+
+def _tall_dataset(n: int, seed: int = 0, faults=(), rows=None, rare_rows=None):
+    """Nominal g, ordinal o and numeric x1..x3 with a linear signal on a positive
+    response. On `rows`, faults make x2 a copy of x1 ("rank"), x3 constant
+    ("zero") or the response flat ("flat"); g is "R" on `rare_rows` only."""
+    rng = np.random.default_rng(seed)
+    g = np.array(["A", "B", "C", "D", "R"])[rng.integers(0, 4, n)]
+    o = np.array(["lo", "mid", "high", "top", "max"])[rng.integers(0, 5, n)]
+    x1, x2, x3 = rng.normal(3.0, 2.0, n), rng.uniform(-50.0, 200.0, n), rng.lognormal(0.0, 1.0, n)
+    y = 3.0 + 0.3 * x1 + 0.01 * x2 + 0.2 * x3 + (g == "B") + rng.normal(0.0, 0.3, n)
+    if "rank" in faults:
+        x2[rows] = x1[rows]
+    if "zero" in faults:
+        x3[rows] = 1.5
+    if "flat" in faults:
+        y[rows] = 4.0
+    if rare_rows is not None:
+        g[rare_rows] = "R"
+    variables = (
+        Variable("g", "nominal", ("A", "B", "C", "D", "R")),
+        Variable("x1", "numeric"),
+        Variable("o", "ordinal", ("lo", "mid", "high", "top", "max")),
+        Variable("x2", "numeric"),
+        Variable("x3", "numeric"),
+        Variable("y", "numeric", role="dependent"),
+    )
+    columns = [g.tolist(), x1.tolist(), o.tolist(), x2.tolist(), x3.tolist(), y.tolist()]
+    return Dataset(variables, columns=columns, ids=[None] * n)
+
+
+def _per_fold_only(monkeypatch):
+    monkeypatch.setattr(evaluate, "_shared_dummy_fitter", lambda dataset, plan: None)
+
+
+def _first_failure(fit_fold, k: int):
+    # (fold, type, message) of the first fold whose fit raises, else None
+    for fold in range(k):
+        try:
+            fit_fold(fold)
+        except CatregError as exc:
+            return fold, type(exc), str(exc)
+    return None
+
+
+class TestSharedFoldFactors:
+    """The dummy baseline on training parts taller than a block factorizes each
+    fold's rows once; what it reports must be what the per-fold fits report."""
+
+    @pytest.mark.parametrize("k, n, smallest", [
+        (2, 2 * BLOCK_ROWS + 2, BLOCK_ROWS + 1),  # so is every fold
+        (2, 5000, 2500),  # folds taller than a block are factorized by blocks themselves
+        (5, 2562, BLOCK_ROWS + 1),
+        (10, 2300, 2070),
+    ])
+    def test_same_fits_as_the_per_fold_path(self, monkeypatch, k, n, smallest):
+        ds, configs = _tall_dataset(n, seed=k), MethodConfigs()
+        plan = fold_plan(n, k, seed=7)
+        assert n - max(np.bincount(plan.assignment)) == smallest  # rows of a training part
+        fit = _shared_dummy_fitter(ds, plan)
+        assert fit is not None
+        for fold in range(k):
+            train_idx, test_idx = plan.fold_indices(fold)
+            estimates, seen, note = fit(fold, train_idx, test_idx)
+            want = _dummy_fitter(ds.subset(train_idx), ds, test_idx, configs)
+            assert seen.tolist() == want[1].tolist() and note == want[2]
+            np.testing.assert_allclose(estimates, want[0], rtol=1e-12)
+        shared = crossval(ds, k, 7, BASELINE)
+        _per_fold_only(monkeypatch)
+        per_fold = crossval(ds, k, 7, BASELINE)
+        assert [f.n_excluded for f in shared.folds] == [f.n_excluded for f in per_fold.folds]
+        np.testing.assert_allclose([f.mmre_value for f in shared.folds],
+                                   [f.mmre_value for f in per_fold.folds], rtol=1e-12)
+
+    def test_a_training_part_of_a_block_or_less_runs_per_fold(self):
+        n = 2 * BLOCK_ROWS
+        assert _shared_dummy_fitter(_tall_dataset(n), fold_plan(n, 2, seed=0)) is None
+
+    @pytest.mark.parametrize("k", [6, 197])
+    def test_the_sample_corpus_never_enters_the_shared_path(self, monkeypatch, k):
+        data = Path(__file__).resolve().parent.parent / "data"
+        ds, _ = ingest_dataset(str(data / "responses.sample.csv"),
+                               load_gearing(str(data / "gearing.sample.json")))
+        calls = []
+        monkeypatch.setattr(evaluate, "dummy_design",
+                            lambda d, real=dummy_design: calls.append(d.n) or real(d))
+        assert _shared_dummy_fitter(ds, fold_plan(ds.n, k, seed=42)) is None
+        assert calls == []  # not even the full design is built
+
+    def test_a_fold_holding_a_whole_category_is_fitted_alone(self, monkeypatch):
+        n, k, fold = 2600, 5, 3
+        plan = fold_plan(n, k, seed=1)
+        rare = plan.fold_indices(fold)[1][:4]  # every "R" row is a test row of `fold`
+        ds = _tall_dataset(n, rare_rows=rare)
+        fit = _shared_dummy_fitter(ds, plan)
+        fitted = [fit(f, *plan.fold_indices(f)) for f in range(k)]
+        assert [f is None for f in fitted] == [f == fold for f in range(k)]
+        shared = crossval(ds, k, 1, BASELINE)
+        _per_fold_only(monkeypatch)
+        per_fold = crossval(ds, k, 1, BASELINE)
+        excluded = [f.n_excluded for f in shared.folds]
+        assert excluded == [f.n_excluded for f in per_fold.folds] == [4 * (f == fold) for f in range(k)]
+        np.testing.assert_allclose([f.mmre_value for f in shared.folds],
+                                   [f.mmre_value for f in per_fold.folds], rtol=1e-12)
+
+    ZERO_VARIANCE = "cannot standardize a zero-variance column"
+
+    @pytest.mark.parametrize("faults, error, message", [
+        (("rank",), NumericalError, RANK_DEFICIENT),
+        (("flat",), ValidationError, FLAT_RESPONSE),
+        (("zero",), ValidationError, ZERO_VARIANCE),
+        # the rank screen comes before the flat response
+        (("rank", "flat"), NumericalError, RANK_DEFICIENT),
+        # standardization comes first, though x3 is declared after x1 and x2
+        (("rank", "zero", "flat"), ValidationError, ZERO_VARIANCE),
+    ])
+    def test_the_same_error_at_the_same_fold(self, faults, error, message):
+        n, k, fold = 2600, 5, 2
+        plan, configs = fold_plan(n, k, seed=0), MethodConfigs()
+        ds = _tall_dataset(n, faults=faults, rows=plan.fold_indices(fold)[0])
+        fit = _shared_dummy_fitter(ds, plan)
+        assert fit is not None  # the full data has no fault
+
+        def per_fold(f):
+            train_idx, test_idx = plan.fold_indices(f)
+            return _dummy_fitter(ds.subset(train_idx), ds, test_idx, configs)
+
+        shared = _first_failure(lambda f: fit(f, *plan.fold_indices(f)), k)
+        assert shared == _first_failure(per_fold, k) == (fold, error, message)
+        assert_raises_exactly(lambda: crossval(ds, k, 0, BASELINE), error, message)
+
+    def test_a_full_design_that_fails_leaves_every_fold_to_the_per_fold_path(self):
+        n = 2600
+        ds = _tall_dataset(n, faults=("zero",), rows=np.arange(n))
+        assert _shared_dummy_fitter(ds, fold_plan(n, 5, seed=0)) is None
+        assert_raises_exactly(lambda: crossval(ds, 5, 0, BASELINE), ValidationError,
+                              self.ZERO_VARIANCE)
+
+    def test_each_data_row_goes_through_qr_once(self, monkeypatch):
+        n, k = 2600, 5
+        width = 1 + 3 + 4 + 3 + 1  # [1, X, y]: g (4 levels seen), o (5), x1..x3
+        real_qr, calls = np.linalg.qr, []
+
+        def qr(a, *args, **kwargs):
+            calls.append(len(a))
+            return real_qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        ds = _tall_dataset(n)
+        crossval(ds, k, 0, BASELINE)
+        # one call per fold on its own rows, then per training part the stack
+        # of the other folds' factors and the fit's own factor of it
+        assert calls[:k] == [n // k] * k
+        assert calls[k:] == [(k - 1) * width, width] * k
+        calls.clear()
+        _per_fold_only(monkeypatch)
+        crossval(ds, k, 0, BASELINE)
+        assert sum(calls) >= (k - 1) * n  # each row once per training part it is in

@@ -661,6 +661,21 @@ class TestSharedFoldFactors:
         np.testing.assert_allclose([f.mmre_value for f in shared.folds],
                                    [f.mmre_value for f in per_fold.folds], rtol=1e-12)
 
+    @pytest.mark.parametrize("k, n, seed, rare_fold, pinned", [
+        (5, 2600, 3, None, [("0x1.05df651a245e5p-2", 0), ("0x1.f2d008c860eeap-3", 0),
+                            ("0x1.c9d86763b3ab6p-3", 0), ("0x1.f10e323267427p-3", 0),
+                            ("0x1.037472e188f43p-2", 0)]),
+        (2, 5000, 3, None, [("0x1.f242e5dce9ec7p-3", 0), ("0x1.fdec0a6745707p-3", 0)]),
+        # fold 3 holds every "R" row, so it alone is fitted by the per-fold path
+        (5, 2600, 1, 3, [("0x1.ed79c1b672463p-3", 0), ("0x1.eeaee95f575c3p-3", 0),
+                         ("0x1.02389d57a799ap-2", 0), ("0x1.f93143b4e43fbp-3", 4),
+                         ("0x1.e6882222df39dp-3", 0)]),
+    ])
+    def test_fold_mmres_keep_their_bits(self, k, n, seed, rare_fold, pinned):
+        rare = None if rare_fold is None else fold_plan(n, k, seed).fold_indices(rare_fold)[1][:4]
+        evaluation = crossval(_tall_dataset(n, rare_rows=rare), k, seed, BASELINE)
+        assert [(f.mmre_value.hex(), f.n_excluded) for f in evaluation.folds] == pinned
+
     def test_a_training_part_of_a_block_or_less_runs_per_fold(self):
         n = 2 * BLOCK_ROWS
         assert _shared_dummy_fitter(_tall_dataset(n), fold_plan(n, 2, seed=0)) is None

@@ -18,11 +18,13 @@ the full quantify-then-select pipeline per training fold.
 
 A fold is a pair of index arrays, and its training part the `Dataset.subset`
 over the first. Once every training part has over `stats.BLOCK_ROWS` rows, the
-baseline factorizes each fold's dummy-coded rows once: a training part's R is
-that of the other folds' factors, its numeric columns moved to the part's own
-mean and scale (a part lacking a category is fitted alone). Its test rows are
-predicted at once: they are encoded from their declared category codes into
-one design matrix (dummy indicators written column by column into one
+baseline dummy-codes each fold's rows once, with the full data's levels, and
+factorizes them once: a training part's R is that of the other folds' factors,
+its numeric columns moved to the part's own mean and scale (a part lacking a
+category is fitted alone), and the fold's test rows are scored from its own
+coded block, their numeric columns rescaled to the part's. Otherwise its test
+rows are predicted at once: they are encoded from their declared category codes
+into one design matrix (dummy indicators written column by column into one
 preallocated matrix for the baseline, the model's quantification tables for
 the contender) and predicted with one matrix product. A row whose category the
 training part never showed is masked out of scoring. Each fold is then scored
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -143,13 +145,17 @@ class FoldPlan:
     seed: int
     assignment: tuple[int, ...]
 
+    @cached_property
+    def folds(self) -> np.ndarray:
+        """The assignment as an intp array, built on first read."""
+        return np.fromiter(self.assignment, np.intp, len(self.assignment))
+
     def fold_indices(self, fold: int) -> tuple[np.ndarray, np.ndarray]:
         """(train_indices, test_indices) for one fold: ascending intp arrays."""
         require_number("fold", fold, integer=True)
         if not (0 <= fold < self.k):
             raise ValidationError(f"fold must lie in [0, {self.k})")
-        assignment = np.fromiter(self.assignment, np.intp, len(self.assignment))
-        return np.flatnonzero(assignment != fold), np.flatnonzero(assignment == fold)
+        return np.flatnonzero(self.folds != fold), np.flatnonzero(self.folds == fold)
 
 
 def fold_plan(n: int, k: int, seed: int) -> FoldPlan:
@@ -210,8 +216,8 @@ class DummyDesign:
         return matrix, seen
 
 
-def dummy_design(dataset: Dataset) -> DummyDesign:
-    """Build the dummy-coded design matrix for the dataset's predictors."""
+def _dummy_levels(dataset: Dataset) -> DummyDesign:
+    """`dummy_design` without its matrix: the levels and scalings alone."""
     names = [v.name for v in dataset.predictors]
     if not names:
         raise ValidationError("dummy_design needs at least one predictor")
@@ -232,7 +238,12 @@ def dummy_design(dataset: Dataset) -> DummyDesign:
             _, mean, scale = population_standardize(dataset.column(name))
             numeric_scaling[name] = (mean, scale)
             col_names.append(name)
-    design = DummyDesign(tuple(names), tuple(col_names), None, categorical_levels, numeric_scaling)
+    return DummyDesign(tuple(names), tuple(col_names), None, categorical_levels, numeric_scaling)
+
+
+def dummy_design(dataset: Dataset) -> DummyDesign:
+    """Build the dummy-coded design matrix for the dataset's predictors."""
+    design = _dummy_levels(dataset)
     return replace(design, matrix=design.encode(dataset, np.arange(dataset.n))[0])
 
 
@@ -285,41 +296,44 @@ def _dummy_fitter(train: Dataset, full: Dataset, rows, configs: MethodConfigs):
 def _shared_dummy_fitter(dataset: Dataset, plan: FoldPlan):
     """fit(fold, train_idx, test_idx) -> `_dummy_fitter`'s triple and errors, or None if
     the training part lacks a category; None if a part is short or the full design fails."""
-    n_train = dataset.n - np.bincount(plan.assignment).max()  # the smallest training part
+    n_train = dataset.n - np.bincount(plan.folds).max()  # the smallest training part
     try:
-        design = dummy_design(dataset) if n_train > BLOCK_ROWS else None
+        design = _dummy_levels(dataset) if n_train > BLOCK_ROWS else None
     except CatregError:
         design = None
     if design is None or n_train <= len(design.names) + 1:  # ols_fit's TOO_FEW_ROWS
         return None
-    folds = [plan.fold_indices(f)[1] for f in range(plan.k)]
     y, qr = dataset.column(dataset.dependent.name), partial(np.linalg.qr, mode="r")
-    factors = [blockwise(np.c_[np.ones(len(i)), design.matrix[i], y[i]], qr) for i in folds]
+    # each fold's rows [1, X, y], coded once with the full data's levels and scalings
+    blocks = [np.c_[np.ones(len(i)), design.encode(dataset, i)[0], y[i]]
+              for i in (np.flatnonzero(plan.folds == f) for f in range(plan.k))]
+    factors = [blockwise(block, qr) for block in blocks]
     lacks, numeric, j = np.zeros(plan.k, dtype=bool), [], 1  # j: a column of [1, X, y]
     for name in design.variables:
         if name in design.numeric_scaling:
-            numeric.append((j, name, dataset.column(name), *design.numeric_scaling[name]))
+            numeric.append((j, dataset.column(name), *design.numeric_scaling[name]))
             j += 1
             continue
-        codes = dataset.category_codes(name)
-        counts = np.array([np.bincount(codes[i], minlength=codes.max() + 1) for i in folds])
+        c = len(dataset.variable(name).categories)  # counts[f, code]: rows of fold f
+        counts = np.bincount(plan.folds * c + dataset.category_codes(name),
+                             minlength=plan.k * c).reshape(plan.k, c)
         lacks |= ((counts == counts.sum(axis=0)) & (counts > 0)).any(axis=1)
         j += len(design.categorical_levels[name]) - 1
-    design = replace(design, matrix=None)
 
     def fit(fold, train_idx, test_idx):
         if lacks[fold]:
             return None
-        R, scalings = blockwise(np.vstack(factors[:fold] + factors[fold + 1:]), qr), {}
-        for j, name, x, m, s in numeric:  # dummy_design's standardizations, in declared order
+        R = blockwise(np.vstack(factors[:fold] + factors[fold + 1:]), qr)
+        matrix = blocks[fold][:, 1:-1].copy()  # the test rows; indicators as coded
+        for j, x, m, s in numeric:  # dummy_design's standardizations, in declared order
             _, m_f, s_f = population_standardize(x[train_idx])
             R[:, j] = R[:, j] * (s / s_f) + R[:, 0] * ((m - m_f) / s_f)
-            scalings[name] = m_f, s_f
+            matrix[:, j - 1] = (x[test_idx] - m_f) / s_f  # as `encode` scales them
         b = fit_rows(R, len(train_idx))[0]
         if np.ptp(t := y[train_idx]) == 0.0 or ((t - t.mean()) ** 2).sum() <= 0.0:
             raise ValidationError(FLAT_RESPONSE)  # as in ols_fit, after its rank screen
-        matrix, seen = replace(design, numeric_scaling=scalings).encode(dataset, test_idx)
-        return b[0] + np.ascontiguousarray(matrix) @ b[1:], seen, ""  # as _dummy_fitter
+        # every test row is seen: the levels are the full data's, all in the training part
+        return b[0] + matrix @ b[1:], np.ones(len(test_idx), dtype=bool), ""
 
     return fit
 

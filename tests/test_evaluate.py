@@ -118,6 +118,11 @@ class TestFoldPlan:
         b = fold_plan(40, 6, seed=42)
         assert a.assignment == b.assignment
 
+    def test_equality_and_hash_read_the_fields_only(self):
+        a, b = fold_plan(40, 6, seed=42), fold_plan(40, 6, seed=42)
+        a.fold_indices(0)  # builds a's assignment array, not b's
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
     def test_seed_changes_assignment(self):
         a = fold_plan(40, 6, seed=1)
         b = fold_plan(40, 6, seed=2)
@@ -686,10 +691,10 @@ class TestSharedFoldFactors:
         ds, _ = ingest_dataset(str(data / "responses.sample.csv"),
                                load_gearing(str(data / "gearing.sample.json")))
         calls = []
-        monkeypatch.setattr(evaluate, "dummy_design",
-                            lambda d, real=dummy_design: calls.append(d.n) or real(d))
+        monkeypatch.setattr(evaluate, "_dummy_levels",
+                            lambda d, real=evaluate._dummy_levels: calls.append(d.n) or real(d))
         assert _shared_dummy_fitter(ds, fold_plan(ds.n, k, seed=42)) is None
-        assert calls == []  # not even the full design is built
+        assert calls == []  # not even the full data's levels are taken
 
     def test_a_fold_holding_a_whole_category_is_fitted_alone(self, monkeypatch):
         n, k, fold = 2600, 5, 3
@@ -739,6 +744,27 @@ class TestSharedFoldFactors:
         assert _shared_dummy_fitter(ds, fold_plan(n, 5, seed=0)) is None
         assert_raises_exactly(lambda: crossval(ds, 5, 0, BASELINE), ValidationError,
                               self.ZERO_VARIANCE)
+
+    def test_each_data_row_is_dummy_coded_once(self, monkeypatch):
+        n, k = 2600, 5
+        real_encode, rows = evaluate.DummyDesign.encode, []
+        monkeypatch.setattr(evaluate.DummyDesign, "encode",
+                            lambda design, d, r: rows.append(len(r)) or real_encode(design, d, r))
+        crossval(_tall_dataset(n), k, 0, BASELINE)
+        assert rows == [n // k] * k  # each fold's rows, and no test row coded again
+
+    def test_a_plan_converts_its_assignment_once(self, monkeypatch):
+        ds, plans, conversions = _tall_dataset(2600), [], []
+        monkeypatch.setattr(evaluate, "fold_plan",
+                            lambda *args, real=fold_plan: plans.append(real(*args)) or plans[0])
+        for name in ("fromiter", "asarray", "array", "bincount"):
+            def counted(a, *args, real=getattr(np, name), **kwargs):
+                if plans and a is plans[0].assignment:
+                    conversions.append(real.__name__)
+                return real(a, *args, **kwargs)
+            monkeypatch.setattr(np, name, counted)
+        crossval(ds, 5, 0, BASELINE)
+        assert len(plans) == 1 and len(conversions) == 1
 
     def test_each_data_row_goes_through_qr_once(self, monkeypatch):
         n, k = 2600, 5

@@ -22,9 +22,9 @@ baseline dummy-codes each fold's rows once, with the full data's levels, and
 factorizes them once: a training part's R is that of the other folds' factors,
 its numeric columns moved to the part's own mean and scale (a part lacking a
 category is fitted alone), and the fold's test rows are scored from its own
-coded block, their numeric columns rescaled to the part's. Otherwise its test
-rows are predicted at once: they are encoded from their declared category codes
-into one design matrix (dummy indicators written column by column into one
+coded block, their numeric columns rescaled to the part's. Otherwise a fold's
+test rows are predicted at once: they are encoded from their declared category
+codes into one design matrix (dummy indicators written column by column into one
 preallocated matrix for the baseline, the model's quantification tables for
 the contender) and predicted with one matrix product. A row whose category the
 training part never showed is masked out of scoring. Each fold is then scored
@@ -146,7 +146,7 @@ class FoldPlan:
     assignment: tuple[int, ...]
 
     @cached_property
-    def folds(self) -> np.ndarray:
+    def _folds(self) -> np.ndarray:
         """The assignment as an intp array, built on first read."""
         return np.fromiter(self.assignment, np.intp, len(self.assignment))
 
@@ -155,7 +155,7 @@ class FoldPlan:
         require_number("fold", fold, integer=True)
         if not (0 <= fold < self.k):
             raise ValidationError(f"fold must lie in [0, {self.k})")
-        return np.flatnonzero(self.folds != fold), np.flatnonzero(self.folds == fold)
+        return np.flatnonzero(self._folds != fold), np.flatnonzero(self._folds == fold)
 
 
 def fold_plan(n: int, k: int, seed: int) -> FoldPlan:
@@ -296,7 +296,7 @@ def _dummy_fitter(train: Dataset, full: Dataset, rows, configs: MethodConfigs):
 def _shared_dummy_fitter(dataset: Dataset, plan: FoldPlan):
     """fit(fold, train_idx, test_idx) -> `_dummy_fitter`'s triple and errors, or None if
     the training part lacks a category; None if a part is short or the full design fails."""
-    n_train = dataset.n - np.bincount(plan.folds).max()  # the smallest training part
+    n_train = dataset.n - np.bincount(plan._folds).max()  # the smallest training part
     try:
         design = _dummy_levels(dataset) if n_train > BLOCK_ROWS else None
     except CatregError:
@@ -306,7 +306,7 @@ def _shared_dummy_fitter(dataset: Dataset, plan: FoldPlan):
     y, qr = dataset.column(dataset.dependent.name), partial(np.linalg.qr, mode="r")
     # each fold's rows [1, X, y], coded once with the full data's levels and scalings
     blocks = [np.c_[np.ones(len(i)), design.encode(dataset, i)[0], y[i]]
-              for i in (np.flatnonzero(plan.folds == f) for f in range(plan.k))]
+              for i in (np.flatnonzero(plan._folds == f) for f in range(plan.k))]
     factors = [blockwise(block, qr) for block in blocks]
     lacks, numeric, j = np.zeros(plan.k, dtype=bool), [], 1  # j: a column of [1, X, y]
     for name in design.variables:
@@ -315,7 +315,7 @@ def _shared_dummy_fitter(dataset: Dataset, plan: FoldPlan):
             j += 1
             continue
         c = len(dataset.variable(name).categories)  # counts[f, code]: rows of fold f
-        counts = np.bincount(plan.folds * c + dataset.category_codes(name),
+        counts = np.bincount(plan._folds * c + dataset.category_codes(name),
                              minlength=plan.k * c).reshape(plan.k, c)
         lacks |= ((counts == counts.sum(axis=0)) & (counts > 0)).any(axis=1)
         j += len(design.categorical_levels[name]) - 1

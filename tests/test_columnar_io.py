@@ -179,6 +179,21 @@ def test_reader_reports_a_bad_id_before_a_ragged_row(ragged, bad):
     assert _reader_message(doc) == f"row r{ragged}: expected 2 values, got 3"
 
 
+@pytest.mark.parametrize("rows, message", [
+    # a ragged row is named before a repeated id
+    ([{"id": "a", "values": ["A", 1.0]}, {"id": "a", "values": ["B", 2.0]},
+      {"id": "c", "values": ["A"]}], "row c: expected 2 values, got 1"),
+    # too few rows is found before the ragged one
+    ([{"id": "a", "values": ["A"]}], "dataset needs at least two rows"),
+    # no cell after a ragged row is checked
+    ([{"values": ["A", 1.0, 2.0]}, {"values": ["Z", 2.0]}], "row 0: expected 2 values, got 3"),
+])
+def test_reader_orders_a_ragged_row_among_the_dataset_checks(rows, message):
+    doc = _reader_document(0)
+    doc["rows"] = rows
+    assert _reader_message(doc) == message
+
+
 def test_reader_fills_missing_row_fields():
     doc = _reader_document()
     del doc["rows"][7]["id"]

@@ -10,7 +10,6 @@ from .data import (
     ORDINAL,
     PREDICTOR,
     Dataset,
-    Observation,
     QuantificationMap,
     Variable,
     column_as_quantified,

@@ -9,18 +9,19 @@ id unique (a row without an id is known by its position).
 
 A Dataset is stored by column: categorical columns as integer codes into the
 declared categories, numeric columns as float64 (so an integer cell is
-written back as 3.0). It is built from Observations or straight from columns
-of cells (as ingest and the JSON reader do); either way each column is
-checked once, and only a column whose check fails is searched cell by cell.
-The error names the first bad cell in row-major order: the earliest row, and
-within it the first variable in declared order. Given rows, a ragged row is
-named only if no bad cell comes before it. `subset` is fancy indexing with no
-second validation; an integer index array is used as it is, and repeats are
-found by counting indices. Observation is only the row form of a Dataset.
+written back as 3.0). It is built from columns of cells and row ids; each
+column is checked once, and only a column whose check fails is searched cell
+by cell. The error names the first bad cell in row-major order: the earliest
+row, and within it the first variable in declared order. `subset` is fancy
+indexing with no second validation; an integer index array is used as it is,
+and repeats are found by counting indices.
 
 The JSON form is written from the columns with the bytes of `json.dump(...,
 indent=2)`, each row its cells joined with fixed separators. The reader checks
 each row field in one pass, and reads rows one by one only to name a bad one.
+Its rows become columns by `rows_to_columns`, as the CSV reader's do: only
+the rows before the first ragged one are checked, and a ragged row is named
+only if no bad cell comes before it.
 
 A QuantificationMap records the numeric values assigned to categories together
 with the affine standardization applied to numeric columns, so that any column
@@ -99,18 +100,6 @@ class Variable:
         return self.level != NUMERIC
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One row: a value per declared variable, plus an optional identifier."""
-
-    values: tuple
-    row_id: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        _check_row_id(self.row_id)
-
-
 def _check_row_id(row_id) -> None:
     if row_id is not None and not isinstance(row_id, str):
         raise ValidationError("row_id must be a string when present")
@@ -119,52 +108,13 @@ def _check_row_id(row_id) -> None:
 class Dataset:
     """An immutable, validated table over declared variables, stored by column."""
 
-    def __init__(self, variables, rows=(), *, columns=None, ids=None):
-        """Validate and store a table given row by row, or column by column.
-
-        `rows` holds Observations. Alternatively `columns` holds one cell
-        sequence per variable (labels or numbers, as in an Observation) and
-        `ids` one row id or None per row; `rows` is then ignored.
-        """
-        variables = tuple(variables)
-        names = [v.name for v in variables]
-        if not names:
-            raise ValidationError("dataset declares no variables")
-        if len(set(names)) != len(names):
-            raise ValidationError("variable names must be unique")
-        dependents = [v for v in variables if v.role == DEPENDENT]
-        if len(dependents) != 1:
-            raise ValidationError(
-                f"dataset must declare exactly one dependent variable, found {len(dependents)}"
-            )
-        if dependents[0].level != NUMERIC:
-            raise ValidationError("the dependent variable must be numeric")
-        if columns is None:
-            rows = tuple(rows)
-            ids = [row.row_id for row in rows]
-        elif ids is None:
-            raise ValidationError("a dataset given by columns needs one row id or None per row")
-        elif not set(map(type, ids)) <= {str}:
-            for rid in ids:
-                _check_row_id(rid)
-        if len(ids) < 2:
-            raise ValidationError("dataset needs at least two rows")
-        ids = tuple(str(i) if rid is None else rid for i, rid in enumerate(ids))
-        ragged = None
-        if columns is None:
-            # the rows before the first ragged one are checked; a bad cell there comes first
-            values = [row.values for row in rows]
-            ragged = next((i for i, cells in enumerate(values) if len(cells) != len(names)), None)
-            columns = list(zip(*values[:ragged])) or [()] * len(names)
-        elif len(columns) != len(variables) or any(len(cells) != len(ids) for cells in columns):
+    def __init__(self, variables, columns, ids):
+        """Validate and store one cell sequence per variable in `columns` (category
+        labels or numbers) and one row id or None per row in `ids`."""
+        variables, ids = _variables_and_ids(variables, ids)
+        if len(columns) != len(variables) or any(len(cells) != len(ids) for cells in columns):
             raise ValidationError("dataset needs one column per variable and one cell per row id")
-        arrays, bad = _columns_of(variables, columns)
-        if bad:
-            raise ValidationError(f"row {ids[bad[0]]}, {bad[1]}")
-        if ragged is not None:
-            raise ValidationError(
-                f"row {ids[ragged]}: expected {len(names)} values, got {len(values[ragged])}"
-            )
+        arrays = _columns_of(variables, columns, ids)
         if len(dict.fromkeys(ids)) < len(ids):  # a dict: a set of 20k ids peaks 4x larger
             first = next(rid for rid, count in Counter(ids).items() if count > 1)
             raise ValidationError(f"row ids must be unique; '{first}' occurs more than once")
@@ -185,13 +135,6 @@ class Dataset:
             and self._ids == other._ids
             and all(map(np.array_equal, self._columns, other._columns))
         )
-
-    def _row_values(self) -> list:
-        """The cells row by row: labels for categorical, floats for numeric variables."""
-        return np.column_stack([
-            np.array(v.categories, dtype=object)[col] if v.categories else col.astype(object)
-            for v, col in zip(self.variables, self._columns)
-        ]).tolist()
 
     @property
     def n(self) -> int:
@@ -278,8 +221,32 @@ def _index(i) -> int:
     return operator.index(i)
 
 
-def _columns_of(variables, columns) -> tuple:
-    """The column arrays and the first bad cell as (row, message), or None if there is none.
+def _variables_and_ids(variables, ids) -> tuple:
+    """The checked variables and row ids as tuples, a row's position for a None id."""
+    variables = tuple(variables)
+    if not variables:
+        raise ValidationError("dataset declares no variables")
+    if len({v.name for v in variables}) != len(variables):
+        raise ValidationError("variable names must be unique")
+    dependents = [v for v in variables if v.role == DEPENDENT]
+    if len(dependents) != 1:
+        raise ValidationError(
+            f"dataset must declare exactly one dependent variable, found {len(dependents)}"
+        )
+    if dependents[0].level != NUMERIC:
+        raise ValidationError("the dependent variable must be numeric")
+    if ids is None:
+        raise ValidationError("a dataset given by columns needs one row id or None per row")
+    if not set(map(type, ids)) <= {str}:
+        for rid in ids:
+            _check_row_id(rid)
+    if len(ids) < 2:
+        raise ValidationError("dataset needs at least two rows")
+    return variables, tuple(str(i) if rid is None else rid for i, rid in enumerate(ids))
+
+
+def _columns_of(variables, columns, ids) -> list:
+    """The column arrays; raises a ValidationError naming the first bad cell by its row id.
 
     Each column names its own first bad cell. The earliest row wins, and
     within a row the variable declared first.
@@ -308,7 +275,23 @@ def _columns_of(variables, columns) -> tuple:
             i = next(i for i, c in enumerate(cells) if not finite_number(c))
             problem = f"numeric cell must be a finite number, got {cells[i]!r}"
         errors.append((i, f"variable '{var.name}': {problem}"))
-    return arrays, min(errors, key=operator.itemgetter(0), default=None)
+    if errors:
+        i, message = min(errors, key=operator.itemgetter(0))
+        raise ValidationError(f"row {ids[i]}, {message}")
+    return arrays
+
+
+def rows_to_columns(rows, width: int) -> tuple[list, int | None]:
+    """The columns of the rows before the first ragged one, and that row's index.
+
+    A ragged row has other than `width` cells; the index is None if no row
+    is ragged. Each column is a strided slice of one list of the rows' cells.
+    """
+    ragged = None
+    if set(map(len, rows)) - {width}:
+        ragged = next(i for i, row in enumerate(rows) if len(row) != width)
+    flat = list(chain.from_iterable(rows[:ragged]))
+    return [flat[j::width] for j in range(width)], ragged
 
 
 def population_standardize(values) -> tuple[np.ndarray, float, float]:
@@ -392,8 +375,12 @@ def _document_head(dataset: Dataset) -> dict:
 
 def dataset_to_json(dataset: Dataset) -> dict:
     """Canonical JSON form of a dataset (schema version 1)."""
-    rows = zip(dataset._ids, dataset._row_values())
-    return {**_document_head(dataset), "rows": [{"id": rid, "values": v} for rid, v in rows]}
+    cells = np.column_stack([  # row by row: labels for categorical, floats for numeric cells
+        np.array(v.categories, dtype=object)[col] if v.categories else col.astype(object)
+        for v, col in zip(dataset.variables, dataset._columns)
+    ]).tolist()
+    rows = [{"id": rid, "values": v} for rid, v in zip(dataset._ids, cells)]
+    return {**_document_head(dataset), "rows": rows}
 
 
 def dataset_from_json(obj) -> Dataset:
@@ -411,13 +398,15 @@ def dataset_from_json(obj) -> Dataset:
         role = entry.get("role", PREDICTOR)
         variables.append(Variable(entry.get("name"), entry.get("level"), categories, role))
     values, ids = _row_fields(json_list(obj.get("rows", []), "rows"))
-    if set(map(len, values)) - {len(variables)}:
-        # the row form names the first bad row after checking the variables
-        return Dataset(variables, map(Observation, values, ids))
-    flat = list(chain.from_iterable(values))
-    columns = [flat[j::len(variables)] for j in range(len(variables))]
-    del flat  # so that it is not held while the columns are checked
-    return Dataset(variables, columns=columns, ids=ids)
+    columns, ragged = rows_to_columns(values, len(variables))
+    if ragged is None:
+        return Dataset(variables, columns, ids)
+    # the checks Dataset makes first, then the ragged row
+    variables, ids = _variables_and_ids(variables, ids)
+    _columns_of(variables, columns, ids)
+    raise ValidationError(
+        f"row {ids[ragged]}: expected {len(variables)} values, got {len(values[ragged])}"
+    )
 
 
 def _row_fields(rows: list) -> tuple[list, list]:

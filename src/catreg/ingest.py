@@ -19,14 +19,13 @@ surviving cells are carried through unchanged.
 
 Every stage works on a RawTable held by column: the stripped choice letters
 per item, a float array per language and per metric (NaN where a row has no
-value), and removal reasons only for the rows that have one. Each column is
-a strided slice of one list of all cells. The CSV is checked once, column by
-column, and only a column whose check fails is searched cell by cell. The
-error names the first bad cell a row-at-a-time reader would meet: the
-earliest row, and within it the answers, then the sloc columns in header
-order, then the metrics. A ragged row is named only if no bad cell comes
-before it. A UTF-8 byte-order mark and blank lines at the end of the file
-are ignored. FP is a column sum over the languages in declared order, the
+value), and removal reasons only for the rows that have one. The columns
+come from `data.rows_to_columns`, under the dataset reader's ragged-row
+rule. The CSV is checked once, column by column, and only a column whose
+check fails is searched cell by cell. The error names the first bad cell a
+row-at-a-time reader would meet: the earliest row, and within it the
+answers, then the sloc columns in header order, then the metrics. A UTF-8
+byte-order mark and blank lines at the end of the file are ignored. FP is a column sum over the languages in declared order, the
 same float additions as `backfire`, and the logs are math.log's. The Dataset
 is built from the surviving columns.
 """
@@ -37,11 +36,10 @@ import csv
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from .data import DEPENDENT, NOMINAL, NUMERIC, ORDINAL, Dataset, Variable
+from .data import DEPENDENT, NOMINAL, NUMERIC, ORDINAL, Dataset, Variable, rows_to_columns
 from .errors import NumericalError, ValidationError, finite_number, json_object, read_json
 
 # choice-set sizes of the fixed 22-item questionnaire
@@ -205,13 +203,8 @@ def load_responses(path, schema: QuestionnaireSchema | None = None) -> RawTable:
     if not sloc_columns:
         raise ValidationError("responses CSV needs at least one sloc:<Language> column")
 
-    # the rows before the first ragged one are checked; a bad cell there comes first
-    width, ragged = len(header), None
-    if set(map(len, records)) - {width}:
-        ragged = next(i for i, record in enumerate(records) if len(record) != width)
-    flat = list(chain.from_iterable(records[:ragged]))
-    table = _parse_columns({name: flat[j::width] for j, name in enumerate(header)},
-                           schema, languages)
+    columns, ragged = rows_to_columns(records, len(header))
+    table = _parse_columns(dict(zip(header, columns)), schema, languages)
     if ragged is not None:
         raise ValidationError(
             f"row {ragged + 1}: expected {len(header)} cells, got {len(records[ragged])} "
@@ -419,8 +412,7 @@ def filter_rows(table: RawTable, outlier_zmax: float | None = None):
                  Variable(needed[-1], NUMERIC, role=DEPENDENT))
     columns = [take(table.answers[item.name]) for item in items]
     columns += [table.fields[name][survivors].tolist() for name in needed]
-    dataset = Dataset(variables, columns=columns, ids=take(ids))
-    return dataset, removal
+    return Dataset(variables, columns, take(ids)), removal
 
 
 def ingest_dataset(

@@ -21,7 +21,6 @@ from catreg import (
     CatregConfig,
     Dataset,
     NumericalError,
-    Observation,
     QuantificationMap,
     QuestionnaireSchema,
     UnseenCategoryError,
@@ -35,6 +34,7 @@ from catreg import (
     population_standardize,
     run_pipeline,
 )
+from catreg.data import rows_to_columns
 from catreg.stats import FLAT_RESPONSE, NONFINITE, RANK_DEFICIENT, TOO_FEW_ROWS
 from catreg.stats import adjusted_r2, blockwise, entry_scan, removal_scan, t_pvalue
 from catreg.stepwise import ENTERED, REMOVED, StepwiseConfig, StepwiseEvent, StepwiseTrace
@@ -50,6 +50,15 @@ def assert_raises_exactly(call, exc_type, message: str) -> None:
     assert str(info.value) == message
 
 
+def dataset_of_rows(variables, rows, ids=None) -> Dataset:
+    """A Dataset from rectangular rows of cells, built by column; `ids` defaults
+    to None for every row, so that a row is known by its position."""
+    variables, rows = tuple(variables), list(rows)
+    columns, ragged = rows_to_columns(rows, len(variables))
+    assert ragged is None, f"row {ragged} has {len(rows[ragged])} cells, not {len(variables)}"
+    return Dataset(variables, columns, [None] * len(rows) if ids is None else ids)
+
+
 def numeric_dataset(seed: int, n: int, p: int) -> Dataset:
     """Random linear signal over p numeric predictors plus noise."""
     rng = np.random.default_rng(seed)
@@ -60,10 +69,8 @@ def numeric_dataset(seed: int, n: int, p: int) -> Dataset:
         [Variable(f"x{j + 1}", "numeric") for j in range(p)]
         + [Variable("y", "numeric", role="dependent")]
     )
-    rows = tuple(
-        Observation(tuple(float(v) for v in X[i]) + (float(y[i]),)) for i in range(n)
-    )
-    return Dataset(variables, rows)
+    rows = (tuple(float(v) for v in X[i]) + (float(y[i]),) for i in range(n))
+    return dataset_of_rows(variables, rows)
 
 
 def _codes_with_all_categories(rng, n: int, n_cats: int) -> np.ndarray:
@@ -85,8 +92,8 @@ def single_cat_dataset(seed: int, n: int, n_cats: int, level: str = "nominal") -
         Variable("c", level, cats),
         Variable("y", "numeric", role="dependent"),
     )
-    rows = tuple(Observation((cats[codes[i]], float(y[i]))) for i in range(n))
-    return Dataset(variables, rows)
+    rows = ((cats[codes[i]], float(y[i])) for i in range(n))
+    return dataset_of_rows(variables, rows)
 
 
 def mixed_dataset(seed: int, n: int = 80) -> Dataset:
@@ -111,11 +118,8 @@ def mixed_dataset(seed: int, n: int = 80) -> Dataset:
         Variable("num2", "numeric"),
         Variable("y", "numeric", role="dependent"),
     )
-    rows = tuple(
-        Observation((A[o1[i]], B[n1[i]], float(x1[i]), float(x2[i]), float(y[i])))
-        for i in range(n)
-    )
-    return Dataset(variables, rows)
+    rows = ((A[o1[i]], B[n1[i]], float(x1[i]), float(x2[i]), float(y[i])) for i in range(n))
+    return dataset_of_rows(variables, rows)
 
 
 def planted_pipeline_dataset(seed: int, n: int = 160) -> Dataset:
@@ -143,13 +147,11 @@ def planted_pipeline_dataset(seed: int, n: int = 160) -> Dataset:
         Variable("num2", "numeric"),
         Variable("y", "numeric", role="dependent"),
     )
-    rows = tuple(
-        Observation(
-            (A[o1[i]], B[n1[i]], B[o2[i]], float(x1[i]), float(x2[i]), float(y[i]))
-        )
+    rows = (
+        (A[o1[i]], B[n1[i]], B[o2[i]], float(x1[i]), float(x2[i]), float(y[i]))
         for i in range(n)
     )
-    return Dataset(variables, rows)
+    return dataset_of_rows(variables, rows)
 
 
 PLANTED_SET = {"ord1", "nom1", "num1"}
@@ -411,12 +413,20 @@ def reference_stepwise_fit(columns, response, config=None) -> StepwiseTrace:
 
 
 @dataclass(frozen=True)
+class OracleRow:
+    """One row of an OracleDataset: a cell per declared variable, and an optional id."""
+
+    values: tuple
+    row_id: str | None = None
+
+
+@dataclass(frozen=True)
 class OracleDataset:
     """The row-tuple table that catreg.Dataset replaced: cells kept as given,
     validated row by row, re-validated by subset."""
 
     variables: tuple[Variable, ...]
-    rows: tuple[Observation, ...]
+    rows: tuple[OracleRow, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -460,7 +470,7 @@ class OracleDataset:
                         )
 
     @staticmethod
-    def _rid(row: Observation, index: int) -> str:
+    def _rid(row: OracleRow, index: int) -> str:
         return row.row_id if row.row_id is not None else str(index)
 
     @property
@@ -531,7 +541,7 @@ class OracleDataset:
         rows = []
         for i in indices:
             row = self.rows[i]
-            rows.append(Observation(row.values, row_id=self._rid(row, i)))
+            rows.append(OracleRow(row.values, row_id=self._rid(row, i)))
         return OracleDataset(self.variables, tuple(rows))
 
 
@@ -783,7 +793,7 @@ def oracle_catreg_fit(dataset: Dataset, predictors=None, config=None):
 
 # --- ingest and dataset-writer oracles --------------------------------------
 # The row-at-a-time ingest that the columnar stages replaced: one record of
-# dicts per CSV row, `backfire` once per row, and one Observation per
+# dicts per CSV row, `backfire` once per row, and one row of cells per
 # surviving row. And the writer it replaced: the json module's indent=2 dump.
 
 _ORACLE_METRICS = {"duration": "Duration", "developers": "Developer", "defects": "Defect"}
@@ -944,15 +954,12 @@ def oracle_ingest(path, gearing, schema=None, outlier_zmax=None):
                  for item in schema.items]
     variables += [Variable(name, NUMERIC, role=PREDICTOR) for name in needed[:3]]
     variables.append(Variable(needed[3], NUMERIC, role=DEPENDENT))
-    observations = [
-        Observation(
-            tuple(row.answers[item.name] for item in schema.items)
-            + tuple(row.fields[name] for name in needed),
-            row_id=row.row_id,
-        )
+    rows = [
+        tuple(row.answers[item.name] for item in schema.items)
+        + tuple(row.fields[name] for name in needed)
         for row in survivors
     ]
-    return Dataset(tuple(variables), tuple(observations)), removal
+    return dataset_of_rows(variables, rows, [row.row_id for row in survivors]), removal
 
 
 def oracle_save_text(dataset: Dataset) -> str:

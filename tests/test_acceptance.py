@@ -121,17 +121,15 @@ def test_criterion_05_dummy_coding_oracle():
             assert abs(fit.r2 - oracle.r2) <= 1e-8
         assert time.monotonic() - started < 10.0
 
-        from catreg import Dataset, Observation, Variable
+        from catreg import Dataset, Variable
 
         hand = Dataset(
             (
                 Variable("g", "nominal", ("A", "B")),
                 Variable("y", "numeric", role="dependent"),
             ),
-            tuple(
-                Observation(v)
-                for v in [("A", 1.0), ("A", 2.0), ("B", 3.0), ("B", 4.0)]
-            ),
+            [["A", "A", "B", "B"], [1.0, 2.0, 3.0, 4.0]],
+            [None] * 4,
         )
         assert abs(catreg_fit(hand).r2 - 0.8) <= 1e-10
 

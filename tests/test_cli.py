@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from catreg import Dataset, Observation, Variable, load_model, save_dataset
+from catreg import Variable, load_model, save_dataset
 from catreg.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
-from helpers import planted_pipeline_dataset
+from helpers import dataset_of_rows, planted_pipeline_dataset
 
 
 @pytest.fixture(scope="module")
@@ -19,27 +19,24 @@ def work(tmp_path_factory):
     save_dataset(planted_pipeline_dataset(4, n=90), root / "small.json")
 
     # every category's response mean is identical, so quantification collapses
-    degenerate = Dataset(
+    degenerate = dataset_of_rows(
         (
             Variable("c1", "nominal", ("A", "B")),
             Variable("y", "numeric", role="dependent"),
         ),
-        tuple(
-            Observation(r)
-            for r in [("A", 1.0), ("A", 3.0), ("B", 0.0), ("B", 4.0)] * 2
-        ),
+        [("A", 1.0), ("A", 3.0), ("B", 0.0), ("B", 4.0)] * 2,
     )
     save_dataset(degenerate, root / "degenerate.json")
 
     # four rows, each of categories A-D seen once: n = 4 <= df + 1, so the
     # adjusted R^2 is undefined
     save_dataset(
-        Dataset(
+        dataset_of_rows(
             (
                 Variable("c", "nominal", ("A", "B", "C", "D")),
                 Variable("y", "numeric", role="dependent"),
             ),
-            tuple(Observation(r) for r in [("A", 1.0), ("B", 2.5), ("C", 2.0), ("D", 4.0)]),
+            [("A", 1.0), ("B", 2.5), ("C", 2.0), ("D", 4.0)],
         ),
         root / "four_categories.json",
     )
@@ -47,17 +44,14 @@ def work(tmp_path_factory):
     # c1's categories share one mean of x and one mean of y, so c1's
     # quantification collapses while x stays: c1's p-value is undefined
     save_dataset(
-        Dataset(
+        dataset_of_rows(
             (
                 Variable("c1", "nominal", ("A", "B")),
                 Variable("x", "numeric"),
                 Variable("y", "numeric", role="dependent"),
             ),
-            tuple(
-                Observation(r)
-                for r in [("A", 1.0, 2.3), ("A", 3.0, 5.9), ("A", 2.0, 3.8),
-                          ("B", 0.0, 0.2), ("B", 4.0, 7.8), ("B", 2.0, 4.0)]
-            ),
+            [("A", 1.0, 2.3), ("A", 3.0, 5.9), ("A", 2.0, 3.8),
+             ("B", 0.0, 0.2), ("B", 4.0, 7.8), ("B", 2.0, 4.0)],
         ),
         root / "one_collapsed.json",
     )
@@ -243,9 +237,9 @@ class TestPipelineCommand:
     def test_empty_selection_writes_no_model(self, capsys, tmp_path):
         # the response is noise, unrelated to x: stepwise selection enters nothing
         rng = np.random.default_rng(0)
-        noise = Dataset(
+        noise = dataset_of_rows(
             (Variable("x", "numeric"), Variable("y", "numeric", role="dependent")),
-            tuple(Observation((float(a), float(b))) for a, b in rng.normal(size=(40, 2))),
+            [(float(a), float(b)) for a, b in rng.normal(size=(40, 2))],
         )
         save_dataset(noise, tmp_path / "noise.json")
         model_path = tmp_path / "model.json"
@@ -539,10 +533,9 @@ class TestExitCodes:
         # sees x = +-1e200, whose squared deviations overflow
         path = tmp_path / "huge.json"
         save_dataset(
-            Dataset(
+            dataset_of_rows(
                 (Variable("x", "numeric"), Variable("y", "numeric", role="dependent")),
-                tuple(Observation(r) for r in [(1e200, 1.0), (1e200, 2.0),
-                                               (-1e200, 4.0), (-1e200, 3.0)]),
+                [(1e200, 1.0), (1e200, 2.0), (-1e200, 4.0), (-1e200, 3.0)],
             ),
             path,
         )

@@ -23,7 +23,6 @@ from catreg import (
     CatregError,
     Dataset,
     GearingTable,
-    Observation,
     QuestionnaireSchema,
     ValidationError,
     Variable,
@@ -34,7 +33,7 @@ from catreg import (
     load_responses,
     save_dataset,
 )
-from helpers import _oracle_load_responses, oracle_ingest, oracle_save_text
+from helpers import _oracle_load_responses, dataset_of_rows, oracle_ingest, oracle_save_text
 
 # --- the dataset writer ------------------------------------------------------
 
@@ -62,12 +61,9 @@ def datasets(draw):
     n = draw(st.integers(2, 12))
     ids = draw(st.one_of(
         st.none(), st.lists(TRICKY_TEXT, min_size=n, max_size=n, unique=True)))
-    rows = []
-    for i in range(n):
-        values = [draw(st.sampled_from(v.categories)) if v.categories else draw(NUMBERS)
-                  for v in variables]
-        rows.append(Observation(tuple(values), row_id=None if ids is None else ids[i]))
-    return Dataset(variables, rows)
+    rows = [[draw(st.sampled_from(v.categories)) if v.categories else draw(NUMBERS)
+             for v in variables] for _ in range(n)]
+    return dataset_of_rows(variables, rows, ids)
 
 
 @given(datasets())
@@ -83,8 +79,8 @@ def test_writer_bytes_match_the_json_dump(tmp_path, dataset):
 @pytest.mark.parametrize("n", [2047, 2048, 2049, 4096, 4097, 5000])  # around 2,048-row writes
 def test_writer_spans_chunks(tmp_path, n):
     variables = (Variable("c", NOMINAL, ("A", "</", "é")), Variable("y", NUMERIC, role=DEPENDENT))
-    rows = [Observation((("A", "</", "é")[i % 3], i * 0.1 - 7), row_id=f"r{i}") for i in range(n)]
-    dataset = Dataset(variables, rows)
+    rows = [(("A", "</", "é")[i % 3], i * 0.1 - 7) for i in range(n)]
+    dataset = dataset_of_rows(variables, rows, [f"r{i}" for i in range(n)])
     path = tmp_path / "ds.json"
     save_dataset(dataset, str(path))
     assert path.read_bytes() == oracle_save_text(dataset).encode("utf-8")
@@ -222,7 +218,7 @@ def test_reader_takes_subclassed_objects_and_ids():
 def test_column_constructor_checks_its_shape_and_ids():
     variables = (Variable("x", NUMERIC), Variable("y", NUMERIC, role=DEPENDENT))
     built = Dataset(variables, columns=[(1, 2.0), [3.0, 4]], ids=["a", None])
-    assert built == Dataset(variables, [Observation((1.0, 3.0), "a"), Observation((2.0, 4.0))])
+    assert built == dataset_of_rows(variables, [(1.0, 3.0), (2.0, 4.0)], ["a", None])
     with pytest.raises(CatregError, match="one cell per row id"):
         Dataset(variables, columns=[(1.0, 2.0), (3.0,)], ids=["a", "b"])
     with pytest.raises(CatregError, match="row_id must be a string"):

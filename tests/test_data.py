@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from catreg import (
     Dataset,
     NumericalError,
-    Observation,
     QuantificationMap,
     ValidationError,
     Variable,
@@ -20,7 +19,8 @@ from catreg import (
     population_standardize,
 )
 
-from helpers import OracleDataset, assert_raises_exactly, mixed_dataset
+from catreg.data import rows_to_columns
+from helpers import OracleDataset, OracleRow, assert_raises_exactly, dataset_of_rows, mixed_dataset
 
 
 def small_dataset():
@@ -29,13 +29,8 @@ def small_dataset():
         Variable("size", "numeric"),
         Variable("y", "numeric", role="dependent"),
     )
-    rows = (
-        Observation(("A", 1.0, 2.0), row_id="r1"),
-        Observation(("B", 2.0, 3.0), row_id="r2"),
-        Observation(("C", 3.0, 5.0), row_id="r3"),
-        Observation(("B", 4.0, 6.0), row_id="r4"),
-    )
-    return Dataset(variables, rows)
+    rows = [("A", 1.0, 2.0), ("B", 2.0, 3.0), ("C", 3.0, 5.0), ("B", 4.0, 6.0)]
+    return dataset_of_rows(variables, rows, ["r1", "r2", "r3", "r4"])
 
 
 class TestVariable:
@@ -59,27 +54,24 @@ class TestVariable:
 class TestDataset:
     def test_exactly_one_dependent(self):
         v = (Variable("a", "numeric"), Variable("b", "numeric"))
-        rows = (Observation((1.0, 2.0)), Observation((2.0, 1.0)))
         with pytest.raises(ValidationError):
-            Dataset(v, rows)
+            dataset_of_rows(v, [(1.0, 2.0), (2.0, 1.0)])
 
     def test_unknown_category_cell_rejected(self):
         variables = (
             Variable("q", "ordinal", ("A", "B")),
             Variable("y", "numeric", role="dependent"),
         )
-        rows = (Observation(("A", 1.0)), Observation(("Z", 2.0)))
         with pytest.raises(ValidationError, match="not a declared category"):
-            Dataset(variables, rows)
+            dataset_of_rows(variables, [("A", 1.0), ("Z", 2.0)])
 
     def test_missing_cells_rejected(self):
         variables = (
             Variable("x", "numeric"),
             Variable("y", "numeric", role="dependent"),
         )
-        rows = (Observation((1.0, 1.0)), Observation((None, 2.0)))
         with pytest.raises(ValidationError):
-            Dataset(variables, rows)
+            dataset_of_rows(variables, [(1.0, 1.0), (None, 2.0)])
 
     def test_needs_two_rows(self):
         variables = (
@@ -87,7 +79,7 @@ class TestDataset:
             Variable("y", "numeric", role="dependent"),
         )
         with pytest.raises(ValidationError):
-            Dataset(variables, (Observation((1.0, 2.0)),))
+            dataset_of_rows(variables, [(1.0, 2.0)])
 
     def test_accessors(self):
         ds = small_dataset()
@@ -109,8 +101,7 @@ class TestDataset:
             Variable("q", "ordinal", ("A", "B", "C", "D")),
             Variable("y", "numeric", role="dependent"),
         )
-        rows = (Observation(("D", 1.0)), Observation(("B", 2.0)), Observation(("D", 3.0)))
-        ds = Dataset(variables, rows)
+        ds = dataset_of_rows(variables, [("D", 1.0), ("B", 2.0), ("D", 3.0)])
         codes, observed = ds.codes("q")
         assert observed == ("B", "D")  # unobserved A, C dropped, order kept
         np.testing.assert_array_equal(codes, [1, 0, 1])
@@ -148,7 +139,7 @@ class TestDataset:
 
     def test_columns_without_ids_are_a_validation_error(self):
         assert_raises_exactly(
-            lambda: Dataset(small_dataset().variables, columns=[["A", "B"], [1.0, 2.0], [1.0, 2.0]]),
+            lambda: Dataset(small_dataset().variables, [["A", "B"], [1.0, 2.0], [1.0, 2.0]], None),
             ValidationError, "a dataset given by columns needs one row id or None per row",
         )
 
@@ -192,10 +183,7 @@ class TestColumnAsQuantified:
             Variable("g", "nominal", ("A", "B")),
             Variable("y", "numeric", role="dependent"),
         )
-        rows = tuple(
-            Observation((lbl, float(i))) for i, lbl in enumerate(("A", "B", "A", "B"))
-        )
-        ds = Dataset(variables, rows)
+        ds = dataset_of_rows(variables, [(lbl, float(i)) for i, lbl in enumerate("ABAB")])
         qmap = QuantificationMap(categorical={"g": {"A": -1.0, "B": 1.0}})
         np.testing.assert_array_equal(
             column_as_quantified(ds, "g", qmap), [-1.0, 1.0, -1.0, 1.0]
@@ -281,7 +269,7 @@ def tables(draw):
                 values.append(draw(st.one_of(st.integers(-5, 5), st.floats(-1e3, 1e3))))
         if hostile and draw(st.integers(0, 19)) == 0:
             values = values[:-1]
-        rows.append(Observation(tuple(values), row_id=draw(st.sampled_from((None, f"r{i}")))))
+        rows.append(OracleRow(tuple(values), row_id=draw(st.sampled_from((None, f"r{i}")))))
     return tuple(variables), tuple(rows)
 
 
@@ -289,7 +277,17 @@ def _rejected_rows(*rows):
     """A table in row form for the fixed cases; each row lacks an id, so its position names it."""
     variables = (Variable("c", "nominal", ("A", "B")), Variable("x", "numeric"),
                  Variable("y", "numeric", role="dependent"))
-    return variables, tuple(map(Observation, rows))
+    return variables, tuple(map(OracleRow, rows))
+
+
+def _document(variables, rows) -> dict:
+    """The dataset document of a table in row form, for the JSON reader."""
+    return {
+        "schema_version": "1",
+        "variables": [{"name": v.name, "level": v.level, "categories": list(v.categories),
+                       "role": v.role} for v in variables],
+        "rows": [{"id": row.row_id, "values": list(row.values)} for row in rows],
+    }
 
 
 def assert_same_table(ds, oracle):
@@ -329,35 +327,53 @@ class TestAgainstRowOracle:
             oracle = OracleDataset(variables, rows)
         except ValidationError as exc:
             with pytest.raises(ValidationError) as got:
-                Dataset(variables, rows)
+                dataset_from_json(_document(variables, rows))
             assert str(got.value) == str(exc)
             return
-        ds = Dataset(variables, rows)
+        ds = dataset_from_json(_document(variables, rows))
         assert_same_table(ds, oracle)
         indices = data.draw(st.permutations(range(ds.n)))[: data.draw(st.integers(2, ds.n))]
         assert_same_table(ds.subset(indices), oracle.subset(indices))
-        assert ds == Dataset(variables, oracle.rows)
+        ids = [row.row_id for row in rows]
+        assert ds == dataset_of_rows(variables, [row.values for row in rows], ids)
         assert ds == dataset_from_json(json.loads(json.dumps(dataset_to_json(ds))))
-        changed = list(oracle.rows)
-        values = list(changed[0].values)
+        changed = [row.values for row in rows]
+        values = list(changed[0])
         j = data.draw(st.integers(0, len(variables) - 1))
         var = variables[j]
         values[j] = (
             next(c for c in var.categories if c != values[j]) if var.is_categorical
             else values[j] + 1.0
         )
-        changed[0] = Observation(tuple(values), changed[0].row_id)
-        assert ds != Dataset(variables, changed)
+        changed[0] = tuple(values)
+        assert ds != dataset_of_rows(variables, changed, ids)
+
+
+class TestRowsToColumns:
+    def test_rectangular_rows_become_their_columns(self):
+        assert rows_to_columns([("a", 1), ("b", 2), ("c", 3)], 2) == ([["a", "b", "c"], [1, 2, 3]], None)
+
+    @pytest.mark.parametrize("ragged", [0, 2, 4])  # first, in the middle, last
+    @pytest.mark.parametrize("cells", [(), ("x",), ("x", 9, 9)])  # short or long
+    def test_only_the_rows_before_the_first_ragged_one_are_columns(self, ragged, cells):
+        rows = [(f"r{i}", i) for i in range(5)]
+        rows[ragged] = cells
+        rows[-1] = (1, 2, 3)  # a later ragged row is not looked at
+        want = [[f"r{i}" for i in range(ragged)], list(range(ragged))]
+        assert rows_to_columns(rows, 2) == (want, ragged)
+
+    def test_no_rows_make_empty_columns(self):
+        assert rows_to_columns([], 3) == ([[], [], []], None)
 
 
 class TestColumnarDataset:
     def test_duplicate_row_ids_rejected(self):
         variables = (Variable("x", "numeric"), Variable("y", "numeric", role="dependent"))
         with pytest.raises(ValidationError, match="'r1' occurs more than once"):
-            Dataset(variables, (Observation((1.0, 2.0), "r1"), Observation((2.0, 1.0), "r1")))
+            dataset_of_rows(variables, [(1.0, 2.0), (2.0, 1.0)], ["r1", "r1"])
         # a missing id defaults to the row position, which can collide too
         with pytest.raises(ValidationError, match="'1' occurs more than once"):
-            Dataset(variables, (Observation((1.0, 2.0), "1"), Observation((2.0, 1.0))))
+            dataset_of_rows(variables, [(1.0, 2.0), (2.0, 1.0)], ["1", None])
 
     def test_duplicate_row_id_named_is_the_first_to_repeat(self):
         # 'a' occurs first of the repeated ids, though 'b' repeats sooner
@@ -403,13 +419,12 @@ class TestColumnarDataset:
 
     def test_huge_integer_cell_is_not_finite(self):
         variables = (Variable("x", "numeric"), Variable("y", "numeric", role="dependent"))
-        rows = (Observation((1.0, 2.0)), Observation((10**400, 1.0)))
         with pytest.raises(ValidationError, match="numeric cell must be a finite number"):
-            Dataset(variables, rows)
+            dataset_of_rows(variables, [(1.0, 2.0), (10**400, 1.0)])
 
     def test_integer_cells_are_stored_and_written_as_floats(self):
         variables = (Variable("x", "numeric"), Variable("y", "numeric", role="dependent"))
-        ds = Dataset(variables, (Observation((3, 1)), Observation((4.5, 2))))
+        ds = dataset_of_rows(variables, [(3, 1), (4.5, 2)])
         doc = json.loads(json.dumps(dataset_to_json(ds)))
         assert doc["rows"][0]["values"] == [3.0, 1.0]
         assert all(isinstance(v, float) for row in doc["rows"] for v in row["values"])

@@ -14,7 +14,6 @@ from catreg import (
     EvaluationReport,
     MethodConfigs,
     NumericalError,
-    Observation,
     StepwiseConfig,
     ValidationError,
     Variable,
@@ -40,7 +39,7 @@ from catreg.evaluate import (
 )
 from catreg.stats import BLOCK_ROWS, FLAT_RESPONSE, RANK_DEFICIENT
 
-from helpers import assert_raises_exactly, oracle_fold_predictions
+from helpers import assert_raises_exactly, dataset_of_rows, oracle_fold_predictions
 
 
 class TestMre:
@@ -166,16 +165,12 @@ def _categorical_dataset(n_per: int = 10):
         Variable("y", "numeric", role="dependent"),
     )
     rng = np.random.default_rng(8)
-    rows = []
+    rows, ids = [], []
     for i, cat in enumerate(("A", "B", "C")):
         for j in range(n_per):
-            rows.append(
-                Observation(
-                    (cat, float(rng.normal()), float(i + rng.normal(scale=0.2))),
-                    row_id=f"{cat}{j}",
-                )
-            )
-    return Dataset(variables, tuple(rows))
+            rows.append((cat, float(rng.normal()), float(i + rng.normal(scale=0.2))))
+            ids.append(f"{cat}{j}")
+    return dataset_of_rows(variables, rows, ids)
 
 
 class TestDummyDesign:
@@ -184,10 +179,8 @@ class TestDummyDesign:
             Variable("g", "nominal", ("A", "B")),
             Variable("y", "numeric", role="dependent"),
         )
-        rows = tuple(
-            Observation(v) for v in [("A", 1.0), ("B", 2.0), ("A", 3.0), ("B", 4.0)]
-        )
-        design = dummy_design(Dataset(variables, rows))
+        rows = [("A", 1.0), ("B", 2.0), ("A", 3.0), ("B", 4.0)]
+        design = dummy_design(dataset_of_rows(variables, rows))
         assert design.names == ("g=B",)
         assert design.matrix[:, 0].tolist() == [0.0, 1.0, 0.0, 1.0]
 
@@ -197,8 +190,8 @@ class TestDummyDesign:
             Variable("g", "nominal", cats),
             Variable("y", "numeric", role="dependent"),
         )
-        rows = tuple(Observation((c, float(i))) for i, c in enumerate(cats * 2))
-        design = dummy_design(Dataset(variables, rows))
+        rows = [(c, float(i)) for i, c in enumerate(cats * 2)]
+        design = dummy_design(dataset_of_rows(variables, rows))
         assert len(design.names) == 4
         assert design.names == ("g=B", "g=C", "g=D", "g=E")
 
@@ -224,9 +217,9 @@ class TestDummyDesign:
             Variable("g", "nominal", ("A", "B")),
             Variable("y", "numeric", role="dependent"),
         )
-        rows = tuple(Observation(("A", float(i))) for i in range(4))
+        rows = [("A", float(i)) for i in range(4)]
         with pytest.raises(ValidationError):
-            dummy_design(Dataset(variables, rows))
+            dummy_design(dataset_of_rows(variables, rows))
 
     def test_fold_encoder_maps_and_rejects_unseen(self):
         ds = _categorical_dataset()
@@ -256,8 +249,8 @@ def _rare_levels_dataset(seed: int, n: int = 60):
         Variable("x", "numeric"),
         Variable("y", "numeric", role="dependent"),
     )
-    rows = tuple(Observation((levels[i], float(x[i]), float(y[i]))) for i in range(n))
-    return Dataset(variables, rows)
+    rows = [(levels[i], float(x[i]), float(y[i])) for i in range(n)]
+    return dataset_of_rows(variables, rows)
 
 
 @pytest.mark.parametrize("method", [BASELINE, CONTENDER])
@@ -288,11 +281,8 @@ def _numeric_crossval_dataset(n: int = 30, seed: int = 0, noise: float = 0.3, re
         Variable("x", "numeric"),
         Variable("y", "numeric", role="dependent"),
     )
-    rows = tuple(
-        Observation((float(a), float(b)), row_id=str(i))
-        for i, (a, b) in enumerate(zip(x, y))
-    )
-    return Dataset(variables, rows)
+    rows = [(float(a), float(b)) for a, b in zip(x, y)]
+    return dataset_of_rows(variables, rows, [str(i) for i in range(n)])
 
 
 def _rare_category_dataset():
@@ -303,12 +293,11 @@ def _rare_category_dataset():
         Variable("y", "numeric", role="dependent"),
     )
     rng = np.random.default_rng(3)
-    rows = []
+    rows, ids = [], []
     for i in range(15):
-        rows.append(Observation(("A", float(1.0 + rng.normal(scale=0.1))), row_id=f"a{i}"))
-        rows.append(Observation(("B", float(3.0 + rng.normal(scale=0.1))), row_id=f"b{i}"))
-    rows.append(Observation(("R", 2.0), row_id="rare"))
-    return Dataset(variables, tuple(rows))
+        rows += [("A", float(1.0 + rng.normal(scale=0.1))), ("B", float(3.0 + rng.normal(scale=0.1)))]
+        ids += [f"a{i}", f"b{i}"]
+    return dataset_of_rows(variables, rows + [("R", 2.0)], ids + ["rare"])
 
 
 def _rare_category_noise_dataset():
@@ -319,12 +308,11 @@ def _rare_category_noise_dataset():
         Variable("y", "numeric", role="dependent"),
     )
     rng = np.random.default_rng(0)
-    rows = []
+    rows, ids = [], []
     for i in range(15):
-        rows.append(Observation(("A", float(2.0 + rng.normal())), row_id=f"a{i}"))
-        rows.append(Observation(("B", float(2.0 + rng.normal())), row_id=f"b{i}"))
-    rows.append(Observation(("R", 2.0), row_id="rare"))
-    return Dataset(variables, tuple(rows))
+        rows += [("A", float(2.0 + rng.normal())), ("B", float(2.0 + rng.normal()))]
+        ids += [f"a{i}", f"b{i}"]
+    return dataset_of_rows(variables, rows + [("R", 2.0)], ids + ["rare"])
 
 
 class TestCrossval:
@@ -549,8 +537,8 @@ class TestDummyOlsEqualsNominalCatreg:
             else v
             for v in ds.variables
         )
-        rows = [Observation(row["values"], row["id"]) for row in dataset_to_json(ds)["rows"]]
-        fit = catreg_fit(Dataset(variables, rows))
+        rows = dataset_to_json(ds)["rows"]
+        fit = catreg_fit(dataset_of_rows(variables, [r["values"] for r in rows], [r["id"] for r in rows]))
         assert fit.r2 == pytest.approx(oracle.r2, abs=1e-8)
 
 

@@ -10,7 +10,6 @@ from catreg import (
     CatregConfig,
     Dataset,
     NumericalError,
-    Observation,
     StepwiseConfig,
     UnseenCategoryError,
     ValidationError,
@@ -22,7 +21,7 @@ from catreg import (
     save_model,
 )
 from catreg.pipeline import MODEL_SCHEMA_VERSION, ModelVariable, SerializedModel
-from helpers import PLANTED_SET, assert_raises_exactly, planted_pipeline_dataset
+from helpers import PLANTED_SET, assert_raises_exactly, dataset_of_rows, planted_pipeline_dataset
 
 TIGHT = StepwiseConfig(alpha_enter=0.001, alpha_remove=0.10)
 
@@ -60,11 +59,8 @@ class TestRunPipeline:
             Variable("x2", "numeric"),
             Variable("y", "numeric", role="dependent"),
         )
-        rows = tuple(
-            Observation((float(a), float(b), float(c)))
-            for a, b, c in rng.normal(size=(60, 3))
-        )
-        result = run_pipeline(Dataset(variables, rows))
+        rows = [(float(a), float(b), float(c)) for a, b, c in rng.normal(size=(60, 3))]
+        result = run_pipeline(dataset_of_rows(variables, rows))
         assert result.empty_model
         assert not result.converged
         assert result.model is None

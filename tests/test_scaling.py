@@ -12,7 +12,6 @@ from catreg import (
     CatregConfig,
     Dataset,
     NumericalError,
-    Observation,
     ValidationError,
     Variable,
     catreg_fit,
@@ -28,6 +27,7 @@ from helpers import (
     assert_quantification_constraints,
     assert_raises_exactly,
     assert_trace_monotone,
+    dataset_of_rows,
     mixed_dataset,
     numeric_dataset,
     oracle_catreg_fit,
@@ -167,7 +167,7 @@ def _collapsing_instance() -> Dataset:
         ("B", -1.0, 0.0),
         ("B", 1.0, 4.0),
     ]
-    return Dataset(variables, tuple(Observation(r) for _ in range(3) for r in base))
+    return dataset_of_rows(variables, base * 3)
 
 
 @st.composite
@@ -197,7 +197,7 @@ def _mixed_items(draw) -> Dataset:
         columns.append([cats[c] for c in codes])
     variables.append(Variable("y", "numeric", role="dependent"))
     columns.append(y.tolist())
-    return Dataset(tuple(variables), tuple(Observation(row) for row in zip(*columns)))
+    return Dataset(tuple(variables), columns, [None] * n)
 
 
 def _same(a, b) -> bool:
@@ -210,10 +210,7 @@ def _binary_hand_instance() -> Dataset:
         Variable("g", "nominal", ("A", "B")),
         Variable("y", "numeric", role="dependent"),
     )
-    rows = tuple(
-        Observation(v) for v in [("A", 1.0), ("A", 2.0), ("B", 3.0), ("B", 4.0)]
-    )
-    return Dataset(variables, rows)
+    return dataset_of_rows(variables, [("A", 1.0), ("A", 2.0), ("B", 3.0), ("B", 4.0)])
 
 
 class TestCatregFit:
@@ -255,15 +252,15 @@ class TestCatregFit:
         cats = ("A", "B", "C", "D")
         labels = [cats[int(k)] for k in rng.integers(0, 4, size=48)]
         y = [cats.index(c) * 1.0 + float(rng.normal(scale=0.05)) for c in labels]
-        rows = tuple(Observation((c, v)) for c, v in zip(labels, y))
-        ds_ord = Dataset(
+        rows = list(zip(labels, y))
+        ds_ord = dataset_of_rows(
             (
                 Variable("c", "ordinal", cats),
                 Variable("y", "numeric", role="dependent"),
             ),
             rows,
         )
-        ds_nom = Dataset(
+        ds_nom = dataset_of_rows(
             (
                 Variable("c", "nominal", cats),
                 Variable("y", "numeric", role="dependent"),
@@ -280,12 +277,12 @@ class TestCatregFit:
         cats = ("A", "B", "C", "D")
         labels = [cats[int(k)] for k in rng.integers(0, 4, size=60)]
         y = [-1.1 * cats.index(c) + float(rng.normal(scale=0.3)) for c in labels]
-        ds = Dataset(
+        ds = dataset_of_rows(
             (
                 Variable("c", "ordinal", cats),
                 Variable("y", "numeric", role="dependent"),
             ),
-            tuple(Observation((c, v)) for c, v in zip(labels, y)),
+            zip(labels, y),
         )
         fit = catreg_fit(ds)
         assert fit.coef["c"] < 0
@@ -306,17 +303,12 @@ class TestCatregFit:
             else:
                 new_vars.append(v)
         ord_idx = ds.index("ord1")
-        new_rows = tuple(
-            Observation(
-                tuple(
-                    renames[val] if j == ord_idx else val
-                    for j, val in enumerate(row["values"])
-                ),
-                row_id=row["id"],
-            )
-            for row in dataset_to_json(ds)["rows"]
-        )
-        fit2 = catreg_fit(Dataset(tuple(new_vars), new_rows))
+        rows = dataset_to_json(ds)["rows"]
+        new_rows = [
+            tuple(renames[val] if j == ord_idx else val for j, val in enumerate(row["values"]))
+            for row in rows
+        ]
+        fit2 = catreg_fit(dataset_of_rows(new_vars, new_rows, [row["id"] for row in rows]))
 
         assert fit2.r2 == fit.r2
         assert fit2.coef == {**fit.coef}
@@ -341,9 +333,8 @@ class TestCatregFit:
             Variable("y", "numeric", role="dependent"),
         )
         data = [("A", 1.0), ("A", 3.0), ("B", 0.0), ("B", 4.0)] * 2
-        rows = tuple(Observation(r) for r in data)
         with pytest.raises(NumericalError, match="collapsed"):
-            catreg_fit(Dataset(variables, rows))
+            catreg_fit(dataset_of_rows(variables, data))
 
     def test_iteration_cap_flags_nonconvergence(self):
         ds = mixed_dataset(2)

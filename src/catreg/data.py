@@ -274,10 +274,9 @@ def _columns_of(variables, columns, ids) -> list:
                 continue
             i = next(i for i, c in enumerate(cells) if not finite_number(c))
             problem = f"numeric cell must be a finite number, got {cells[i]!r}"
-        errors.append((i, f"variable '{var.name}': {problem}"))
+        errors.append((i, f"row {ids[i]}, variable '{var.name}': {problem}"))
     if errors:
-        i, message = min(errors, key=operator.itemgetter(0))
-        raise ValidationError(f"row {ids[i]}, {message}")
+        raise ValidationError(min(errors, key=operator.itemgetter(0))[1])
     return arrays
 
 

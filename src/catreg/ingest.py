@@ -25,9 +25,10 @@ rule. The CSV is checked once, column by column, and only a column whose
 check fails is searched cell by cell. The error names the first bad cell a
 row-at-a-time reader would meet: the earliest row, and within it the
 answers, then the sloc columns in header order, then the metrics. A UTF-8
-byte-order mark and blank lines at the end of the file are ignored. FP is a column sum over the languages in declared order, the
-same float additions as `backfire`, and the logs are math.log's. The Dataset
-is built from the surviving columns.
+byte-order mark and blank lines at the end of the file are ignored. FP is a
+column sum over the languages in declared order, the same float additions as
+`backfire`, and the logs are math.log's. The Dataset is built from the
+surviving columns.
 """
 
 from __future__ import annotations

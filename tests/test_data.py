@@ -351,7 +351,8 @@ class TestAgainstRowOracle:
 
 class TestRowsToColumns:
     def test_rectangular_rows_become_their_columns(self):
-        assert rows_to_columns([("a", 1), ("b", 2), ("c", 3)], 2) == ([["a", "b", "c"], [1, 2, 3]], None)
+        rows = [("a", 1), ("b", 2), ("c", 3)]
+        assert rows_to_columns(rows, 2) == ([["a", "b", "c"], [1, 2, 3]], None)
 
     @pytest.mark.parametrize("ragged", [0, 2, 4])  # first, in the middle, last
     @pytest.mark.parametrize("cells", [(), ("x",), ("x", 9, 9)])  # short or long

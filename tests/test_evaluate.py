@@ -295,7 +295,8 @@ def _rare_category_dataset():
     rng = np.random.default_rng(3)
     rows, ids = [], []
     for i in range(15):
-        rows += [("A", float(1.0 + rng.normal(scale=0.1))), ("B", float(3.0 + rng.normal(scale=0.1)))]
+        rows += [("A", float(1.0 + rng.normal(scale=0.1))),
+                 ("B", float(3.0 + rng.normal(scale=0.1)))]
         ids += [f"a{i}", f"b{i}"]
     return dataset_of_rows(variables, rows + [("R", 2.0)], ids + ["rare"])
 
@@ -538,7 +539,8 @@ class TestDummyOlsEqualsNominalCatreg:
             for v in ds.variables
         )
         rows = dataset_to_json(ds)["rows"]
-        fit = catreg_fit(dataset_of_rows(variables, [r["values"] for r in rows], [r["id"] for r in rows]))
+        values, ids = [r["values"] for r in rows], [r["id"] for r in rows]
+        fit = catreg_fit(dataset_of_rows(variables, values, ids))
         assert fit.r2 == pytest.approx(oracle.r2, abs=1e-8)
 
 

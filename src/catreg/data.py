@@ -184,6 +184,8 @@ class Dataset:
         declared = self.category_codes(name)
         cats = self.variable(name).categories
         present = np.bincount(declared, minlength=len(cats)) > 0
+        if present.all():
+            return declared, cats
         observed = tuple(c for c, p in zip(cats, present) if p)
         return (np.cumsum(present) - 1)[declared], observed
 

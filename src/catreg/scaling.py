@@ -23,15 +23,24 @@ R^2 are read off a final joint least-squares pass over the quantified columns.
 
 The loop keeps one record per predictor (a numeric one holds its standardized
 column; a categorical one its codes, labels, counts and level) and one
-category update, `_quantify`. The fitted values are summed afresh once per
-sweep, at its end, for R^2; that sum is also where the next sweep starts. The
-category update works on short lists of Python floats (one per category), not
-on numpy arrays, whose per-call overhead dominates at a handful of categories;
-every n-length step (category sums, column rebuilds, dot products) stays in
-numpy. Its reductions go through `_sum`, which adds as numpy does, so every
-number is bit for bit what the array arithmetic gave. The ALS calls the PAVA
-kernel without `pava`'s checks: its weights are category counts (each at
-least 1) and its values are finite category means.
+category update, `_quantify`, on short lists of Python floats (one per
+category): numpy's per-call overhead dominates at a handful of categories.
+Its reductions go through `_sum`, which adds as numpy does, so every number
+is bit for bit what the array arithmetic gave. The ALS calls the PAVA kernel
+without `pava`'s checks: its weights are category counts (each at least 1)
+and its values are finite category means.
+
+On tall data (over `stats.BLOCK_ROWS` rows) with a narrow category set the
+sweeps leave n-space: `_CrossSweep` builds M = A'A once per fit, where A is
+[each predictor's columns (one 0/1 column per observed category), z], by
+BLOCK_ROWS-row blocks, the one-hot products in float32 (counts of at most
+2,048 are exact) and the rest in float64. With b = A'z and a stacking
+beta_k q_k, predictor j's category sums are s = b_j - sum_{k != j} M_jk a_k,
+its new weight q.s/n and a sweep's R^2 1 - (z'z - 2a'b + a'Ma)/n; results
+agree with the row loop to about 1e-12. Narrow means width^2 <= _NARROW *
+predictors (width: A's columns): at n = 19,781 on one core a row sweep costs
+70 us per predictor and M 0.3 us per width^2 at width 89, so M costs at most
+the two sweeps every converged fit runs up to width^2 = 460 per predictor.
 """
 
 from __future__ import annotations
@@ -53,10 +62,11 @@ from .data import (
     population_standardize,
 )
 from .errors import NumericalError, ValidationError, require_number
-from .stats import OlsFit, adjusted_r2, ols_fit
+from .stats import BLOCK_ROWS, OlsFit, adjusted_r2, ols_fit
 
 # mean square below this is treated as a collapsed (degenerate) quantification
 _DEGENERATE_MS = 1e-24
+_NARROW = 400  # a tall fit's width^2 bound per predictor (see the module docstring)
 
 
 @dataclass(frozen=True)
@@ -219,6 +229,46 @@ def _quantify(means: list, counts: list, n: int, ordinal: bool):
     return v
 
 
+def _column(p: _Predictor, v) -> np.ndarray:
+    """The predictor's n-length column: standardized, or quantification v per row."""
+    return p.x if v is None else np.array(v)[p.codes]
+
+
+class _CrossSweep:
+    """The sweeps in category space (see the module docstring)."""
+
+    def __init__(self, records, z):
+        starts = np.cumsum([0] + [1 if p.codes is None else len(p.cats) for p in records]).tolist()
+        hot = [p.codes + s for p, s in zip(records, starts) if p.codes is not None]
+        hot = np.array(hot, np.intp).T  # each row's one-hot columns of A (n x 0 if none)
+        num = [s for p, s in zip(records, starts) if p.codes is None] + [starts[-1]]
+        F = np.column_stack([p.x for p in records if p.codes is None] + [z])
+        M = np.zeros((starts[-1] + 1,) * 2)
+        for i in range(0, len(z), BLOCK_ROWS):
+            H = np.zeros((len(F[i:i + BLOCK_ROWS]), len(M)), np.float32)
+            H.reshape(-1)[(np.arange(len(H)) * len(M))[:, None] + hot[i:i + BLOCK_ROWS]] = 1.0
+            M += H.T @ H
+            M[:, num] += H.astype(float).T @ F[i:i + BLOCK_ROWS]
+        M[num] = M[:, num].T
+        M[np.ix_(num, num)] = F.T @ F
+        self.M, self.b, self.zz, self.n = M[:-1, :-1], M[:-1, -1], M[-1, -1], len(z)
+        self.a, self.records, self.starts = np.zeros(len(self.b)), records, starts
+
+    def step(self, j: int):
+        p, k, a = self.records[j], slice(*self.starts[j:j + 2]), self.a
+        a[k] = 0.0
+        s = self.b[k] - self.M[k] @ a
+        v = None if p.codes is None else _quantify(
+            (s / p.counts).tolist(), p.counts, self.n, p.ordinal)
+        q = np.array(v) if v else np.full(len(s), float(p.codes is None))  # collapsed: all 0
+        a[k] = q * (beta := float(q @ s) / self.n)
+        return beta, v
+
+    def r2(self) -> float:
+        a = self.a
+        return 1.0 - (self.zz - 2.0 * float(a @ self.b) + float(a @ self.M @ a)) / self.n
+
+
 def catreg_fit(dataset: Dataset, predictors=None, config: CatregConfig | None = None) -> CatregFit:
     """Fit the optimal-scaling regression of the dataset's dependent variable.
 
@@ -269,13 +319,20 @@ def catreg_fit(dataset: Dataset, predictors=None, config: CatregConfig | None = 
         else _standardize_category_values([float(c) for c in range(len(p.cats))], p.counts, n)
         for p in records
     ]
-    columns = [p.x if v is None else np.array(v)[p.codes] for p, v in zip(records, quants)]
+    width = sum(1 if p.codes is None else len(p.cats) for p in records) + 1
+    tall = n > BLOCK_ROWS and width * width <= _NARROW * len(records)
+    cross = _CrossSweep(records, z) if tall else None
+    columns = [_column(p, v) for p, v in zip(records, quants)] if not tall else None
     beta = [0.0] * len(records)
     collapsed = [False] * len(records)
     trace: list[float] = []
     yhat = np.zeros(n)  # the fit of beta = 0, where the first sweep starts
     while True:
         for j, p in enumerate(records):
+            if tall:
+                beta[j], v = cross.step(j)
+                collapsed[j], quants[j] = p.codes is not None and v is None, v or quants[j]
+                continue
             old = beta[j] * columns[j]  # this predictor's share of yhat
             u = z - yhat + old
             if p.codes is None:
@@ -296,12 +353,13 @@ def catreg_fit(dataset: Dataset, predictors=None, config: CatregConfig | None = 
             new_beta = float(col @ u) / n
             yhat += new_beta * col - old
             quants[j], columns[j], beta[j] = v, col, new_beta
-        # the fit summed afresh gives this sweep's R^2 and the next start
-        yhat = np.zeros(n)
-        for b, col in zip(beta, columns):
-            yhat += b * col
-        resid = z - yhat
-        trace.append(1.0 - float(resid @ resid) / n)
+        if tall:
+            trace.append(cross.r2())
+        else:
+            # the fit summed afresh gives this sweep's R^2 and the next start
+            yhat = sum((b * col for b, col in zip(beta, columns)), np.zeros(n))
+            resid = z - yhat
+            trace.append(1.0 - float(resid @ resid) / n)
         converged = len(trace) >= 2 and trace[-1] - trace[-2] < cfg.epsilon
         if converged or len(trace) == cfg.max_iterations:
             break
@@ -309,7 +367,7 @@ def catreg_fit(dataset: Dataset, predictors=None, config: CatregConfig | None = 
     active = [j for j in range(len(records)) if not collapsed[j]]
     if not active:
         raise NumericalError("every predictor's quantification collapsed; nothing to fit")
-    design = np.column_stack([columns[j] for j in active])
+    design = np.column_stack([_column(records[j], quants[j]) for j in active])
     ols = ols_fit(design, z, names=[records[j].name for j in active])
 
     degenerate = [p.name for p, d in zip(records, collapsed) if d]

@@ -106,6 +106,23 @@ class TestDataset:
         assert observed == ("B", "D")  # unobserved A, C dropped, order kept
         np.testing.assert_array_equal(codes, [1, 0, 1])
 
+    @pytest.mark.parametrize("labels", [("D", "B", "D"), ("B", "A", "D", "C", "A")])
+    def test_codes_match_the_observed_category_formula(self, labels):
+        variables = (
+            Variable("q", "ordinal", ("A", "B", "C", "D")),
+            Variable("y", "numeric", role="dependent"),
+        )
+        ds = dataset_of_rows(variables, [(label, 1.0) for label in labels])
+        declared = ds.category_codes("q")
+        present = np.bincount(declared, minlength=4) > 0
+        codes, observed = ds.codes("q")
+        assert observed == tuple(c for c, p in zip("ABCD", present) if p)
+        want = (np.cumsum(present) - 1)[declared]
+        assert codes.dtype == want.dtype
+        np.testing.assert_array_equal(codes, want)
+        codes[:] = 0  # the caller's own array
+        np.testing.assert_array_equal(ds.category_codes("q"), declared)
+
     def test_subset_keeps_row_ids(self):
         ds = small_dataset()
         sub = ds.subset([0, 3])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +17,18 @@ from catreg import (
     Variable,
     catreg_fit,
     column_as_quantified,
+    compare_baseline,
     dataset_to_json,
+    ingest_dataset,
+    load_gearing,
     ols_fit,
     pava,
     population_standardize,
+    run_pipeline,
 )
+from catreg import scaling
 from catreg.scaling import _sum
+from catreg.stats import BLOCK_ROWS
 from helpers import (
     assert_ordinal_monotone,
     assert_quantification_constraints,
@@ -34,6 +41,8 @@ from helpers import (
     oracle_pava,
     single_cat_dataset,
 )
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 class TestPava:
@@ -171,15 +180,26 @@ def _collapsing_instance() -> Dataset:
 
 
 @st.composite
-def _mixed_items(draw) -> Dataset:
-    """A random mix of ordinal, nominal and numeric items with planted effects."""
+def _mixed_items(draw, tall: bool = False) -> Dataset:
+    """A random mix of ordinal, nominal and numeric items with planted effects.
+
+    A tall draw has n in (BLOCK_ROWS, BLOCK_ROWS + 400]. It may also hold
+    every row twice, told apart only by a nominal item 'twin', whose two
+    category means are then equal in every sweep, so that it collapses.
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     levels = draw(st.lists(st.sampled_from(["ordinal", "nominal", "numeric"]), min_size=1, max_size=4))
     # up to 20 categories, so that category sums of 8 or more terms take
     # numpy's pairwise order; n stays above the free parameters
     ks = [1 if level == "numeric" else draw(st.integers(2, 20)) for level in levels]
     free = sum(1 if level == "numeric" else k - 1 for level, k in zip(levels, ks))
-    n = free + draw(st.integers(20, 90))
+    twin = tall and draw(st.booleans())
+    if twin:
+        n = draw(st.integers(BLOCK_ROWS // 2 + 1, (BLOCK_ROWS + 400) // 2))
+    elif tall:
+        n = draw(st.integers(BLOCK_ROWS + 1, BLOCK_ROWS + 400))
+    else:
+        n = free + draw(st.integers(20, 90))
     variables, columns = [], []
     y = rng.normal(scale=draw(st.sampled_from([0.1, 0.6, 3.0])), size=n)
     for j, (level, k) in enumerate(zip(levels, ks)):
@@ -197,6 +217,11 @@ def _mixed_items(draw) -> Dataset:
         columns.append([cats[c] for c in codes])
     variables.append(Variable("y", "numeric", role="dependent"))
     columns.append(y.tolist())
+    if twin:
+        columns = [column * 2 for column in columns]
+        variables.insert(-1, Variable("twin", "nominal", ("A", "B")))
+        columns.insert(-1, ["A"] * n + ["B"] * n)
+        n *= 2
     return Dataset(tuple(variables), columns, [None] * n)
 
 
@@ -392,21 +417,93 @@ class TestCatregFit:
     def test_long_category_lists_match_oracle_exactly(self, level):
         # 8, 9 and 130 observed categories: their category sums take numpy's
         # pairwise order, and 130 terms cross numpy's split above 128
-        rng = np.random.default_rng(5)
-        n = 400
-        y = rng.normal(size=n)
-        variables, columns = [], []
-        for j, k in enumerate((8, 9, 130)):
-            codes = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
-            rng.shuffle(codes)
-            y += rng.normal(size=k)[codes]
-            cats = tuple(f"c{c:03d}" for c in range(k))
-            variables.append(Variable(f"v{j}", level, cats))
-            columns.append([cats[c] for c in codes])
-        variables.append(Variable("y", "numeric", role="dependent"))
-        columns.append(y.tolist())
-        ds = Dataset(tuple(variables), columns=columns, ids=[f"r{i}" for i in range(n)])
-        _assert_matches_oracle(ds, CatregConfig())
+        _assert_matches_oracle(_categorical_dataset(5, 400, (8, 9, 130), level), CatregConfig())
+
+
+def _categorical_dataset(seed: int, n: int, ks, level: str) -> Dataset:
+    """Categorical predictors of ks observed categories each, with planted effects."""
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=n)
+    variables, columns = [], []
+    for j, k in enumerate(ks):
+        codes = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+        rng.shuffle(codes)
+        y += rng.normal(size=k)[codes]
+        cats = tuple(f"c{c:03d}" for c in range(k))
+        variables.append(Variable(f"v{j}", level, cats))
+        columns.append([cats[c] for c in codes])
+    variables.append(Variable("y", "numeric", role="dependent"))
+    columns.append(y.tolist())
+    return Dataset(tuple(variables), columns=columns, ids=[f"r{i}" for i in range(n)])
+
+
+def _refuse_cross_sweep(monkeypatch) -> None:
+    def refuse(*args):
+        raise AssertionError("the fit was to sweep on n-length columns")
+
+    monkeypatch.setattr(scaling, "_CrossSweep", refuse)
+
+
+def _sample_dataset() -> Dataset:
+    return ingest_dataset(str(DATA / "responses.sample.csv"),
+                          load_gearing(str(DATA / "gearing.sample.json")))[0]
+
+
+class TestTallFit:
+    """Above BLOCK_ROWS rows a narrow fit sweeps in category space; every other
+    fit keeps the row loop, bit for bit."""
+
+    @given(_mixed_items(tall=True), st.sampled_from([2, 200]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle(self, ds, max_iterations):
+        cfg = CatregConfig(max_iterations=max_iterations)
+        want = oracle_catreg_fit(ds, config=cfg)
+        got = catreg_fit(ds, config=cfg)
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert got.degenerate == want.degenerate
+        assert got.diagnostics == want.diagnostics
+        assert got.r2_trace == pytest.approx(want.r2_trace, rel=0, abs=1e-12)
+        assert got.quantifications.numeric == want.quantifications.numeric
+        got_cats, want_cats = got.quantifications.categorical, want.quantifications.categorical
+        assert list(got_cats) == list(want_cats)
+        for name, q in want_cats.items():
+            assert list(got_cats[name]) == list(q)
+            assert got_cats[name] == pytest.approx(q, rel=0, abs=1e-9)
+        assert got.coef == pytest.approx(want.coef, rel=0, abs=1e-9)
+        assert got.r2 == pytest.approx(want.r2, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("ds, sweeps_in_category_space", [
+        (mixed_dataset(3, n=BLOCK_ROWS), 0),
+        (mixed_dataset(3, n=BLOCK_ROWS + 1), 1),
+        (_categorical_dataset(4, BLOCK_ROWS + 100, (19,), "nominal"), 1),
+        (_categorical_dataset(4, BLOCK_ROWS + 100, (20,), "nominal"), 0),
+    ], ids=["n=BLOCK_ROWS", "n=BLOCK_ROWS+1", "width 20", "width 21"])
+    def test_which_fits_sweep_in_category_space(self, ds, sweeps_in_category_space, monkeypatch):
+        # a lone predictor is narrow while width^2 = (categories + 1)^2 <= 400
+        made = []
+
+        def spy(*args):
+            made.append(cross(*args))
+            return made[-1]
+
+        cross = scaling._CrossSweep
+        monkeypatch.setattr(scaling, "_CrossSweep", spy)
+        catreg_fit(ds)
+        assert len(made) == sweeps_in_category_space
+
+    def test_sample_corpus_keeps_the_row_loop(self, monkeypatch):
+        _refuse_cross_sweep(monkeypatch)
+        ds = _sample_dataset()
+        catreg_fit(ds)
+        run_pipeline(ds)
+        compare_baseline(ds, k=6, seed=42)
+
+    def test_wide_tall_fit_keeps_the_row_loop_bit_for_bit(self, monkeypatch):
+        # one predictor of 130 categories: width^2 = 131^2 is far above _NARROW
+        _refuse_cross_sweep(monkeypatch)
+        for level in ("nominal", "ordinal"):
+            _assert_matches_oracle(_categorical_dataset(8, BLOCK_ROWS + 300, (130,), level),
+                                   CatregConfig())
 
 
 def _assert_matches_oracle(ds, cfg):

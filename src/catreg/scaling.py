@@ -38,9 +38,9 @@ BLOCK_ROWS-row blocks, the one-hot products in float32 (counts of at most
 beta_k q_k, predictor j's category sums are s = b_j - sum_{k != j} M_jk a_k,
 its new weight q.s/n and a sweep's R^2 1 - (z'z - 2a'b + a'Ma)/n; results
 agree with the row loop to about 1e-12. Narrow means width^2 <= _NARROW *
-predictors (width: A's columns): at n = 19,781 on one core a row sweep costs
-70 us per predictor and M 0.3 us per width^2 at width 89, so M costs at most
-the two sweeps every converged fit runs up to width^2 = 460 per predictor.
+predictors (width: A's columns): at n = 19,781 on one core a row sweep took
+64-76 us per predictor and M 0.33-0.36 us per width^2 at width 89, so M costs
+at most the two sweeps every converged fit runs up to width^2 = 380-440 each.
 """
 
 from __future__ import annotations

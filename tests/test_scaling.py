@@ -472,24 +472,24 @@ class TestTallFit:
         assert got.coef == pytest.approx(want.coef, rel=0, abs=1e-9)
         assert got.r2 == pytest.approx(want.r2, rel=0, abs=1e-12)
 
-    @pytest.mark.parametrize("ds, sweeps_in_category_space", [
+    @pytest.mark.parametrize("ds, builds", [
         (mixed_dataset(3, n=BLOCK_ROWS), 0),
         (mixed_dataset(3, n=BLOCK_ROWS + 1), 1),
         (_categorical_dataset(4, BLOCK_ROWS + 100, (19,), "nominal"), 1),
         (_categorical_dataset(4, BLOCK_ROWS + 100, (20,), "nominal"), 0),
     ], ids=["n=BLOCK_ROWS", "n=BLOCK_ROWS+1", "width 20", "width 21"])
-    def test_which_fits_sweep_in_category_space(self, ds, sweeps_in_category_space, monkeypatch):
+    def test_which_fits_sweep_in_category_space(self, ds, builds, monkeypatch):
         # a lone predictor is narrow while width^2 = (categories + 1)^2 <= 400
-        made = []
+        built = []
+        cross = scaling._CrossSweep
 
         def spy(*args):
-            made.append(cross(*args))
-            return made[-1]
+            built.append(args)
+            return cross(*args)
 
-        cross = scaling._CrossSweep
         monkeypatch.setattr(scaling, "_CrossSweep", spy)
         catreg_fit(ds)
-        assert len(made) == sweeps_in_category_space
+        assert len(built) == builds
 
     def test_sample_corpus_keeps_the_row_loop(self, monkeypatch):
         _refuse_cross_sweep(monkeypatch)

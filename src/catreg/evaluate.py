@@ -14,30 +14,30 @@ scoring and counted per fold.
 
 The baseline method dummy-codes categorical predictors (c-1 indicators against
 the first observed category) and fits plain least squares; the contender runs
-the full quantify-then-select pipeline per training fold.
+the full quantify-then-select pipeline per training fold. The baseline's one
+design is `dummy_design`'s levels and scalings; its `encode` writes matrices.
 
 A fold is a pair of index arrays, and its training part the `Dataset.subset`
 over the first. Once every training part has over `stats.BLOCK_ROWS` rows, the
-baseline dummy-codes each fold's rows once, with the full data's levels, and
+baseline takes the full data's design once, codes each fold's rows once and
 factorizes them once: a training part's R is that of the other folds' factors,
 its numeric columns moved to the part's own mean and scale (a part lacking a
 category is fitted alone), and the fold's test rows are scored from its own
-coded block, their numeric columns rescaled to the part's. Otherwise a fold's
-test rows are predicted at once: they are encoded from their declared category
-codes into one design matrix (dummy indicators written column by column into one
-preallocated matrix for the baseline, the model's quantification tables for
-the contender) and predicted with one matrix product. A row whose category the
-training part never showed is masked out of scoring. Each fold is then scored
-on two arrays, the actual and predicted values of its scored rows, with one
-MMRE call. On the count scale both are first exponentiated by math.exp; only
-when a value has no finite count, or a predicted count underflows to 0.0, are
-the pairs scanned in row order, so the first value rejected is the one reported.
+coded block, their numeric columns rescaled to the part's. Otherwise the
+training part's design codes its rows and the fold's test rows (the contender
+maps test rows through the model's quantification tables), and the test rows
+are predicted with one matrix product. A row whose category the training part
+never showed is masked out of scoring. Each fold is then scored on two arrays,
+the actual and predicted values of its scored rows, with one MMRE call. On the
+count scale both are first exponentiated by math.exp; only when a value has no
+finite count, or a predicted count underflows to 0.0, are the pairs scanned in
+row order, so the first value rejected is the one reported.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -178,11 +178,11 @@ def fold_plan(n: int, k: int, seed: int) -> FoldPlan:
 @dataclass(frozen=True)
 class DummyDesign:
     """Dummy-coded design: c-1 indicators per categorical (first declared
-    observed category as reference), numeric columns standardized."""
+    observed category as reference), numeric columns standardized. It holds
+    the levels and scalings; `encode` writes the matrix of any rows."""
 
     variables: tuple[str, ...]
     names: tuple[str, ...]
-    matrix: np.ndarray
     categorical_levels: dict
     numeric_scaling: dict
 
@@ -216,8 +216,9 @@ class DummyDesign:
         return matrix, seen
 
 
-def _dummy_levels(dataset: Dataset) -> DummyDesign:
-    """`dummy_design` without its matrix: the levels and scalings alone."""
+def dummy_design(dataset: Dataset) -> DummyDesign:
+    """The dummy-coded design of the dataset's predictors: observed levels from
+    `Dataset.codes`, numeric scalings; `encode` writes the matrix."""
     names = [v.name for v in dataset.predictors]
     if not names:
         raise ValidationError("dummy_design needs at least one predictor")
@@ -225,9 +226,8 @@ def _dummy_levels(dataset: Dataset) -> DummyDesign:
     categorical_levels: dict = {}
     numeric_scaling: dict = {}
     for var, name in zip(dataset.predictors, names):
-        if var.is_categorical:  # the categories that occur, in declared order, as in `codes`
-            present = np.bincount(dataset.category_codes(name), minlength=len(var.categories))
-            observed = tuple(c for c, k in zip(var.categories, present) if k)
+        if var.is_categorical:
+            observed = dataset.codes(name)[1]
             if len(observed) < 2:
                 raise ValidationError(
                     f"categorical predictor '{name}' has a single observed category"
@@ -238,13 +238,7 @@ def _dummy_levels(dataset: Dataset) -> DummyDesign:
             _, mean, scale = population_standardize(dataset.column(name))
             numeric_scaling[name] = (mean, scale)
             col_names.append(name)
-    return DummyDesign(tuple(names), tuple(col_names), None, categorical_levels, numeric_scaling)
-
-
-def dummy_design(dataset: Dataset) -> DummyDesign:
-    """Build the dummy-coded design matrix for the dataset's predictors."""
-    design = _dummy_levels(dataset)
-    return replace(design, matrix=design.encode(dataset, np.arange(dataset.n))[0])
+    return DummyDesign(tuple(names), tuple(col_names), categorical_levels, numeric_scaling)
 
 
 @dataclass(frozen=True)
@@ -287,8 +281,8 @@ class MethodEvaluation:
 
 
 def _dummy_fitter(train: Dataset, full: Dataset, rows, configs: MethodConfigs):
-    design = dummy_design(train)
-    fit = ols_fit(design.matrix, train.column(full.dependent.name), names=design.names)
+    design, y = dummy_design(train), train.column(full.dependent.name)
+    fit = ols_fit(design.encode(train, np.arange(train.n))[0], y, names=design.names)
     matrix, seen = design.encode(full, rows)
     return fit.intercept + np.ascontiguousarray(matrix) @ fit.coef, seen, ""  # see encode
 
@@ -298,7 +292,7 @@ def _shared_dummy_fitter(dataset: Dataset, plan: FoldPlan):
     the training part lacks a category; None if a part is short or the full design fails."""
     n_train = dataset.n - np.bincount(plan._folds).max()  # the smallest training part
     try:
-        design = _dummy_levels(dataset) if n_train > BLOCK_ROWS else None
+        design = dummy_design(dataset) if n_train > BLOCK_ROWS else None
     except CatregError:
         design = None
     if design is None or n_train <= len(design.names) + 1:  # ols_fit's TOO_FEW_ROWS

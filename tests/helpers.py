@@ -566,7 +566,8 @@ def oracle_fold_predictions(method: str, train: Dataset, full: Dataset, rows, co
     """Per-row estimates for full's rows after fitting on train; None marks an excluded row."""
     if method == "dummy-ols":
         design = dummy_design(train)
-        fit = ols_fit(design.matrix, train.column(full.dependent.name), names=design.names)
+        matrix = design.encode(train, np.arange(train.n))[0]
+        fit = ols_fit(matrix, train.column(full.dependent.name), names=design.names)
         out = []
         for i in rows:
             vec = _oracle_row_vector(design, {name: full.value(i, name) for name in design.variables})

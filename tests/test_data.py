@@ -354,6 +354,7 @@ class TestAgainstRowOracle:
         ids = [row.row_id for row in rows]
         assert ds == dataset_of_rows(variables, [row.values for row in rows], ids)
         assert ds == dataset_from_json(json.loads(json.dumps(dataset_to_json(ds))))
+        assert ds != 1  # not a Dataset: __eq__ leaves the answer to the other operand
         changed = [row.values for row in rows]
         values = list(changed[0])
         j = data.draw(st.integers(0, len(variables) - 1))
@@ -457,6 +458,10 @@ class TestColumnarDataset:
 
 # each validation raise that no other test reaches, with its full message
 DATA_VALIDATION_CASES = {
+    "no variables": (
+        lambda: Dataset((), [], []),
+        "dataset declares no variables",
+    ),
     "empty category": (
         lambda: Variable("q", "ordinal", ("A", "")),
         "variable 'q': categories must be non-empty strings",

@@ -180,9 +180,10 @@ class TestDummyDesign:
             Variable("y", "numeric", role="dependent"),
         )
         rows = [("A", 1.0), ("B", 2.0), ("A", 3.0), ("B", 4.0)]
-        design = dummy_design(dataset_of_rows(variables, rows))
+        ds = dataset_of_rows(variables, rows)
+        design = dummy_design(ds)
         assert design.names == ("g=B",)
-        assert design.matrix[:, 0].tolist() == [0.0, 1.0, 0.0, 1.0]
+        assert design.encode(ds, np.arange(ds.n))[0][:, 0].tolist() == [0.0, 1.0, 0.0, 1.0]
 
     def test_five_categories_make_four_columns(self):
         cats = ("A", "B", "C", "D", "E")
@@ -202,13 +203,13 @@ class TestDummyDesign:
         assert [design.names[j] for j in g_columns] == ["g=B", "g=C"]
         # first row is category A, the declared reference
         assert ds.value(0, "g") == "A"
-        assert design.matrix[0, g_columns].tolist() == [0.0, 0.0]
+        assert design.encode(ds, [0])[0][0, g_columns].tolist() == [0.0, 0.0]
 
     def test_numeric_columns_standardized(self):
         ds = _categorical_dataset()
         design = dummy_design(ds)
         j = design.names.index("x")
-        col = design.matrix[:, j]
+        col = design.encode(ds, np.arange(ds.n))[0][:, j]
         assert float(col.mean()) == pytest.approx(0.0, abs=1e-12)
         assert float((col**2).mean()) == pytest.approx(1.0, abs=1e-12)
 
@@ -531,7 +532,8 @@ class TestDummyOlsEqualsNominalCatreg:
 
         ds = _categorical_dataset(n_per=8)
         design = dummy_design(ds)
-        oracle = ols_fit(design.matrix, ds.column("y"), names=list(design.names))
+        matrix = design.encode(ds, np.arange(ds.n))[0]
+        oracle = ols_fit(matrix, ds.column("y"), names=list(design.names))
         variables = tuple(
             Variable(v.name, "nominal", v.categories)
             if v.name == "g"
@@ -678,10 +680,22 @@ class TestSharedFoldFactors:
         ds, _ = ingest_dataset(str(data / "responses.sample.csv"),
                                load_gearing(str(data / "gearing.sample.json")))
         calls = []
-        monkeypatch.setattr(evaluate, "_dummy_levels",
-                            lambda d, real=evaluate._dummy_levels: calls.append(d.n) or real(d))
+        monkeypatch.setattr(evaluate, "dummy_design",
+                            lambda d, real=dummy_design: calls.append(d.n) or real(d))
         assert _shared_dummy_fitter(ds, fold_plan(ds.n, k, seed=42)) is None
         assert calls == []  # not even the full data's levels are taken
+
+    def test_each_path_builds_its_designs_through_dummy_design(self, monkeypatch):
+        n, k, calls = 2600, 5, []
+        ds = _tall_dataset(n)
+        monkeypatch.setattr(evaluate, "dummy_design",
+                            lambda d, real=dummy_design: calls.append(d.n) or real(d))
+        crossval(ds, k, 0, BASELINE)
+        assert calls == [n]  # the shared path: the full data's design, once
+        calls.clear()
+        _per_fold_only(monkeypatch)
+        crossval(ds, k, 0, BASELINE)
+        assert calls == [n - n // k] * k  # the per-fold path: one per training part
 
     def test_a_fold_holding_a_whole_category_is_fitted_alone(self, monkeypatch):
         n, k, fold = 2600, 5, 3

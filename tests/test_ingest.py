@@ -368,6 +368,10 @@ INGEST_VALIDATION_CASES = {
         lambda tmp: filter_rows(load_responses(_write_csv(tmp, [_row("r1"), _row("r2")]))),
         "row r1 lacks Ln(FP); run backfiring and the log transform before filtering",
     ),
+    "filter after the logs, without backfiring": (
+        lambda tmp: filter_rows(log_transform(load_responses("data/responses.sample.csv"))),
+        "row 1 lacks Ln(FP); run backfiring and the log transform before filtering",
+    ),
 }
 
 

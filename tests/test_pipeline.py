@@ -332,6 +332,20 @@ PIPELINE_VALIDATION_CASES = {
         }),
         "quantifications must be an object",
     ),
+    "unknown model variable level": (
+        lambda: SerializedModel.from_dict({
+            "schema_version": MODEL_SCHEMA_VERSION, "variables": [{"name": "x", "level": "bogus"}],
+            "quantifications": {}, "coefficients": {}, "intercept": 0.0,
+        }),
+        "model variable 'x': unknown level 'bogus'",
+    ),
+    "coefficients not an object": (
+        lambda: SerializedModel.from_dict({
+            "schema_version": MODEL_SCHEMA_VERSION, "variables": [],
+            "quantifications": {}, "coefficients": [], "intercept": 0.0,
+        }),
+        "coefficients must be an object",
+    ),
     "zero max_rounds": (
         lambda: run_pipeline(planted_pipeline_dataset(0), max_rounds=0),
         "max_rounds must be >= 1",

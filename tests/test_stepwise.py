@@ -578,6 +578,37 @@ class TestCrossProductDecisions:
         assert reads == []
         assert lazy == event and lazy.pvalue == 0.01
         assert reads == [1]
+        assert hash(lazy) == hash(event) and len({event, lazy}) == 1
+        assert reads == [1]  # the hash reads the value computed above
+
+
+def _underflow_point(df: int) -> float:
+    """The smallest |t| whose p-value at df underflows to 0.0, by bisection."""
+    lo, hi = 1.0, 1.0
+    while t_pvalue(hi, df) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if t_pvalue(mid, df) > 0.0 else (lo, mid)
+    return hi
+
+
+class TestChooseUnderflow:
+    """An entry whose best |t| underflows at both bounds, against one rival
+    (declared first) whose bounds [|t| - err, |t| + err] lie around t*."""
+
+    DF = 30
+
+    @pytest.mark.parametrize("rival, want", [
+        (1.0, stepwise._UNDECIDED),  # the rival's bounds straddle t*: left to the scan
+        (0.5, 1),  # the rival's near bound is below t*: the best enters
+        (1.5, 0),  # the rival underflows at both bounds: the first declared enters
+    ])
+    def test_the_rivals_bounds_against_the_underflow_point(self, rival, want):
+        t_star = _underflow_point(self.DF)
+        assert t_pvalue(t_star, self.DF) == 0.0 < t_pvalue(0.99 * t_star, self.DF)
+        t, err = np.array([rival, 4.0]) * t_star, np.full(2, 0.01 * t_star)
+        choice = stepwise._choose(t, np.zeros(2), np.ones(2), err, self.DF, 0.05, True)
+        assert choice == want
 
 # each validation raise that no other test reaches, with its full message
 STEPWISE_VALIDATION_CASES = {

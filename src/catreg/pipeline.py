@@ -9,6 +9,13 @@ loop stops as soon as one round's selection matches its own input set, or
 after max_rounds (flagged as not converged). An empty selection halts with a
 flagged, model-less result.
 
+On tall data (more than `stats.BLOCK_ROWS` rows) a round rotates its stepwise
+design once: `catreg_fit` forms Z' = Q'[1, round columns, y] after its sweeps
+and reads its final fit off Z', and `stepwise_fit` takes the same Z' for its
+decisions and its reported fit. Neither final fit makes another n-row pass.
+Results agree with fits on the data rows to rounding; shorter data, the sample
+corpus included, keep those fits bit for bit.
+
 The final model serializes to a small JSON document (schema version 1):
 variable descriptions, category quantifications, coefficients and intercept.
 Quantifications may be null placeholders in hand-authored reference files; a
@@ -35,6 +42,7 @@ from .evaluate import (
     crossval,
 )
 from .scaling import CatregConfig, CatregFit, catreg_fit
+from .stats import BLOCK_ROWS
 from .stepwise import StepwiseConfig, StepwiseTrace, stepwise_fit
 
 MODEL_SCHEMA_VERSION = "1"
@@ -287,15 +295,16 @@ def run_pipeline(
 
     current = list(declared)
     rounds: list[RoundRecord] = []
+    tall = dataset.n > BLOCK_ROWS
     for r in range(1, max_rounds + 1):
-        cfit = catreg_fit(dataset, current, catreg_config)
+        cfit = catreg_fit(dataset, current, catreg_config, _share_rotation=tall)
         columns = {}
         for name in current:
             if dataset.variable(name).is_categorical:
                 columns[name] = column_as_quantified(dataset, name, cfit.quantifications)
             else:
                 columns[name] = dataset.column(name)
-        trace = stepwise_fit(columns, y, stepwise_config)
+        trace = stepwise_fit(columns, y, stepwise_config, _rotated=cfit._rotated)
         rounds.append(RoundRecord(r, tuple(current), cfit.r2, cfit.adj_r2, trace, trace.selected))
         converged = set(trace.selected) == set(current)
         if not trace.selected or converged:

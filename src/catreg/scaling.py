@@ -20,6 +20,12 @@ so the per-iteration R^2 trace is non-decreasing. Iteration stops when the R^2
 gain drops below `epsilon` or `max_iterations` is reached (the latter yields a
 fit flagged as non-converged, not an exception). Coefficients, p-values and
 R^2 are read off a final joint least-squares pass over the quantified columns.
+In a tall pipeline round that pass reads the rows of the round's one rotation
+Z' = Q'[1, raw numeric or quantified columns, raw y] (`stats.rotation`, kept on
+the fit for stepwise) instead of n data rows: a standardized numeric column is
+(Z'_j - mean Z'_0) / scale, z is (Z'_y - mean_y Z'_0) / s_y, a quantified column
+is Z'_j itself, and only the active columns enter; SST is still taken from z.
+Called alone, `catreg_fit` fits the n rows.
 
 The loop keeps one record per predictor (a numeric one holds its standardized
 column; a categorical one its codes, labels, counts and level) and one
@@ -62,7 +68,7 @@ from .data import (
     population_standardize,
 )
 from .errors import NumericalError, ValidationError, require_number
-from .stats import BLOCK_ROWS, OlsFit, adjusted_r2, ols_fit
+from .stats import BLOCK_ROWS, OlsFit, _ols, adjusted_r2, ols_fit, rotation
 
 # mean square below this is treated as a collapsed (degenerate) quantification
 _DEGENERATE_MS = 1e-24
@@ -177,6 +183,7 @@ class CatregFit:
     diagnostics: tuple[str, ...]
     n: int
     _final: OlsFit = field(repr=False, compare=False)
+    _rotated: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def pvalues(self) -> dict:
@@ -269,13 +276,17 @@ class _CrossSweep:
         return 1.0 - (self.zz - 2.0 * float(a @ self.b) + float(a @ self.M @ a)) / self.n
 
 
-def catreg_fit(dataset: Dataset, predictors=None, config: CatregConfig | None = None) -> CatregFit:
+def catreg_fit(
+    dataset: Dataset, predictors=None, config: CatregConfig | None = None, *,
+    _share_rotation: bool = False,
+) -> CatregFit:
     """Fit the optimal-scaling regression of the dataset's dependent variable.
 
     predictors: names to include, in sweep order; defaults to every declared
     predictor in dataset order. Requires every categorical predictor to show
     at least two observed categories and n to exceed the total number of free
-    quantification parameters.
+    quantification parameters. _share_rotation: read the final fit off a
+    pipeline round's Z' (see the module docstring) and keep Z' as `_rotated`.
     """
     cfg = config or CatregConfig()
     names = list(predictors) if predictors is not None else [v.name for v in dataset.predictors]
@@ -284,7 +295,8 @@ def catreg_fit(dataset: Dataset, predictors=None, config: CatregConfig | None = 
     if len(set(names)) != len(names):
         raise ValidationError("duplicate predictor names")
     n = dataset.n
-    z, _, _ = population_standardize(dataset.column(dataset.dependent.name))
+    y = dataset.column(dataset.dependent.name)
+    z, y_mean, y_scale = population_standardize(y)
 
     records: list[_Predictor] = []
     numeric_map: dict = {}
@@ -367,8 +379,25 @@ def catreg_fit(dataset: Dataset, predictors=None, config: CatregConfig | None = 
     active = [j for j in range(len(records)) if not collapsed[j]]
     if not active:
         raise NumericalError("every predictor's quantification collapsed; nothing to fit")
-    design = np.column_stack([_column(records[j], quants[j]) for j in active])
-    ols = ols_fit(design, z, names=[records[j].name for j in active])
+    active_names = [records[j].name for j in active]
+    rotated = None
+    if _share_rotation:
+        # the standardized columns are affine in the raw ones: x = (raw - mean) / scale
+        rotated = rotation([dataset.column(p.name) if p.codes is None else _column(p, v)
+                            for p, v in zip(records, quants)], y)
+        one = rotated[:, 0]
+        rows = [one]
+        for j in active:
+            col = rotated[:, j + 1]
+            if records[j].codes is None:
+                mean, scale = numeric_map[records[j].name]
+                col = (col - mean * one) / scale
+            rows.append(col)
+        rows.append((rotated[:, -1] - y_mean * one) / y_scale)
+        ols = _ols(np.column_stack(rows), z, active_names)
+    else:
+        design = np.column_stack([_column(records[j], quants[j]) for j in active])
+        ols = ols_fit(design, z, names=active_names)
 
     degenerate = [p.name for p, d in zip(records, collapsed) if d]
     diagnostics = [
@@ -408,4 +437,5 @@ def catreg_fit(dataset: Dataset, predictors=None, config: CatregConfig | None = 
         diagnostics=tuple(diagnostics),
         n=n,
         _final=ols,
+        _rotated=rotated,
     )

@@ -16,8 +16,13 @@ the coefficients V (U'r / s) from R's last column r, and diag((X'X)^-1) as the
 row sums of (V / s)^2. It accepts Q'[1, X, y] as well, for any orthonormal Q
 whose span holds those columns: its R agrees with the data's up to the signs
 of rows, so every fit is the same. It evaluates no p-value: `ols_fit`
-validates its input and calls it on the data, and `OlsFit.pvalue` is computed
-on first read.
+validates its input and hands the rows of [1, X, y] to `_ols`, which checks the
+row count, the names, the rank (through `fit_rows`) and the response's variance
+(SST from y itself) and builds the `OlsFit`; `OlsFit.pvalue` is computed on
+first read. `rotation` forms Z' = Q'[1, X, y] as the product Q'Z, by row
+blocks above BLOCK_ROWS rows. Stepwise decides on Z', and on tall data its
+reported fit and, in a pipeline round, CATREG's final fit call `_ols` on rows
+of Z' instead of the data: one rotation per round, no other n-row pass.
 
 `entry_scan` scores every candidate c to enter next to an included set S from
 one QR factorization [1, S] = Q R: one matrix product residualizes all
@@ -189,6 +194,15 @@ def blockwise(rows, reduce):
     return reduce(rows)
 
 
+def rotation(columns, response) -> np.ndarray:
+    """Z' = Q'Z for Z = [1, columns, response] = QR over n rows, formed as the
+    product Q'Z; above BLOCK_ROWS rows, Q_S'S for S the stack of each block's
+    Q_i'Z_i. Both are left products, so an exact copy or a +-2^k multiple of a
+    column stays one in Z' (see `stepwise`)."""
+    Z = np.array([np.ones(len(response)), *columns, response]).T  # column-major
+    return blockwise(Z, lambda rows: np.linalg.qr(rows)[0].T @ rows)
+
+
 def fit_rows(rows, n: int):
     """Least squares of the last column of `rows` on the others, from R alone.
 
@@ -254,6 +268,18 @@ def ols_fit(design, response, names=None) -> OlsFit:
     n, p = X0.shape
     if p < 1:
         raise ValidationError("design needs at least one column")
+    rows = np.empty((n, p + 2), order="F")  # column-major, as LAPACK takes it
+    rows[:, 0] = 1.0
+    rows[:, 1:-1] = X0
+    rows[:, -1] = y
+    return _ols(rows, y, names)
+
+
+def _ols(rows, y: np.ndarray, names=None) -> OlsFit:
+    """`ols_fit` of the finite response y on the rows of [1, X, y], or of
+    Q'[1, X, y] as `fit_rows` takes them: its checks on the row count, the
+    names, the rank and y's variance, and its result. SST is taken from y."""
+    n, p = y.size, rows.shape[1] - 2
     if n <= p + 1:
         raise ValidationError(TOO_FEW_ROWS.format(n, p + 1))
     if names is None:
@@ -262,11 +288,6 @@ def ols_fit(design, response, names=None) -> OlsFit:
         names = tuple(names)
         if len(names) != p:
             raise ValidationError("names must match the number of design columns")
-
-    rows = np.empty((n, p + 2), order="F")  # column-major, as LAPACK takes it
-    rows[:, 0] = 1.0
-    rows[:, 1:-1] = X0
-    rows[:, -1] = y
     b, se, tstat, sse = fit_rows(rows, n)
     sst = float(((y - y.mean()) ** 2).sum())
     # the mean of a constant response can round, leaving sst just above 0

@@ -20,8 +20,10 @@ so an exact copy or a +-2^k multiple of a column ties with it bit for bit, and
 the first declared enters. R does not keep such ties: QR sets the entries below
 each pivot to exact zeros, while a later copy of that column keeps rounding
 noise there. `ols_fit` has no ties to keep and takes R alone. Above
-`stats.BLOCK_ROWS` rows, Z' is formed by row blocks Z_i: S stacks the products
-Q_i'Z_i, and Z' = Q_S'S. Both steps are left products, so the ties survive.
+`stats.BLOCK_ROWS` rows, `stats.rotation` forms Z' by row blocks Z_i: S stacks
+the products Q_i'Z_i, and Z' = Q_S'S. Both steps are left products, so the ties
+survive. A pipeline round hands its Z' in (`_rotated`), formed once for the
+round.
 
 The decisions are those of two scans on Z' (`stats.entry_scan`,
 `stats.removal_scan`), but most are read off G = Z''Z' (Goodnight 1979, "A
@@ -38,8 +40,11 @@ too few rows, a rank-deficient design by the singular value ratio test of
 `ols_fit`, or a response without variance) are skipped for that step and
 noted in the diagnostics, in declared order, with `ols_fit`'s message;
 non-finite cells and the response are screened once per run. The trace
-records every entry and removal with its triggering p-value; the reported fit
-is one `ols_fit` on the data of the selected columns.
+records every entry and removal with its triggering p-value. The reported fit
+is `ols_fit`'s of the selected columns: on their data at or below
+`stats.BLOCK_ROWS` rows, and above that through `ols_fit`'s checks on the rows
+Z'[:, [0, selected, -1]] (SST from y), with no n-row pass; a failure raises
+that the included set cannot be fitted.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ import numpy as np
 from . import stats
 from .errors import NumericalError, ValidationError, require_number
 from .stats import FLAT_RESPONSE, NONFINITE, RANK_DEFICIENT, TOO_FEW_ROWS, OlsFit
-from .stats import blockwise, entry_scan, ols_fit, removal_scan
+from .stats import BLOCK_ROWS, _ols, entry_scan, ols_fit, removal_scan, rotation
 
 ENTERED = "entered"
 REMOVED = "removed"
@@ -142,12 +147,15 @@ class StepwiseTrace:
     diagnostics: tuple[str, ...]
 
 
-def stepwise_fit(columns, response, config: StepwiseConfig | None = None) -> StepwiseTrace:
+def stepwise_fit(
+    columns, response, config: StepwiseConfig | None = None, *, _rotated=None
+) -> StepwiseTrace:
     """Run p-value-gated stepwise selection over named columns.
 
     columns: ordered mapping of name -> 1-d numeric array (insertion order is
     the declared order used for tie-breaking). response: 1-d numeric array of
-    the same length.
+    the same length. _rotated, when given, is `stats.rotation` of every column
+    and the response, all finite, as a pipeline round shares it.
     """
     cfg = config or StepwiseConfig()
     if not columns:
@@ -177,8 +185,7 @@ def stepwise_fit(columns, response, config: StepwiseConfig | None = None) -> Ste
     at = {name: j + 1 for j, name in enumerate(finite)}  # column of Z
     if finite:
         # Z' = Q'[1, finite columns, y] as a product; see the module docstring
-        Z = np.array([np.ones(n), *(cols[name] for name in finite), y]).T  # column-major
-        Z = blockwise(Z, lambda rows: np.linalg.qr(rows)[0].T @ rows)
+        Z = _rotated if _rotated is not None else rotation([cols[name] for name in finite], y)
         gram = _Gram(Z, n)
 
     included: list[str] = []
@@ -241,7 +248,10 @@ def stepwise_fit(columns, response, config: StepwiseConfig | None = None) -> Ste
     fit = None
     if included:
         try:
-            fit = ols_fit(np.column_stack([cols[name] for name in included]), y, names=included)
+            if n > BLOCK_ROWS:
+                fit = _ols(Z[:, [0, *(at[name] for name in included), -1]], y, included)
+            else:
+                fit = ols_fit(np.column_stack([cols[name] for name in included]), y, names=included)
         except (NumericalError, ValidationError) as exc:
             raise _unfittable(step, included) from exc
     return StepwiseTrace(

@@ -36,7 +36,8 @@ from catreg import (
 )
 from catreg.data import rows_to_columns
 from catreg.stats import FLAT_RESPONSE, NONFINITE, RANK_DEFICIENT, TOO_FEW_ROWS
-from catreg.stats import adjusted_r2, blockwise, entry_scan, removal_scan, t_pvalue
+from catreg.stats import BLOCK_ROWS, _ols, adjusted_r2, entry_scan, removal_scan, rotation
+from catreg.stats import t_pvalue
 from catreg.stepwise import ENTERED, REMOVED, StepwiseConfig, StepwiseEvent, StepwiseTrace
 
 LETTERS = "ABCDEFGHIJ"
@@ -323,7 +324,8 @@ def reference_stepwise_fit(columns, response, config=None) -> StepwiseTrace:
     """The stepwise loop before its decisions were read off the cross-product
     matrix: every entry and removal decided by `stats.entry_scan` and
     `stats.removal_scan` on Z' = Q'[1, finite columns, y], and every step that
-    entered nothing still scanning for removals. Kept to check the library's
+    entered nothing still scanning for removals. The reported fit is `ols_fit`
+    on the data, read off Z' above BLOCK_ROWS rows. Kept to check the library's
     events, selection, diagnostics and fit against, bit for bit."""
     cfg = config or StepwiseConfig()
     if not columns:
@@ -349,8 +351,7 @@ def reference_stepwise_fit(columns, response, config=None) -> StepwiseTrace:
     flat = bool(finite) and (np.ptp(y) == 0.0 or float(((y - y.mean()) ** 2).sum()) <= 0.0)
     at = {name: j + 1 for j, name in enumerate(finite)}  # column of Z
     if finite:
-        Z = np.array([np.ones(n), *(cols[name] for name in finite), y]).T  # column-major
-        Z = blockwise(Z, lambda rows: np.linalg.qr(rows)[0].T @ rows)
+        Z = rotation([cols[name] for name in finite], y)
 
     included: list[str] = []
     events: list[StepwiseEvent] = []
@@ -402,7 +403,11 @@ def reference_stepwise_fit(columns, response, config=None) -> StepwiseTrace:
     fit = None
     if included:
         try:
-            fit = ols_fit(np.column_stack([cols[name] for name in included]), y, names=included)
+            if n > BLOCK_ROWS:
+                fit = _ols(Z[:, [0, *(at[name] for name in included), -1]], y, included)
+            else:
+                fit = ols_fit(np.column_stack([cols[name] for name in included]), y,
+                              names=included)
         except (NumericalError, ValidationError) as exc:
             raise NumericalError(
                 f"step {step}: the included set {included} cannot be fitted") from exc

@@ -9,12 +9,10 @@ loop stops as soon as one round's selection matches its own input set, or
 after max_rounds (flagged as not converged). An empty selection halts with a
 flagged, model-less result.
 
-On tall data (more than `stats.BLOCK_ROWS` rows) a round rotates its stepwise
-design once: `catreg_fit` forms Z' = Q'[1, round columns, y] after its sweeps
-and reads its final fit off Z', and `stepwise_fit` takes the same Z' for its
-decisions and its reported fit. Neither final fit makes another n-row pass.
-Results agree with fits on the data rows to rounding; shorter data, the sample
-corpus included, keep those fits bit for bit.
+On tall data (more than `stats.BLOCK_ROWS` rows) `catreg_fit` forms the round's
+stepwise rotation Z' = Q'[1, round columns, y] once, after its sweeps, and both
+its final fit and `stepwise_fit` (decisions and reported fit) read Z': no other
+n-row pass. Shorter data, the sample corpus included, keep their bits.
 
 The final model serializes to a small JSON document (schema version 1):
 variable descriptions, category quantifications, coefficients and intercept.

@@ -20,12 +20,10 @@ so the per-iteration R^2 trace is non-decreasing. Iteration stops when the R^2
 gain drops below `epsilon` or `max_iterations` is reached (the latter yields a
 fit flagged as non-converged, not an exception). Coefficients, p-values and
 R^2 are read off a final joint least-squares pass over the quantified columns.
-In a tall pipeline round that pass reads the rows of the round's one rotation
-Z' = Q'[1, raw numeric or quantified columns, raw y] (`stats.rotation`, kept on
-the fit for stepwise) instead of n data rows: a standardized numeric column is
-(Z'_j - mean Z'_0) / scale, z is (Z'_y - mean_y Z'_0) / s_y, a quantified column
-is Z'_j itself, and only the active columns enter; SST is still taken from z.
-Called alone, `catreg_fit` fits the n rows.
+In a tall pipeline round it reads the round's Z' = Q'[1, raw numeric or
+quantified columns, raw y] (`stats.rotation`, kept for stepwise) instead of n
+rows: a numeric column is (Z'_j - mean Z'_0) / scale, z is (Z'_y - mean_y Z'_0)
+/ s_y, a quantified one Z'_j, active columns only; SST is still z's.
 
 The loop keeps one record per predictor (a numeric one holds its standardized
 column; a categorical one its codes, labels, counts and level) and one
@@ -382,19 +380,13 @@ def catreg_fit(
     active_names = [records[j].name for j in active]
     rotated = None
     if _share_rotation:
-        # the standardized columns are affine in the raw ones: x = (raw - mean) / scale
         rotated = rotation([dataset.column(p.name) if p.codes is None else _column(p, v)
                             for p, v in zip(records, quants)], y)
-        one = rotated[:, 0]
-        rows = [one]
-        for j in active:
-            col = rotated[:, j + 1]
-            if records[j].codes is None:
-                mean, scale = numeric_map[records[j].name]
-                col = (col - mean * one) / scale
-            rows.append(col)
-        rows.append((rotated[:, -1] - y_mean * one) / y_scale)
-        ols = _ols(np.column_stack(rows), z, active_names)
+        # the standardized columns are affine in the raw ones: (raw - mean) / scale
+        shift, scale = np.array([(0.0, 1.0), *(numeric_map.get(p.name, (0.0, 1.0))
+                                               for p in records), (y_mean, y_scale)]).T
+        rows = (rotated - np.outer(rotated[:, 0], shift)) / scale
+        ols = _ols(rows[:, [0, *(j + 1 for j in active), -1]], z, active_names)
     else:
         design = np.column_stack([_column(records[j], quants[j]) for j in active])
         ols = ols_fit(design, z, names=active_names)

@@ -293,9 +293,8 @@ def run_pipeline(
 
     current = list(declared)
     rounds: list[RoundRecord] = []
-    tall = dataset.n > BLOCK_ROWS
     for r in range(1, max_rounds + 1):
-        cfit = catreg_fit(dataset, current, catreg_config, _share_rotation=tall)
+        cfit = catreg_fit(dataset, current, catreg_config, _share_rotation=dataset.n > BLOCK_ROWS)
         columns = {}
         for name in current:
             if dataset.variable(name).is_categorical:

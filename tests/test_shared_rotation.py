@@ -130,7 +130,8 @@ class TestGate:
     def test_stepwise_alone_reads_its_fit_off_its_rotation_only_when_tall(self, monkeypatch):
         rng = np.random.default_rng(2)
         calls = []
-        monkeypatch.setattr(stepwise, "ols_fit", lambda *a, **k: calls.append(1) or ols_fit(*a, **k))
+        monkeypatch.setattr(stepwise, "ols_fit",
+                            lambda *a, **k: calls.append(1) or ols_fit(*a, **k))
         for n, fits_so_far in ((BLOCK_ROWS, 1), (BLOCK_ROWS + 1, 1)):
             X = rng.normal(size=(n, 3))
             trace = stepwise_fit({f"x{j}": X[:, j] for j in range(3)},
@@ -166,8 +167,8 @@ def _report(run):
     except NumericalError as exc:
         return type(exc), str(exc)
     fit = trace.fit
-    arrays = None if fit is None else (
-        fit.names, fit.coef, fit.intercept, fit.stderr, fit.tstat, fit.r2, fit.adj_r2, fit.n, fit.p)
+    arrays = None if fit is None else (fit.names, fit.coef, fit.intercept, fit.stderr,
+                                       fit.tstat, fit.r2, fit.adj_r2, fit.n, fit.p)
     return ([(e.step, e.variable, e.action, e.pvalue) for e in trace.events],
             trace.selected, trace.diagnostics), arrays
 

@@ -291,17 +291,17 @@ def run_pipeline(
     if not declared:
         raise ValidationError("the dataset declares no predictors")
 
-    current = list(declared)
+    current, tall = list(declared), dataset.n > BLOCK_ROWS
     rounds: list[RoundRecord] = []
     for r in range(1, max_rounds + 1):
-        cfit = catreg_fit(dataset, current, catreg_config, _share_rotation=dataset.n > BLOCK_ROWS)
-        columns = {}
-        for name in current:
-            if dataset.variable(name).is_categorical:
-                columns[name] = column_as_quantified(dataset, name, cfit.quantifications)
-            else:
-                columns[name] = dataset.column(name)
-        trace = stepwise_fit(columns, y, stepwise_config, _rotated=cfit._rotated)
+        cfit = catreg_fit(dataset, current, catreg_config, _share_round=tall)
+        if tall:  # the round's cross products stand for its columns
+            columns = dict.fromkeys(current)
+        else:
+            columns = {name: column_as_quantified(dataset, name, cfit.quantifications)
+                       if dataset.variable(name).is_categorical else dataset.column(name)
+                       for name in current}
+        trace = stepwise_fit(columns, y, stepwise_config, _round=cfit._round)
         rounds.append(RoundRecord(r, tuple(current), cfit.r2, cfit.adj_r2, trace, trace.selected))
         converged = set(trace.selected) == set(current)
         if not trace.selected or converged:

@@ -66,7 +66,7 @@ from .data import (
     population_standardize,
 )
 from .errors import NumericalError, ValidationError, require_number
-from .stats import BLOCK_ROWS, OlsFit, _ols, adjusted_r2, ols_fit, rotation
+from .stats import BLOCK_ROWS, OlsFit, Round, adjusted_r2, ols_fit, rotation
 
 # mean square below this is treated as a collapsed (degenerate) quantification
 _DEGENERATE_MS = 1e-24
@@ -181,7 +181,7 @@ class CatregFit:
     diagnostics: tuple[str, ...]
     n: int
     _final: OlsFit = field(repr=False, compare=False)
-    _rotated: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _round: Round | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def pvalues(self) -> dict:
@@ -258,6 +258,8 @@ class _CrossSweep:
         M[np.ix_(num, num)] = F.T @ F
         self.M, self.b, self.zz, self.n = M[:-1, :-1], M[:-1, -1], M[-1, -1], len(z)
         self.a, self.records, self.starts = np.zeros(len(self.b)), records, starts
+        self.AA, self.ones = M, np.concatenate([p.counts or [0.0] for p in records] + [[0.0]])
+        self.ones[num] = F.sum(axis=0)  # 1'A: the category counts and the column sums
 
     def step(self, j: int):
         p, k, a = self.records[j], slice(*self.starts[j:j + 2]), self.a
@@ -273,18 +275,31 @@ class _CrossSweep:
         a = self.a
         return 1.0 - (self.zz - 2.0 * float(a @ self.b) + float(a @ self.M @ a)) / self.n
 
+    def basis(self, quants, shift, scale):
+        """(K, T, nonneg) of a `stats.Round` over B = [1, A]: K = B'B from M and
+        1'A, and T maps B to [1, raw or quantified columns, raw y]."""
+        K = np.empty((len(self.AA) + 1,) * 2)
+        K[0, 0], K[0, 1:], K[1:, 0], K[1:, 1:] = self.n, self.ones, self.ones, self.AA
+        T, nonneg = np.zeros((len(K), len(shift))), np.zeros(len(K), bool)
+        T[0], T[-1, -1], nonneg[0] = shift, scale[-1], True
+        T[0, 0] = 1.0
+        for j, (p, v) in enumerate(zip(self.records, quants), 1):
+            k = slice(self.starts[j - 1] + 1, self.starts[j] + 1)
+            T[k, j], nonneg[k] = (scale[j], False) if p.codes is None else (v, True)
+        return K, T, nonneg
+
 
 def catreg_fit(
     dataset: Dataset, predictors=None, config: CatregConfig | None = None, *,
-    _share_rotation: bool = False,
+    _share_round: bool = False,
 ) -> CatregFit:
     """Fit the optimal-scaling regression of the dataset's dependent variable.
 
     predictors: names to include, in sweep order; defaults to every declared
     predictor in dataset order. Requires every categorical predictor to show
     at least two observed categories and n to exceed the total number of free
-    quantification parameters. _share_rotation: read the final fit off a
-    pipeline round's Z' (see the module docstring) and keep Z' as `_rotated`.
+    quantification parameters. _share_round: read the final fit off a pipeline
+    round's cross products (see the module docstring), kept as `_round`.
     """
     cfg = config or CatregConfig()
     names = list(predictors) if predictors is not None else [v.name for v in dataset.predictors]
@@ -378,15 +393,10 @@ def catreg_fit(
     if not active:
         raise NumericalError("every predictor's quantification collapsed; nothing to fit")
     active_names = [records[j].name for j in active]
-    rotated = None
-    if _share_rotation:
-        rotated = rotation([dataset.column(p.name) if p.codes is None else _column(p, v)
-                            for p, v in zip(records, quants)], y)
-        # the standardized columns are affine in the raw ones: (raw - mean) / scale
-        shift, scale = np.array([(0.0, 1.0), *(numeric_map.get(p.name, (0.0, 1.0))
-                                               for p in records), (y_mean, y_scale)]).T
-        rows = (rotated - np.outer(rotated[:, 0], shift)) / scale
-        ols = _ols(rows[:, [0, *(j + 1 for j in active), -1]], z, active_names)
+    shared = None
+    if _share_round:
+        shared = _round(dataset, records, quants, numeric_map, (y_mean, y_scale), cross)
+        ols = shared.fit([j + 1 for j in active], z, active_names, standardized=True)
     else:
         design = np.column_stack([_column(records[j], quants[j]) for j in active])
         ols = ols_fit(design, z, names=active_names)
@@ -429,5 +439,30 @@ def catreg_fit(
         diagnostics=tuple(diagnostics),
         n=n,
         _final=ols,
-        _rotated=rotated,
+        _round=shared,
     )
+
+
+def _round(dataset, records, quants, numeric_map, y_map, cross) -> Round:
+    """The round's `stats.Round`: over [1, A] from M when the sweeps built it,
+    else over [1, X, y] from Z', formed now. Z' is Q'[1, raw numeric or
+    quantified columns, raw y]; a raw column is shift + scale * standardized."""
+    shift, scale = np.array([(0.0, 1.0), *(numeric_map.get(p.name, (0.0, 1.0))
+                                           for p in records), y_map]).T
+    items = [(p.name, p.codes is None, v) for p, v in zip(records, quants)]
+
+    def rotate():
+        return rotation([dataset.column(name) if numeric else np.array(v)[dataset.codes(name)[0]]
+                         for name, numeric, v in items], dataset.column(dataset.dependent.name))
+
+    if cross is None:
+        rotated = rotate()
+        with np.errstate(all="ignore"):
+            K = rotated.T @ rotated
+        return Round(K, np.eye(len(K)), np.zeros(len(K), bool), shift, scale, 0.0,
+                     lambda: rotated)
+    K, T, nonneg = cross.basis(quants, shift, scale)
+    # M's sums run over at most n rows, 1'A's too, T'KT's over len(K) terms twice,
+    # and a raw numeric column mean + scale * standardized is its own to 4 u
+    u = np.finfo(float).eps / 2
+    return Round(K, T, nonneg, shift, scale, u * (cross.n + 2 * len(K) + 8), rotate)

@@ -68,6 +68,12 @@ _BETA_MAX_ITER = 300
 _FPMIN = 1e-300
 _RANK_TOL = 1e-10
 BLOCK_ROWS = 2048  # rows per factorized block; [1, X, y] at 68 columns is 1.1 MB
+# Cholesky on a Gram matrix G = Z''Z' and the scans' QR on Z' are exact for Z'
+# perturbed by |dG_ij| <= eta sqrt(G_ii G_jj), eta = _ETA (rows + columns of Z')
+# (Higham 2002, 10.1, 19.3); see `stepwise` for the margins built on it
+_ETA = 64 * np.finfo(float).eps
+_RANK_BOUND = (2.0 * _RANK_TOL) ** 2  # twice the scan's singular value ratio, squared
+_GRAM_TOL = 1e-8  # the largest bound B at which `gram_solve` reads a fit off S
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -275,10 +281,12 @@ def ols_fit(design, response, names=None) -> OlsFit:
     return _ols(rows, y, names)
 
 
-def _ols(rows, y: np.ndarray, names=None) -> OlsFit:
+def _ols(rows, y: np.ndarray, names=None, solved=None) -> OlsFit:
     """`ols_fit` of the finite response y on the rows of [1, X, y], or of
     Q'[1, X, y] as `fit_rows` takes them: its checks on the row count, the
-    names, the rank and y's variance, and its result. SST is taken from y."""
+    names, the rank and y's variance, and its result. SST is taken from y.
+    solved, when given, is what `fit_rows` would return, read elsewhere (then
+    only the shape of rows is read)."""
     n, p = y.size, rows.shape[1] - 2
     if n <= p + 1:
         raise ValidationError(TOO_FEW_ROWS.format(n, p + 1))
@@ -288,7 +296,7 @@ def _ols(rows, y: np.ndarray, names=None) -> OlsFit:
         names = tuple(names)
         if len(names) != p:
             raise ValidationError("names must match the number of design columns")
-    b, se, tstat, sse = fit_rows(rows, n)
+    b, se, tstat, sse = solved or fit_rows(rows, n)
     sst = float(((y - y.mean()) ** 2).sum())
     # the mean of a constant response can round, leaving sst just above 0
     if sst <= 0.0 or np.ptp(y) == 0.0:
@@ -305,6 +313,92 @@ def _ols(rows, y: np.ndarray, names=None) -> OlsFit:
         n=n,
         p=p,
     )
+
+
+@np.errstate(all="ignore")
+def gram_solve(S, eps: float, n: int, shift=None, scale=None):
+    """`fit_rows`'s (b, stderr, tstat, sse) read off cross products, or None.
+
+    S is the Gram matrix of standardized columns [1, X, z] over n rows, each
+    entry within eps sqrt(S_ii S_jj) of the exact one. None where S's factor
+    fails, the rank certificate fails or the bound B (see the module
+    docstring) exceeds _GRAM_TOL. With shift and scale (one entry per column
+    of S, the intercept's 0 and 1), the result is that of the raw columns
+    shift + scale * column.
+    """
+    k = len(S) - 1  # columns of [1, X]
+    d = np.sqrt(S.diagonal())
+    unit = S / np.outer(d, d)
+    if not (n > k and np.isfinite(unit).all()):
+        return None
+    try:
+        Linv = np.linalg.inv(np.linalg.cholesky(unit[:k, :k]))
+    except np.linalg.LinAlgError:
+        return None
+    w = Linv @ unit[:k, k]
+    beta, rho = Linv.T @ w, 1.0 - float(w @ w)  # rho = SSE / z'z
+    v = (Linv * Linv).sum(axis=0)  # diag of unit[:k, :k]^-1
+    q = float(np.linalg.norm(Linv, 2)) ** 2  # ||unit[:k, :k]^-1||_2
+    cond2 = float((d[:k] ** 2).sum() * (v / d[:k] ** 2).sum())
+    bound = k * eps * q * (1.0 + float(np.linalg.norm(beta))) ** 2 / rho
+    if not (cond2 * _RANK_BOUND < 1.0 and rho > 0.0 and bound <= _GRAM_TOL):
+        return None
+    b = beta * (d[k] / d[:k])
+    se, sse = d[k] * np.sqrt(rho / (n - k) * v[1:]) / d[1:k], rho * S[k, k]
+    if shift is not None:
+        ratio = scale[k] / scale[1:k]
+        coef = b[1:] * ratio
+        b = np.concatenate([[shift[k] + scale[k] * b[0] - coef @ shift[1:k]], coef])
+        se, sse = se * ratio, sse * scale[k] ** 2
+    return b, se, _tstat(b[1:], se), sse
+
+
+class Round:
+    """The cross products of a tall pipeline round's columns [1, X, y]: raw
+    numeric or quantified columns and the raw response, each shift + scale *
+    its standardized column.
+
+    K holds the cross products of a basis B of n rows, and B T are the round's
+    columns. K is within eta |B|'|B| of B'B entrywise, so T'KT is within
+    eta r_i r_j of its exact value for r_i = || |B| |T_i| || (Higham 2002, 3.1):
+    nonneg marks B's columns with no negative entry, where |B|'|B| is K, and
+    elsewhere it is at most sqrt(K_aa K_bb). G = T'KT is the round's Gram
+    matrix and S that of its standardized columns; `eta` bounds G's errors
+    relative to sqrt(G_ii G_jj). rotate() forms Z' = Q'[1, X, y] (`rotation`)
+    on the first read of `rotated`.
+    """
+
+    def __init__(self, K, T, nonneg, shift, scale, eta: float, rotate):
+        with np.errstate(all="ignore"):
+            w = np.sqrt(K.diagonal())
+            N = np.where(np.outer(nonneg, nonneg), K, np.outer(w, w))  # bounds |B|'|B|
+            std = (T - np.outer(T[:, 0], shift)) / scale  # T[:, 0] is 1 in B
+            self.G, self.S = T.T @ K @ T, std.T @ K @ std
+            raw2, std2 = (np.einsum("ai,ab,bi->i", abs(M), N, abs(M)) for M in (T, std))  # r^2
+            eta += _ETA * 2 * T.shape[1]  # and the scans' own error on Z'
+            self.eta = eta * float((raw2 / self.G.diagonal()).max())
+            self._eta, self._kappa2 = eta, std2 / self.S.diagonal()  # kappa2 >= 1
+        self.shift, self.scale, self._rotate = shift, scale, rotate
+
+    @cached_property
+    def rotated(self) -> np.ndarray:
+        return self._rotate()
+
+    def fit(self, cols, response, names, standardized: bool = False) -> OlsFit:
+        """`_ols` of the response on 1 and the columns cols of X (counted from
+        1), raw or standardized: off S where `gram_solve` reads it, else off
+        the rows of Z', as the fit was read before S was."""
+        idx = [0, *cols, len(self.S) - 1]
+        block = np.ix_(idx, idx)
+        raw = (None, None) if standardized else (self.shift[idx], self.scale[idx])
+        eps = self._eta * float(self._kappa2[idx].max())
+        solved = gram_solve(self.S[block], eps, response.size, *raw)
+        if solved is not None:
+            return _ols(self.S[block], response, names, solved)
+        rows = self.rotated
+        if standardized:
+            rows = (rows - np.outer(rows[:, 0], self.shift)) / self.scale
+        return _ols(rows[:, idx], response, names)
 
 
 def entry_scan(base, candidates, response, n: int) -> tuple[int | None, float, np.ndarray]:

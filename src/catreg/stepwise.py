@@ -51,31 +51,31 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from . import stats
 from .errors import NumericalError, ValidationError, require_number
 from .stats import FLAT_RESPONSE, NONFINITE, RANK_DEFICIENT, TOO_FEW_ROWS, OlsFit
-from .stats import BLOCK_ROWS, _ols, entry_scan, ols_fit, removal_scan, rotation
+from .stats import _ETA, _RANK_BOUND, BLOCK_ROWS, _ols, entry_scan, ols_fit, removal_scan, rotation
 
 ENTERED = "entered"
 REMOVED = "removed"
 
 # Margins. Cholesky on G and the scans' QR on Z' are exact for Z' perturbed by
-# |dG_ij| <= eta sqrt(G_ii G_jj), eta = _ETA (rows + columns of Z') (Higham 2002,
-# 10.1, 19.3). A Schur complement (a pivot d^2, or y's SSE) of column c then
+# |dG_ij| <= eta sqrt(G_ii G_jj), eta = stats._ETA (rows + columns of Z') (Higham
+# 2002, 10.1, 19.3), plus, where G is a round's (`stats.Round`), the error of its
+# cross products. A Schur complement (a pivot d^2, or y's SSE) of column c then
 # moves by eta amp G_cc, amp = 2 (1 + k ||L^-1 D||_F^2), D^2 = diag(G) over the
 # set's k columns: by eta amp / ratio of itself, for the pivot ratio d^2 / G_cc
 # or the residual ratio SSE / G_yy. t = sqrt(df) e / (d sqrt(SSE)) moves by at
 # most eta amp (sqrt(df) + 3|t|) / (pivot * residual ratio), plus, for the SVD
 # in removal_scan, eta cond (|b| / se + |t|). Past _TRUST, near-perfect fits and
 # near-collinear columns among them, the scan decides.
-_ETA = 64 * np.finfo(float).eps
 _TRUST = 1e-3
-_RANK_BOUND = (2.0 * stats._RANK_TOL) ** 2  # twice the scan's singular value ratio, squared
 _RANGE = 1e100  # G's diagonal bound, so no product of two entries over- or underflows
 _UNDECIDED = object()  # a choice the margins leave to the scan
 
@@ -148,14 +148,15 @@ class StepwiseTrace:
 
 
 def stepwise_fit(
-    columns, response, config: StepwiseConfig | None = None, *, _rotated=None
+    columns, response, config: StepwiseConfig | None = None, *, _round=None
 ) -> StepwiseTrace:
     """Run p-value-gated stepwise selection over named columns.
 
     columns: ordered mapping of name -> 1-d numeric array (insertion order is
     the declared order used for tie-breaking). response: 1-d numeric array of
-    the same length. _rotated, when given, is `stats.rotation` of every column
-    and the response, all finite, as a pipeline round shares it.
+    the same length. _round, when given, is a pipeline round's `stats.Round`
+    over every column and the response, all finite; the columns' values are
+    then not read.
     """
     cfg = config or StepwiseConfig()
     if not columns:
@@ -165,7 +166,7 @@ def stepwise_fit(
     if y.ndim != 1:
         raise ValidationError("response must be a 1-d array")
     cols: dict[str, np.ndarray] = {}
-    for name in names:
+    for name in names if _round is None else ():
         arr = np.asarray(columns[name], dtype=float)
         if arr.ndim != 1 or arr.size != y.size:
             raise ValidationError(
@@ -180,13 +181,17 @@ def stepwise_fit(
     # variance lets nothing enter
     finite = []
     if np.isfinite(y).all():
-        finite = [name for name in names if np.isfinite(cols[name]).all()]
+        finite = [name for name in names if _round or np.isfinite(cols[name]).all()]
     flat = bool(finite) and (np.ptp(y) == 0.0 or float(((y - y.mean()) ** 2).sum()) <= 0.0)
     at = {name: j + 1 for j, name in enumerate(finite)}  # column of Z
-    if finite:
+    if _round is not None:  # Z' is formed on first use
+        gram, Z = _Gram(_round.G, n, _round.eta), lambda: _round.rotated
+    elif finite:
         # Z' = Q'[1, finite columns, y] as a product; see the module docstring
-        Z = _rotated if _rotated is not None else rotation([cols[name] for name in finite], y)
-        gram = _Gram(Z, n)
+        rotated = rotation([cols[name] for name in finite], y)
+        with np.errstate(all="ignore"):
+            gram = _Gram(rotated.T @ rotated, n, _ETA * sum(rotated.shape))
+        Z = lambda: rotated
 
     included: list[str] = []
     events: list[StepwiseEvent] = []
@@ -207,13 +212,13 @@ def stepwise_fit(
         elif scored:
             cand = [at[name] for name in scored]
             best = _UNDECIDED if flat else gram.entry(base, cand, cfg.alpha_enter)
+            scan = lambda b=base, c=cand: entry_scan(Z()[:, b], Z()[:, c], Z()[:, -1], n)
             if best is _UNDECIDED:
-                best, best_p, deficient = entry_scan(Z[:, base], Z[:, cand], Z[:, -1], n)
+                best, best_p, deficient = scan()
                 if flat or best is None or not best_p < cfg.alpha_enter:
                     best = None
             else:
-                deficient = [False] * len(cand)
-                best_p = lambda b=base, c=cand: entry_scan(Z[:, b], Z[:, c], Z[:, -1], n)[1]
+                deficient, best_p = [False] * len(cand), lambda scan=scan: scan()[1]
             for name, bad in zip(scored, deficient):
                 reasons[name] = RANK_DEFICIENT if bad else (FLAT_RESPONSE if flat else None)
             if best is not None:
@@ -229,7 +234,7 @@ def stepwise_fit(
         # removal phase: repeatedly drop the worst offender above alpha_remove
         while changed and included:
             z_cols = [at[name] for name in included]  # columns of Z, in entry order
-            scan = partial(removal_scan, Z[:, [0, *z_cols, -1]], n, z_cols, cfg.alpha_remove)
+            scan = lambda c=z_cols: removal_scan(Z()[:, [0, *c, -1]], n, c, cfg.alpha_remove)
             worst = gram.removal([0, *z_cols], cfg.alpha_remove)
             if worst is _UNDECIDED:
                 try:
@@ -247,11 +252,16 @@ def stepwise_fit(
 
     fit = None
     if included:
+        z_cols = [at[name] for name in included]
         try:
-            if n > BLOCK_ROWS:
-                fit = _ols(Z[:, [0, *(at[name] for name in included), -1]], y, included)
-            else:
-                fit = ols_fit(np.column_stack([cols[name] for name in included]), y, names=included)
+            if _round is not None:
+                fit = _round.fit(z_cols, y, included)
+            elif n <= BLOCK_ROWS:
+                # the data's rank screen can refuse, at its edge, a set Z' accepted
+                with suppress(NumericalError):
+                    fit = ols_fit(np.column_stack([cols[name] for name in included]), y,
+                                  names=included)
+            fit = fit or _ols(Z()[:, [0, *z_cols, -1]], y, included)
         except (NumericalError, ValidationError) as exc:
             raise _unfittable(step, included) from exc
     return StepwiseTrace(
@@ -263,12 +273,11 @@ def stepwise_fit(
 
 
 class _Gram:
-    """The scans' decisions read off G = Z''Z' for Z' over n rows, or _UNDECIDED."""
+    """The scans' decisions read off G = Z''Z' for Z' over n rows, or _UNDECIDED;
+    G's entries are within eta sqrt(G_ii G_jj) of Z''Z' (see `_ETA`)."""
 
-    def __init__(self, Z, n):
-        with np.errstate(all="ignore"):
-            self.G = Z.T @ Z
-        self.g, self.n, self.eta = self.G.diagonal(), n, _ETA * sum(Z.shape)
+    def __init__(self, G, n, eta):
+        self.G, self.g, self.n, self.eta = G, G.diagonal(), n, eta
         self.views = {} if ((self.g > 1.0 / _RANGE) & (self.g < _RANGE)).all() else None
 
     @np.errstate(all="ignore")

@@ -325,8 +325,9 @@ def reference_stepwise_fit(columns, response, config=None) -> StepwiseTrace:
     matrix: every entry and removal decided by `stats.entry_scan` and
     `stats.removal_scan` on Z' = Q'[1, finite columns, y], and every step that
     entered nothing still scanning for removals. The reported fit is `ols_fit`
-    on the data, read off Z' above BLOCK_ROWS rows. Kept to check the library's
-    events, selection, diagnostics and fit against, bit for bit."""
+    on the data, read off Z' above BLOCK_ROWS rows and where the data's rank
+    screen refuses the set. Kept to check the library's events, selection,
+    diagnostics and fit against, bit for bit."""
     cfg = config or StepwiseConfig()
     if not columns:
         raise ValidationError("stepwise_fit needs at least one candidate column")
@@ -403,11 +404,14 @@ def reference_stepwise_fit(columns, response, config=None) -> StepwiseTrace:
     fit = None
     if included:
         try:
-            if n > BLOCK_ROWS:
+            if n <= BLOCK_ROWS:
+                try:
+                    fit = ols_fit(np.column_stack([cols[name] for name in included]), y,
+                                  names=included)
+                except NumericalError:
+                    pass
+            if fit is None:
                 fit = _ols(Z[:, [0, *(at[name] for name in included), -1]], y, included)
-            else:
-                fit = ols_fit(np.column_stack([cols[name] for name in included]), y,
-                              names=included)
         except (NumericalError, ValidationError) as exc:
             raise NumericalError(
                 f"step {step}: the included set {included} cannot be fitted") from exc

@@ -1,12 +1,16 @@
-"""One rotation per tall pipeline round.
+"""Tall pipeline rounds read off cross products; Z' only where a scan must decide.
 
-Above `stats.BLOCK_ROWS` rows a pipeline round forms stepwise's Z' =
-Q'[1, round columns, y] once (`stats.rotation`, called by `catreg_fit`) and
-reads both final fits off it: CATREG's joint fit through the affine map of its
-standardized columns, and stepwise's reported fit. `stepwise_fit` alone reads
-its reported fit off its own Z' above BLOCK_ROWS rows. Setting BLOCK_ROWS to
-infinity in `pipeline` and `stepwise` restores the path on which both final
-fits ran `ols_fit` on the n data rows; the parity tests compare against it.
+Above `stats.BLOCK_ROWS` rows a pipeline round's `catreg_fit` hands stepwise a
+`stats.Round`: the Gram matrix G of [1, round columns, y] and S, that of the
+standardized columns, from the sweeps' M = A'A (from Z''Z' where the sweeps ran
+on rows), and Z' = Q'[1, round columns, y] (`stats.rotation`) formed on first
+use. Stepwise decides on G and both final fits read S (`stats.gram_solve`). Z'
+is formed where a decision is left to a scan, where an event's p-value is read,
+and where the gate refuses S; the fits then read Z' as every round did before.
+`stepwise_fit` alone on a round's columns forms that same Z' and runs that
+path, so it is the reference of the round tests. Setting BLOCK_ROWS to infinity
+in `pipeline` and `stepwise` restores the path on which both final fits ran
+`ols_fit` on the n data rows; the pipeline parity tests compare against it.
 """
 
 import math
@@ -21,7 +25,8 @@ from hypothesis import strategies as st
 from catreg import Dataset, NumericalError, StepwiseConfig, Variable
 from catreg import compare_baseline, ingest_dataset, load_gearing, run_pipeline
 from catreg import pipeline, scaling, stats, stepwise
-from catreg.stats import BLOCK_ROWS, RANK_DEFICIENT, ols_fit, rotation
+from catreg.data import column_as_quantified, population_standardize
+from catreg.stats import BLOCK_ROWS, RANK_DEFICIENT, Round, _ols, ols_fit, rotation
 from catreg.stepwise import stepwise_fit
 from helpers import assert_raises_exactly, mixed_dataset, planted_pipeline_dataset
 
@@ -71,6 +76,43 @@ def _fit_rows_row_counts(mp) -> list:
     return rows
 
 
+def _gram_reads(mp) -> list:
+    """Per `stats.gram_solve` call, whether it read the fit off S (not refused)."""
+    reads = []
+    solve = stats.gram_solve
+
+    def spy(*args):
+        solved = solve(*args)
+        reads.append(solved is not None)
+        return solved
+
+    mp.setattr(stats, "gram_solve", spy)
+    return reads
+
+
+def _questionnaire_dataset(seed: int, n: int) -> Dataset:
+    """The benchmark corpus's shape: 22 items of 2 to 6 choices, 8 of them
+    nominal, and two numeric predictors; signal on four items and both."""
+    rng = np.random.default_rng(seed)
+    sizes = (3, 6, 4, 5, 3, 3, 3, 4, 5, 5, 5, 3, 3, 2, 5, 2, 2, 5, 5, 5, 3, 4)
+    effects = {1: 0.08, 6: -0.25, 8: 0.07, 17: -0.1}
+    fp, duration = rng.normal(4.0, 0.7, n), rng.normal(1.5, 0.5, n)
+    y = 1.0 + 0.9 * fp + 0.3 * duration + rng.normal(scale=0.8, size=n)
+    variables, columns = [], []
+    for j, k in enumerate(sizes):
+        codes = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+        rng.shuffle(codes)
+        y += effects.get(j, 0.0) * (codes if j != 6 else np.array([0, 1, -1])[codes])
+        cats = tuple("ABCDEF"[:k])
+        level = "nominal" if j in (0, 3, 5, 6, 11, 14, 18, 20) else "ordinal"
+        variables.append(Variable(f"Q{j + 1}", level, cats))
+        columns.append([cats[c] for c in codes])
+    variables += [Variable("Ln(FP)", "numeric"), Variable("Ln(Duration)", "numeric"),
+                  Variable("Ln(Defect)", "numeric", role="dependent")]
+    columns += [fp.tolist(), duration.tolist(), y.tolist()]
+    return Dataset(tuple(variables), columns, [None] * n)
+
+
 def _wide_dataset(seed: int, n: int) -> Dataset:
     # one nominal item of 130 categories (width^2 = 131^2 keeps CATREG's row
     # loop) and a numeric predictor, both carrying signal
@@ -87,15 +129,15 @@ def _wide_dataset(seed: int, n: int) -> Dataset:
 
 class TestGate:
     def test_the_sample_corpus_never_shares_a_rotation(self, monkeypatch):
-        _refuse(monkeypatch, scaling, "rotation")
-        _refuse(monkeypatch, scaling, "_ols")
-        _refuse(monkeypatch, stepwise, "_ols")
+        for owner, name in ((scaling, "rotation"), (scaling, "_round"), (stats, "gram_solve"),
+                            (stepwise, "_ols")):
+            _refuse(monkeypatch, owner, name)
         passed = []
         fit = pipeline.stepwise_fit
 
-        def spy(columns, response, config=None, *, _rotated=None):
-            passed.append(_rotated)
-            return fit(columns, response, config, _rotated=_rotated)
+        def spy(columns, response, config=None, *, _round=None):
+            passed.append(_round)
+            return fit(columns, response, config, _round=_round)
 
         monkeypatch.setattr(pipeline, "stepwise_fit", spy)
         ds = ingest_dataset(str(DATA / "responses.sample.csv"),
@@ -106,16 +148,29 @@ class TestGate:
         assert passed and all(z is None for z in passed)
 
     @pytest.mark.parametrize("maker", [planted_pipeline_dataset, mixed_dataset])
-    def test_a_tall_round_forms_one_rotation_and_fits_no_data_rows(self, maker, monkeypatch):
+    def test_a_tall_narrow_round_forms_no_rotation_and_fits_no_rows(self, maker, monkeypatch):
         n = 2500
         _refuse(monkeypatch, scaling, "ols_fit")
         _refuse(monkeypatch, stepwise, "ols_fit")
         rotations = _count_rotations(monkeypatch)
         fits = _fit_rows_row_counts(monkeypatch)
+        reads = _gram_reads(monkeypatch)
         result = run_pipeline(maker(7, n))
-        assert rotations == [n] * len(result.rounds)
-        # every least-squares fit of the run reads rows of a round's Z'
-        assert fits and max(fits) < 8
+        # every decision was read off G and both final fits of each round off S
+        assert rotations == [] and fits == [] and reads == [True] * (2 * len(result.rounds))
+        for r, record in enumerate(result.rounds, 1):
+            assert record.trace.events[0].pvalue <= 0.05  # replayed on the round's Z'
+            assert rotations == [n] * r
+            assert all(e.pvalue <= 0.1 for e in record.trace.events)  # on the same Z'
+            assert rotations == [n] * r
+
+    def test_a_questionnaire_shaped_run_forms_no_rotation(self, monkeypatch):
+        rotations = _count_rotations(monkeypatch)
+        reads = _gram_reads(monkeypatch)
+        result = run_pipeline(_questionnaire_dataset(11, 20_000),
+                              stepwise_config=StepwiseConfig(1e-4, 1e-3))
+        assert len(result.rounds) == 2 and result.converged
+        assert rotations == [] and reads == [True] * 4
 
     def test_a_wide_tall_round_keeps_the_row_loop_and_shares_the_rotation(self, monkeypatch):
         n = BLOCK_ROWS + 300
@@ -187,14 +242,31 @@ def _assert_close_fits(got, want):
         assert np.asarray(a) == pytest.approx(np.asarray(b), rel=REL)
 
 
+def _numeric_round(cols, y) -> Round:
+    """The `stats.Round` that `catreg_fit` builds for numeric predictors: the
+    basis [1, each column standardized, z] and its cross products over n rows."""
+    std, shift, scale = zip(*map(population_standardize, [*cols.values(), y]))
+    B = np.column_stack([np.ones(y.size), *std])
+    T = np.diag([1.0, *scale])
+    T[0, 1:] = shift
+    u = np.finfo(float).eps / 2
+    return Round(B.T @ B, T, np.arange(len(T)) == 0, np.array([0.0, *shift]),
+                 np.array([1.0, *scale]), u * (y.size + 2 * len(T) + 8),
+                 lambda: rotation(list(cols.values()), y))
+
+
 class TestStepwiseParity:
     @given(tall_selection_problems())
     @settings(max_examples=100, deadline=None)
-    def test_the_shared_rotation_gives_the_same_run_bit_for_bit(self, problem):
+    def test_a_round_decides_as_its_rotation_and_fits_within_rounding(self, problem):
         cols, y = problem
-        shared = _report(lambda: stepwise_fit(cols, y, _rotated=rotation(list(cols.values()), y)))
-        alone = _report(lambda: stepwise_fit(cols, y))
-        assert _bits(shared) == _bits(alone)
+        got = _report(lambda: stepwise_fit(dict.fromkeys(cols), y, _round=_numeric_round(cols, y)))
+        want = _report(lambda: stepwise_fit(cols, y))
+        assert got[0] == want[0]  # events and their p-values, selection and diagnostics
+        if want[0] is NumericalError:
+            assert got == want
+        else:
+            _assert_close_fits(got[1], want[1])
 
     @given(tall_selection_problems())
     @settings(max_examples=100, deadline=None)
@@ -319,3 +391,88 @@ class TestPipelineParity:
         assert_raises_exactly(lambda: run_pipeline(twins), NumericalError, RANK_DEFICIENT)
         with final_fits_on_the_data():
             assert_raises_exactly(lambda: run_pipeline(twins), NumericalError, RANK_DEFICIENT)
+
+
+def _round_columns(ds, cfit, names) -> dict:
+    """A round's stepwise columns: raw numeric ones and quantified categorical ones."""
+    return {name: column_as_quantified(ds, name, cfit.quantifications)
+            if ds.variable(name).is_categorical else ds.column(name) for name in names}
+
+
+def _catreg_fit_off_rotation(ds, cfit):
+    """CATREG's final fit as a tall round read it off Z' before S: `_ols` on
+    the affine map of Z' to the standardized columns."""
+    names = list(cfit.predictors)
+    y = ds.column(ds.dependent.name)
+    z, y_mean, y_scale = population_standardize(y)
+    Z = rotation(list(_round_columns(ds, cfit, names).values()), y)
+    shift, scale = np.array([(0.0, 1.0), *(cfit.quantifications.numeric.get(name, (0.0, 1.0))
+                                           for name in names), (y_mean, y_scale)]).T
+    rows = (Z - np.outer(Z[:, 0], shift)) / scale
+    active = [j for j, name in enumerate(names) if name not in cfit.degenerate]
+    return _ols(rows[:, [0, *(j + 1 for j in active), -1]], z, [names[j] for j in active])
+
+
+def _assert_rounds_decide_as_alone(ds, fits, result, bits: bool):
+    """Each round's trace against `stepwise_fit` alone on the round's columns:
+    the same events, p-values, selection and diagnostics, and the same fit bit
+    for bit (bits) or within REL."""
+    y = ds.column(ds.dependent.name)
+    config = StepwiseConfig(0.01, 0.05)  # as `_pipeline_report` runs
+    for cfit, record in zip(fits, result.rounds, strict=True):
+        alone = _report(lambda: stepwise_fit(_round_columns(ds, cfit, record.predictors), y,
+                                             config))
+        got = _report(lambda: record.trace)
+        assert got[0] == alone[0]
+        if bits:
+            assert _bits(got) == _bits(alone)
+        else:
+            _assert_close_fits(got[1], alone[1])
+
+
+def _gate_dataset(case: str, n: int) -> Dataset:
+    """An ordinal and a nominal item and two numeric predictors where a round's
+    S fails the gate: a fit within 1e-6 of perfect, or two numeric predictors
+    1e-7 apart."""
+    rng = np.random.default_rng(5)
+    o1, n1 = rng.integers(0, 4, n), rng.integers(0, 3, n)
+    x1 = rng.normal(size=n)
+    x2 = x1 + 1e-7 * rng.normal(size=n) if case == "near_collinear" else rng.normal(size=n)
+    noise = 1e-6 if case == "near_perfect" else 0.5
+    y = (np.array([0.0, 0.7, 1.5, 2.1])[o1] + np.array([0.0, 1.2, -0.8])[n1] + 0.9 * x1
+         + noise * rng.normal(size=n))
+    A, B = tuple("ABCD"), tuple("ABC")
+    variables = (Variable("ord1", "ordinal", A), Variable("nom1", "nominal", B),
+                 Variable("num1", "numeric"), Variable("num2", "numeric"),
+                 Variable("y", "numeric", role="dependent"))
+    columns = [[A[c] for c in o1], [B[c] for c in n1], x1.tolist(), x2.tolist(), y.tolist()]
+    return Dataset(variables, columns, [None] * n)
+
+
+class TestRoundParity:
+    @pytest.mark.parametrize("case", ["near_perfect", "near_collinear"])
+    def test_a_fit_the_gate_refuses_is_read_off_z_as_before(self, case, monkeypatch):
+        ds = _gate_dataset(case, BLOCK_ROWS + 300)
+        reads = _gram_reads(monkeypatch)
+        fits, result = _pipeline_report(ds)
+        # reads alternate CATREG's joint fit and stepwise's fit, round by round;
+        # the near-perfect fit refuses all of them, the twins round 1's joint fit
+        perfect = case == "near_perfect"
+        assert reads == [False] * len(reads) if perfect else reads[0] is False
+        for cfit, read in zip(fits, reads[::2]):
+            if read:
+                continue
+            want, got = _catreg_fit_off_rotation(ds, cfit), cfit._final
+            assert (got.names, got.intercept, got.r2, got.adj_r2) == (
+                want.names, want.intercept, want.r2, want.adj_r2)
+            for a, b in ((got.coef, want.coef), (got.stderr, want.stderr),
+                         (got.tstat, want.tstat)):
+                assert a.tobytes() == b.tobytes()
+        _assert_rounds_decide_as_alone(ds, fits, result, bits=perfect)
+
+    @given(tall_pipeline_datasets())
+    @settings(max_examples=40, deadline=None)
+    def test_each_round_decides_as_its_rotation(self, ds):
+        report = _pipeline_report(ds)
+        if isinstance(report[1], pipeline.PipelineResult):  # failures: TestPipelineParity
+            _assert_rounds_decide_as_alone(ds, *report, bits=False)

@@ -20,7 +20,8 @@ from catreg import (
     stepwise,
     stepwise_fit,
 )
-from catreg.stats import BLOCK_ROWS, fit_rows, removal_scan, t_pvalue
+from catreg.stats import BLOCK_ROWS, RANK_DEFICIENT, _ols, fit_rows, removal_scan, rotation
+from catreg.stats import t_pvalue
 from catreg.stepwise import ENTERED, REMOVED
 from helpers import (
     assert_raises_exactly,
@@ -146,6 +147,24 @@ class TestAuditability:
         np.testing.assert_array_equal(trace.fit.pvalue, scratch.pvalue)
         assert trace.fit.intercept == scratch.intercept
         assert trace.fit.r2 == scratch.r2
+
+    def test_a_set_its_scans_accept_is_fitted_off_z_where_the_data_refuse_it(self):
+        # [1, x, x + t e] with t within 1e-5 relative of where the rank screen's
+        # ratio crosses 1e-10 (found by a search over 600 such inputs): the
+        # scans on Z' keep both columns, ols_fit on the data rows refuses them
+        n, t = 500, 2.1592915600338663e-10
+        rng = np.random.default_rng(13)
+        x, e = rng.normal(size=n), rng.normal(size=n)
+        y = x + e + 0.1 * rng.normal(size=n)
+        cols = {"x": x, "w": x + t * e}
+        assert_raises_exactly(lambda: ols_fit(np.column_stack([cols["w"], x]), y),
+                              NumericalError, RANK_DEFICIENT)
+        trace = stepwise_fit(cols, y)
+        assert trace.selected == ("w", "x")
+        want = _ols(rotation([x, cols["w"]], y)[:, [0, 2, 1, 3]], y, ["w", "x"])
+        for a, b in ((trace.fit.coef, want.coef), (trace.fit.stderr, want.stderr),
+                     (trace.fit.intercept, want.intercept), (trace.fit.r2, want.r2)):
+            np.testing.assert_array_equal(a, b)
 
     def test_determinism(self):
         cols, y = _planted(seed=9, n=80)

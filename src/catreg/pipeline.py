@@ -9,10 +9,13 @@ loop stops as soon as one round's selection matches its own input set, or
 after max_rounds (flagged as not converged). An empty selection halts with a
 flagged, model-less result.
 
-On tall data (more than `stats.BLOCK_ROWS` rows) `catreg_fit` forms the round's
-stepwise rotation Z' = Q'[1, round columns, y] once, after its sweeps, and both
-its final fit and `stepwise_fit` (decisions and reported fit) read Z': no other
-n-row pass. Shorter data, the sample corpus included, keep their bits.
+On tall data (more than `stats.BLOCK_ROWS` rows) `catreg_fit` hands the round
+its cross products (`stats.Round`), taken from its sweeps' M where it built
+one: `stepwise_fit` decides on them, and both final fits read them. Neither
+builds the round's quantified columns; the round forms Z' = Q'[1, round
+columns, y] (and the columns with it) only where a decision is left to a scan,
+an event's p-value is read or a fit is refused (see `stats`). Shorter data,
+the sample corpus included, keep their bits.
 
 The final model serializes to a small JSON document (schema version 1):
 variable descriptions, category quantifications, coefficients and intercept.

@@ -20,10 +20,13 @@ so the per-iteration R^2 trace is non-decreasing. Iteration stops when the R^2
 gain drops below `epsilon` or `max_iterations` is reached (the latter yields a
 fit flagged as non-converged, not an exception). Coefficients, p-values and
 R^2 are read off a final joint least-squares pass over the quantified columns.
-In a tall pipeline round it reads the round's Z' = Q'[1, raw numeric or
-quantified columns, raw y] (`stats.rotation`, kept for stepwise) instead of n
-rows: a numeric column is (Z'_j - mean Z'_0) / scale, z is (Z'_y - mean_y Z'_0)
-/ s_y, a quantified one Z'_j, active columns only; SST is still z's.
+In a tall pipeline round it reads the round's cross products instead of n
+rows (`_round`, a `stats.Round` kept for stepwise): the Gram matrix of
+[1, standardized numeric and quantified columns, z], active columns only,
+through `stats.gram_solve`; where that refuses, the rows of Z' = Q'[1, raw
+numeric or quantified columns, raw y] (`stats.rotation`), a numeric column
+(Z'_j - mean Z'_0) / scale, z (Z'_y - mean_y Z'_0) / s_y, a quantified one
+Z'_j. SST is z's either way.
 
 The loop keeps one record per predictor (a numeric one holds its standardized
 column; a categorical one its codes, labels, counts and level) and one
@@ -45,6 +48,17 @@ agree with the row loop to about 1e-12. Narrow means width^2 <= _NARROW *
 predictors (width: A's columns): at n = 19,781 on one core a row sweep took
 64-76 us per predictor and M 0.33-0.36 us per width^2 at width 89, so M costs
 at most the two sweeps every converged fit runs up to width^2 = 380-440 each.
+
+A pipeline round's cross products come from the same M: with 1'A (the
+category counts and one sum per numeric column and z, outside M) it gives
+K = B'B for B = [1, A], and every round column is B T for a small T (a
+numeric one mean e_0 + scale e_j, a quantified one its values on its one-hot
+block, y mean_y e_0 + s_y e_z), so the round's Gram matrix is T'KT without
+another n-row pass. K's entries are sums over at most n rows, exact between
+one-hot columns; the round's error bound (`stats.Round`) counts u n for them.
+Z' is formed only when stepwise or a final fit needs it, from the dataset's
+columns and the final quantifications. A tall fit whose sweeps ran on rows
+forms Z' at once and takes K = Z''Z'.
 """
 
 from __future__ import annotations

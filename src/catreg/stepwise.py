@@ -22,8 +22,9 @@ each pivot to exact zeros, while a later copy of that column keeps rounding
 noise there. `ols_fit` has no ties to keep and takes R alone. Above
 `stats.BLOCK_ROWS` rows, `stats.rotation` forms Z' by row blocks Z_i: S stacks
 the products Q_i'Z_i, and Z' = Q_S'S. Both steps are left products, so the ties
-survive. A pipeline round hands its Z' in (`_rotated`), formed once for the
-round.
+survive. A pipeline round hands in its `stats.Round` instead (`_round`): G
+from the round's cross products and Z' formed on first use, so a round that G
+settles makes no n-row pass.
 
 The decisions are those of two scans on Z' (`stats.entry_scan`,
 `stats.removal_scan`), but most are read off G = Z''Z' (Goodnight 1979, "A
@@ -42,9 +43,12 @@ noted in the diagnostics, in declared order, with `ols_fit`'s message;
 non-finite cells and the response are screened once per run. The trace
 records every entry and removal with its triggering p-value. The reported fit
 is `ols_fit`'s of the selected columns: on their data at or below
-`stats.BLOCK_ROWS` rows, and above that through `ols_fit`'s checks on the rows
-Z'[:, [0, selected, -1]] (SST from y), with no n-row pass; a failure raises
-that the included set cannot be fitted.
+`stats.BLOCK_ROWS` rows, and above that, or where the data's rank screen
+refuses at its 1e-10 edge a set the scans on Z' accepted, through `ols_fit`'s
+checks on the rows Z'[:, [0, selected, -1]] (SST from y), with no n-row pass.
+A pipeline round reads it off its standardized Gram matrix instead, where
+`stats.gram_solve` allows (`stats.Round.fit`). A failure raises that the
+included set cannot be fitted.
 """
 
 from __future__ import annotations

@@ -148,7 +148,7 @@ class TestGate:
         assert passed and all(z is None for z in passed)
 
     @pytest.mark.parametrize("maker", [planted_pipeline_dataset, mixed_dataset])
-    def test_a_tall_narrow_round_forms_no_rotation_and_fits_no_rows(self, maker, monkeypatch):
+    def test_a_tall_narrow_round_forms_no_rotation(self, maker, monkeypatch):
         n = 2500
         _refuse(monkeypatch, scaling, "ols_fit")
         _refuse(monkeypatch, stepwise, "ols_fit")
@@ -163,6 +163,19 @@ class TestGate:
             assert rotations == [n] * r
             assert all(e.pvalue <= 0.1 for e in record.trace.events)  # on the same Z'
             assert rotations == [n] * r
+
+    @pytest.mark.parametrize("maker", [planted_pipeline_dataset, mixed_dataset])
+    def test_a_rounds_cross_products_are_its_rotations_within_their_bound(self, maker):
+        ds = maker(7, 2500)
+        for cfit in (scaling.catreg_fit(ds, _share_round=True),
+                     scaling.catreg_fit(ds, ["num1", "nom1"], _share_round=True)):
+            shared = cfit._round
+            Z = shared.rotated
+            std = (Z - np.outer(Z[:, 0], shared.shift)) / shared.scale
+            for G, want, eta in ((shared.G, Z.T @ Z, shared.eta),
+                                 (shared.S, std.T @ std, shared._eta * shared._kappa2.max())):
+                d = np.sqrt(G.diagonal())
+                assert np.all(np.abs(G - want) <= eta * np.outer(d, d))
 
     def test_a_questionnaire_shaped_run_forms_no_rotation(self, monkeypatch):
         rotations = _count_rotations(monkeypatch)
@@ -258,7 +271,7 @@ def _numeric_round(cols, y) -> Round:
 class TestStepwiseParity:
     @given(tall_selection_problems())
     @settings(max_examples=100, deadline=None)
-    def test_a_round_decides_as_its_rotation_and_fits_within_rounding(self, problem):
+    def test_a_round_decides_as_its_rotation(self, problem):
         cols, y = problem
         got = _report(lambda: stepwise_fit(dict.fromkeys(cols), y, _round=_numeric_round(cols, y)))
         want = _report(lambda: stepwise_fit(cols, y))

@@ -52,7 +52,7 @@ Z' as `_ols` always did, which keeps every RANK_DEFICIENT raise (stepwise's
 reported set passed the raw columns' screen or certificate when its last
 removal decision was made). On the benchmark's 64 corpora B stays below
 1.6e-9 (k up to 26, q about 2, rho about 0.2) and the fits agree with those
-off Z' to about 1e-13 relative.
+off Z' to about 2e-13 relative.
 
 `entry_scan` scores every candidate c to enter next to an included set S from
 one QR factorization [1, S] = Q R: one matrix product residualizes all

@@ -55,9 +55,10 @@ K = B'B for B = [1, A], and every round column is B T for a small T (a
 numeric one mean e_0 + scale e_j, a quantified one its values on its one-hot
 block, y mean_y e_0 + s_y e_z), so the round's Gram matrix is T'KT without
 another n-row pass. K's entries are sums over at most n rows, exact between
-one-hot columns; the round's error bound (`stats.Round`) counts u n for them.
+one-hot columns; the round's error bound (`stats.Round`) counts u n for them,
+and its decisions also allow Z' its own (`stats.rotation_error`).
 Z' is formed only when stepwise or a final fit needs it, from the dataset's
-columns and the final quantifications. A tall fit whose sweeps ran on rows
+numeric columns, the fit's category codes and final quantifications. A tall fit whose sweeps ran on rows
 forms Z' at once and takes K = Z''Z'.
 """
 
@@ -80,7 +81,7 @@ from .data import (
     population_standardize,
 )
 from .errors import NumericalError, ValidationError, require_number
-from .stats import BLOCK_ROWS, OlsFit, Round, adjusted_r2, ols_fit, rotation
+from .stats import BLOCK_ROWS, OlsFit, Round, adjusted_r2, ols_fit, rotation, rotation_error
 
 # mean square below this is treated as a collapsed (degenerate) quantification
 _DEGENERATE_MS = 1e-24
@@ -409,7 +410,7 @@ def catreg_fit(
     active_names = [records[j].name for j in active]
     shared = None
     if _share_round:
-        shared = _round(dataset, records, quants, numeric_map, (y_mean, y_scale), cross)
+        shared = _round(dataset, records, quants, numeric_map, y, (y_mean, y_scale), cross)
         ols = shared.fit([j + 1 for j in active], z, active_names, standardized=True)
     else:
         design = np.column_stack([_column(records[j], quants[j]) for j in active])
@@ -457,17 +458,17 @@ def catreg_fit(
     )
 
 
-def _round(dataset, records, quants, numeric_map, y_map, cross) -> Round:
+def _round(dataset, records, quants, numeric_map, y, y_map, cross) -> Round:
     """The round's `stats.Round`: over [1, A] from M when the sweeps built it,
     else over [1, X, y] from Z', formed now. Z' is Q'[1, raw numeric or
     quantified columns, raw y]; a raw column is shift + scale * standardized."""
     shift, scale = np.array([(0.0, 1.0), *(numeric_map.get(p.name, (0.0, 1.0))
                                            for p in records), y_map]).T
-    items = [(p.name, p.codes is None, v) for p, v in zip(records, quants)]
+    items = [(p.name, p.codes, v) for p, v in zip(records, quants)]
 
     def rotate():
-        return rotation([dataset.column(name) if numeric else np.array(v)[dataset.codes(name)[0]]
-                         for name, numeric, v in items], dataset.column(dataset.dependent.name))
+        return rotation([dataset.column(name) if codes is None else np.array(v)[codes]
+                         for name, codes, v in items], y)
 
     if cross is None:
         rotated = rotate()
@@ -477,6 +478,8 @@ def _round(dataset, records, quants, numeric_map, y_map, cross) -> Round:
                      lambda: rotated)
     K, T, nonneg = cross.basis(quants, shift, scale)
     # M's sums run over at most n rows, 1'A's too, T'KT's over len(K) terms twice,
-    # and a raw numeric column mean + scale * standardized is its own to 4 u
+    # and a raw numeric column mean + scale * standardized is its own to 4 u;
+    # Z', formed apart from M, is Q'(Z + dZ) within its own rotation_error
     u = np.finfo(float).eps / 2
-    return Round(K, T, nonneg, shift, scale, u * (cross.n + 2 * len(K) + 8), rotate)
+    return Round(K, T, nonneg, shift, scale, u * (cross.n + 2 * len(K) + 8), rotate,
+                 rotation_error(cross.n, len(shift)))

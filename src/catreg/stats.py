@@ -239,6 +239,21 @@ def rotation(columns, response) -> np.ndarray:
     return blockwise(Z, lambda rows: np.linalg.qr(rows)[0].T @ rows)
 
 
+def rotation_error(n: int, width: int) -> float:
+    """phi with Z''Z' within 2 phi ||Z_i|| ||Z_j|| of Z'Z, to first order, for
+    Z' = `rotation` of n rows and `width` columns. Each entry of a product Q'Z
+    over m rows is an inner product, within m u |q|'|z| (Higham 2002, 3.1), so
+    each column of Q'Z within m u sqrt(width) ||z||; the error grows linearly
+    in m on a constant or large-mean column, whose roundings add alike. Above
+    BLOCK_ROWS rows the blocks' errors lie in disjoint rows, so the largest
+    block's bound holds for Z, and the stack (at most width rows per block)
+    adds its own. Q's loss of orthogonality adds ||Q'Q - I||: a priori only
+    within about m width u (Higham 2002, 19.3), it measured 6 to 35 u on
+    blocks of 300 to 2,049 rows and 7 to 90 columns, below m u sqrt(width)."""
+    rows = min(n, BLOCK_ROWS) + (-(-n // BLOCK_ROWS) * width if n > BLOCK_ROWS else 0)
+    return np.finfo(float).eps / 2 * math.sqrt(width) * rows
+
+
 def fit_rows(rows, n: int):
     """Least squares of the last column of `rows` on the others, from R alone.
 
@@ -389,24 +404,28 @@ class Round:
     its standardized column.
 
     K holds the cross products of a basis B of n rows, and B T are the round's
-    columns. K is within eta |B|'|B| of B'B entrywise, so T'KT is within
-    eta r_i r_j of its exact value for r_i = || |B| |T_i| || (Higham 2002, 3.1):
-    nonneg marks B's columns with no negative entry, where |B|'|B| is K, and
-    elsewhere it is at most sqrt(K_aa K_bb). G = T'KT is the round's Gram
-    matrix and S that of its standardized columns; `eta` bounds G's errors
-    relative to sqrt(G_ii G_jj). rotate() forms Z' = Q'[1, X, y] (`rotation`)
-    on the first read of `rotated`.
+    columns. K is within eta |B|'|B| of B'B entrywise (`rounding`), so T'KT is
+    within eta r_i r_j of its exact value for r_i = || |B| |T_i| || (Higham
+    2002, 3.1): nonneg marks B's columns with no negative entry, where |B|'|B|
+    is K, and elsewhere it is at most sqrt(K_aa K_bb). G = T'KT is the round's
+    Gram matrix and S that of its standardized columns. `eta` bounds G's
+    distance from Z''Z' relative to sqrt(G_ii G_jj), so that stepwise's
+    decisions read off G are those of the scans on Z', where event p-values are
+    replayed: T'KT's error, the scans' own on Z' and, where K is not Z''Z',
+    2 phi for Z' = Q'(Z + dZ) with ||dZ_j|| <= phi ||Z_j|| (`rotation_error`).
+    rotate() forms Z' = Q'[1, X, y] (`rotation`) on the first read of `rotated`.
     """
 
-    def __init__(self, K, T, nonneg, shift, scale, eta: float, rotate):
+    def __init__(self, K, T, nonneg, shift, scale, eta: float, rotate, phi: float = 0.0):
         with np.errstate(all="ignore"):
             w = np.sqrt(K.diagonal())
             N = np.where(np.outer(nonneg, nonneg), K, np.outer(w, w))  # bounds |B|'|B|
             std = (T - np.outer(T[:, 0], shift)) / scale  # T[:, 0] is 1 in B
             self.G, self.S = T.T @ K @ T, std.T @ K @ std
             raw2, std2 = (np.einsum("ai,ab,bi->i", abs(M), N, abs(M)) for M in (T, std))  # r^2
+            self.rounding = eta
             eta += _ETA * 2 * T.shape[1]  # and the scans' own error on Z'
-            self.eta = eta * float((raw2 / self.G.diagonal()).max())
+            self.eta = eta * float((raw2 / self.G.diagonal()).max()) + 2.0 * phi
             self._eta, self._kappa2 = eta, std2 / self.S.diagonal()  # kappa2 >= 1
         self.shift, self.scale, self._rotate = shift, scale, rotate
 

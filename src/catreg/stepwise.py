@@ -72,12 +72,14 @@ REMOVED = "removed"
 # Margins. Cholesky on G and the scans' QR on Z' are exact for Z' perturbed by
 # |dG_ij| <= eta sqrt(G_ii G_jj), eta = stats._ETA (rows + columns of Z') (Higham
 # 2002, 10.1, 19.3), plus, where G is a round's (`stats.Round`), the error of its
-# cross products. A Schur complement (a pivot d^2, or y's SSE) of column c then
-# moves by eta amp G_cc, amp = 2 (1 + k ||L^-1 D||_F^2), D^2 = diag(G) over the
-# set's k columns: by eta amp / ratio of itself, for the pivot ratio d^2 / G_cc
-# or the residual ratio SSE / G_yy. t = sqrt(df) e / (d sqrt(SSE)) moves by at
-# most eta amp (sqrt(df) + 3|t|) / (pivot * residual ratio), plus, for the SVD
-# in removal_scan, eta cond (|b| / se + |t|). Past _TRUST, near-perfect fits and
+# cross products and of Z' formed apart from them (`stats.rotation_error`), so
+# that an event p-value replayed on Z' agrees with the decision. A Schur
+# complement (a pivot d^2, or y's SSE) of column c then moves by eta amp G_cc,
+# amp = 2 (1 + k ||L^-1 D||_F^2), D^2 = diag(G) over the set's k columns: by
+# eta amp / ratio of itself, for the pivot ratio d^2 / G_cc or the residual
+# ratio SSE / G_yy. t = sqrt(df) e / (d sqrt(SSE)) moves by at most eta amp
+# (sqrt(df) + 3|t|) / (pivot * residual ratio), plus, for the SVD in
+# removal_scan, eta cond (|b| / se + |t|). Past _TRUST, near-perfect fits and
 # near-collinear columns among them, the scan decides.
 _TRUST = 1e-3
 _RANGE = 1e100  # G's diagonal bound, so no product of two entries over- or underflows

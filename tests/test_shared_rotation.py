@@ -26,7 +26,7 @@ from catreg import Dataset, NumericalError, StepwiseConfig, Variable
 from catreg import compare_baseline, ingest_dataset, load_gearing, run_pipeline
 from catreg import pipeline, scaling, stats, stepwise
 from catreg.data import column_as_quantified, population_standardize
-from catreg.stats import BLOCK_ROWS, RANK_DEFICIENT, Round, _ols, ols_fit, rotation
+from catreg.stats import BLOCK_ROWS, RANK_DEFICIENT, Round, _ols, ols_fit, rotation, rotation_error
 from catreg.stepwise import stepwise_fit
 from helpers import assert_raises_exactly, mixed_dataset, planted_pipeline_dataset
 
@@ -177,6 +177,47 @@ class TestGate:
                 d = np.sqrt(G.diagonal())
                 assert np.all(np.abs(G - want) <= eta * np.outer(d, d))
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended precision")
+    @pytest.mark.parametrize("n", [BLOCK_ROWS + 1, 2500])
+    @pytest.mark.parametrize("maker", [planted_pipeline_dataset, mixed_dataset])
+    def test_each_term_of_a_rounds_margin_holds_on_its_own(self, maker, n):
+        """Against the exact Gram matrix of the round's columns (long double
+        products of their doubles): G and S within K's own rounding alone, per
+        r_i r_j = || |B| |T_i| || || |B| |T_j| ||, and Z''Z' within 2
+        rotation_error; the decisions' eta counts both."""
+        ds = maker(3, n)
+        cfit = scaling.catreg_fit(ds, _share_round=True)
+        shared, cols, rs = cfit._round, [np.ones(n)], [np.ones(n)]
+        for name in cfit.predictors:
+            if name in cfit.quantifications.numeric:
+                mean, scale = cfit.quantifications.numeric[name]
+                x = population_standardize(ds.column(name))[0]
+                cols.append(ds.column(name))
+                rs.append(abs(mean) + scale * abs(x))
+            else:
+                codes, cats = ds.codes(name)
+                values = cfit.quantifications.categorical[name]
+                cols.append(np.array([values[c] for c in cats])[codes])
+                rs.append(abs(cols[-1]))
+        y = ds.column(ds.dependent.name)
+        z, y_mean, y_scale = population_standardize(y)
+        cols.append(y)
+        rs.append(abs(y_mean) + y_scale * abs(z))
+        C = np.array(cols, np.longdouble).T
+        exact = C.T @ C
+        std = (C - shared.shift) / shared.scale
+        r = np.linalg.norm(rs, axis=1)
+        r_std = np.linalg.norm(np.array(std, float), axis=0)  # here |B| |std_i| = |B std_i|
+        for got, want, bound in ((shared.G, exact, np.outer(r, r)),
+                                 (shared.S, std.T @ std, np.outer(r_std, r_std))):
+            err = np.abs(got - want)
+            assert err.max() > 0 and np.all(err <= shared.rounding * bound)
+        Z = np.asarray(shared.rotated, np.longdouble)
+        d = np.sqrt(exact.diagonal())
+        phi = rotation_error(n, len(cols))
+        assert np.all(np.abs(Z.T @ Z - exact) <= 2 * phi * np.outer(d, d))
+        assert shared.eta >= shared.rounding + 2 * phi
+
     def test_a_questionnaire_shaped_run_forms_no_rotation(self, monkeypatch):
         rotations = _count_rotations(monkeypatch)
         reads = _gram_reads(monkeypatch)
@@ -265,7 +306,7 @@ def _numeric_round(cols, y) -> Round:
     u = np.finfo(float).eps / 2
     return Round(B.T @ B, T, np.arange(len(T)) == 0, np.array([0.0, *shift]),
                  np.array([1.0, *scale]), u * (y.size + 2 * len(T) + 8),
-                 lambda: rotation(list(cols.values()), y))
+                 lambda: rotation(list(cols.values()), y), rotation_error(y.size, len(T)))
 
 
 class TestStepwiseParity:

@@ -1,12 +1,12 @@
 """Compare `run_pipeline` between two source trees on the benchmark's corpora.
 
-    python tools/parity_corpora.py PARENT_TREE CHANGE_TREE [--seeds 0-63]
+    python tools/parity_corpora.py PARENT_TREE CHANGE_TREE
 
 Each tree is a checkout of this repository; its `src` is what runs. For every
-corpus seed (default: all of `perfbench/workloads.py`'s CORPUS_SEEDS) the
-synthetic corpus of `perfbench/corpus.py` is generated at SYNTH_ROWS rows,
-ingested, and run through `run_pipeline` with PIPELINE_ALPHA, by each tree in
-a process of its own at one BLAS thread. The corpus code is imported from the
+corpus seed of `perfbench/workloads.py`'s CORPUS_SEEDS the synthetic corpus of
+`perfbench/corpus.py` is generated at SYNTH_ROWS rows, ingested, and run
+through `run_pipeline` with PIPELINE_ALPHA, by each tree in a process of its
+own at one BLAS thread. The corpus code is imported from the
 `perfbench` directory next to this file, the same for both trees.
 
 The table lists, per quantity, how many values were compared and whether they
@@ -29,11 +29,6 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 SMALL_COEF = 1e-2
 
 
-def _seeds(text: str) -> list:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
-
-
 def _fit(fit) -> dict | None:
     if fit is None:
         return None
@@ -42,8 +37,8 @@ def _fit(fit) -> dict | None:
             "adj_r2": fit.adj_r2}
 
 
-def run_tree(seeds: list) -> list:
-    """Per seed, what this process's catreg makes of the corpus."""
+def run_tree() -> list:
+    """Per corpus seed, what this process's catreg makes of the corpus."""
     sys.path.insert(0, PERFBENCH)
     import corpus
     import workloads
@@ -60,7 +55,7 @@ def run_tree(seeds: list) -> list:
     catreg.pipeline.catreg_fit = keep
     config = catreg.stepwise.StepwiseConfig(*workloads.PIPELINE_ALPHA)
     out = []
-    for seed in seeds:
+    for seed in workloads.CORPUS_SEEDS:
         with tempfile.TemporaryDirectory() as work:
             info = corpus.write_corpus(work, workloads.corpus_seed(seed), workloads.SYNTH_ROWS)
             ds, _ = catreg.ingest.ingest_dataset(
@@ -93,11 +88,11 @@ def run_tree(seeds: list) -> list:
     return out
 
 
-def _in_process(tree: str, seeds: list) -> list:
+def _in_process(tree: str) -> list:
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
     proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--worker", ",".join(map(str, seeds))],
+        [sys.executable, os.path.abspath(__file__), "--worker"],
         env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         sys.exit(f"{tree}: the worker exited {proc.returncode}\n{proc.stderr[-4000:]}")
@@ -193,17 +188,15 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", nargs="?")
     parser.add_argument("change", nargs="?")
-    parser.add_argument("--seeds", default="0-63", help="corpus seeds, as N or N-M")
-    parser.add_argument("--worker", help=argparse.SUPPRESS)
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.worker is not None:
-        json.dump(run_tree([int(s) for s in args.worker.split(",")]), sys.stdout)
+    if args.worker:
+        json.dump(run_tree(), sys.stdout)
         return
     if not (args.parent and args.change):
         parser.error("give the parent and the change source trees")
-    seeds = _seeds(args.seeds)
-    parent, change = (_in_process(tree, seeds) for tree in (args.parent, args.change))
-    print(f"{len(seeds)} corpora, {args.parent} against {args.change}")
+    parent, change = (_in_process(tree) for tree in (args.parent, args.change))
+    print(f"{len(parent)} corpora, {args.parent} against {args.change}")
     compare(parent, change).print()
 
 

@@ -181,13 +181,7 @@ class Dataset:
         Observed categories keep the declared order; codes index into that
         tuple. Unobserved declared categories do not appear.
         """
-        declared = self.category_codes(name)
-        cats = self.variable(name).categories
-        present = np.bincount(declared, minlength=len(cats)) > 0
-        if present.all():
-            return declared, cats
-        observed = tuple(c for c, p in zip(cats, present) if p)
-        return (np.cumsum(present) - 1)[declared], observed
+        return _observed_codes(self.category_codes(name), self.variable(name).categories)[:2]
 
     def subset(self, indices) -> "Dataset":
         """New dataset with the same variables over the selected rows, each at most once.
@@ -214,6 +208,20 @@ class Dataset:
             raise ValidationError("dataset needs at least two rows")
         columns = [col[idx] for col in self._columns]
         return object.__new__(Dataset)._init(self.variables, ids, columns)
+
+
+def _observed_codes(declared: np.ndarray, categories: tuple) -> tuple:
+    """(codes, observed categories, counts) of a column of declared category codes.
+
+    Observed categories keep the declared order and the codes index into them;
+    counts are each observed category's rows, all three from one bincount.
+    """
+    counts = np.bincount(declared, minlength=len(categories))
+    present = counts > 0
+    if present.all():
+        return declared, categories, counts
+    observed = tuple(c for c, p in zip(categories, present) if p)
+    return (np.cumsum(present) - 1)[declared], observed, counts[present]
 
 
 def _index(i) -> int:

@@ -11,11 +11,14 @@ flagged, model-less result.
 
 On tall data (more than `stats.BLOCK_ROWS` rows) `catreg_fit` hands the round
 its cross products (`stats.Round`), taken from its sweeps' M where it built
-one: `stepwise_fit` decides on them, and both final fits read them. Neither
-builds the round's quantified columns; the round forms Z' = Q'[1, round
-columns, y] (and the columns with it) only where a decision is left to a scan,
-an event's p-value is read or a fit is refused (see `stats`). Shorter data,
-the sample corpus included, keep their bits.
+one: `stepwise_fit` decides on them, and both final fits read them. A round
+after one that built M slices that M and takes its predictors' records
+(`scaling._CrossSweep.restrict`), so a run builds M and reads each item's
+codes once. Neither stepwise nor the fits build the round's quantified
+columns; the round forms Z' = Q'[1, round columns, y] (and the columns with
+it) only where a decision is left to a scan, an event's p-value is read or a
+fit is refused (see `stats`). Shorter data, the sample corpus included, keep
+their bits.
 
 The final model serializes to a small JSON document (schema version 1):
 variable descriptions, category quantifications, coefficients and intercept.
@@ -296,8 +299,10 @@ def run_pipeline(
 
     current, tall = list(declared), dataset.n > BLOCK_ROWS
     rounds: list[RoundRecord] = []
+    sweep = None  # the last round's sweep in category space, which the next round slices
     for r in range(1, max_rounds + 1):
-        cfit = catreg_fit(dataset, current, catreg_config, _share_round=tall)
+        cfit = catreg_fit(dataset, current, catreg_config, _share_round=tall, _sweep=sweep)
+        sweep = cfit._sweep
         if tall:  # the round's cross products stand for its columns
             columns = dict.fromkeys(current)
         else:

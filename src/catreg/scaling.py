@@ -38,8 +38,8 @@ without `pava`'s checks: its weights are category counts (each at least 1)
 and its values are finite category means.
 
 On tall data (over `stats.BLOCK_ROWS` rows) with a narrow category set the
-sweeps leave n-space: `_CrossSweep` builds M = A'A once per fit, where A is
-[each predictor's columns (one 0/1 column per observed category), z], by
+sweeps leave n-space: `_CrossSweep` builds M = A'A once per fit (once per
+pipeline run, see below), where A is [each predictor's columns (one 0/1 column per observed category), z], by
 BLOCK_ROWS-row blocks, the one-hot products in float32 (counts of at most
 2,048 are exact) and the rest in float64. With b = A'z and a stacking
 beta_k q_k, predictor j's category sums are s = b_j - sum_{k != j} M_jk a_k,
@@ -48,6 +48,17 @@ agree with the row loop to about 1e-12. Narrow means width^2 <= _NARROW *
 predictors (width: A's columns): at n = 19,781 on one core a row sweep took
 64-76 us per predictor and M 0.33-0.36 us per width^2 at width 89, so M costs
 at most the two sweeps every converged fit runs up to width^2 = 380-440 each.
+A later pipeline round refits a subset of the last round's predictors on the
+same rows, so its M, b, z'z and 1'A are a principal slice of that round's
+(`_CrossSweep.restrict`), and its records (codes, observed categories, counts,
+standardized numerics) are that round's: it passes over no rows to sweep, and
+sweeps on the slice even where `_NARROW` would call its set wide. The slice
+agrees with a build of the round's own to about 1e-15: with no numeric
+predictor that build forms the products with z and z's sum by numpy's
+one-column kernels, which round otherwise. A fit outside a pipeline run
+builds its own M. Every fit
+takes an item's codes, observed categories and counts from one bincount
+(`data._observed_codes`, as `Dataset.codes` does).
 
 A pipeline round's cross products come from the same M: with 1'A (the
 category counts and one sum per numeric column and z, outside M) it gives
@@ -78,6 +89,7 @@ from .data import (
     PREDICTOR,
     Dataset,
     QuantificationMap,
+    _observed_codes,
     population_standardize,
 )
 from .errors import NumericalError, ValidationError, require_number
@@ -197,6 +209,7 @@ class CatregFit:
     n: int
     _final: OlsFit = field(repr=False, compare=False)
     _round: Round | None = field(default=None, repr=False, compare=False)
+    _sweep: _CrossSweep | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def pvalues(self) -> dict:
@@ -206,9 +219,19 @@ class CatregFit:
 
 
 # one record per predictor: a numeric one carries its standardized column x
-# (codes None); a categorical one its codes, observed labels, category counts
-# and whether it is ordinal
-_Predictor = namedtuple("_Predictor", "name x codes cats counts ordinal")
+# and its (mean, scale) (codes None); a categorical one its codes, observed
+# labels, category counts and whether it is ordinal
+_Predictor = namedtuple("_Predictor", "name x codes cats counts ordinal mean_scale")
+
+
+def _record(dataset: Dataset, var) -> _Predictor:
+    """A predictor's record, read off the dataset."""
+    if var.level == NUMERIC:
+        x, mean, scale = population_standardize(dataset.column(var.name))
+        return _Predictor(var.name, x, None, None, None, False, (mean, scale))
+    codes, cats, counts = _observed_codes(dataset.category_codes(var.name), var.categories)
+    return _Predictor(var.name, None, codes, cats, counts.astype(float).tolist(),
+                      var.level == ORDINAL, None)
 
 
 def _weighted_ss(xs: list, counts: list) -> float:
@@ -249,6 +272,11 @@ def _quantify(means: list, counts: list, n: int, ordinal: bool):
     return v
 
 
+def _starts(records) -> list:
+    """Each predictor's first column in A, and A's width last."""
+    return np.cumsum([0] + [1 if p.codes is None else len(p.cats) for p in records]).tolist()
+
+
 def _column(p: _Predictor, v) -> np.ndarray:
     """The predictor's n-length column: standardized, or quantification v per row."""
     return p.x if v is None else np.array(v)[p.codes]
@@ -258,9 +286,9 @@ class _CrossSweep:
     """The sweeps in category space (see the module docstring)."""
 
     def __init__(self, records, z):
-        starts = np.cumsum([0] + [1 if p.codes is None else len(p.cats) for p in records]).tolist()
+        starts = _starts(records)
         hot = [p.codes + s for p, s in zip(records, starts) if p.codes is not None]
-        hot = np.array(hot, np.intp).T  # each row's one-hot columns of A (n x 0 if none)
+        hot = np.array(hot, np.intp).T  # each row's one-hot columns of A (shape (0,) if none)
         num = [s for p, s in zip(records, starts) if p.codes is None] + [starts[-1]]
         F = np.column_stack([p.x for p in records if p.codes is None] + [z])
         M = np.zeros((starts[-1] + 1,) * 2)
@@ -271,10 +299,24 @@ class _CrossSweep:
             M[:, num] += H.astype(float).T @ F[i:i + BLOCK_ROWS]
         M[num] = M[:, num].T
         M[np.ix_(num, num)] = F.T @ F
-        self.M, self.b, self.zz, self.n = M[:-1, :-1], M[:-1, -1], M[-1, -1], len(z)
-        self.a, self.records, self.starts = np.zeros(len(self.b)), records, starts
-        self.AA, self.ones = M, np.concatenate([p.counts or [0.0] for p in records] + [[0.0]])
-        self.ones[num] = F.sum(axis=0)  # 1'A: the category counts and the column sums
+        ones = np.concatenate([p.counts or [0.0] for p in records] + [[0.0]])
+        ones[num] = F.sum(axis=0)  # 1'A: the category counts and the column sums
+        self._keep(records, M, ones, len(z))
+
+    def _keep(self, records, AA, ones, n: int) -> "_CrossSweep":
+        self.records, self.starts, self.AA, self.ones, self.n = records, _starts(records), AA, ones, n
+        self.M, self.b, self.zz = AA[:-1, :-1], AA[:-1, -1], AA[-1, -1]
+        self.a = np.zeros(len(self.b))
+        return self
+
+    def restrict(self, names) -> "_CrossSweep":
+        """The sweep of the predictors `names` (a subset, in any order): their
+        records, and A'A and 1'A at their columns and z's, read off this one."""
+        at = {p.name: j for j, p in enumerate(self.records)}
+        keep = [at[name] for name in names]
+        idx = [i for j in keep for i in range(*self.starts[j:j + 2])] + [len(self.AA) - 1]
+        return object.__new__(type(self))._keep(
+            [self.records[j] for j in keep], self.AA[np.ix_(idx, idx)], self.ones[idx], self.n)
 
     def step(self, j: int):
         p, k, a = self.records[j], slice(*self.starts[j:j + 2]), self.a
@@ -306,7 +348,7 @@ class _CrossSweep:
 
 def catreg_fit(
     dataset: Dataset, predictors=None, config: CatregConfig | None = None, *,
-    _share_round: bool = False,
+    _share_round: bool = False, _sweep: _CrossSweep | None = None,
 ) -> CatregFit:
     """Fit the optimal-scaling regression of the dataset's dependent variable.
 
@@ -314,7 +356,11 @@ def catreg_fit(
     predictor in dataset order. Requires every categorical predictor to show
     at least two observed categories and n to exceed the total number of free
     quantification parameters. _share_round: read the final fit off a pipeline
-    round's cross products (see the module docstring), kept as `_round`.
+    round's cross products (see the module docstring), kept as `_round`, and
+    keep the sweep in category space as `_sweep`. _sweep: an earlier round's
+    `_sweep` on this dataset over a superset of `predictors`; the fit sweeps on
+    its restriction (`_CrossSweep.restrict`) and takes its predictors' records
+    from it, without a pass over the rows.
     """
     cfg = config or CatregConfig()
     names = list(predictors) if predictors is not None else [v.name for v in dataset.predictors]
@@ -326,27 +372,21 @@ def catreg_fit(
     y = dataset.column(dataset.dependent.name)
     z, y_mean, y_scale = population_standardize(y)
 
+    kept = {p.name: p for p in _sweep.records} if _sweep is not None else None
     records: list[_Predictor] = []
-    numeric_map: dict = {}
     free_params = 0
     for name in names:
         var = dataset.variable(name)
         if var.role != PREDICTOR:
             raise ValidationError(f"variable '{name}' is not a predictor")
-        if var.level == NUMERIC:
-            x, mean, scale = population_standardize(dataset.column(name))
-            numeric_map[name] = (mean, scale)
-            records.append(_Predictor(name, x, None, None, None, False))
-            free_params += 1
-        else:
-            codes, cats = dataset.codes(name)
-            if len(cats) < 2:
-                raise ValidationError(
-                    f"categorical predictor '{name}' needs at least two observed categories"
-                )
-            counts = np.bincount(codes, minlength=len(cats)).astype(float).tolist()
-            records.append(_Predictor(name, None, codes, cats, counts, var.level == ORDINAL))
-            free_params += len(cats) - 1
+        p = kept[name] if kept is not None else _record(dataset, var)
+        if p.codes is not None and len(p.cats) < 2:
+            raise ValidationError(
+                f"categorical predictor '{name}' needs at least two observed categories"
+            )
+        records.append(p)
+        free_params += 1 if p.codes is None else len(p.cats) - 1
+    numeric_map = {p.name: p.mean_scale for p in records if p.codes is None}
     if n <= free_params:
         raise ValidationError(
             f"n = {n} must exceed the {free_params} free quantification parameters"
@@ -359,9 +399,14 @@ def catreg_fit(
         else _standardize_category_values([float(c) for c in range(len(p.cats))], p.counts, n)
         for p in records
     ]
-    width = sum(1 if p.codes is None else len(p.cats) for p in records) + 1
-    tall = n > BLOCK_ROWS and width * width <= _NARROW * len(records)
-    cross = _CrossSweep(records, z) if tall else None
+    width = _starts(records)[-1] + 1
+    if _sweep is not None:  # a slice costs nothing, so it serves a wide set too
+        cross = _sweep.restrict(names)
+    elif n > BLOCK_ROWS and width * width <= _NARROW * len(records):
+        cross = _CrossSweep(records, z)
+    else:
+        cross = None
+    tall = cross is not None
     columns = [_column(p, v) for p, v in zip(records, quants)] if not tall else None
     beta = [0.0] * len(records)
     collapsed = [False] * len(records)
@@ -455,6 +500,7 @@ def catreg_fit(
         n=n,
         _final=ols,
         _round=shared,
+        _sweep=cross if _share_round else None,
     )
 
 

@@ -19,7 +19,7 @@ from catreg import (
     population_standardize,
 )
 
-from catreg.data import rows_to_columns
+from catreg.data import _observed_codes, rows_to_columns
 from helpers import OracleDataset, OracleRow, assert_raises_exactly, dataset_of_rows, mixed_dataset
 
 
@@ -122,6 +122,27 @@ class TestDataset:
         np.testing.assert_array_equal(codes, want)
         codes[:] = 0  # the caller's own array
         np.testing.assert_array_equal(ds.category_codes("q"), declared)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_the_observed_codes_rule_matches_the_oracle_and_counts_its_codes(self, data):
+        k = data.draw(st.integers(2, 6))
+        cats = tuple("ABCDEF"[:k])
+        present = data.draw(st.lists(st.sampled_from(cats), min_size=1, max_size=k - 1,
+                                     unique=True))  # at least one declared category unseen
+        variables = (Variable("q", data.draw(st.sampled_from(["ordinal", "nominal"])), cats),
+                     Variable("y", "numeric", role="dependent"))
+        rows = [(label, 1.0) for label in
+                data.draw(st.lists(st.sampled_from(present), min_size=2, max_size=30))]
+        ds = dataset_of_rows(variables, rows)
+        codes, observed, counts = _observed_codes(ds.category_codes("q"), cats)
+        want_codes, want_observed = OracleDataset(variables, map(OracleRow, rows)).codes("q")
+        assert observed == want_observed
+        np.testing.assert_array_equal(codes, want_codes)
+        np.testing.assert_array_equal(counts, np.bincount(codes, minlength=len(observed)))
+        got_codes, got_observed = ds.codes("q")
+        assert got_observed == observed
+        np.testing.assert_array_equal(got_codes, codes)
 
     def test_subset_keeps_row_ids(self):
         ds = small_dataset()

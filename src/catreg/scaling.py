@@ -39,9 +39,10 @@ and its values are finite category means.
 
 On tall data (over `stats.BLOCK_ROWS` rows) with a narrow category set the
 sweeps leave n-space: `_CrossSweep` builds M = A'A once per fit (once per
-pipeline run, see below), where A is [each predictor's columns (one 0/1 column per observed category), z], by
-BLOCK_ROWS-row blocks, the one-hot products in float32 (counts of at most
-2,048 are exact) and the rest in float64. With b = A'z and a stacking
+pipeline run, see below), where A is [each predictor's columns (one 0/1
+column per observed category), z], by BLOCK_ROWS-row blocks, the one-hot
+products in float32 (counts of at most 2,048 are exact) and the rest in
+float64. With b = A'z and a stacking
 beta_k q_k, predictor j's category sums are s = b_j - sum_{k != j} M_jk a_k,
 its new weight q.s/n and a sweep's R^2 1 - (z'z - 2a'b + a'Ma)/n; results
 agree with the row loop to about 1e-12. Narrow means width^2 <= _NARROW *
@@ -50,15 +51,12 @@ predictors (width: A's columns): at n = 19,781 on one core a row sweep took
 at most the two sweeps every converged fit runs up to width^2 = 380-440 each.
 A later pipeline round refits a subset of the last round's predictors on the
 same rows, so its M, b, z'z and 1'A are a principal slice of that round's
-(`_CrossSweep.restrict`), and its records (codes, observed categories, counts,
-standardized numerics) are that round's: it passes over no rows to sweep, and
-sweeps on the slice even where `_NARROW` would call its set wide. The slice
-agrees with a build of the round's own to about 1e-15: with no numeric
-predictor that build forms the products with z and z's sum by numpy's
-one-column kernels, which round otherwise. A fit outside a pipeline run
-builds its own M. Every fit
-takes an item's codes, observed categories and counts from one bincount
-(`data._observed_codes`, as `Dataset.codes` does).
+(`_CrossSweep.restrict`) and its records are that round's: it passes over no
+rows to sweep, and sweeps on the slice even where `_NARROW` would call its set
+wide. The slice agrees with a build of its own to about 1e-15 (with no numeric
+predictor numpy forms z's products and sum by its one-column kernels). Every
+fit takes an item's codes, observed categories and counts from one bincount
+(`data._observed_codes`).
 
 A pipeline round's cross products come from the same M: with 1'A (the
 category counts and one sum per numeric column and z, outside M) it gives
@@ -399,7 +397,7 @@ def catreg_fit(
         else _standardize_category_values([float(c) for c in range(len(p.cats))], p.counts, n)
         for p in records
     ]
-    width = _starts(records)[-1] + 1
+    width = sum(1 if p.codes is None else len(p.cats) for p in records) + 1
     if _sweep is not None:  # a slice costs nothing, so it serves a wide set too
         cross = _sweep.restrict(names)
     elif n > BLOCK_ROWS and width * width <= _NARROW * len(records):

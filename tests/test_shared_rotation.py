@@ -11,6 +11,8 @@ and where the gate refuses S; the fits then read Z' as every round did before.
 path, so it is the reference of the round tests. Setting BLOCK_ROWS to infinity
 in `pipeline` and `stepwise` restores the path on which both final fits ran
 `ols_fit` on the n data rows; the pipeline parity tests compare against it.
+A later round sweeps on a slice of the last round's M (`_CrossSweep.restrict`),
+where that path builds its own; `TestRestrictedSweep` compares the two.
 """
 
 import math

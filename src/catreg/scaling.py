@@ -38,7 +38,7 @@ without `pava`'s checks: its weights are category counts (each at least 1)
 and its values are finite category means.
 
 On tall data (over `stats.BLOCK_ROWS` rows) with a narrow category set the
-sweeps leave n-space: `_CrossSweep` builds M = A'A once per fit (once per
+sweeps leave n-space: `_cross_sweep` builds M = A'A once per fit (once per
 pipeline run, see below), where A is [each predictor's columns (one 0/1
 column per observed category), z], by BLOCK_ROWS-row blocks, the one-hot
 products in float32 (counts of at most 2,048 are exact) and the rest in
@@ -283,29 +283,10 @@ def _column(p: _Predictor, v) -> np.ndarray:
 class _CrossSweep:
     """The sweeps in category space (see the module docstring)."""
 
-    def __init__(self, records, z):
-        starts = _starts(records)
-        hot = [p.codes + s for p, s in zip(records, starts) if p.codes is not None]
-        hot = np.array(hot, np.intp).T  # each row's one-hot columns of A (shape (0,) if none)
-        num = [s for p, s in zip(records, starts) if p.codes is None] + [starts[-1]]
-        F = np.column_stack([p.x for p in records if p.codes is None] + [z])
-        M = np.zeros((starts[-1] + 1,) * 2)
-        for i in range(0, len(z), BLOCK_ROWS):
-            H = np.zeros((len(F[i:i + BLOCK_ROWS]), len(M)), np.float32)
-            H.reshape(-1)[(np.arange(len(H)) * len(M))[:, None] + hot[i:i + BLOCK_ROWS]] = 1.0
-            M += H.T @ H
-            M[:, num] += H.astype(float).T @ F[i:i + BLOCK_ROWS]
-        M[num] = M[:, num].T
-        M[np.ix_(num, num)] = F.T @ F
-        ones = np.concatenate([p.counts or [0.0] for p in records] + [[0.0]])
-        ones[num] = F.sum(axis=0)  # 1'A: the category counts and the column sums
-        self._keep(records, M, ones, len(z))
-
-    def _keep(self, records, AA, ones, n: int) -> "_CrossSweep":
+    def __init__(self, records, AA, ones, n: int):
         self.records, self.starts, self.AA, self.ones, self.n = records, _starts(records), AA, ones, n
         self.M, self.b, self.zz = AA[:-1, :-1], AA[:-1, -1], AA[-1, -1]
         self.a = np.zeros(len(self.b))
-        return self
 
     def restrict(self, names) -> "_CrossSweep":
         """The sweep of the predictors `names` (a subset, in any order): their
@@ -313,8 +294,8 @@ class _CrossSweep:
         at = {p.name: j for j, p in enumerate(self.records)}
         keep = [at[name] for name in names]
         idx = [i for j in keep for i in range(*self.starts[j:j + 2])] + [len(self.AA) - 1]
-        return object.__new__(type(self))._keep(
-            [self.records[j] for j in keep], self.AA[np.ix_(idx, idx)], self.ones[idx], self.n)
+        return type(self)([self.records[j] for j in keep], self.AA[np.ix_(idx, idx)],
+                          self.ones[idx], self.n)
 
     def step(self, j: int):
         p, k, a = self.records[j], slice(*self.starts[j:j + 2]), self.a
@@ -344,6 +325,26 @@ class _CrossSweep:
         return K, T, nonneg
 
 
+def _cross_sweep(records, z) -> _CrossSweep:
+    """The sweep of `records` and z, with A'A and 1'A from one pass over the rows."""
+    starts = _starts(records)
+    hot = [p.codes + s for p, s in zip(records, starts) if p.codes is not None]
+    hot = np.array(hot, np.intp).T  # each row's one-hot columns of A (shape (0,) if none)
+    num = [s for p, s in zip(records, starts) if p.codes is None] + [starts[-1]]
+    F = np.column_stack([p.x for p in records if p.codes is None] + [z])
+    M = np.zeros((starts[-1] + 1,) * 2)
+    for i in range(0, len(z), BLOCK_ROWS):
+        H = np.zeros((len(F[i:i + BLOCK_ROWS]), len(M)), np.float32)
+        H.reshape(-1)[(np.arange(len(H)) * len(M))[:, None] + hot[i:i + BLOCK_ROWS]] = 1.0
+        M += H.T @ H
+        M[:, num] += H.astype(float).T @ F[i:i + BLOCK_ROWS]
+    M[num] = M[:, num].T
+    M[np.ix_(num, num)] = F.T @ F
+    ones = np.concatenate([p.counts or [0.0] for p in records] + [[0.0]])
+    ones[num] = F.sum(axis=0)  # 1'A: the category counts and the column sums
+    return _CrossSweep(records, M, ones, len(z))
+
+
 def catreg_fit(
     dataset: Dataset, predictors=None, config: CatregConfig | None = None, *,
     _share_round: bool = False, _sweep: _CrossSweep | None = None,
@@ -354,11 +355,11 @@ def catreg_fit(
     predictor in dataset order. Requires every categorical predictor to show
     at least two observed categories and n to exceed the total number of free
     quantification parameters. _share_round: read the final fit off a pipeline
-    round's cross products (see the module docstring), kept as `_round`, and
-    keep the sweep in category space as `_sweep`. _sweep: an earlier round's
-    `_sweep` on this dataset over a superset of `predictors`; the fit sweeps on
-    its restriction (`_CrossSweep.restrict`) and takes its predictors' records
-    from it, without a pass over the rows.
+    round's cross products (see the module docstring), kept as `_round`. A fit
+    that sweeps in category space keeps its sweep as `_sweep`. _sweep: an
+    earlier fit's `_sweep` on this dataset over a superset of `predictors`; the
+    fit sweeps on its restriction (`_CrossSweep.restrict`) and takes its
+    predictors' records from it, without a pass over the rows.
     """
     cfg = config or CatregConfig()
     names = list(predictors) if predictors is not None else [v.name for v in dataset.predictors]
@@ -401,7 +402,7 @@ def catreg_fit(
     if _sweep is not None:  # a slice costs nothing, so it serves a wide set too
         cross = _sweep.restrict(names)
     elif n > BLOCK_ROWS and width * width <= _NARROW * len(records):
-        cross = _CrossSweep(records, z)
+        cross = _cross_sweep(records, z)
     else:
         cross = None
     tall = cross is not None
@@ -498,7 +499,7 @@ def catreg_fit(
         n=n,
         _final=ols,
         _round=shared,
-        _sweep=cross if _share_round else None,
+        _sweep=cross,
     )
 
 

@@ -506,6 +506,52 @@ class TestTallFit:
                                    CatregConfig())
 
 
+def _whole_n_cross_tables(records, z):
+    """`_cross_sweep`'s A'A and 1'A with every row's one-hot columns of A indexed
+    before the block loop, from the same float32 blocks and products."""
+    starts = scaling._starts(records)
+    items = [(p.codes, s) for p, s in zip(records, starts) if p.codes is not None]
+    hot = np.array([codes + s for codes, s in items], np.intp).reshape(len(items), len(z)).T
+    num = [s for p, s in zip(records, starts) if p.codes is None] + [starts[-1]]
+    F = np.column_stack([p.x for p in records if p.codes is None] + [z])
+    M = np.zeros((starts[-1] + 1,) * 2)
+    for i in range(0, len(z), BLOCK_ROWS):
+        block = hot[i:i + BLOCK_ROWS]
+        H = np.zeros((len(block), len(M)), np.float32)
+        H[np.arange(len(block))[:, None], block] = 1.0
+        M += H.T @ H
+        M[:, num] += H.astype(float).T @ F[i:i + BLOCK_ROWS]
+    M[num] = M[:, num].T
+    M[np.ix_(num, num)] = F.T @ F
+    ones = np.concatenate([p.counts or [0.0] for p in records] + [[0.0]])
+    ones[num] = F.sum(axis=0)
+    return M, ones
+
+
+class TestCrossSweepBlocks:
+    """M's one-hot index is built one row block at a time; M, b, z'z and 1'A
+    keep the bits of a build that indexes all n rows first."""
+
+    @pytest.mark.parametrize("n", [2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1],
+                             ids=["two full blocks", "a last block of one row"])
+    @pytest.mark.parametrize("make", [
+        lambda n: numeric_dataset(6, n, 3),
+        lambda n: _categorical_dataset(6, n, (4, 7, 12), "ordinal"),
+        lambda n: mixed_dataset(6, n),
+    ], ids=["numeric only", "categorical only", "mixed"])
+    def test_matches_a_whole_n_index_bit_for_bit(self, make, n):
+        ds = make(n)
+        records = [scaling._record(ds, var) for var in ds.predictors]
+        z = population_standardize(ds.column(ds.dependent.name))[0]
+        sweep = scaling._cross_sweep(records, z)
+        M, ones = _whole_n_cross_tables(records, z)
+        assert sweep.n == n
+        for got, want in ((sweep.M, M[:-1, :-1]), (sweep.b, M[:-1, -1]),
+                          (sweep.zz, M[-1, -1]), (sweep.ones, ones)):
+            got, want = np.asarray(got), np.asarray(want)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def _assert_matches_oracle(ds, cfg):
     want = oracle_catreg_fit(ds, config=cfg)
     got = catreg_fit(ds, config=cfg)

@@ -28,7 +28,9 @@ with the affine standardization applied to numeric columns, so that any column
 can be reproduced as a plain real vector via `column_as_quantified`.
 
 Instances of every public type are immutable and safe to share between
-threads. Arrays returned by accessors are freshly allocated.
+threads. Arrays returned by public accessors are freshly allocated; the
+package's own modules read the stored read-only columns (`Dataset._stored`)
+instead of copying them.
 """
 
 from __future__ import annotations
@@ -166,6 +168,11 @@ class Dataset:
         j = self.index(name)
         cell, categories = self._columns[j][i], self.variables[j].categories
         return categories[cell] if categories else float(cell)
+
+    def _stored(self, name: str) -> np.ndarray:
+        """The variable's stored column itself, read-only and not copied: float64
+        for a numeric variable, declared category codes for a categorical one."""
+        return self._columns[self.index(name)]
 
     def column(self, name: str) -> np.ndarray:
         """Numeric column as a float array. Errors on categorical variables."""
@@ -352,7 +359,7 @@ def column_as_quantified(
             raise ValidationError(
                 f"no quantification recorded for categorical variable '{variable}'"
             )
-        codes = dataset.category_codes(variable)
+        codes = dataset._stored(variable)
         known = np.array([c in mapping for c in var.categories])
         if not known[codes].all():
             label = var.categories[codes[np.argmin(known[codes])]]
@@ -368,7 +375,7 @@ def column_as_quantified(
     mean, scale = entry
     if scale <= 0 or not math.isfinite(scale):
         raise ValidationError(f"invalid scale recorded for variable '{variable}'")
-    return (dataset.column(variable) - mean) / scale
+    return (dataset._stored(variable) - mean) / scale
 
 
 def _document_head(dataset: Dataset) -> dict:

@@ -42,7 +42,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .data import Dataset, population_standardize
+from .data import Dataset, _observed_codes, population_standardize
 from .errors import CatregError, NumericalError, ValidationError, require_number
 from .scaling import CatregConfig
 from .stats import BLOCK_ROWS, FLAT_RESPONSE, blockwise, fit_rows, ols_fit
@@ -204,7 +204,7 @@ class DummyDesign:
             if name in self.categorical_levels:
                 declared = dataset.variable(name).categories
                 observed = [declared.index(c) for c in self.categorical_levels[name]]
-                codes = dataset.category_codes(name)[rows]
+                codes = dataset._stored(name)[rows]
                 known = np.zeros(len(declared), dtype=bool)
                 known[observed] = True
                 seen &= known[codes]
@@ -212,13 +212,13 @@ class DummyDesign:
                     np.equal(codes, k, out=next(columns))
             else:
                 mean, scale = self.numeric_scaling[name]
-                next(columns)[:] = (dataset.column(name)[rows] - mean) / scale
+                next(columns)[:] = (dataset._stored(name)[rows] - mean) / scale
         return matrix, seen
 
 
 def dummy_design(dataset: Dataset) -> DummyDesign:
-    """The dummy-coded design of the dataset's predictors: observed levels from
-    `Dataset.codes`, numeric scalings; `encode` writes the matrix."""
+    """The dummy-coded design of the dataset's predictors: observed levels and
+    numeric scalings, read off the stored columns; `encode` writes the matrix."""
     names = [v.name for v in dataset.predictors]
     if not names:
         raise ValidationError("dummy_design needs at least one predictor")
@@ -227,7 +227,7 @@ def dummy_design(dataset: Dataset) -> DummyDesign:
     numeric_scaling: dict = {}
     for var, name in zip(dataset.predictors, names):
         if var.is_categorical:
-            observed = dataset.codes(name)[1]
+            observed = _observed_codes(dataset._stored(name), var.categories)[1]
             if len(observed) < 2:
                 raise ValidationError(
                     f"categorical predictor '{name}' has a single observed category"
@@ -235,7 +235,7 @@ def dummy_design(dataset: Dataset) -> DummyDesign:
             categorical_levels[name] = observed
             col_names.extend(f"{name}={cat}" for cat in observed[1:])
         else:
-            _, mean, scale = population_standardize(dataset.column(name))
+            _, mean, scale = population_standardize(dataset._stored(name))
             numeric_scaling[name] = (mean, scale)
             col_names.append(name)
     return DummyDesign(tuple(names), tuple(col_names), categorical_levels, numeric_scaling)
@@ -281,7 +281,7 @@ class MethodEvaluation:
 
 
 def _dummy_fitter(train: Dataset, full: Dataset, rows, configs: MethodConfigs):
-    design, y = dummy_design(train), train.column(full.dependent.name)
+    design, y = dummy_design(train), train._stored(full.dependent.name)
     fit = ols_fit(design.encode(train, np.arange(train.n))[0], y, names=design.names)
     matrix, seen = design.encode(full, rows)
     return fit.intercept + np.ascontiguousarray(matrix) @ fit.coef, seen, ""  # see encode
@@ -297,7 +297,7 @@ def _shared_dummy_fitter(dataset: Dataset, plan: FoldPlan):
         design = None
     if design is None or n_train <= len(design.names) + 1:  # ols_fit's TOO_FEW_ROWS
         return None
-    y, qr = dataset.column(dataset.dependent.name), partial(np.linalg.qr, mode="r")
+    y, qr = dataset._stored(dataset.dependent.name), partial(np.linalg.qr, mode="r")
     # each fold's rows [1, X, y], coded once with the full data's levels and scalings
     blocks = [np.c_[np.ones(len(i)), design.encode(dataset, i)[0], y[i]]
               for i in (np.flatnonzero(plan._folds == f) for f in range(plan.k))]
@@ -305,11 +305,11 @@ def _shared_dummy_fitter(dataset: Dataset, plan: FoldPlan):
     lacks, numeric, j = np.zeros(plan.k, dtype=bool), [], 1  # j: a column of [1, X, y]
     for name in design.variables:
         if name in design.numeric_scaling:
-            numeric.append((j, dataset.column(name), *design.numeric_scaling[name]))
+            numeric.append((j, dataset._stored(name), *design.numeric_scaling[name]))
             j += 1
             continue
         c = len(dataset.variable(name).categories)  # counts[f, code]: rows of fold f
-        counts = np.bincount(plan._folds * c + dataset.category_codes(name),
+        counts = np.bincount(plan._folds * c + dataset._stored(name),
                              minlength=plan.k * c).reshape(plan.k, c)
         lacks |= ((counts == counts.sum(axis=0)) & (counts > 0)).any(axis=1)
         j += len(design.categorical_levels[name]) - 1
@@ -343,7 +343,7 @@ def _contender_fitter(train: Dataset, full: Dataset, rows, configs: MethodConfig
         max_rounds=configs.max_rounds,
     )
     if result.model is None:
-        fallback = float(train.column(full.dependent.name).mean())
+        fallback = float(train._stored(full.dependent.name).mean())
         note = "empty selection; intercept-only fallback"
         return np.full(len(rows), fallback), np.ones(len(rows), dtype=bool), note
     model = result.model
@@ -353,9 +353,9 @@ def _contender_fitter(train: Dataset, full: Dataset, rows, configs: MethodConfig
             # a category without a quantification was unseen in training: NaN
             qmap = model.quantifications[mv.name]
             table = [qmap.get(c, np.nan) for c in full.variable(mv.name).categories]
-            columns.append(np.array(table, dtype=float)[full.category_codes(mv.name)[rows]])
+            columns.append(np.array(table, dtype=float)[full._stored(mv.name)[rows]])
         else:
-            columns.append(full.column(mv.name)[rows])
+            columns.append(full._stored(mv.name)[rows])
     matrix = np.column_stack(columns)
     coef = np.array([model.coefficients[mv.name] for mv in model.variables])
     return model.intercept + matrix @ coef, ~np.isnan(matrix).any(axis=1), ""
@@ -383,7 +383,7 @@ def crossval(
     if method not in METHODS:
         raise ValidationError(f"method must be one of {METHODS}, got {method!r}")
     plan = fold_plan(dataset.n, k, seed)
-    y = dataset.column(dataset.dependent.name)
+    y = dataset._stored(dataset.dependent.name)
     fitter, outcomes = _FITTERS[method], []
     shared = _shared_dummy_fitter(dataset, plan) if fitter is _dummy_fitter else None
     for fold in range(k):

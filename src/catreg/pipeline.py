@@ -292,7 +292,7 @@ def run_pipeline(
     require_number("max_rounds", max_rounds, integer=True)
     if max_rounds < 1:
         raise ValidationError("max_rounds must be >= 1")
-    y = dataset.column(dataset.dependent.name)
+    y = dataset._stored(dataset.dependent.name)
     declared = [v.name for v in dataset.predictors]
     if not declared:
         raise ValidationError("the dataset declares no predictors")
@@ -307,7 +307,7 @@ def run_pipeline(
             columns = dict.fromkeys(current)
         else:
             columns = {name: column_as_quantified(dataset, name, cfit.quantifications)
-                       if dataset.variable(name).is_categorical else dataset.column(name)
+                       if dataset.variable(name).is_categorical else dataset._stored(name)
                        for name in current}
         trace = stepwise_fit(columns, y, stepwise_config, _round=cfit._round)
         rounds.append(RoundRecord(r, tuple(current), cfit.r2, cfit.adj_r2, trace, trace.selected))

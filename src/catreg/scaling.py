@@ -42,13 +42,15 @@ sweeps leave n-space: `_cross_sweep` builds M = A'A once per fit (once per
 pipeline run, see below), where A is [each predictor's columns (one 0/1
 column per observed category), z], by BLOCK_ROWS-row blocks, the one-hot
 products in float32 (counts of at most 2,048 are exact) and the rest in
-float64. With b = A'z and a stacking
-beta_k q_k, predictor j's category sums are s = b_j - sum_{k != j} M_jk a_k,
-its new weight q.s/n and a sweep's R^2 1 - (z'z - 2a'b + a'Ma)/n; results
-agree with the row loop to about 1e-12. Narrow means width^2 <= _NARROW *
-predictors (width: A's columns): at n = 19,781 on one core a row sweep took
-64-76 us per predictor and M 0.33-0.36 us per width^2 at width 89, so M costs
-at most the two sweeps every converged fit runs up to width^2 = 380-440 each.
+float64. Each block indexes its own rows' one-hot columns, so the build holds
+z, the numeric columns and one block, never an n x items index. With b = A'z
+and a stacking beta_k q_k, predictor j's category sums are
+s = b_j - sum_{k != j} M_jk a_k, its new weight q.s/n and a sweep's R^2
+1 - (z'z - 2a'b + a'Ma)/n; results agree with the row loop to about 1e-12.
+Narrow means width^2 <= _NARROW * predictors (width: A's columns): at
+n = 19,781 on one core a row sweep took 64-76 us per predictor and M
+0.33-0.36 us per width^2 at width 89, so M costs at most the two sweeps
+every converged fit runs up to width^2 = 380-440 each.
 A later pipeline round refits a subset of the last round's predictors on the
 same rows, so its M, b, z'z and 1'A are a principal slice of that round's
 (`_CrossSweep.restrict`) and its records are that round's: it passes over no
@@ -56,7 +58,9 @@ rows to sweep, and sweeps on the slice even where `_NARROW` would call its set
 wide. The slice agrees with a build of its own to about 1e-15 (with no numeric
 predictor numpy forms z's products and sum by its one-column kernels). Every
 fit takes an item's codes, observed categories and counts from one bincount
-(`data._observed_codes`).
+(`data._observed_codes`) of the dataset's stored read-only column
+(`Dataset._stored`): a fully observed item's record holds that column
+itself, never written, and a numeric one only its standardized copy.
 
 A pipeline round's cross products come from the same M: with 1'A (the
 category counts and one sum per numeric column and z, outside M) it gives
@@ -223,11 +227,13 @@ _Predictor = namedtuple("_Predictor", "name x codes cats counts ordinal mean_sca
 
 
 def _record(dataset: Dataset, var) -> _Predictor:
-    """A predictor's record, read off the dataset."""
+    """A predictor's record, read off the dataset's stored columns: a fully
+    observed item's codes are the stored column itself, never written."""
+    column = dataset._stored(var.name)
     if var.level == NUMERIC:
-        x, mean, scale = population_standardize(dataset.column(var.name))
+        x, mean, scale = population_standardize(column)
         return _Predictor(var.name, x, None, None, None, False, (mean, scale))
-    codes, cats, counts = _observed_codes(dataset.category_codes(var.name), var.categories)
+    codes, cats, counts = _observed_codes(column, var.categories)
     return _Predictor(var.name, None, codes, cats, counts.astype(float).tolist(),
                       var.level == ORDINAL, None)
 
@@ -328,16 +334,18 @@ class _CrossSweep:
 def _cross_sweep(records, z) -> _CrossSweep:
     """The sweep of `records` and z, with A'A and 1'A from one pass over the rows."""
     starts = _starts(records)
-    hot = [p.codes + s for p, s in zip(records, starts) if p.codes is not None]
-    hot = np.array(hot, np.intp).T  # each row's one-hot columns of A (shape (0,) if none)
+    items = [(p.codes, s) for p, s in zip(records, starts) if p.codes is not None]
     num = [s for p, s in zip(records, starts) if p.codes is None] + [starts[-1]]
     F = np.column_stack([p.x for p in records if p.codes is None] + [z])
     M = np.zeros((starts[-1] + 1,) * 2)
     for i in range(0, len(z), BLOCK_ROWS):
-        H = np.zeros((len(F[i:i + BLOCK_ROWS]), len(M)), np.float32)
-        H.reshape(-1)[(np.arange(len(H)) * len(M))[:, None] + hot[i:i + BLOCK_ROWS]] = 1.0
+        rows = slice(i, i + BLOCK_ROWS)
+        H = np.zeros((len(F[rows]), len(M)), np.float32)
+        # the block's one-hot columns of A, items x rows (0 x rows without items)
+        hot = np.array([codes[rows] + s for codes, s in items], np.intp).reshape(len(items), len(H))
+        H.reshape(-1)[np.arange(len(H)) * len(M) + hot] = 1.0
         M += H.T @ H
-        M[:, num] += H.astype(float).T @ F[i:i + BLOCK_ROWS]
+        M[:, num] += H.astype(float).T @ F[rows]
     M[num] = M[:, num].T
     M[np.ix_(num, num)] = F.T @ F
     ones = np.concatenate([p.counts or [0.0] for p in records] + [[0.0]])
@@ -368,7 +376,7 @@ def catreg_fit(
     if len(set(names)) != len(names):
         raise ValidationError("duplicate predictor names")
     n = dataset.n
-    y = dataset.column(dataset.dependent.name)
+    y = dataset._stored(dataset.dependent.name)
     z, y_mean, y_scale = population_standardize(y)
 
     kept = {p.name: p for p in _sweep.records} if _sweep is not None else None
@@ -512,7 +520,7 @@ def _round(dataset, records, quants, numeric_map, y, y_map, cross) -> Round:
     items = [(p.name, p.codes, v) for p, v in zip(records, quants)]
 
     def rotate():
-        return rotation([dataset.column(name) if codes is None else np.array(v)[codes]
+        return rotation([dataset._stored(name) if codes is None else np.array(v)[codes]
                          for name, codes, v in items], y)
 
     if cross is None:

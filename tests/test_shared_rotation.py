@@ -174,10 +174,14 @@ class TestGate:
         sweep = scaling._CrossSweep  # constructed by the pass over the rows; a slice is not
         monkeypatch.setattr(scaling, "_CrossSweep",
                             lambda *args: built.append(1) or sweep(*args))
-        for method in ("codes", "category_codes"):
-            read = getattr(Dataset, method)
-            monkeypatch.setattr(Dataset, method,
-                                lambda self, name, read=read: coded.append(name) or read(self, name))
+        read = Dataset._stored  # the package's read of a stored column, of either kind
+
+        def spy(self, name):
+            if self.variable(name).is_categorical:
+                coded.append(name)
+            return read(self, name)
+
+        monkeypatch.setattr(Dataset, "_stored", spy)
         restrict = sweep.restrict
         monkeypatch.setattr(sweep, "restrict",
                             lambda self, names: restricted.append(list(names)) or restrict(self, names))

@@ -42,8 +42,8 @@ sweeps leave n-space: `_cross_sweep` builds M = A'A once per fit (once per
 pipeline run, see below), where A is [each predictor's columns (one 0/1
 column per observed category), z], by BLOCK_ROWS-row blocks, the one-hot
 products in float32 (counts of at most 2,048 are exact) and the rest in
-float64. Each block indexes its own rows' one-hot columns, so the build holds
-z, the numeric columns and one block, never an n x items index. With b = A'z
+float64. Each block sets its rows' one-hot entries item by item, so the build
+holds z, the numeric columns and one block, never an n x items index. With b = A'z
 and a stacking beta_k q_k, predictor j's category sums are
 s = b_j - sum_{k != j} M_jk a_k, its new weight q.s/n and a sweep's R^2
 1 - (z'z - 2a'b + a'Ma)/n; results agree with the row loop to about 1e-12.
@@ -341,9 +341,9 @@ def _cross_sweep(records, z) -> _CrossSweep:
     for i in range(0, len(z), BLOCK_ROWS):
         rows = slice(i, i + BLOCK_ROWS)
         H = np.zeros((len(F[rows]), len(M)), np.float32)
-        # the block's one-hot columns of A, items x rows (0 x rows without items)
-        hot = np.array([codes[rows] + s for codes, s in items], np.intp).reshape(len(items), len(H))
-        H.reshape(-1)[np.arange(len(H)) * len(M) + hot] = 1.0
+        flat, at = H.reshape(-1), np.arange(len(H)) * len(M)  # at: each row's start in flat
+        for codes, s in items:  # the item's one-hot column of A on each row
+            flat[at + codes[rows] + s] = 1.0
         M += H.T @ H
         M[:, num] += H.astype(float).T @ F[rows]
     M[num] = M[:, num].T

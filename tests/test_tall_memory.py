@@ -84,6 +84,6 @@ def test_a_tall_runs_memory_grows_per_row_by_columns_not_items(items):
     small, large = (_items_dataset(3, n, items, numerics) for n in rows)
     run_pipeline(small)  # first calls allocate what later ones reuse
     per_row = (_traced_peak(large) - _traced_peak(small)) / (rows[1] - rows[0])
-    # z, the fit's yhat and z's column of the numeric block, plus one float64
-    # column of slack, and per numeric predictor its record and its block column
+    # z and its copy in the sweep's numeric block, two float64 columns of slack,
+    # and per numeric predictor its standardized record and its column of the block
     assert per_row <= 8 * (4 + 2 * numerics)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import catreg.data
 from catreg import (
     DEPENDENT,
     NOMINAL,
@@ -33,6 +34,7 @@ from catreg import (
     load_responses,
     save_dataset,
 )
+from catreg.errors import read_json
 from helpers import _oracle_load_responses, dataset_of_rows, oracle_ingest, oracle_save_text
 
 # --- the dataset writer ------------------------------------------------------
@@ -225,6 +227,92 @@ def test_column_constructor_checks_its_shape_and_ids():
         Dataset(variables, columns=[(1.0, 2.0), (3.0, 4.0)], ids=["a", 7])
     with pytest.raises(CatregError, match="row b, variable 'y'"):
         Dataset(variables, columns=[(1.0, 2.0), (3.0, None)], ids=["a", "b"])
+
+
+
+# --- the block reader ----------------------------------------------------------
+
+ROWS_OPEN, ROWS_CLOSE = '\n  "rows": [\n', "\n  ]\n}\n"  # the writer's layout around the rows
+BAD_CELLS = st.sampled_from([None, True, "", "Z", "1", 1, 0.5, [], {}, 10**400])
+BAD_IDS = st.sampled_from([7, False, None, "", ["r"], {}])
+MUTATIONS = ("canonical", "byte deleted", "byte inserted", "byte replaced", "bad cell",
+             "bad id", "repeated id", "bad row entry", "ragged row", "CRLF", "BOM",
+             "trailing text", "rows key before the rows", "rows key after the rows",
+             "reordered keys", "indented dump without a final newline", "compact dump")
+
+
+@st.composite
+def dataset_files(draw, tmp_path):
+    """A file written by save_dataset, or one such file mutated, and the mutation."""
+    dataset = draw(datasets())
+    path = tmp_path / "ds.json"
+    save_dataset(dataset, str(path))
+    text, doc = path.read_text(encoding="utf-8"), dataset_to_json(dataset)
+    rows = doc["rows"]
+    i = draw(st.integers(0, len(rows) - 1))
+    kind = draw(st.sampled_from(MUTATIONS))
+    if kind == "bad cell":
+        rows[i]["values"][draw(st.integers(0, len(rows[i]["values"]) - 1))] = draw(BAD_CELLS)
+    elif kind == "bad id":
+        rows[i]["id"] = draw(BAD_IDS)
+    elif kind == "repeated id":
+        rows[i]["id"] = rows[i - 1]["id"]
+    elif kind == "bad row entry":
+        rows[i] = ROW_FAULTS[draw(st.sampled_from(list(ROW_FAULTS)))][0](rows[i])
+    elif kind == "ragged row":
+        rows[i]["values"] = rows[i]["values"][:-1] if draw(st.booleans()) else [
+            *rows[i]["values"], 1.0]
+    if kind in ("bad cell", "bad id", "repeated id", "bad row entry", "ragged row"):
+        text = json.dumps(doc, indent=2) + "\n"  # still the writer's layout
+    elif kind == "CRLF":
+        text = text.replace("\n", "\r\n")
+    elif kind == "BOM":
+        text = "\ufeff" + text
+    elif kind == "trailing text":
+        text += draw(st.sampled_from(["x", "\n", " ", "{}", "]", ROWS_CLOSE]))
+    elif kind == "rows key before the rows":
+        text = text.replace(ROWS_OPEN, '\n  "rows": [],' + ROWS_OPEN, 1)
+    elif kind == "rows key after the rows":
+        body = text[text.index(ROWS_OPEN) + len(ROWS_OPEN): -len(ROWS_CLOSE)]
+        first = body[: body.index("\n    }") + len("\n    }")]
+        text = text[: -len(ROWS_CLOSE)] + "\n  ]," + ROWS_OPEN + first + ROWS_CLOSE
+    elif kind == "reordered keys":
+        text = json.dumps({k: doc[k] for k in draw(st.permutations(list(doc)))}, indent=2) + "\n"
+    elif kind == "indented dump without a final newline":
+        text = json.dumps(doc, indent=2)
+    elif kind == "compact dump":
+        text = json.dumps(doc)
+    data = text.encode("utf-8")
+    if kind.startswith("byte"):
+        at = draw(st.integers(0, len(data) - 1))
+        byte = bytes([draw(st.sampled_from(b'\n ,{}[]"\\0') | st.integers(0, 255))])
+        data = data[:at] + (b"" if kind == "byte deleted" else byte) + data[
+            at + (kind != "byte inserted"):]
+    path.write_bytes(data)
+    return kind, str(path)
+
+
+def _read_outcome(read, path):
+    try:
+        return "ok", read(path)
+    except (CatregError, ValueError) as exc:  # ValueError: JSONDecodeError, UnicodeDecodeError
+        return type(exc), str(exc)
+
+
+@given(st.data(), st.sampled_from([1, 40, 300, 1 << 18]))
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+def test_load_dataset_matches_the_whole_document_reader(tmp_path, monkeypatch, data, block):
+    """A file loads to the dataset, or fails with the exception and message, of
+    `dataset_from_json(read_json(path))`; small blocks put rows in many blocks."""
+    kind, path = data.draw(dataset_files(tmp_path), label="mutation, file")
+    monkeypatch.setattr(catreg.data, "_READ_BLOCK", block, raising=False)
+    got = _read_outcome(load_dataset, path)
+    want = _read_outcome(lambda p: dataset_from_json(read_json(p)), path)
+    assert got == want
+    if got[0] == "ok":
+        assert [(c.dtype, c.tobytes()) for c in got[1]._columns] == [
+            (c.dtype, c.tobytes()) for c in want[1]._columns]
 
 
 # --- the ingest stages -------------------------------------------------------

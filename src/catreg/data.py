@@ -17,11 +17,20 @@ indexing with no second validation; an integer index array is used as it is,
 and repeats are found by counting indices.
 
 The JSON form is written from the columns with the bytes of `json.dump(...,
-indent=2)`, each row its cells joined with fixed separators. The reader checks
-each row field in one pass, and reads rows one by one only to name a bad one.
-Its rows become columns by `rows_to_columns`, as the CSV reader's do: only
-the rows before the first ragged one are checked, and a ragged row is named
-only if no bad cell comes before it.
+indent=2)`, each row its cells joined with fixed separators. `load_dataset`
+reads a file's bytes whole but never holds its text or its object tree whole.
+In the writer's layout (the `_ROWS_OPEN`, `_ROW_END`, `_ROW_BREAK` and
+`_ROWS_CLOSE` strings) the head up to the rows is decoded on its own, and the
+rows in blocks of about `_READ_BLOCK` bytes, each cut at a row break: a JSON
+string holds no raw newline, so a row break can only be structure. Each
+block's rows are checked and written into column arrays sized by counting the
+row breaks. Any other file, and any file the block path finds fault with (a
+bad row, cell or id, a ragged row, bytes that do not decode or parse), is read
+again whole by `dataset_from_json(read_json(path))`, which names the error.
+That reader checks each row field in one pass, and reads rows one by one only
+to name a bad one. Its rows become columns by `rows_to_columns`, as the CSV
+reader's do: only the rows before the first ragged one are checked, and a
+ragged row is named only if no bad cell comes before it.
 
 A QuantificationMap records the numeric values assigned to categories together
 with the affine standardization applied to numeric columns, so that any column
@@ -45,7 +54,8 @@ from json.encoder import encode_basestring_ascii as json_string
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, finite_number, json_list, json_object, read_json
+from .errors import (CatregError, NumericalError, ValidationError, finite_number, json_list,
+                     json_object, parse_json, read_json)
 
 NOMINAL = "nominal"
 ORDINAL = "ordinal"
@@ -117,9 +127,7 @@ class Dataset:
         if len(columns) != len(variables) or any(len(cells) != len(ids) for cells in columns):
             raise ValidationError("dataset needs one column per variable and one cell per row id")
         arrays = _columns_of(variables, columns, ids)
-        if len(dict.fromkeys(ids)) < len(ids):  # a dict: a set of 20k ids peaks 4x larger
-            first = next(rid for rid, count in Counter(ids).items() if count > 1)
-            raise ValidationError(f"row ids must be unique; '{first}' occurs more than once")
+        _check_unique(ids)
         self._init(variables, ids, arrays)
 
     def _init(self, variables, ids, columns) -> "Dataset":
@@ -254,12 +262,21 @@ def _variables_and_ids(variables, ids) -> tuple:
         raise ValidationError("the dependent variable must be numeric")
     if ids is None:
         raise ValidationError("a dataset given by columns needs one row id or None per row")
-    if not set(map(type, ids)) <= {str}:
+    if set(map(type, ids)) <= {str}:
+        ids = tuple(ids)
+    else:
         for rid in ids:
             _check_row_id(rid)
+        ids = tuple(str(i) if rid is None else rid for i, rid in enumerate(ids))
     if len(ids) < 2:
         raise ValidationError("dataset needs at least two rows")
-    return variables, tuple(str(i) if rid is None else rid for i, rid in enumerate(ids))
+    return variables, ids
+
+
+def _check_unique(ids: tuple) -> None:
+    if len(dict.fromkeys(ids)) < len(ids):  # a dict: a set of 20k ids peaks 4x larger
+        first = next(rid for rid, count in Counter(ids).items() if count > 1)
+        raise ValidationError(f"row ids must be unique; '{first}' occurs more than once")
 
 
 def _columns_of(variables, columns, ids) -> list:
@@ -401,6 +418,21 @@ def dataset_to_json(dataset: Dataset) -> dict:
 
 def dataset_from_json(obj) -> Dataset:
     """Parse the canonical JSON form back into a Dataset. Rejects unknown fields."""
+    variables = _head_variables(obj)
+    values, ids = _row_fields(json_list(obj.get("rows", []), "rows"))
+    columns, ragged = rows_to_columns(values, len(variables))
+    if ragged is None:
+        return Dataset(variables, columns, ids)
+    # the checks Dataset makes first, then the ragged row
+    variables, ids = _variables_and_ids(variables, ids)
+    _columns_of(variables, columns, ids)
+    raise ValidationError(
+        f"row {ids[ragged]}: expected {len(variables)} values, got {len(values[ragged])}"
+    )
+
+
+def _head_variables(obj) -> list:
+    """The variables of a dataset document, after checking its fields and version."""
     json_object(obj, {"schema_version", "variables", "rows"}, "dataset document")
     if obj.get("schema_version") != DATASET_SCHEMA_VERSION:
         raise ValidationError(
@@ -413,16 +445,7 @@ def dataset_from_json(obj) -> Dataset:
         categories = tuple(json_list(entry.get("categories", []), "categories"))
         role = entry.get("role", PREDICTOR)
         variables.append(Variable(entry.get("name"), entry.get("level"), categories, role))
-    values, ids = _row_fields(json_list(obj.get("rows", []), "rows"))
-    columns, ragged = rows_to_columns(values, len(variables))
-    if ragged is None:
-        return Dataset(variables, columns, ids)
-    # the checks Dataset makes first, then the ragged row
-    variables, ids = _variables_and_ids(variables, ids)
-    _columns_of(variables, columns, ids)
-    raise ValidationError(
-        f"row {ids[ragged]}: expected {len(variables)} values, got {len(values[ragged])}"
-    )
+    return variables
 
 
 def _row_fields(rows: list) -> tuple[list, list]:
@@ -442,6 +465,14 @@ def _row_fields(rows: list) -> tuple[list, list]:
 
 
 _WRITE_ROWS = 2048  # rows encoded per write, so the file text is never held whole
+_READ_BLOCK = 1 << 18  # bytes of rows decoded at a time, so the file's tree is never held whole
+# The writer's layout, which the reader's block path relies on: the document's
+# last key opens the rows, each row ends at indent 4, rows are joined by a
+# comma and a newline, and the document ends with the rows.
+_ROWS_OPEN = '\n  "rows": [\n'
+_ROW_END = "\n    }"
+_ROW_BREAK = ",\n"
+_ROWS_CLOSE = "\n  ]\n}\n"
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -451,11 +482,11 @@ def save_dataset(dataset: Dataset, path) -> None:
     separators: ids and labels encoded by the json module's ASCII encoder (each
     label once per variable), numbers by float.__repr__, as json does it.
     """
-    head = json.dumps({**_document_head(dataset), "rows": []}, indent=2)
+    head = json.dumps(_document_head(dataset), indent=2)
     labels = [np.array(list(map(json_string, v.categories)), dtype=object)
               for v in dataset.variables]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head[: -len("[]\n}")] + "[\n")
+        fh.write(head[: -len("\n}")] + "," + _ROWS_OPEN)
         for start in range(0, dataset.n, _WRITE_ROWS):
             part = slice(start, start + _WRITE_ROWS)
             texts = [repeat('    {\n      "id": '), map(json_string, dataset._ids[part])]
@@ -463,10 +494,53 @@ def save_dataset(dataset: Dataset, path) -> None:
                 texts += [repeat(",\n        " if j else ',\n      "values": [\n        '),
                           labels[j][col[part]].tolist() if var.is_categorical
                           else map(float.__repr__, col[part].tolist())]
-            texts.append(repeat("\n      ]\n    }"))
-            fh.write((",\n" if start else "") + ",\n".join(map("".join, zip(*texts))))
-        fh.write("\n  ]\n}\n")
+            texts.append(repeat("\n      ]" + _ROW_END))
+            fh.write((_ROW_BREAK if start else "") + _ROW_BREAK.join(map("".join, zip(*texts))))
+        fh.write(_ROWS_CLOSE)
 
 
 def load_dataset(path) -> Dataset:
-    return dataset_from_json(read_json(path))
+    """Read a dataset file written by `save_dataset`, or any JSON file of its form.
+
+    The file's bytes are read once. In the writer's layout its rows are
+    decoded a block at a time; any other file, or one whose block decode
+    finds a fault, is parsed whole by `dataset_from_json(read_json(path))`,
+    so every error is that reader's, with its message.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        dataset = _blocks_dataset(data)
+    except (ValueError, CatregError):  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        dataset = None
+    return dataset if dataset is not None else dataset_from_json(read_json(path))
+
+
+def _blocks_dataset(data: bytes) -> Dataset | None:
+    """The dataset of a file's bytes in the writer's layout, decoded a block of rows
+    at a time; None for other bytes or a ragged row, and an error for any other fault."""
+    opened, close = data.find(_ROWS_OPEN.encode()), len(data) - len(_ROWS_CLOSE)
+    if opened < 0 or not data.endswith(_ROWS_CLOSE.encode()):
+        return None
+    start = opened + len(_ROWS_OPEN)
+    variables = _head_variables(parse_json(data[:start].decode("utf-8") + "]}"))
+    cut = (_ROW_END + _ROW_BREAK).encode()
+    # every row but the last ends in a row break, and among rows that pass their
+    # checks nothing else can, so n is exact for every file this path returns
+    n = data.count(cut, start, close) + 1
+    arrays = [np.empty(n, np.intp if v.is_categorical else float) for v in variables]
+    ids = []
+    while start < close:
+        end = data.find(cut, start + _READ_BLOCK, close)
+        end = close if end < 0 else end + len(_ROW_END)
+        values, block_ids = _row_fields(parse_json("[" + data[start:end].decode("utf-8") + "]"))
+        columns, ragged = rows_to_columns(values, len(variables))
+        if ragged is not None or len(ids) + len(values) > n:
+            return None
+        for array, col in zip(arrays, _columns_of(variables, columns, block_ids)):
+            array[len(ids): len(ids) + len(col)] = col
+        ids += block_ids
+        start = end + len(_ROW_BREAK)
+    variables, ids = _variables_and_ids(variables, ids)
+    _check_unique(ids)
+    return object.__new__(Dataset)._init(variables, ids, arrays)

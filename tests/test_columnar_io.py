@@ -8,6 +8,7 @@ the same file bytes.
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from catreg import (
     dataset_to_json,
     ingest_dataset,
     load_dataset,
+    load_gearing,
     load_responses,
     save_dataset,
 )
@@ -306,13 +308,69 @@ def test_load_dataset_matches_the_whole_document_reader(tmp_path, monkeypatch, d
     """A file loads to the dataset, or fails with the exception and message, of
     `dataset_from_json(read_json(path))`; small blocks put rows in many blocks."""
     kind, path = data.draw(dataset_files(tmp_path), label="mutation, file")
-    monkeypatch.setattr(catreg.data, "_READ_BLOCK", block, raising=False)
+    monkeypatch.setattr(catreg.data, "_READ_BLOCK", block)
     got = _read_outcome(load_dataset, path)
     want = _read_outcome(lambda p: dataset_from_json(read_json(p)), path)
     assert got == want
     if got[0] == "ok":
         assert [(c.dtype, c.tobytes()) for c in got[1]._columns] == [
             (c.dtype, c.tobytes()) for c in want[1]._columns]
+
+
+
+def _survey(n: int) -> Dataset:
+    """n rows of twelve questionnaire items answered in words, two numbers and y."""
+    rng = np.random.default_rng(7)
+    labels = ("never", "rarely", "sometimes", "often", "always")
+    variables = [Variable(f"q{j}", ORDINAL, labels) for j in range(12)]
+    variables += [Variable("x0", NUMERIC), Variable("x1", NUMERIC),
+                  Variable("y", NUMERIC, role=DEPENDENT)]
+    columns = [[labels[c] for c in rng.integers(0, 5, n)] for _ in range(12)]
+    columns += [rng.normal(size=n).tolist() for _ in range(3)]
+    return Dataset(variables, columns, [f"p{i}" for i in range(n)])
+
+
+def _traced_load(path) -> tuple:
+    """(the dataset, the bytes it holds, the traced peak) of one load_dataset."""
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(str(path))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return loaded, held, peak
+
+
+def test_a_load_holds_the_files_bytes_the_dataset_and_one_block(tmp_path):
+    """Beyond the file's bytes a load holds at most twice the dataset it returns
+    and what decoding one block of rows takes, measured on a one-block file."""
+    dataset, big, one = _survey(6000), tmp_path / "big.json", tmp_path / "one.json"
+    save_dataset(dataset, big)
+    size = big.stat().st_size
+    save_dataset(dataset.subset(np.arange(catreg.data._READ_BLOCK * dataset.n // size)), one)
+    load_dataset(str(one))  # first calls allocate what later ones reuse
+    _, _, one_peak = _traced_load(one)
+    block = one_peak - one.stat().st_size
+    loaded, held, peak = _traced_load(big)
+    assert loaded == dataset
+    assert size > 8 * catreg.data._READ_BLOCK
+    assert peak - size <= 2 * held + block
+
+
+def test_only_a_file_outside_the_writers_layout_is_parsed_whole(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(catreg.data, "read_json", lambda path: calls.append(path) or read_json(path))
+    data = Path(__file__).resolve().parents[1] / "data"
+    sample, _ = ingest_dataset(str(data / "responses.sample.csv"),
+                               load_gearing(str(data / "gearing.sample.json")))
+    path = tmp_path / "ds.json"
+    for dataset in (sample, _survey(3000)):  # one block; several
+        save_dataset(dataset, str(path))
+        assert load_dataset(str(path)) == dataset
+    assert calls == []
+    path.write_text(json.dumps(dataset_to_json(sample)))
+    assert load_dataset(str(path)) == sample
+    assert calls == [str(path)]
 
 
 # --- the ingest stages -------------------------------------------------------

@@ -231,7 +231,6 @@ def test_column_constructor_checks_its_shape_and_ids():
         Dataset(variables, columns=[(1.0, 2.0), (3.0, None)], ids=["a", "b"])
 
 
-
 # --- the block reader ----------------------------------------------------------
 
 ROWS_OPEN, ROWS_CLOSE = '\n  "rows": [\n', "\n  ]\n}\n"  # the writer's layout around the rows
@@ -317,7 +316,6 @@ def test_load_dataset_matches_the_whole_document_reader(tmp_path, monkeypatch, d
             (c.dtype, c.tobytes()) for c in want[1]._columns]
 
 
-
 def _survey(n: int) -> Dataset:
     """n rows of twelve questionnaire items answered in words, two numbers and y."""
     rng = np.random.default_rng(7)
@@ -347,13 +345,13 @@ def test_a_load_holds_the_files_bytes_the_dataset_and_one_block(tmp_path):
     dataset, big, one = _survey(6000), tmp_path / "big.json", tmp_path / "one.json"
     save_dataset(dataset, big)
     size = big.stat().st_size
+    assert size > 8 * catreg.data._READ_BLOCK
     save_dataset(dataset.subset(np.arange(catreg.data._READ_BLOCK * dataset.n // size)), one)
     load_dataset(str(one))  # first calls allocate what later ones reuse
     _, _, one_peak = _traced_load(one)
     block = one_peak - one.stat().st_size
     loaded, held, peak = _traced_load(big)
     assert loaded == dataset
-    assert size > 8 * catreg.data._READ_BLOCK
     assert peak - size <= 2 * held + block
 
 

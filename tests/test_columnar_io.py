@@ -6,6 +6,7 @@ reasons in the same order, the same exception with the same message, and
 the same file bytes.
 """
 
+import csv
 import json
 import math
 import tracemalloc
@@ -17,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import catreg.data
+import catreg.ingest
 from catreg import (
     DEPENDENT,
     NOMINAL,
@@ -517,8 +519,8 @@ def _assert_loads_like_the_oracle(path, schema):
     assert table.flags == {i: r.flags for i, r in enumerate(rows) if r.flags}
 
 
-SAMPLE_LINES = (Path(__file__).resolve().parent.parent / "data" / "responses.sample.csv").read_text(
-    encoding="utf-8").splitlines()
+DATA = Path(__file__).resolve().parent.parent / "data"
+SAMPLE_LINES = (DATA / "responses.sample.csv").read_text(encoding="utf-8").splitlines()
 
 
 def _edited_sample(tmp_path, rows, edit) -> Path:
@@ -593,3 +595,134 @@ def test_first_error_in_a_row_follows_the_old_cell_order(tmp_path, planted):
     got = _outcome(ingest_dataset, str(path), gearing)
     assert got[0] != "ok"
     assert got == _outcome(oracle_ingest, str(path), gearing)
+
+
+# --- how the CSV's rows are read: row order, blank lines and csv errors --------
+
+SAMPLE_HEADER = SAMPLE_LINES[0].split(",")
+HUGE = "9" * (csv.field_size_limit() + 1)
+
+
+@pytest.fixture(params=[None, 1, 3], ids=["default", "read_rows=1", "read_rows=3"])
+def read_rows(request, monkeypatch):
+    """Rows read from the CSV at a time: the default, or a block size that
+    puts block boundaries between most rows of the sample corpus."""
+    if request.param is not None:
+        monkeypatch.setattr(catreg.ingest, "_READ_ROWS", request.param, raising=False)
+    return request.param
+
+
+def _set_cell(lines, row, column, value):
+    cells = lines[row].split(",")
+    cells[SAMPLE_HEADER.index(column)] = value
+    lines[row] = ",".join(cells)
+
+
+def _cut_cell(lines, row):
+    lines[row] = lines[row].rsplit(",", 1)[0]
+
+
+def _write_lines(tmp_path, lines, tail="") -> str:
+    path = tmp_path / "responses.csv"
+    path.write_text("\n".join(lines) + "\n" + tail, encoding="utf-8", newline="")
+    return str(path)
+
+
+def _load_error(path) -> str:
+    with pytest.raises(ValidationError) as info:
+        load_responses(path)
+    return str(info.value)
+
+
+def _table_state(table) -> tuple:
+    return (table.languages, table.ids, table.answers,
+            {lang: col.tolist() for lang, col in table.sloc.items()},
+            {name: col.tobytes() for name, col in table.fields.items()}, table.flags)
+
+
+MISSING_ALL = str([item.name for item in QuestionnaireSchema().items] + list(METRICS))
+EARLIER_FAULTS = {  # an edit of the sample corpus's lines, and the error it raises alone
+    "bad cell": (lambda lines: _set_cell(lines, 5, "Q3", "Z"),
+                 "row 5, column Q3: 'Z' is not one of ABCD"),
+    "ragged row": (lambda lines: _cut_cell(lines, 5),
+                   "row 5: expected 29 cells, got 28 (malformed CSV)"),
+    "blank line": (lambda lines: lines.insert(5, ""),
+                   "row 5: expected 29 cells, got 0 (malformed CSV)"),
+    "duplicate ids": (lambda lines: _set_cell(lines, 2, "id", "190"),
+                      "responses CSV has duplicate row identifiers"),
+    "unknown column": (lambda lines: lines.__setitem__(0, lines[0] + "x"),
+                       "responses CSV has unknown columns: ['defectsx']"),
+    "blank first line": (lambda lines: lines.insert(0, ""),
+                         f"responses CSV is missing columns: {MISSING_ALL}"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(EARLIER_FAULTS))
+def test_a_later_csv_error_wins_over_an_earlier_fault(tmp_path, read_rows, fault):
+    edit, message = EARLIER_FAULTS[fault]
+    lines = list(SAMPLE_LINES)
+    edit(lines)
+    assert _load_error(_write_lines(tmp_path, lines)) == message
+    _set_cell(lines, 150, "defects", HUGE)  # line 151 of the file
+    assert _load_error(_write_lines(tmp_path, lines)) == (
+        f"responses CSV, line 151: field larger than field limit "
+        f"({csv.field_size_limit()})")
+
+
+@pytest.mark.parametrize("edits, message", [
+    # the earliest row wins, with its row number in the file
+    ([(5, "Q3", "Z"), (9, None, None)], "row 5, column Q3: 'Z' is not one of ABCD"),
+    ([(9, None, None), (12, "duration", "x")],
+     "row 9: expected 29 cells, got 28 (malformed CSV)"),
+    ([(150, "sloc:Java", "-1"), (151, None, None)],
+     "row 150, column sloc:Java: source line counts must be >= 0"),
+    ([(199, "developers", "inf")], "row 199, column developers: value must be finite"),
+    ([(200, None, None)], "row 200: expected 29 cells, got 28 (malformed CSV)"),
+    # ids far apart, checked after every cell
+    ([(1, "id", "200")], "responses CSV has duplicate row identifiers"),
+    ([(1, "id", "200"), (180, "Q22", "E")], "row 180, column Q22: 'E' is not one of ABCD"),
+    ([(1, "id", "200"), (180, None, None)], "row 180: expected 29 cells, got 28 (malformed CSV)"),
+])
+def test_the_earliest_faulty_row_is_named(tmp_path, read_rows, edits, message):
+    lines = list(SAMPLE_LINES)
+    for row, column, value in edits:
+        if column:
+            _set_cell(lines, row, column, value)
+        else:
+            _cut_cell(lines, row)
+    assert _load_error(_write_lines(tmp_path, lines)) == message
+
+
+@pytest.mark.parametrize("row", [1, 4, 100, 199])
+def test_a_blank_line_before_the_last_row_is_a_ragged_row(tmp_path, read_rows, row):
+    lines = list(SAMPLE_LINES)
+    lines.insert(row, "")
+    assert _load_error(_write_lines(tmp_path, lines, "\n")) == (
+        f"row {row}: expected 29 cells, got 0 (malformed CSV)")
+
+
+@pytest.mark.parametrize("tail", ["\n", "\n\n", "\r\n\n\r\n", "\n" * 7])
+def test_blank_lines_at_the_end_are_ignored(tmp_path, read_rows, tail):
+    want = _table_state(load_responses(str(DATA / "responses.sample.csv")))
+    assert _table_state(load_responses(_write_lines(tmp_path, SAMPLE_LINES, tail))) == want
+    lines = [",".join(c for c, h in zip(line.split(","), SAMPLE_HEADER) if h != "id")
+             for line in SAMPLE_LINES]
+    table = load_responses(_write_lines(tmp_path, lines, tail))  # ids are row positions
+    assert table.ids == [str(i) for i in range(200)]
+    assert _table_state(table)[2:] == want[2:]
+
+
+@pytest.mark.parametrize("tail", ["", "\n", "\n\n\n", "\r\n\r\n"])
+def test_a_header_only_file_has_no_rows(tmp_path, read_rows, tail):
+    path = _write_lines(tmp_path, SAMPLE_LINES[:1], tail)
+    assert load_responses(path).n == 0
+    with pytest.raises(ValidationError,
+                       match="^only 0 rows survive filtering; at least 2 are required$"):
+        ingest_dataset(path, load_gearing(str(DATA / "gearing.sample.json")))
+
+
+@pytest.mark.parametrize("text", ["", "\n", "\n\n\r\n"])
+def test_a_file_of_blank_lines_is_empty(tmp_path, read_rows, text):
+    path = tmp_path / "responses.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _load_error(str(path)) == "responses CSV is empty"

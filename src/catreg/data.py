@@ -11,7 +11,9 @@ A Dataset is stored by column: categorical columns as integer codes into the
 declared categories, numeric columns as float64 (so an integer cell is
 written back as 3.0). It is built from columns of cells and row ids; each
 column is checked once, and only a column whose check fails is searched cell
-by cell. The error names the first bad cell in row-major order: the earliest
+by cell. A reader that checks the cells itself (the block reader below, and
+ingest's `filter_rows`) builds it from column arrays with
+`Dataset._of_checked`, which checks only the variables and the row ids. The error names the first bad cell in row-major order: the earliest
 row, and within it the first variable in declared order. `subset` is fancy
 indexing with no second validation; an integer index array is used as it is,
 and repeats are found by counting indices.
@@ -129,6 +131,15 @@ class Dataset:
         arrays = _columns_of(variables, columns, ids)
         _check_unique(ids)
         self._init(variables, ids, arrays)
+
+    @classmethod
+    def _of_checked(cls, variables, columns, ids) -> "Dataset":
+        """A Dataset of column arrays whose cells are already checked: float64 for
+        a numeric variable, declared category codes for a categorical one. Only
+        the variables and the row ids are checked."""
+        variables, ids = _variables_and_ids(variables, ids)
+        _check_unique(ids)
+        return object.__new__(cls)._init(variables, ids, columns)
 
     def _init(self, variables, ids, columns) -> "Dataset":
         for col in columns:
@@ -541,6 +552,4 @@ def _blocks_dataset(data: bytes) -> Dataset | None:
             array[len(ids): len(ids) + len(col)] = col
         ids += block_ids
         start = end + len(_ROW_BREAK)
-    variables, ids = _variables_and_ids(variables, ids)
-    _check_unique(ids)
-    return object.__new__(Dataset)._init(variables, ids, arrays)
+    return Dataset._of_checked(variables, arrays, ids)

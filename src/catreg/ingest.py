@@ -19,16 +19,23 @@ surviving cells are carried through unchanged.
 
 Every stage works on a RawTable held by column: the stripped choice letters
 per item, a float array per language and per metric (NaN where a row has no
-value), and removal reasons only for the rows that have one. The columns
-come from `data.rows_to_columns`, under the dataset reader's ragged-row
-rule. The CSV is checked once, column by column, and only a column whose
-check fails is searched cell by cell. The error names the first bad cell a
-row-at-a-time reader would meet: the earliest row, and within it the
-answers, then the sloc columns in header order, then the metrics. A UTF-8
-byte-order mark and blank lines at the end of the file are ignored. FP is a
-column sum over the languages in declared order, the same float additions as
-`backfire`, and the logs are math.log's. The Dataset is built from the
-surviving columns.
+value), and removal reasons only for the rows that have one. The CSV is
+read `_READ_ROWS` records at a time, and no list of every record or cell is
+kept: each block's records become columns by `data.rows_to_columns`, under
+the dataset reader's ragged-row rule, are checked once, column by column
+(only a column whose check fails is searched cell by cell), and are appended
+to the table's columns. The error names the first bad cell a row-at-a-time
+reader would meet: the earliest row of the file, and within it the answers,
+then the sloc columns in header order, then the metrics. A ragged row is
+named only if no bad cell comes before it, and repeated ids only after every
+row is read. A UTF-8 byte-order mark and blank lines at the end of the file
+are ignored, wherever a block ends; a blank line before the last row is a
+ragged row. A malformed record (a `csv.Error`) is reported before any other
+fault, wherever it lies: the reader reads the rest of the file before it
+raises. FP is a column sum over the languages in declared order, the same
+float additions as `backfire`, and the logs are math.log's. The Dataset is
+built from checked arrays, each item's codes through its letter lookup and
+the surviving rows' float columns, so its cells are not checked again.
 """
 
 from __future__ import annotations
@@ -36,7 +43,9 @@ from __future__ import annotations
 import csv
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -63,6 +72,8 @@ _METRIC_COLUMNS = {
 }
 
 LOG_FIELDS = ("FP", "Duration", "Developer", "Defect")
+
+_READ_ROWS = 2048  # CSV records read at a time, as many as the dataset writer writes
 
 
 @dataclass(frozen=True)
@@ -178,14 +189,20 @@ def load_responses(path, schema: QuestionnaireSchema | None = None) -> RawTable:
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            records = list(reader)
+            try:
+                return _read_table(reader, schema)
+            except ValidationError:
+                deque(reader, 0)  # a csv error later in the file is reported instead
+                raise
         except csv.Error as exc:
             raise ValidationError(f"responses CSV, line {reader.line_num}: {exc}") from None
-    while records and not records[-1]:  # blank lines at the end of the file
-        records.pop()
-    if not records:
+
+
+def _read_table(reader, schema: QuestionnaireSchema) -> RawTable:
+    """The table of the records of a csv reader, taken `_READ_ROWS` at a time."""
+    header = [cell.strip() for cell in next(reader, [])]
+    if not header and not any(reader):  # any() stops at the first record that is not blank
         raise ValidationError("responses CSV is empty")
-    header = [cell.strip() for cell in records.pop(0)]
 
     if len(set(header)) != len(header):
         raise ValidationError("responses CSV has duplicate column names")
@@ -204,30 +221,42 @@ def load_responses(path, schema: QuestionnaireSchema | None = None) -> RawTable:
     if not sloc_columns:
         raise ValidationError("responses CSV needs at least one sloc:<Language> column")
 
-    columns, ragged = rows_to_columns(records, len(header))
-    table = _parse_columns(dict(zip(header, columns)), schema, languages)
-    if ragged is not None:
-        raise ValidationError(
-            f"row {ragged + 1}: expected {len(header)} cells, got {len(records[ragged])} "
-            "(malformed CSV)"
-        )
+    # each float column is a list of its blocks' arrays until the last block is read
+    table = RawTable(schema, languages, [], {q: [] for q in qids},
+                     {lang: [] for lang in languages},
+                     {name: [] for name in _METRIC_COLUMNS.values()}, {})
+    for block in iter(lambda: list(islice(reader, _READ_ROWS)), []):
+        columns, ragged = rows_to_columns(block, len(header))
+        _parse_columns(dict(zip(header, columns)), table)
+        if ragged is not None:
+            if any(block[ragged:]) or any(reader):  # not just blank lines to the end
+                raise ValidationError(
+                    f"row {table.n + 1}: expected {len(header)} cells, "
+                    f"got {len(block[ragged])} (malformed CSV)"
+                )
+            break
+    for columns in (table.sloc, table.fields):
+        for name, blocks in columns.items():
+            columns[name] = np.concatenate([np.empty(0), *blocks])
     if len(set(table.ids)) != table.n:
         raise ValidationError("responses CSV has duplicate row identifiers")
     return table
 
 
-def _parse_columns(cells: dict, schema: QuestionnaireSchema, languages: tuple) -> RawTable:
-    """The columns of a rectangular CSV; a bad cell raises the first one's ValidationError.
+def _parse_columns(cells: dict, table: RawTable) -> None:
+    """Append a block of a rectangular CSV's rows to the table, or raise the
+    ValidationError of its first bad cell.
 
     Each column names its own first bad cell. The earliest row wins, and
     within a row the column checked first: the answers, the sloc columns in
-    header order, then the metrics.
+    header order, then the metrics. Rows are numbered from the table's first.
     """
-    ids = [str(i) for i in range(len(cells[schema.items[0].name]))]
+    offset, schema = table.n, table.schema
+    ids = [str(offset + i) for i in range(len(cells[schema.items[0].name]))]
     if ID_COLUMN in cells:
         ids = [cell.strip() or ids[i] for i, cell in enumerate(cells[ID_COLUMN])]
-    table = RawTable(schema, languages, ids, {}, {}, {}, {})
-    errors = []  # (row, message): the first bad cell of each column that has one
+    table.ids += ids
+    errors = []  # (row, column, problem): the first bad cell of each column that has one
     for item in schema.items:
         col = cells[item.name]
         allowed = {"", *item.categories}
@@ -237,34 +266,33 @@ def _parse_columns(cells: dict, schema: QuestionnaireSchema, languages: tuple) -
             seen = set(col)
         if not seen <= allowed:
             i = next(i for i, cell in enumerate(col) if cell not in allowed)
-            errors.append((i, f"row {i + 1}, column {item.name}: '{col[i]}' is not one of "
-                              f"{''.join(item.categories)}"))
+            errors.append((i, item.name, f"'{col[i]}' is not one of {''.join(item.categories)}"))
         for i in _blank_rows(col):
-            table.flag(i, f"missing answer for {item.name}")
-        table.answers[item.name] = col
-    for lang in languages:
+            table.flag(offset + i, f"missing answer for {item.name}")
+        table.answers[item.name] += col
+    for lang in table.languages:
         # a blank sloc cell means the language is unused
         column = SLOC_PREFIX + lang
-        table.sloc[lang], _ = _floats(column, cells[column], 0.0,
-                                      "source line counts must be >= 0", errors)
+        values, _ = _floats(column, cells[column], 0.0, "source line counts must be >= 0", errors)
+        table.sloc[lang].append(values)
     for column, canonical in _METRIC_COLUMNS.items():
         values, blank = _floats(column, cells[column], -math.inf, "value must be finite", errors)
         if blank and not errors:  # a table with a bad cell is never returned
             values[blank] = math.nan
             for i in blank:
-                table.flag(i, f"missing {column}")
-        table.fields[canonical] = values
+                table.flag(offset + i, f"missing {column}")
+        table.fields[canonical].append(values)
     if errors:
-        raise ValidationError(min(errors, key=operator.itemgetter(0))[1])
-    return table
+        i, column, problem = min(errors, key=operator.itemgetter(0))
+        raise ValidationError(f"row {offset + i + 1}, column {column}: {problem}")
 
 
 def _floats(column: str, cells: list, minimum: float, rule: str, errors: list) -> tuple:
     """The cells of a column, stripped, as floats (blank cells as 0.0) and the blank rows.
 
     The first cell that is not a number, or whose value is not finite or is
-    below `minimum`, goes into `errors` as (row, message); the array then
-    stops at the first non-numeric cell.
+    below `minimum`, goes into `errors` as (row, column, problem); the array
+    then stops at the first non-numeric cell.
     """
     col = list(map(str.strip, cells))
     blank = _blank_rows(col)
@@ -283,10 +311,10 @@ def _floats(column: str, cells: list, minimum: float, rule: str, errors: list) -
     bad = np.flatnonzero(~(np.isfinite(values) & (values >= minimum)))
     if bad.size:
         i = bad[0].item()
-        errors.append((i, f"row {i + 1}, column {column}: {rule}"))
+        errors.append((i, column, rule))
     elif len(values) < len(col):
         i = len(values)
-        errors.append((i, f"row {i + 1}, column {column}: non-numeric cell '{col[i]}'"))
+        errors.append((i, column, f"non-numeric cell '{col[i]}'"))
     return values, blank
 
 
@@ -411,9 +439,14 @@ def filter_rows(table: RawTable, outlier_zmax: float | None = None):
     items = table.schema.items
     variables = (*items, *(Variable(name, NUMERIC) for name in needed[:-1]),
                  Variable(needed[-1], NUMERIC, role=DEPENDENT))
-    columns = [take(table.answers[item.name]) for item in items]
-    columns += [table.fields[name][survivors].tolist() for name in needed]
-    return Dataset(variables, columns, take(ids)), removal
+    numbers = [table.fields[name][survivors] for name in needed]
+    if not np.isfinite(numbers).all():
+        raise ValidationError("a surviving row has a value that is not finite")
+    # a survivor answered every item; the lookup raises on anything but a choice letter
+    codes = [np.fromiter(map({c: k for k, c in enumerate(item.categories)}.__getitem__,
+                             take(table.answers[item.name])), np.intp, len(survivors))
+             for item in items]
+    return Dataset._of_checked(variables, codes + numbers, take(ids)), removal
 
 
 def ingest_dataset(

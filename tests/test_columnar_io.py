@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import catreg.data
 import catreg.ingest
+import test_golden
 from catreg import (
     DEPENDENT,
     NOMINAL,
@@ -30,12 +31,15 @@ from catreg import (
     QuestionnaireSchema,
     ValidationError,
     Variable,
+    apply_backfire,
     dataset_from_json,
     dataset_to_json,
+    filter_rows,
     ingest_dataset,
     load_dataset,
     load_gearing,
     load_responses,
+    log_transform,
     save_dataset,
 )
 from catreg.errors import read_json
@@ -608,7 +612,7 @@ def read_rows(request, monkeypatch):
     """Rows read from the CSV at a time: the default, or a block size that
     puts block boundaries between most rows of the sample corpus."""
     if request.param is not None:
-        monkeypatch.setattr(catreg.ingest, "_READ_ROWS", request.param, raising=False)
+        monkeypatch.setattr(catreg.ingest, "_READ_ROWS", request.param)
     return request.param
 
 
@@ -726,3 +730,94 @@ def test_a_file_of_blank_lines_is_empty(tmp_path, read_rows, text):
     path = tmp_path / "responses.csv"
     path.write_text(text, encoding="utf-8", newline="")
     assert _load_error(str(path)) == "responses CSV is empty"
+
+
+@pytest.mark.parametrize("read_rows", [1, 3])
+def test_small_blocks_load_like_the_oracle_rows(tmp_path, monkeypatch, read_rows):
+    """The oracle test of `load_responses`, its generated files read a row or
+    three at a time, so most rows sit next to a block boundary."""
+    monkeypatch.setattr(catreg.ingest, "_READ_ROWS", read_rows)
+    test_loaded_columns_match_the_oracle_rows(tmp_path)
+
+
+@pytest.mark.parametrize("read_rows", [1, 3])
+def test_small_blocks_keep_the_ingest_golden_pins(tmp_path, monkeypatch, capsys, read_rows):
+    monkeypatch.setattr(catreg.ingest, "_READ_ROWS", read_rows)
+    sample = ingest_dataset(str(DATA / "responses.sample.csv"),
+                            load_gearing(str(DATA / "gearing.sample.json")))
+    test_golden.test_ingest_keeps_197_and_removes_3(sample)
+    test_golden.test_ingest_removal_reasons_in_order(sample)
+    test_golden.test_ingest_output_bytes(tmp_path, monkeypatch, capsys)
+    test_golden.test_nominal_schema_output_bytes(tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("blanks", range(1, 7))
+@pytest.mark.parametrize("read_rows", [2, 3, 4])
+def test_blank_lines_at_the_end_may_straddle_a_block_boundary(tmp_path, monkeypatch,
+                                                              read_rows, blanks):
+    lines = SAMPLE_LINES[:6]  # 5 rows: a boundary falls after row 2, 3 or 4
+    want = _table_state(load_responses(_write_lines(tmp_path, lines)))
+    monkeypatch.setattr(catreg.ingest, "_READ_ROWS", read_rows)
+    path = _write_lines(tmp_path, lines, "\n" * blanks)
+    assert _table_state(load_responses(path)) == want
+    path = _write_lines(tmp_path, lines, "\n" * blanks + lines[-1] + "\n")
+    assert _load_error(path) == "row 6: expected 29 cells, got 0 (malformed CSV)"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: _set_cell(lines, 7, "duration", "x"),
+     "row 7, column duration: non-numeric cell 'x'"),
+    (lambda lines: _set_cell(lines, 8, "Q5", "D"), "row 8, column Q5: 'D' is not one of ABC"),
+    (lambda lines: _cut_cell(lines, 9), "row 9: expected 29 cells, got 28 (malformed CSV)"),
+    (lambda lines: lines.insert(10, ""), "row 10: expected 29 cells, got 0 (malformed CSV)"),
+])
+def test_a_fault_in_a_later_block_names_its_row_in_the_file(tmp_path, monkeypatch, edit,
+                                                            message):
+    lines = list(SAMPLE_LINES)
+    edit(lines)
+    monkeypatch.setattr(catreg.ingest, "_READ_ROWS", 3)  # rows 7 to 9 are the third block
+    assert _load_error(_write_lines(tmp_path, lines)) == message
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_survivors_float_cells_are_checked_once(value):
+    """The Dataset takes the float columns as they are; filter_rows checks them."""
+    table = log_transform(apply_backfire(load_responses(str(DATA / "responses.sample.csv")),
+                                         load_gearing(str(DATA / "gearing.sample.json"))))
+    table.fields["Ln(Developer)"][150] = value
+    with pytest.raises(ValidationError, match="^a surviving row has a value that is not finite$"):
+        filter_rows(table)
+
+
+def _responses_of(tmp_path, n: int) -> str:
+    """A file of n rows cycling through the sample corpus's, with ids 0 .. n - 1."""
+    rows = (f"{i},{SAMPLE_LINES[1 + i % 200].split(',', 1)[1]}" for i in range(n))
+    path = tmp_path / f"responses_{n}.csv"
+    path.write_text("\n".join([SAMPLE_LINES[0], *rows]) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def _traced_ingest(path) -> int:
+    """The traced peak of one ingest_dataset, above what was allocated before it."""
+    gearing = load_gearing(str(DATA / "gearing.sample.json"))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ingest_dataset(path, gearing)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_an_ingests_memory_grows_per_row_by_its_columns(tmp_path, monkeypatch):
+    """Per row, an ingest holds its table's columns and the dataset's, not the
+    CSV's records: each item's answer in a list and its code in an array (8 bytes
+    each), the row's id and a dozen float cells. The block size sets a cost per
+    block, not per row, so blocks of 512 rows keep both files' peaks in the
+    phase that grows with the rows."""
+    monkeypatch.setattr(catreg.ingest, "_READ_ROWS", 512)
+    rows = (4096, 8192)
+    small, large = (_responses_of(tmp_path, n) for n in rows)
+    ingest_dataset(small, load_gearing(str(DATA / "gearing.sample.json")))  # warm-up
+    per_row = (_traced_ingest(large) - _traced_ingest(small)) / (rows[1] - rows[0])
+    assert per_row <= 800  # about 620 here; the reader that held every record, about 1,140

@@ -42,7 +42,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .data import Dataset, _observed_codes, population_standardize
+from .data import Dataset, population_standardize
 from .errors import CatregError, NumericalError, ValidationError, require_number
 from .scaling import CatregConfig
 from .stats import BLOCK_ROWS, FLAT_RESPONSE, blockwise, fit_rows, ols_fit
@@ -219,6 +219,13 @@ class DummyDesign:
 def dummy_design(dataset: Dataset) -> DummyDesign:
     """The dummy-coded design of the dataset's predictors: observed levels and
     numeric scalings, read off the stored columns; `encode` writes the matrix."""
+    counts = {v.name: np.bincount(dataset._stored(v.name), minlength=len(v.categories))
+              for v in dataset.predictors if v.is_categorical}
+    return _design(dataset, counts)
+
+
+def _design(dataset: Dataset, counts: dict) -> DummyDesign:
+    """`dummy_design`, given each categorical predictor's rows per declared category."""
     names = [v.name for v in dataset.predictors]
     if not names:
         raise ValidationError("dummy_design needs at least one predictor")
@@ -227,7 +234,7 @@ def dummy_design(dataset: Dataset) -> DummyDesign:
     numeric_scaling: dict = {}
     for var, name in zip(dataset.predictors, names):
         if var.is_categorical:
-            observed = _observed_codes(dataset._stored(name), var.categories)[1]
+            observed = tuple(c for c, k in zip(var.categories, counts[name]) if k)
             if len(observed) < 2:
                 raise ValidationError(
                     f"categorical predictor '{name}' has a single observed category"
@@ -291,11 +298,19 @@ def _shared_dummy_fitter(dataset: Dataset, plan: FoldPlan):
     """fit(fold, train_idx, test_idx) -> `_dummy_fitter`'s triple and errors, or None if
     the training part lacks a category; None if a part is short or the full design fails."""
     n_train = dataset.n - np.bincount(plan._folds).max()  # the smallest training part
+    if n_train <= BLOCK_ROWS:
+        return None
+    counts = {}  # counts[name][f, code]: rows of fold f; their sum gives the observed levels
+    for var in dataset.predictors:
+        if var.is_categorical:
+            c = len(var.categories)
+            counts[var.name] = np.bincount(plan._folds * c + dataset._stored(var.name),
+                                           minlength=plan.k * c).reshape(plan.k, c)
     try:
-        design = dummy_design(dataset) if n_train > BLOCK_ROWS else None
+        design = _design(dataset, {name: f.sum(axis=0) for name, f in counts.items()})
     except CatregError:
-        design = None
-    if design is None or n_train <= len(design.names) + 1:  # ols_fit's TOO_FEW_ROWS
+        return None
+    if n_train <= len(design.names) + 1:  # ols_fit's TOO_FEW_ROWS
         return None
     y, qr = dataset._stored(dataset.dependent.name), partial(np.linalg.qr, mode="r")
     # each fold's rows [1, X, y], coded once with the full data's levels and scalings
@@ -308,10 +323,8 @@ def _shared_dummy_fitter(dataset: Dataset, plan: FoldPlan):
             numeric.append((j, dataset._stored(name), *design.numeric_scaling[name]))
             j += 1
             continue
-        c = len(dataset.variable(name).categories)  # counts[f, code]: rows of fold f
-        counts = np.bincount(plan._folds * c + dataset._stored(name),
-                             minlength=plan.k * c).reshape(plan.k, c)
-        lacks |= ((counts == counts.sum(axis=0)) & (counts > 0)).any(axis=1)
+        f = counts[name]  # a fold holding all of a category's rows leaves its part without it
+        lacks |= ((f == f.sum(axis=0)) & (f > 0)).any(axis=1)
         j += len(design.categorical_levels[name]) - 1
 
     def fit(fold, train_idx, test_idx):

@@ -616,6 +616,14 @@ def _per_fold_only(monkeypatch):
     monkeypatch.setattr(evaluate, "_shared_dummy_fitter", lambda dataset, plan: None)
 
 
+def _spy_designs(monkeypatch, calls: list):
+    """Record the rows of every dataset a dummy design is built for: `dummy_design`
+    and the shared path, which counts the categories itself, both build it in
+    `evaluate._design`."""
+    monkeypatch.setattr(evaluate, "_design",
+                        lambda d, counts, real=evaluate._design: calls.append(d.n) or real(d, counts))
+
+
 def _first_failure(fit_fold, k: int):
     # (fold, type, message) of the first fold whose fit raises, else None
     for fold in range(k):
@@ -680,16 +688,14 @@ class TestSharedFoldFactors:
         ds, _ = ingest_dataset(str(data / "responses.sample.csv"),
                                load_gearing(str(data / "gearing.sample.json")))
         calls = []
-        monkeypatch.setattr(evaluate, "dummy_design",
-                            lambda d, real=dummy_design: calls.append(d.n) or real(d))
+        _spy_designs(monkeypatch, calls)
         assert _shared_dummy_fitter(ds, fold_plan(ds.n, k, seed=42)) is None
         assert calls == []  # not even the full data's levels are taken
 
     def test_each_path_builds_its_designs_through_dummy_design(self, monkeypatch):
         n, k, calls = 2600, 5, []
         ds = _tall_dataset(n)
-        monkeypatch.setattr(evaluate, "dummy_design",
-                            lambda d, real=dummy_design: calls.append(d.n) or real(d))
+        _spy_designs(monkeypatch, calls)
         crossval(ds, k, 0, BASELINE)
         assert calls == [n]  # the shared path: the full data's design, once
         calls.clear()

@@ -11,12 +11,13 @@ A Dataset is stored by column: categorical columns as integer codes into the
 declared categories, numeric columns as float64 (so an integer cell is
 written back as 3.0). It is built from columns of cells and row ids; each
 column is checked once, and only a column whose check fails is searched cell
-by cell. A reader that checks the cells itself (the block reader below, and
-ingest's `filter_rows`) builds it from column arrays with
-`Dataset._of_checked`, which checks only the variables and the row ids. The error names the first bad cell in row-major order: the earliest
-row, and within it the first variable in declared order. `subset` is fancy
-indexing with no second validation; an integer index array is used as it is,
-and repeats are found by counting indices.
+by cell. The error names the first bad cell in row-major order: the earliest
+row, and within it the first variable in declared order. A reader that checks
+the cells itself (the block reader below, and ingest's `filter_rows`) builds
+it from column arrays with `Dataset._of_checked`, which checks only the
+variables and the row ids. `subset` is fancy indexing with no second
+validation; an integer index array is used as it is, and repeats are found by
+counting indices.
 
 The JSON form is written from the columns with the bytes of `json.dump(...,
 indent=2)`, each row its cells joined with fixed separators. `load_dataset`
@@ -552,4 +553,5 @@ def _blocks_dataset(data: bytes) -> Dataset | None:
             array[len(ids): len(ids) + len(col)] = col
         ids += block_ids
         start = end + len(_ROW_BREAK)
+    ids = tuple(ids)  # the list is freed before the id checks
     return Dataset._of_checked(variables, arrays, ids)

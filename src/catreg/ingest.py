@@ -228,13 +228,12 @@ def _read_table(reader, schema: QuestionnaireSchema) -> RawTable:
     for block in iter(lambda: list(islice(reader, _READ_ROWS)), []):
         columns, ragged = rows_to_columns(block, len(header))
         _parse_columns(dict(zip(header, columns)), table)
-        if ragged is not None:
-            if any(block[ragged:]) or any(reader):  # not just blank lines to the end
-                raise ValidationError(
-                    f"row {table.n + 1}: expected {len(header)} cells, "
-                    f"got {len(block[ragged])} (malformed CSV)"
-                )
-            break
+        # blank lines to the end of the file are ignored: any(reader) reads them all
+        if ragged is not None and (any(block[ragged:]) or any(reader)):
+            raise ValidationError(
+                f"row {table.n + 1}: expected {len(header)} cells, "
+                f"got {len(block[ragged])} (malformed CSV)"
+            )
     for columns in (table.sloc, table.fields):
         for name, blocks in columns.items():
             columns[name] = np.concatenate([np.empty(0), *blocks])

@@ -179,7 +179,7 @@ class Dataset:
             raise ValidationError(f"unknown variable '{name}'")
         j = self._index[name]
         if categorical is not None and self.variables[j].is_categorical != categorical:
-            use = "use codes() or category_codes()" if categorical is False else "use column()"
+            use = "use codes()" if categorical is False else "use column()"
             kind = "categorical" if self.variables[j].is_categorical else "numeric"
             raise ValidationError(f"variable '{name}' is {kind}; {use}")
         return j
@@ -198,17 +198,14 @@ class Dataset:
         """Numeric column as a float array. Errors on categorical variables."""
         return self._columns[self.index(name, categorical=False)].copy()
 
-    def category_codes(self, name: str) -> np.ndarray:
-        """Categorical column as integer codes into the declared categories."""
-        return self._columns[self.index(name, categorical=True)].copy()
-
     def codes(self, name: str) -> tuple[np.ndarray, tuple[str, ...]]:
         """Categorical column as integer codes over the observed categories.
 
         Observed categories keep the declared order; codes index into that
         tuple. Unobserved declared categories do not appear.
         """
-        return _observed_codes(self.category_codes(name), self.variable(name).categories)[:2]
+        j = self.index(name, categorical=True)
+        return _observed_codes(self._columns[j].copy(), self.variables[j].categories)[:2]
 
     def subset(self, indices) -> "Dataset":
         """New dataset with the same variables over the selected rows, each at most once.

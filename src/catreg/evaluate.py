@@ -45,7 +45,7 @@ import numpy as np
 from .data import Dataset, population_standardize
 from .errors import CatregError, NumericalError, ValidationError, require_number
 from .scaling import CatregConfig
-from .stats import BLOCK_ROWS, FLAT_RESPONSE, blockwise, fit_rows, ols_fit
+from .stats import BLOCK_ROWS, _ols, blockwise, ols_fit
 from .stepwise import StepwiseConfig
 
 BASELINE = "dummy-ols"
@@ -296,7 +296,7 @@ def _dummy_fitter(train: Dataset, full: Dataset, rows, configs: MethodConfigs):
 
 def _shared_dummy_fitter(dataset: Dataset, plan: FoldPlan):
     """fit(fold, train_idx, test_idx) -> `_dummy_fitter`'s triple and errors, or None if
-    the training part lacks a category; None if a part is short or the full design fails."""
+    the training part lacks a category; None if a part is a block or less or the full design fails."""
     n_train = dataset.n - np.bincount(plan._folds).max()  # the smallest training part
     if n_train <= BLOCK_ROWS:
         return None
@@ -309,8 +309,6 @@ def _shared_dummy_fitter(dataset: Dataset, plan: FoldPlan):
     try:
         design = _design(dataset, {name: f.sum(axis=0) for name, f in counts.items()})
     except CatregError:
-        return None
-    if n_train <= len(design.names) + 1:  # ols_fit's TOO_FEW_ROWS
         return None
     y, qr = dataset._stored(dataset.dependent.name), partial(np.linalg.qr, mode="r")
     # each fold's rows [1, X, y], coded once with the full data's levels and scalings
@@ -336,11 +334,9 @@ def _shared_dummy_fitter(dataset: Dataset, plan: FoldPlan):
             _, m_f, s_f = population_standardize(x[train_idx])
             R[:, j] = R[:, j] * (s / s_f) + R[:, 0] * ((m - m_f) / s_f)
             matrix[:, j - 1] = (x[test_idx] - m_f) / s_f  # as `encode` scales them
-        b = fit_rows(R, len(train_idx))[0]
-        if np.ptp(t := y[train_idx]) == 0.0 or ((t - t.mean()) ** 2).sum() <= 0.0:
-            raise ValidationError(FLAT_RESPONSE)  # as in ols_fit, after its rank screen
+        ols = _ols(R, y[train_idx], design.names)  # ols_fit's checks, on R's rows
         # every test row is seen: the levels are the full data's, all in the training part
-        return b[0] + matrix @ b[1:], np.ones(len(test_idx), dtype=bool), ""
+        return ols.intercept + matrix @ ols.coef, np.ones(len(test_idx), dtype=bool), ""
 
     return fit
 

@@ -49,7 +49,8 @@ from itertools import islice
 
 import numpy as np
 
-from .data import DEPENDENT, NOMINAL, NUMERIC, ORDINAL, Dataset, Variable, rows_to_columns
+from .data import (DEPENDENT, NOMINAL, NUMERIC, ORDINAL, Dataset, Variable, population_standardize,
+                   rows_to_columns)
 from .errors import NumericalError, ValidationError, finite_number, json_object, read_json
 
 # choice-set sizes of the fixed 22-item questionnaire
@@ -404,14 +405,13 @@ def filter_rows(table: RawTable, outlier_zmax: float | None = None):
     removal = {ids[i]: "; ".join(table.flags[i]) for i in sorted(table.flags)}
     survivors = np.setdiff1d(np.arange(table.n), list(table.flags))
 
-    if outlier_zmax is not None and survivors.size:
+    if outlier_zmax is not None:
         flagged: dict = {}
         for name in [name for name in table.fields if name.startswith("Ln(")]:
-            values = table.fields[name][survivors]
-            scale = float(np.sqrt(np.mean((values - values.mean()) ** 2)))
-            if scale == 0.0:
-                continue
-            z = np.abs((values - values.mean()) / scale)
+            try:
+                z = np.abs(population_standardize(table.fields[name][survivors])[0])
+            except (ValidationError, NumericalError):  # no spread, fewer than two
+                continue  # survivors, or a cell that is not finite (checked below)
             hits = z > outlier_zmax
             for i, score in zip(survivors[hits].tolist(), z[hits].tolist()):
                 flagged.setdefault(i, []).append(

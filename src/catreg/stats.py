@@ -436,7 +436,7 @@ class Round:
     def fit(self, cols, response, names, standardized: bool = False) -> OlsFit:
         """`_ols` of the response on 1 and the columns cols of X (counted from
         1), raw or standardized: off S where `gram_solve` reads it, else off
-        the rows of Z', as the fit was read before S was."""
+        the rows of Z'."""
         idx = [0, *cols, len(self.S) - 1]
         block = np.ix_(idx, idx)
         raw = (None, None) if standardized else (self.shift[idx], self.scale[idx])

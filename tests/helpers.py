@@ -162,7 +162,7 @@ def assert_quantification_constraints(dataset: Dataset, fit, tol: float = 1e-9) 
     """Every quantified categorical column must have mean ~0 and mean square ~1."""
     for name, mapping in fit.quantifications.categorical.items():
         categories = dataset.variable(name).categories
-        values = np.array([mapping[categories[k]] for k in dataset.category_codes(name)])
+        values = np.array([mapping[categories[k]] for k in dataset._stored(name)])
         assert abs(values.mean()) < tol, f"{name}: mean {values.mean()}"
         assert abs(np.mean(values**2) - 1.0) < tol, f"{name}: ms {np.mean(values**2)}"
     for name, (mean, scale) in fit.quantifications.numeric.items():

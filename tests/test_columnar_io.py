@@ -789,6 +789,18 @@ def test_a_survivors_float_cells_are_checked_once(value):
         filter_rows(table)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_the_outlier_screen_leaves_a_cell_that_is_not_finite_to_that_check(value):
+    """A cell that is not finite turns its column's screen off. Row 150 is an
+    outlier on Ln(FP) alone, so with that cell not finite it survives the
+    screen, and the survivors' check names it."""
+    table = log_transform(apply_backfire(load_responses(str(DATA / "responses.sample.csv")),
+                                         load_gearing(str(DATA / "gearing.sample.json"))))
+    table.fields["Ln(FP)"][150] = value
+    with pytest.raises(ValidationError, match="^a surviving row has a value that is not finite$"):
+        filter_rows(table, outlier_zmax=2.5)
+
+
 def _responses_of(tmp_path, n: int) -> str:
     """A file of n rows cycling through the sample corpus's, with ids 0 .. n - 1."""
     rows = (f"{i},{SAMPLE_LINES[1 + i % 200].split(',', 1)[1]}" for i in range(n))

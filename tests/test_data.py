@@ -87,13 +87,13 @@ class TestDataset:
         assert ds.dependent.name == "y"
         assert [v.name for v in ds.predictors] == ["q", "size"]
         assert [ds.value(i, "q") for i in range(ds.n)] == ["A", "B", "C", "B"]
-        np.testing.assert_array_equal(ds.category_codes("q"), [0, 1, 2, 1])
+        np.testing.assert_array_equal(ds._stored("q"), [0, 1, 2, 1])
         np.testing.assert_array_equal(ds.column("size"), [1.0, 2.0, 3.0, 4.0])
         codes, observed = ds.codes("q")
         assert observed == ("A", "B", "C")
         np.testing.assert_array_equal(codes, [0, 1, 2, 1])
         assert dataset_to_json(ds)["rows"][2]["id"] == "r3"
-        with pytest.raises(ValidationError, match=r"^variable 'q' is categorical; use codes\(\) or category_codes\(\)$"):
+        with pytest.raises(ValidationError, match=r"^variable 'q' is categorical; use codes\(\)$"):
             ds.column("q")
 
     def test_observed_categories_keep_declared_order(self):
@@ -113,7 +113,7 @@ class TestDataset:
             Variable("y", "numeric", role="dependent"),
         )
         ds = dataset_of_rows(variables, [(label, 1.0) for label in labels])
-        declared = ds.category_codes("q")
+        declared = ds._stored("q").copy()
         present = np.bincount(declared, minlength=4) > 0
         codes, observed = ds.codes("q")
         assert observed == tuple(c for c, p in zip("ABCD", present) if p)
@@ -121,7 +121,7 @@ class TestDataset:
         assert codes.dtype == want.dtype
         np.testing.assert_array_equal(codes, want)
         codes[:] = 0  # the caller's own array
-        np.testing.assert_array_equal(ds.category_codes("q"), declared)
+        np.testing.assert_array_equal(ds._stored("q"), declared)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -135,7 +135,7 @@ class TestDataset:
         rows = [(label, 1.0) for label in
                 data.draw(st.lists(st.sampled_from(present), min_size=2, max_size=30))]
         ds = dataset_of_rows(variables, rows)
-        codes, observed, counts = _observed_codes(ds.category_codes("q"), cats)
+        codes, observed, counts = _observed_codes(ds._stored("q"), cats)
         want_codes, want_observed = OracleDataset(variables, map(OracleRow, rows)).codes("q")
         assert observed == want_observed
         np.testing.assert_array_equal(codes, want_codes)
@@ -335,7 +335,7 @@ def assert_same_table(ds, oracle):
     for var in ds.variables:
         if var.is_categorical:
             want = [var.categories.index(label) for label in oracle.labels(var.name)]
-            np.testing.assert_array_equal(ds.category_codes(var.name), want)
+            np.testing.assert_array_equal(ds._stored(var.name), want)
             codes, observed = ds.codes(var.name)
             want_codes, want_observed = oracle.codes(var.name)
             assert observed == want_observed
@@ -473,7 +473,7 @@ class TestColumnarDataset:
     def test_accessor_arrays_are_copies(self):
         ds = small_dataset()
         ds.column("size")[0] = 99.0
-        ds.category_codes("q")[0] = 2
+        ds.codes("q")[0][0] = 2
         assert ds.value(0, "size") == 1.0 and ds.value(0, "q") == "A"
 
 

@@ -37,7 +37,7 @@ from catreg.evaluate import (
     _shared_dummy_fitter,
     back_transform,
 )
-from catreg.stats import BLOCK_ROWS, FLAT_RESPONSE, RANK_DEFICIENT
+from catreg.stats import BLOCK_ROWS, FLAT_RESPONSE, RANK_DEFICIENT, TOO_FEW_ROWS
 
 from helpers import assert_raises_exactly, dataset_of_rows, oracle_fold_predictions
 
@@ -751,6 +751,40 @@ class TestSharedFoldFactors:
         assert _shared_dummy_fitter(ds, fold_plan(n, 5, seed=0)) is None
         assert_raises_exactly(lambda: crossval(ds, 5, 0, BASELINE), ValidationError,
                               self.ZERO_VARIANCE)
+
+    def test_a_design_as_wide_as_its_training_part_fails_at_the_same_fold(self, monkeypatch):
+        # 24 rows in 3 folds of 8: every training part has 16 rows, and g's 11
+        # indicators with 4 numeric columns make 16 parameters. g's two "Z" rows
+        # are test rows of fold 0, so fold 0 alone is fitted per fold, one
+        # indicator narrower; fold 1 is the first whose part is too short
+        n, k = 24, 3
+        monkeypatch.setattr(evaluate, "BLOCK_ROWS", 8)  # so the parts take the shared path
+        plan, configs = fold_plan(n, k, seed=0), MethodConfigs()
+        tests = [plan.fold_indices(f)[1] for f in range(k)]
+        g = np.empty(n, dtype=object)
+        g[tests[0]] = ["Z", "Z", "a1", "a2", "a3", "b1", "b2", "b3"]
+        g[tests[1]] = ["a1", "a2", "a3", "c1", "c2", "c3", "c4", "c5"]
+        g[tests[2]] = ["b1", "b2", "b3", "c1", "c2", "c3", "c4", "c5"]
+        levels = ("Z", "a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3", "c4", "c5")
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(n, 5))
+        variables = (Variable("g", "nominal", levels),
+                     *(Variable(f"x{j}", "numeric") for j in range(4)),
+                     Variable("y", "numeric", role="dependent"))
+        ds = Dataset(variables, [g.tolist(), *X.T.tolist()], [None] * n)
+        fit = _shared_dummy_fitter(ds, plan)
+        assert fit is not None
+
+        def per_fold(f):
+            train_idx, test_idx = plan.fold_indices(f)
+            return _dummy_fitter(ds.subset(train_idx), ds, test_idx, configs)
+
+        message = TOO_FEW_ROWS.format(16, 16)
+        shared = _first_failure(lambda f: fit(f, *plan.fold_indices(f)) or per_fold(f), k)
+        assert shared == _first_failure(per_fold, k) == (1, ValidationError, message)
+        assert_raises_exactly(lambda: crossval(ds, k, 0, BASELINE), ValidationError, message)
+        _per_fold_only(monkeypatch)
+        assert_raises_exactly(lambda: crossval(ds, k, 0, BASELINE), ValidationError, message)
 
     def test_each_data_row_is_dummy_coded_once(self, monkeypatch):
         n, k = 2600, 5

@@ -348,6 +348,10 @@ INGEST_VALIDATION_CASES = {
         lambda tmp: GearingTable({"": 50.0}),
         "gearing languages must be non-empty strings",
     ),
+    "negative sloc": (
+        lambda tmp: backfire({"L": -1.0}, GEARING),
+        "sloc for 'L' must be >= 0",
+    ),
     "empty CSV": (
         lambda tmp: load_responses(_csv(tmp, "\n\n")),
         "responses CSV is empty",

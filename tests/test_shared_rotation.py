@@ -362,11 +362,16 @@ class TestStepwiseParity:
         else:
             _assert_close_fits(got[1], want[1])
 
-    def test_an_unfittable_final_set_names_the_same_step_and_set(self, monkeypatch):
+    @staticmethod
+    def _two_signals():
+        # three tall columns, x0 and x1 carrying the signal, so x0 enters at step 1
         rng = np.random.default_rng(1)
         n = BLOCK_ROWS + 200
         X = rng.normal(size=(n, 3))
-        cols, y = {f"x{j}": X[:, j] for j in range(3)}, X @ [1.0, -0.5, 0.0] + rng.normal(size=n)
+        return {f"x{j}": X[:, j] for j in range(3)}, X @ [1.0, -0.5, 0.0] + rng.normal(size=n)
+
+    def test_an_unfittable_final_set_names_the_same_step_and_set(self, monkeypatch):
+        cols, y = self._two_signals()
 
         def deficient(*args, **kwargs):
             raise NumericalError(RANK_DEFICIENT)
@@ -377,6 +382,20 @@ class TestStepwiseParity:
         monkeypatch.setattr(stepwise, "ols_fit", deficient)
         with final_fits_on_the_data():
             assert_raises_exactly(lambda: stepwise_fit(cols, y), NumericalError, message)
+
+    def test_a_removal_scan_that_fails_names_its_step_and_set(self, monkeypatch):
+        cols, y = self._two_signals()
+        cause = NumericalError(RANK_DEFICIENT)
+
+        def fails(*args, **kwargs):
+            raise cause
+
+        monkeypatch.setattr(stepwise._Gram, "removal", lambda *args: stepwise._UNDECIDED)
+        monkeypatch.setattr(stepwise, "removal_scan", fails)
+        with pytest.raises(NumericalError) as info:
+            stepwise_fit(cols, y)
+        assert str(info.value) == "step 1: the included set ['x0'] cannot be fitted"
+        assert info.value.__cause__ is cause
 
 
 @st.composite
@@ -486,7 +505,7 @@ class TestPipelineParity:
         ds = mixed_dataset(7, BLOCK_ROWS + 300)
         names = [v.name for v in ds.variables]
         columns = [ds.column(v.name).tolist() if v.level == "numeric"
-                   else [v.categories[c] for c in ds.category_codes(v.name)] for v in ds.variables]
+                   else [v.categories[c] for c in ds._stored(v.name)] for v in ds.variables]
         columns[names.index("num2")] = (factor * ds.column("num1")).tolist()
         twins = Dataset(ds.variables, columns, [None] * ds.n)
         assert_raises_exactly(lambda: run_pipeline(twins), NumericalError, RANK_DEFICIENT)

@@ -1,6 +1,8 @@
 """Least squares and the t-distribution machinery, cross-checked against scipy."""
 
 import math
+import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from catreg import (
     ols_fit,
     t_pvalue,
 )
-from catreg.stats import BLOCK_ROWS, RANK_DEFICIENT, _inc_beta, fit_rows
+from catreg.stats import _GRAM_TOL, BLOCK_ROWS, RANK_DEFICIENT, _inc_beta, fit_rows, gram_solve
 from helpers import assert_raises_exactly, count_pvalues, oracle_ols_fit
 
 
@@ -240,6 +242,109 @@ class TestBlockedLeastSquares:
         with pytest.raises(NumericalError) as exc:
             ols_fit(X, rng.normal(size=n))
         assert str(exc.value) == RANK_DEFICIENT
+
+
+def _exact_gram(columns) -> list:
+    """The Gram matrix of float columns in exact arithmetic, as Fractions: each
+    column is scaled by a power of two to integers."""
+    ints, powers = [], []
+    for col in columns:
+        ratios = [v.as_integer_ratio() for v in col.tolist()]  # denominators are powers of 2
+        power = max(den for _, den in ratios).bit_length() - 1
+        ints.append([num << (power - den.bit_length() + 1) for num, den in ratios])
+        powers.append(power)
+    return [[Fraction(sum(map(operator.mul, a, b)), 1 << (pa + pb)) for b, pb in zip(ints, powers)]
+            for a, pa in zip(ints, powers)]
+
+
+def _exact_inverse(A: list) -> list:
+    # Gauss-Jordan elimination over Fractions, on a nonsingular matrix
+    k = len(A)
+    M = [row[:] + [Fraction(i == j) for j in range(k)] for i, row in enumerate(A)]
+    for c in range(k):
+        pivot = next(r for r in range(c, k) if M[r][c] != 0)
+        M[c], M[pivot] = M[pivot], M[c]
+        M[c] = [v / M[c][c] for v in M[c]]
+        for r in range(k):
+            if r != c and M[r][c] != 0:
+                M[r] = [a - M[r][c] * b for a, b in zip(M[r], M[c])]
+    return [row[k:] for row in M]
+
+
+def _bound(S, eps: float) -> float:
+    """B of the `stats` docstring, recomputed from S in floats; inf where the
+    unit-diagonal A is singular or leaves no positive residual."""
+    k = len(S) - 1
+    d = np.sqrt(S.diagonal())
+    unit = S / np.outer(d, d)
+    try:
+        Ainv = np.linalg.inv(unit[:k, :k])
+    except np.linalg.LinAlgError:
+        return math.inf
+    beta = Ainv @ unit[:k, k]
+    rho = 1.0 - float(unit[:k, k] @ beta)
+    q = float(np.linalg.norm(Ainv, 2))
+    return k * eps * q * (1.0 + float(np.linalg.norm(beta))) ** 2 / rho if rho > 0.0 else math.inf
+
+
+@st.composite
+def gram_problems(draw):
+    """Standardized columns [1, X, z] of 50 to 3,000 rows: 1 to 7 columns of X,
+    at times a near-collinear pair, each raw column's mean up to 10^3 times its
+    spread; and a position and a non-finite value to put into S."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, p = draw(st.integers(50, 3000)), draw(st.integers(1, 7))
+    X = rng.normal(size=(n, p))
+    if p > 1 and draw(st.booleans()):
+        j = draw(st.integers(0, p - 2))
+        X[:, j + 1] = X[:, j] + 10.0 ** draw(st.floats(-8.0, 0.0)) * rng.normal(size=n)
+    z = X @ rng.normal(size=p) + 10.0 ** draw(st.floats(-3.0, 1.0)) * rng.normal(size=n)
+    spread = 10.0 ** rng.uniform(-3.0, 3.0, p + 1)
+    mean = spread * 10.0 ** rng.uniform(-1.0, 3.0, p + 1) * rng.choice([-1.0, 1.0], p + 1)
+    raw = mean + spread * np.column_stack([X, z])
+    std = (raw - raw.mean(axis=0)) / raw.std(axis=0)
+    i, j = sorted(draw(st.integers(0, p + 1)) for _ in range(2))
+    bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return np.column_stack([np.ones(n), std]), (i, j, bad)
+
+
+class TestGramSolve:
+    """`gram_solve` against the exact least squares of the standardized columns."""
+
+    @given(gram_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_within_its_bound_of_the_exact_fit_or_refused(self, problem):
+        Z, (i, j, bad) = problem
+        n, k = Z.shape[0], Z.shape[1] - 1
+        S, exact = Z.T @ Z, _exact_gram(Z.T)
+        u = np.finfo(float).eps / 2
+        eps = n * u / (1.0 - n * u)  # the rounding of an n-term inner product
+        for a in range(k + 1):  # the precondition: S within eps of exact, entry by entry
+            for b in range(k + 1):
+                diff = Fraction(float(S[a, b])) - exact[a][b]
+                assert diff * diff <= Fraction(eps) ** 2 * exact[a][a] * exact[b][b]
+        B, solved = _bound(S, eps), gram_solve(S, eps, n)
+        if B > 4 * _GRAM_TOL:
+            assert solved is None
+        elif B < _GRAM_TOL / 4:
+            assert solved is not None
+        S_bad = S.copy()
+        S_bad[i, j] = S_bad[j, i] = bad
+        assert gram_solve(S_bad, eps, n) is None
+        if solved is None:
+            return
+        b, se, _, sse = solved
+        Ainv = _exact_inverse([row[:k] for row in exact[:k]])
+        coef = [sum(a * c for a, c in zip(row, (r[k] for r in exact))) for row in Ainv]
+        rss = exact[k][k] - sum(c * r[k] for c, r in zip(coef, exact))
+        B = Fraction(B)
+        for a in range(k):  # in the unit-diagonal scale, b_a sqrt(S_aa / S_kk)
+            diff = Fraction(float(b[a])) - coef[a]
+            assert diff * diff * exact[a][a] <= B * B * exact[k][k]
+        for a in range(1, k):
+            want = rss / (n - k) * Ainv[a][a]  # the squared standard error
+            assert (1 - B) ** 2 * want <= Fraction(float(se[a - 1])) ** 2 <= (1 + B) ** 2 * want
+        assert abs(Fraction(float(sse)) - rss) <= B * rss
 
 
 # each validation raise that no other test reaches, with its full message

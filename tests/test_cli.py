@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from catreg import Variable, load_model, save_dataset
-from catreg.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from catreg.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from helpers import dataset_of_rows, planted_pipeline_dataset
 
 
@@ -711,3 +711,54 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert out == ""
         assert err.startswith("validation error: responses CSV, line 4: field larger than")
+
+
+_REQUIRED = {
+    "ingest": "--responses, --gearing",
+    "fit": "--data",
+    "pipeline": "--data",
+    "predict": "--model, --inputs",
+    "crossval": "--data, --k, --method",
+    "compare": "--data, --k",
+    "backfire": "--sloc, --gearing",
+}
+
+# one argv per subcommand, with the namespace it parses to less the global flags
+_PARSED = {
+    "ingest": (["--responses", "r.csv", "--gearing", "g.json"],
+               {"responses": "r.csv", "gearing": "g.json", "schema": None,
+                "outlier_zmax": None, "data_out": None}),
+    "fit": (["--data", "d.json"], {"data": "d.json", "predictors": None}),
+    "pipeline": (["--data", "d.json"], {"data": "d.json", "model_out": None}),
+    "predict": (["--model", "m.json", "--inputs", "{}"], {"model": "m.json", "inputs": "{}"}),
+    "crossval": (["--data", "d.json", "--k", "6", "--method", "dummy-ols"],
+                 {"data": "d.json", "k": 6, "method": "dummy-ols", "mre_scale": None}),
+    "compare": (["--data", "d.json", "--k", "6"], {"data": "d.json", "k": 6, "mre_scale": None}),
+    "backfire": (["--sloc", "{}", "--gearing", "g.json"], {"sloc": "{}", "gearing": "g.json"}),
+}
+
+
+class TestParser:
+    """The parsed flags, their defaults and the usage errors, one subcommand at a time."""
+
+    @pytest.mark.parametrize("command", list(_REQUIRED))
+    def test_a_bare_subcommand_names_its_required_flags(self, capsys, command):
+        assert _run(capsys, [command]) == (
+            EXIT_VALIDATION, "",
+            f"usage error: the following arguments are required: {_REQUIRED[command]}\n",
+        )
+
+    @pytest.mark.parametrize("command", list(_PARSED))
+    def test_each_subcommand_parses_to_its_flags_and_defaults(self, command):
+        argv, parsed = _PARSED[command]
+        assert vars(build_parser().parse_args([command, *argv])) == {
+            "command": command, **parsed,
+            "config": None, "seed": 42, "output": None, "format": "json",
+        }
+
+    def test_a_global_flag_before_the_subcommand_is_a_usage_error(self, capsys):
+        assert _run(capsys, ["--seed", "1", "fit", "--data", "x"]) == (
+            EXIT_VALIDATION, "",
+            "usage error: argument command: invalid choice: '1' (choose from 'ingest', "
+            "'fit', 'pipeline', 'predict', 'crossval', 'compare', 'backfire')\n",
+        )

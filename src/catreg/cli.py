@@ -42,57 +42,48 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _common_flags(parser: _Parser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="JSON configuration file")
-    parser.add_argument("--seed", type=int, default=42, help="seed for fold shuffling (default 42)")
-    parser.add_argument("--output", metavar="PATH", help="write the payload here instead of stdout")
-    parser.add_argument("--format", choices=("json", "table"), default="json", help="payload rendering")
-
-
 def build_parser() -> _Parser:
+    # the global flags, then --data, then the folds' flags: each subcommand
+    # takes one of these three as its parent and declares only its own flags
+    common = _Parser(add_help=False)
+    common.add_argument("--config", metavar="PATH", help="JSON configuration file")
+    common.add_argument("--seed", type=int, default=42, help="seed for fold shuffling (default 42)")
+    common.add_argument("--output", metavar="PATH", help="write the payload here instead of stdout")
+    common.add_argument("--format", choices=("json", "table"), default="json", help="payload rendering")
+    data = _Parser(add_help=False, parents=[common])
+    data.add_argument("--data", required=True, metavar="PATH")
+    folds = _Parser(add_help=False, parents=[data])
+    folds.add_argument("--k", required=True, type=int)
+    folds.add_argument("--mre-scale", choices=MRE_SCALES, default=None)
+
     parser = _Parser(prog="catreg", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="responses CSV -> canonical dataset JSON")
+    p = sub.add_parser("ingest", parents=[common], help="responses CSV -> canonical dataset JSON")
     p.add_argument("--responses", required=True, metavar="CSV")
     p.add_argument("--gearing", required=True, metavar="JSON")
     p.add_argument("--schema", metavar="JSON", help="scaling-level overrides")
     p.add_argument("--outlier-zmax", type=float, default=None)
     p.add_argument("--data-out", metavar="PATH", help="where to write the dataset file")
-    _common_flags(p)
 
-    p = sub.add_parser("fit", help="one optimal-scaling regression fit")
-    p.add_argument("--data", required=True, metavar="PATH")
+    p = sub.add_parser("fit", parents=[data], help="one optimal-scaling regression fit")
     p.add_argument("--predictors", metavar="A,B,C", help="subset of predictors, comma-separated")
-    _common_flags(p)
 
-    p = sub.add_parser("pipeline", help="iterate quantify + select to a stable model")
-    p.add_argument("--data", required=True, metavar="PATH")
+    p = sub.add_parser("pipeline", parents=[data], help="iterate quantify + select to a stable model")
     p.add_argument("--model-out", metavar="PATH", help="where to write the model file")
-    _common_flags(p)
 
-    p = sub.add_parser("predict", help="evaluate a saved model on raw inputs")
+    p = sub.add_parser("predict", parents=[common], help="evaluate a saved model on raw inputs")
     p.add_argument("--model", required=True, metavar="PATH")
     p.add_argument("--inputs", required=True, metavar="JSON", help="inline JSON object or a path to one")
-    _common_flags(p)
 
-    p = sub.add_parser("crossval", help="k-fold MMRE for one method")
-    p.add_argument("--data", required=True, metavar="PATH")
-    p.add_argument("--k", required=True, type=int)
+    p = sub.add_parser("crossval", parents=[folds], help="k-fold MMRE for one method")
     p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--mre-scale", choices=MRE_SCALES, default=None)
-    _common_flags(p)
 
-    p = sub.add_parser("compare", help="paired k-fold baseline vs pipeline report")
-    p.add_argument("--data", required=True, metavar="PATH")
-    p.add_argument("--k", required=True, type=int)
-    p.add_argument("--mre-scale", choices=MRE_SCALES, default=None)
-    _common_flags(p)
+    sub.add_parser("compare", parents=[folds], help="paired k-fold baseline vs pipeline report")
 
-    p = sub.add_parser("backfire", help="source lines -> function points")
+    p = sub.add_parser("backfire", parents=[common], help="source lines -> function points")
     p.add_argument("--sloc", required=True, metavar="JSON", help="inline JSON object or a path to one")
     p.add_argument("--gearing", required=True, metavar="JSON")
-    _common_flags(p)
 
     return parser
 

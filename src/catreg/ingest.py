@@ -396,8 +396,9 @@ def filter_rows(table: RawTable, outlier_zmax: float | None = None):
     Returns (dataset, removal_report) where the report maps row id -> reason.
     Outlier screening, when enabled, computes population z-scores per
     Ln(<field>) column over the unflagged rows and removes any row whose
-    absolute z exceeds outlier_zmax on any column. Surviving cell values are
-    carried through unchanged.
+    absolute z exceeds outlier_zmax on any column; an unflagged cell of such a
+    column that is not finite is an error. Surviving cell values are carried
+    through unchanged.
     """
     if outlier_zmax is not None and not (outlier_zmax > 0):
         raise ValidationError("outlier_zmax must be positive when given")
@@ -408,10 +409,13 @@ def filter_rows(table: RawTable, outlier_zmax: float | None = None):
     if outlier_zmax is not None:
         flagged: dict = {}
         for name in [name for name in table.fields if name.startswith("Ln(")]:
+            column = table.fields[name][survivors]
+            if not np.isfinite(column).all():
+                raise ValidationError("a surviving row has a value that is not finite")
             try:
-                z = np.abs(population_standardize(table.fields[name][survivors])[0])
-            except (ValidationError, NumericalError):  # no spread, fewer than two
-                continue  # survivors, or a cell that is not finite (checked below)
+                z = np.abs(population_standardize(column)[0])
+            except (ValidationError, NumericalError):  # no spread, a spread that
+                continue  # overflows, or fewer than two survivors
             hits = z > outlier_zmax
             for i, score in zip(survivors[hits].tolist(), z[hits].tolist()):
                 flagged.setdefault(i, []).append(

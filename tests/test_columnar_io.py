@@ -790,13 +790,15 @@ def test_a_survivors_float_cells_are_checked_once(value):
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-def test_the_outlier_screen_leaves_a_cell_that_is_not_finite_to_that_check(value):
-    """A cell that is not finite turns its column's screen off. Row 150 is an
-    outlier on Ln(FP) alone, so with that cell not finite it survives the
-    screen, and the survivors' check names it."""
+@pytest.mark.parametrize("column", ["Ln(FP)", "Ln(Developer)"])
+def test_the_outlier_screen_leaves_a_cell_that_is_not_finite_to_that_check(column, value):
+    """The screen checks a column's unflagged cells before it scores them. Row
+    150 is an outlier on Ln(FP) alone, so a cell of it that is not finite would
+    otherwise turn Ln(FP)'s screen off and reach the survivors' check, or turn
+    Ln(Developer)'s screen off and leave with the row that Ln(FP)'s removes."""
     table = log_transform(apply_backfire(load_responses(str(DATA / "responses.sample.csv")),
                                          load_gearing(str(DATA / "gearing.sample.json"))))
-    table.fields["Ln(FP)"][150] = value
+    table.fields[column][150] = value
     with pytest.raises(ValidationError, match="^a surviving row has a value that is not finite$"):
         filter_rows(table, outlier_zmax=2.5)
 

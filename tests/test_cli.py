@@ -289,6 +289,10 @@ def _drop_ln_fp_input_field(doc):
     del doc["variables"][0]["input_field"]
 
 
+def _log10_ln_fp_transform(doc):
+    doc["variables"][0]["transform"] = "log10"
+
+
 class TestPredictCommand:
     def test_inputs_from_a_file(self, capsys, tmp_path):
         inline = _run(capsys, ["predict", "--model", REFERENCE_MODEL,
@@ -315,7 +319,8 @@ class TestPredictCommand:
         (_drop_q2_quantification, "categorical variable 'Q2' needs a quantification entry"),
         (_partial_q17_quantification, "variable 'Q17': categories without quantification: ['B']"),
         (_drop_ln_fp_input_field, "numeric variable 'Ln(FP)' needs an input_field"),
-    ], ids=["duplicate variable", "no Q2 entry", "partial Q17", "no input_field"])
+        (_log10_ln_fp_transform, "variable 'Ln(FP)': transform must be 'ln' or 'identity'"),
+    ], ids=["duplicate variable", "no Q2 entry", "partial Q17", "no input_field", "log10 transform"])
     def test_malformed_model_is_a_validation_error(self, capsys, tmp_path, edit, message):
         doc = json.loads(Path(REFERENCE_MODEL).read_text())
         edit(doc)

@@ -43,8 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
-    # the global flags, then --data, then the folds' flags: each subcommand
-    # takes one of these three as its parent and declares only its own flags
+    # each subcommand takes one of these three parents and declares only its own flags
     common = _Parser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON configuration file")
     common.add_argument("--seed", type=int, default=42, help="seed for fold shuffling (default 42)")

@@ -293,6 +293,14 @@ def _log10_ln_fp_transform(doc):
     doc["variables"][0]["transform"] = "log10"
 
 
+def _text_q17_quantification(doc):
+    doc["quantifications"]["Q17"] = {"A": "low"}
+
+
+def _text_intercept(doc):
+    doc["intercept"] = "x"
+
+
 class TestPredictCommand:
     def test_inputs_from_a_file(self, capsys, tmp_path):
         inline = _run(capsys, ["predict", "--model", REFERENCE_MODEL,
@@ -320,7 +328,10 @@ class TestPredictCommand:
         (_partial_q17_quantification, "variable 'Q17': categories without quantification: ['B']"),
         (_drop_ln_fp_input_field, "numeric variable 'Ln(FP)' needs an input_field"),
         (_log10_ln_fp_transform, "variable 'Ln(FP)': transform must be 'ln' or 'identity'"),
-    ], ids=["duplicate variable", "no Q2 entry", "partial Q17", "no input_field", "log10 transform"])
+        (_text_q17_quantification, "quantifications of 'Q17' must be finite numbers"),
+        (_text_intercept, "model value 'intercept' must be a finite number"),
+    ], ids=["duplicate variable", "no Q2 entry", "partial Q17", "no input_field", "log10 transform",
+            "text quantification", "text intercept"])
     def test_malformed_model_is_a_validation_error(self, capsys, tmp_path, edit, message):
         doc = json.loads(Path(REFERENCE_MODEL).read_text())
         edit(doc)

@@ -2,15 +2,15 @@
 
     python tools/linetrace.py [PYTEST_ARGS ...]
 
-Runs pytest in this process (default: the repository's whole suite, quiet)
-under a `sys.settrace` hook that records the lines run in frames whose code
-lives under `src/catreg`, then prints each module's executable statements that
-never ran, one `module:line` with its first line of source each. A statement
-is every one `ast` finds except `def`, `class`, imports, `global`/`nonlocal`
-and constant expressions (docstrings among them), which compile to no code
-that runs in place. It ran if any of its own lines ran: those from its first
-line to its last, less the lines of the statements nested in it. Standard
-library only; the exit status is pytest's.
+Runs pytest in this process, on the repository's whole suite unless given
+pytest's own arguments, under a `sys.settrace` hook that records the lines
+run in frames whose code lives under `src/catreg`. Then it prints each
+module's executable statements that never ran, as `module:line` and the
+statement's first line of source. A statement is every one `ast` finds except
+`def`, `class`, imports and constant expressions (docstrings among them),
+which compile to no code that runs in place. It ran if any of its own lines
+ran: those from its first line to its last, less the lines of the statements
+nested in it. Standard library only; the exit status is pytest's.
 """
 
 from __future__ import annotations
@@ -18,10 +18,8 @@ from __future__ import annotations
 import ast
 import os
 import sys
-import threading
 
-_SKIPPED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom,
-            ast.Global, ast.Nonlocal)
+_SKIPPED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)
 
 
 def statements(source: str) -> dict:
@@ -56,14 +54,12 @@ def record_lines(root: str, run, *args):
         seen.setdefault(filename, set())
         return local
 
-    previous = sys.gettrace(), threading.gettrace()
+    previous = sys.gettrace()
     sys.settrace(on_call)
-    threading.settrace(on_call)
     try:
         return run(*args), seen
     finally:
-        sys.settrace(previous[0])
-        threading.settrace(previous[1])
+        sys.settrace(previous)
 
 
 def never_ran(source: str, lines: set) -> list[int]:

@@ -19,6 +19,8 @@ import ast
 import os
 import sys
 
+import pytest
+
 _SKIPPED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)
 
 
@@ -68,8 +70,6 @@ def never_ran(source: str, lines: set) -> list[int]:
 
 
 def main(argv=None) -> int:
-    import pytest
-
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     package = os.path.join(here, "src", "catreg")
     status, seen = record_lines(package, pytest.main,

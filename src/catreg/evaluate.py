@@ -19,11 +19,11 @@ design is `dummy_design`'s levels and scalings; its `encode` writes matrices.
 
 A fold is a pair of index arrays, and its training part the `Dataset.subset`
 over the first. Once every training part has over `stats.BLOCK_ROWS` rows, the
-baseline takes the full data's design once, codes each fold's rows once and
-factorizes them once: a training part's R is that of the other folds' factors,
-its numeric columns moved to the part's own mean and scale (a part lacking a
-category is fitted alone), and the fold's test rows are scored from its own
-coded block, their numeric columns rescaled to the part's. Otherwise the
+baseline takes the full data's design once, and codes and factorizes each
+fold's rows once, keeping only their 0/1 indicators: a training part's R is
+that of the other folds' factors, its numeric columns moved to the part's own
+mean and scale (a part lacking a category is fitted alone), and the fold's test
+rows are its indicators with its numeric columns at that scale. Otherwise the
 training part's design codes its rows and the fold's test rows (the contender
 maps test rows through the model's quantification tables), and the test rows
 are predicted with one matrix product. A row whose category the training part
@@ -311,10 +311,12 @@ def _shared_dummy_fitter(dataset: Dataset, plan: FoldPlan):
     except CatregError:
         return None
     y, qr = dataset._stored(dataset.dependent.name), partial(np.linalg.qr, mode="r")
-    # each fold's rows [1, X, y], coded once with the full data's levels and scalings
-    blocks = [np.c_[np.ones(len(i)), design.encode(dataset, i)[0], y[i]]
-              for i in (np.flatnonzero(plan._folds == f) for f in range(plan.k))]
-    factors = [blockwise(block, qr) for block in blocks]
+
+    def code(rows):  # R of the rows [1, X, y] coded with the full data's design, and X as 0/1 bytes
+        block = np.c_[np.ones(len(rows)), design.encode(dataset, rows)[0], y[rows]]
+        return blockwise(block, qr), block[:, 1:-1].astype(bool).view(np.uint8)  # block is freed
+
+    factors, indicators = zip(*(code(np.flatnonzero(plan._folds == f)) for f in range(plan.k)))
     lacks, numeric, j = np.zeros(plan.k, dtype=bool), [], 1  # j: a column of [1, X, y]
     for name in design.variables:
         if name in design.numeric_scaling:
@@ -329,7 +331,8 @@ def _shared_dummy_fitter(dataset: Dataset, plan: FoldPlan):
         if lacks[fold]:
             return None
         R = blockwise(np.vstack(factors[:fold] + factors[fold + 1:]), qr)
-        matrix = blocks[fold][:, 1:-1].copy()  # the test rows; indicators as coded
+        # the test rows, row-major: see encode (numpy casts column-major uint8 to it fast, bool slowly)
+        matrix = indicators[fold].astype(float, order="C")
         for j, x, m, s in numeric:  # dummy_design's standardizations, in declared order
             _, m_f, s_f = population_standardize(x[train_idx])
             R[:, j] = R[:, j] * (s / s_f) + R[:, 0] * ((m - m_f) / s_f)

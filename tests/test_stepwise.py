@@ -230,6 +230,20 @@ class TestDegenerateCandidates:
         with pytest.raises(NumericalError, match="rank-deficient"):
             ols_fit(x[:, None], y)
 
+    @pytest.mark.parametrize("n, step", [(2, 1), (3, 2)])
+    def test_every_candidate_is_skipped_when_the_rows_only_fit_the_included_set(self, n, step):
+        # at step 2 x1 has entered: the intercept, x1 and a candidate need 4 rows
+        x1 = np.array([1.0, 2.0, 4.0])[:n]
+        y = 2.0 * x1 + np.array([1e-6, -2e-6, 1e-6])[:n]
+        cols = {"x1": x1, "x2": np.array([0.5, -1.0, 2.0])[:n]}
+        trace = stepwise_fit(cols, y)
+        assert trace.selected == ("x1",) * (step - 1)
+        skipped = (f"step {step}: candidate '{name}' skipped "
+                   f"(too few rows for inference: n={n} must exceed {n} fitted parameters)"
+                   for name in cols if name not in trace.selected)
+        assert trace.diagnostics == tuple(skipped)
+        assert trace.diagnostics == oracle_stepwise_fit(cols, y).diagnostics
+
     def test_no_candidates_rejected(self):
         with pytest.raises(ValidationError):
             stepwise_fit({}, np.arange(5.0), StepwiseConfig())

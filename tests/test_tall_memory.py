@@ -4,31 +4,33 @@ Above `stats.BLOCK_ROWS` rows a narrow `catreg_fit` keeps a fully observed
 item's stored codes in its record, not a copy, and `_cross_sweep` builds each
 row block's one-hot index inside its block loop. So a tall run's memory beyond
 the dataset grows per row by a few float64 columns and the numeric
-predictors, whatever the number of items. Numpy reports its allocations to
-`tracemalloc`, whose peak measures this.
+predictors, whatever the number of items. The dummy baseline's cross-validation
+on such rows keeps of each fold's coded rows only their 0/1 indicators. Numpy
+reports its allocations to `tracemalloc`, whose peak measures this.
 """
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
-from catreg import Dataset, Variable, catreg_fit, pipeline, run_pipeline
+from catreg import Dataset, Variable, catreg_fit, crossval, pipeline, run_pipeline
 from catreg.stats import BLOCK_ROWS
 from helpers import mixed_dataset, planted_pipeline_dataset
 
 
 def _items_dataset(seed: int, n: int, items: int, numerics: int = 2,
-                   unobserved: int = 0) -> Dataset:
-    """`items` questionnaire items of three observed categories (the first
-    `unobserved` of them declare a fourth that no row shows), `numerics`
+                   unobserved: int = 0, observed: int = 3) -> Dataset:
+    """`items` questionnaire items of `observed` categories (the first
+    `unobserved` of them declare one more that no row shows), `numerics`
     numeric predictors, and y planted on the first four items and one numeric."""
     rng = np.random.default_rng(seed)
     y = rng.normal(scale=0.7, size=n)
     variables, columns = [], []
     for j in range(items):
-        labels = ("A", "B", "C", "D")[:4 if j < unobserved else 3]
-        codes = rng.permutation(np.arange(n) % 3)
+        labels = tuple("ABCDEFGH"[:observed + (j < unobserved)])
+        codes = rng.permutation(np.arange(n) % observed)
         if j < 4:
             y += (0.5 + 0.3 * j) * codes
         variables.append(Variable(f"q{j}", "ordinal" if j % 2 else "nominal", labels))
@@ -67,12 +69,12 @@ def test_tall_records_share_the_stored_columns(ds, monkeypatch):
     assert ds == before
 
 
-def _traced_peak(ds: Dataset) -> int:
-    """The traced peak of a run_pipeline on ds, above what was allocated before it."""
+def _traced_peak(ds: Dataset, run=run_pipeline) -> int:
+    """The traced peak of run(ds), above what was allocated before it."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        run_pipeline(ds)
+        run(ds)
         return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -87,3 +89,14 @@ def test_a_tall_runs_memory_grows_per_row_by_columns_not_items(items):
     # z and its copy in the sweep's numeric block, two float64 columns of slack,
     # and per numeric predictor its standardized record and its column of the block
     assert per_row <= 8 * (4 + 2 * numerics)
+
+
+def test_dummy_crossval_keeps_no_float_copy_of_the_coded_rows():
+    # 20 items of 5 categories and one numeric: [1, X, y] is 83 float64 columns
+    items, observed, numerics, rows = 20, 5, 1, (2 * BLOCK_ROWS, 4 * BLOCK_ROWS)
+    small, large = (_items_dataset(3, n, items, numerics, observed=observed) for n in rows)
+    run = partial(crossval, k=5, seed=42, method="dummy-ols")
+    run(small)  # first calls allocate what later ones reuse
+    per_row = (_traced_peak(large, run) - _traced_peak(small, run)) / (rows[1] - rows[0])
+    # less than one float64 [1, X, y] row: a fold keeps its rows as indicator bytes
+    assert per_row < 8 * (items * (observed - 1) + numerics + 2)

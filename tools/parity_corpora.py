@@ -1,13 +1,16 @@
-"""Compare `run_pipeline` between two source trees on the benchmark's corpora.
+"""Compare `run_pipeline` and the dummy baseline's cross-validation between two
+source trees on the benchmark's corpora.
 
     python tools/parity_corpora.py PARENT_TREE CHANGE_TREE
 
 Each tree is a checkout of this repository; its `src` is what runs. For every
 corpus seed of `perfbench/workloads.py`'s CORPUS_SEEDS the synthetic corpus of
 `perfbench/corpus.py` is generated at SYNTH_ROWS rows, ingested, and run
-through `run_pipeline` with PIPELINE_ALPHA, by each tree in a process of its
-own at one BLAS thread. The corpus code is imported from the
-`perfbench` directory next to this file, the same for both trees.
+through `run_pipeline` with PIPELINE_ALPHA and through the dummy-ols `crossval`
+at k=5 and FOLD_SEED (the crossval_dummy_synth_20k workload's operation), by
+each tree in a process of its own at one BLAS thread. The corpus code is
+imported from the `perfbench` directory next to this file, the same for both
+trees.
 
 The table lists, per quantity, how many values were compared and whether they
 were identical, or the largest relative difference (the largest absolute one
@@ -61,15 +64,23 @@ def run_tree() -> list:
             ds, _ = catreg.ingest.ingest_dataset(
                 info["responses.csv"], catreg.ingest.load_gearing(info["gearing.json"]),
                 catreg.ingest.load_schema(info["schema.json"]))
+        try:
+            cv = catreg.evaluate.crossval(ds, k=5, seed=workloads.FOLD_SEED, method="dummy-ols")
+            crossval = {"mmre": [f.mmre_value for f in cv.folds],
+                        "excluded": [f.n_excluded for f in cv.folds]}
+        except (catreg.NumericalError, catreg.ValidationError) as exc:
+            crossval = {"error": f"{type(exc).__name__}: {exc}"}
         fits.clear()
         try:
             result = catreg.pipeline.run_pipeline(ds, stepwise_config=config)
         except (catreg.NumericalError, catreg.ValidationError) as exc:
-            out.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
+            out.append({"seed": seed, "crossval": crossval,
+                        "error": f"{type(exc).__name__}: {exc}"})
             continue
         model = result.model
         out.append({
             "seed": seed,
+            "crossval": crossval,
             "converged": bool(result.converged),
             "model": None if model is None else {
                 "coefficients": model.coefficients, "intercept": model.intercept},
@@ -141,6 +152,11 @@ class Table:
 def compare(parent: list, change: list) -> Table:
     table = Table()
     for a, b in zip(parent, change, strict=True):
+        cva, cvb = a["crossval"], b["crossval"]
+        table.same("dummy-ols crossval errors", cva.get("error"), cvb.get("error"))
+        if "error" not in cva and "error" not in cvb:
+            table.close("dummy-ols crossval fold MMREs", cva["mmre"], cvb["mmre"])
+            table.same("dummy-ols crossval excluded", cva["excluded"], cvb["excluded"])
         table.same("errors", a.get("error"), b.get("error"))
         if "error" in a or "error" in b:
             continue

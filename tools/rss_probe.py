@@ -1,14 +1,16 @@
 """Compare peak resident memory and page faults between two source trees.
 
     python tools/rss_probe.py PARENT_TREE CHANGE_TREE [--runs R] [--ops N] [--seed S]
+        [--workload NAME]...
 
 Each tree is a checkout of this repository; its `src` is what runs. The
 inputs of every workload of `perfbench/workloads.py` are written once, by
 `perfbench/run.py`'s `prepare` running on the parent tree, for the benchmark's
---seed S (seed 11 is the seed-11 corpus, 19,781 rows). Then each workload runs
-R times in a fresh process per tree, the trees alternating which goes first,
-at one BLAS thread. The perfbench code is imported from the `perfbench`
-directory next to this file, the same for both trees, and is not changed.
+--seed S (seed 11 is the seed-11 corpus, 19,781 rows); given --workload, only
+the workloads it names run. Then each workload runs R times in a fresh process
+per tree, the trees alternating which goes first, at one BLAS thread. The
+perfbench code is imported from the `perfbench` directory next to this file,
+the same for both trees, and is not changed.
 
 A process reports its peak resident memory (VmHWM of /proc/self/status, as
 perfbench's `peak_rss_mb` reads it) after `import catreg`, after
@@ -86,12 +88,17 @@ def _cell(values: list, digits: int) -> str:
 
 
 def main(argv=None):
+    sys.path.insert(0, PERFBENCH)
+    import workloads
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", nargs="?")
     parser.add_argument("change", nargs="?")
     parser.add_argument("--runs", type=int, default=3, help="processes per tree and workload")
     parser.add_argument("--ops", type=int, default=20, help="timed operations per process")
     parser.add_argument("--seed", type=int, default=11, help="perfbench's --seed")
+    parser.add_argument("--workload", action="append", choices=workloads.WORKLOADS,
+                        help="run only this workload; repeatable (default: every workload)")
     parser.add_argument("--worker", nargs=3, metavar=("WORKLOAD", "WORK", "OPS"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -103,13 +110,11 @@ def main(argv=None):
         parser.error("give the parent and the change source trees")
     if args.runs < 1 or args.ops < 1:
         parser.error("--runs and --ops must be at least 1")
-    sys.path.insert(0, PERFBENCH)
-    import workloads
-
+    chosen = [w for w in workloads.WORKLOADS if w in (args.workload or workloads.WORKLOADS)]
     trees = (args.parent, args.change)
     table = {}  # (workload, stage, tree index) -> values
     with tempfile.TemporaryDirectory(prefix="rss_probe-") as scratch:
-        for workload in workloads.WORKLOADS:
+        for workload in chosen:
             work = os.path.join(scratch, workload)
             os.makedirs(work)
             _child(args.parent, ["-c", "import sys, run; run.prepare(sys.argv[1], int(sys.argv[2]), "
@@ -124,7 +129,7 @@ def main(argv=None):
           f"each; median (range); {args.parent} -> {args.change}")
     print("| workload | figure | parent | change |")
     print("|---|---|---|---|")
-    for workload in workloads.WORKLOADS:
+    for workload in chosen:
         for stage in STAGES:
             digits = 1 if stage.startswith(("operation", "minor")) else 2
             cells = [_cell(table.get((workload, stage, side), []), digits) for side in (0, 1)]
